@@ -23,6 +23,7 @@ from .analysis import (
     COARSE_KAPPA_POINTS,
     DEFAULT_SCAN_POINTS,
     ConverterFamily,
+    efficiency_map,
     high_efficiency_intervals,
     optimize_kappa,
 )
@@ -47,6 +48,8 @@ from .timedomain import steady_state_response, trace_csv_text
 
 SETUPS = ("resonant", "detuned", "two_mode", "microscopic", "custom")
 FAMILY_SETUPS = ("resonant", "detuned", "two_mode")
+# Fields every kappa-family command (map, optimize) accepts besides g and delta_mu.
+FAMILY_FIELDS = frozenset({"setup", "kappa_range", "window", "output"})
 
 # Defaults for the `eliminate` command: the reference damping and an
 # even-point window straddling omega = 0 (uniform compensated ensembles are
@@ -154,7 +157,10 @@ def _int_field(doc: dict, key: str, owner: str, minimum: int) -> int:
     return value
 
 
-def _window(cfg: dict, required: bool = True, default=None) -> tuple[float, float, int] | None:
+def _window(
+    cfg: dict, required: bool = True, default=None, default_points: int | None = None
+) -> tuple[float, float, int] | None:
+    """Parse ``window``; ``points`` may be left out only when ``default_points`` is given."""
     if "window" not in cfg:
         if required:
             raise ConfigError("missing required field 'window' ({min, max, points})")
@@ -169,8 +175,9 @@ def _window(cfg: dict, required: bool = True, default=None) -> tuple[float, floa
     w_max = _number(doc, "max", required=True)
     if w_max <= w_min:
         raise ConfigError(f"window requires min < max, got [{w_min}, {w_max}]")
-    points = _int_field(doc, "points", "window", 2)
-    return w_min, w_max, points
+    if default_points is not None and "points" not in doc:
+        return w_min, w_max, default_points
+    return w_min, w_max, _int_field(doc, "points", "window", 2)
 
 
 def _kappa_range(cfg: dict, need_points: bool) -> tuple[float, float, int | None]:
@@ -240,7 +247,7 @@ def _load_custom_network(cfg: dict):
         raise ConfigError("field 'network' must be a network object or a path to one")
     try:
         return network_from_dict(raw)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"field 'network' is malformed: {exc}") from None
 
 
@@ -252,22 +259,9 @@ def _build_single_network(cfg: dict, command: str):
         common |= {"threshold"}
     if command == "timedomain":
         common |= {"omega", "amplitude", "trace_output"}
-    if setup == "resonant":
-        _check_keys(cfg, common | {"g", "kappa"}, command)
-        g = _number(cfg, "g", default=1.0)
-        kappa = _positive(cfg, "kappa", required=True)
-        net = resonant_network(ResonantParams(g, g, kappa, kappa))
-    elif setup == "detuned":
-        _check_keys(cfg, common | {"g", "kappa", "delta_mu"}, command)
-        g = _number(cfg, "g", default=1.0)
-        kappa = _positive(cfg, "kappa", required=True)
-        delta_mu = _number(cfg, "delta_mu", default=0.0)
-        net = detuned_network(DetunedParams(g, g, kappa, kappa, delta_mu=delta_mu))
-    elif setup == "two_mode":
-        _check_keys(cfg, common | {"g", "kappa"}, command)
-        g = _number(cfg, "g", default=1.0)
-        kappa = _positive(cfg, "kappa", required=True)
-        net = two_mode_network(g, kappa, kappa)
+    if setup in FAMILY_SETUPS:
+        family = _family(cfg, command, common | {"kappa"})
+        net = family.build(_positive(cfg, "kappa", required=True))
     elif setup == "microscopic":
         _check_keys(cfg, common | {"kappa", "ensemble", "compensate_stark"}, command)
         kappa = _positive(cfg, "kappa", required=True)
@@ -289,19 +283,17 @@ def _build_single_network(cfg: dict, command: str):
     return net, in_port, out_port
 
 
-def _family(cfg: dict, command: str) -> ConverterFamily:
+def _family(cfg: dict, command: str, allowed: set) -> ConverterFamily:
+    """The converter family of a family setup; ``allowed`` lists the fields besides g and delta_mu."""
     setup = _setup(cfg)
     if setup not in FAMILY_SETUPS:
         raise ConfigError(
             f"setup '{setup}' does not define a kappa family; "
             f"'{command}' accepts {', '.join(FAMILY_SETUPS)}"
         )
-    allowed = {"setup", "g", "kappa_range", "window", "output"}
-    if command == "optimize":
-        allowed |= {"threshold"}
     if setup == "detuned":
-        allowed |= {"delta_mu"}
-    _check_keys(cfg, allowed, command)
+        allowed = allowed | {"delta_mu"}
+    _check_keys(cfg, allowed | {"g"}, command)
     g = _number(cfg, "g", default=1.0)
     delta_mu = _number(cfg, "delta_mu", default=0.0) if setup == "detuned" else 0.0
     return ConverterFamily(kind=setup, g=g, delta_mu=delta_mu)
@@ -340,18 +332,19 @@ def _bandwidth_doc(net, in_port, out_port, threshold, omega_range, points) -> di
 
 
 def _map_text(family: ConverterFamily, kappa_range, window) -> str:
-    k_min, k_max, k_points = kappa_range
-    w_min, w_max, w_points = window
-    kappas = np.linspace(k_min, k_max, k_points)
-    omegas = np.linspace(w_min, w_max, w_points)
-    rows = []
-    for kappa in kappas:
-        net = family.build(float(kappa))
-        ports = net.port_labels()
-        etas = np.abs(
-            transmission_grid(net, omegas, ports[0], ports[-1], on_singular="raise")
-        ) ** 2
-        rows.extend((float(kappa), float(w), float(e)) for w, e in zip(omegas, etas))
+    kappas, omegas = np.linspace(*kappa_range), np.linspace(*window)
+    for name, grid in (("kappa_range", kappas), ("window", omegas)):
+        if np.any(np.diff(grid) <= 0.0):
+            raise ConfigError(f"field '{name}' is too narrow for {len(grid)} distinct points")
+    emap = efficiency_map(family, kappas, omegas)
+    singular = np.argwhere(~np.isfinite(emap.etas))
+    if len(singular):
+        raise SingularAtFrequencyError(float(emap.omegas[singular[0][1]]))
+    rows = (
+        (kappa, omega, eta)
+        for kappa, etas in zip(emap.kappas, emap.etas)
+        for omega, eta in zip(emap.omegas, etas)
+    )
     return csv_text("kappa,omega,eta", rows)
 
 
@@ -413,19 +406,7 @@ def _cmd_bandwidth(args):
     cfg = _load_config(args)
     net, in_port, out_port = _build_single_network(cfg, "bandwidth")
     threshold = _threshold(cfg)
-    if "window" not in cfg:
-        raise ConfigError("missing required field 'window' (search range)")
-    doc = cfg["window"]
-    if not isinstance(doc, dict):
-        raise ConfigError("field 'window' must be an object with min, max")
-    extra = sorted(set(doc) - {"min", "max", "points"})
-    if extra:
-        raise ConfigError(f"unknown field 'window.{extra[0]}'")
-    w_min = _number(doc, "min", required=True)
-    w_max = _number(doc, "max", required=True)
-    if w_max <= w_min:
-        raise ConfigError(f"window requires min < max, got [{w_min}, {w_max}]")
-    points = _int_field(doc, "points", "window", 2) if "points" in doc else DEFAULT_SCAN_POINTS
+    w_min, w_max, points = _window(cfg, default_points=DEFAULT_SCAN_POINTS)
     _write_output(
         cfg, json_text(_bandwidth_doc(net, in_port, out_port, threshold, (w_min, w_max), points)) + "\n"
     )
@@ -433,7 +414,7 @@ def _cmd_bandwidth(args):
 
 def _cmd_map(args):
     cfg = _load_config(args)
-    family = _family(cfg, "map")
+    family = _family(cfg, "map", FAMILY_FIELDS)
     kappa_range = _kappa_range(cfg, need_points=True)
     window = _window(cfg, required=True)
     _write_output(cfg, _map_text(family, kappa_range, window))
@@ -441,7 +422,7 @@ def _cmd_map(args):
 
 def _cmd_optimize(args):
     cfg = _load_config(args)
-    family = _family(cfg, "optimize")
+    family = _family(cfg, "optimize", FAMILY_FIELDS | {"threshold"})
     threshold = _threshold(cfg)
     k_min, k_max, points = _kappa_range(cfg, need_points=False)
     window = _window(cfg, required=False)
@@ -501,24 +482,22 @@ def _preset_fig2(out_dir: Path):
     )
 
 
+def _preset_family(delta_mu: int) -> ConverterFamily:
+    """The g = 1 converter family of the fig3/fig4 bundles at interior detuning ``delta_mu``."""
+    return ConverterFamily(kind="detuned" if delta_mu else "resonant", g=1.0, delta_mu=float(delta_mu))
+
+
 def _preset_fig3(out_dir: Path):
     kappa_range = (0.1, 5.0, 99)
     windows = {0: (-3.0, 3.0, 241), 1: (-3.0, 5.0, 321), 3: (-3.0, 7.0, 401), 10: (-3.0, 12.0, 601)}
     for delta_mu, window in windows.items():
-        if delta_mu == 0:
-            family = ConverterFamily(kind="resonant", g=1.0)
-        else:
-            family = ConverterFamily(kind="detuned", g=1.0, delta_mu=float(delta_mu))
+        family = _preset_family(delta_mu)
         _write_file(out_dir, f"fig3_map_dmu{delta_mu}.csv", _map_text(family, kappa_range, window))
 
 
 def _preset_fig4(out_dir: Path):
     for delta_mu in (0, 1, 3, 10):
-        if delta_mu == 0:
-            family = ConverterFamily(kind="resonant", g=1.0)
-        else:
-            family = ConverterFamily(kind="detuned", g=1.0, delta_mu=float(delta_mu))
-        doc = _optimize_doc(family, 0.99, (0.1, 8.0), COARSE_KAPPA_POINTS, None)
+        doc = _optimize_doc(_preset_family(delta_mu), 0.99, (0.1, 8.0), COARSE_KAPPA_POINTS, None)
         _write_file(out_dir, f"fig4_optimize_dmu{delta_mu}.json", json_text(doc) + "\n")
 
 
@@ -599,10 +578,7 @@ def main(argv=None) -> int:
     except ModeconvError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 1
-    except OSError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return 1
-    except (ValueError, KeyError, TypeError) as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 1
     return 0

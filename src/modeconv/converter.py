@@ -63,23 +63,15 @@ class DetunedParams(ResonantParams):
 
 
 def resonant_network(p: ResonantParams) -> CoupledModeNetwork:
-    """Three-mode converter network with the intermediate mode on resonance."""
-    coupling = np.array(
-        [
-            [0.0, p.s_o, 0.0],
-            [p.s_o, 0.0, p.s_mu],
-            [0.0, p.s_mu, 0.0],
-        ],
-        dtype=complex,
-    )
-    return new_network(("a", "c", "b"), coupling, (p.kappa_o, 0.0, p.kappa_mu))
+    """Three-mode converter network with the intermediate mode on resonance.
+
+    This is :func:`detuned_network` with ``delta_mu = 0``.
+    """
+    return detuned_network(DetunedParams(p.s_o, p.s_mu, p.kappa_o, p.kappa_mu))
 
 
 def detuned_network(p: DetunedParams) -> CoupledModeNetwork:
-    """Three-mode converter network with intermediate-mode detuning ``delta_mu``.
-
-    With ``delta_mu = 0`` this coincides with :func:`resonant_network`.
-    """
+    """Three-mode converter network with intermediate-mode detuning ``delta_mu``."""
     coupling = np.array(
         [
             [0.0, p.s_o, 0.0],

@@ -17,10 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DuplicateLabelError, NegativeDampingError, NotHermitianError
-
-# Relative tolerance on ||A - A^dagger|| for a coupling matrix to count as Hermitian.
-HERMITICITY_RTOL = 1e-12
+from .errors import DuplicateLabelError, NegativeDampingError
+from .linalg import check_hermitian
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,7 +50,7 @@ class CoupledModeNetwork:
 def new_network(labels, coupling, damping) -> CoupledModeNetwork:
     """Validate and build a network.
 
-    The coupling matrix must match its adjoint to ``HERMITICITY_RTOL`` relative
+    The coupling matrix must pass :func:`modeconv.linalg.check_hermitian`
     (:class:`NotHermitianError` otherwise) and is symmetrized to (A + A^dagger)/2
     so that downstream algebra sees an exactly Hermitian matrix.  Damping rates
     must be non-negative (:class:`NegativeDampingError`) and labels unique
@@ -66,12 +64,7 @@ def new_network(labels, coupling, damping) -> CoupledModeNetwork:
     a = np.array(coupling, dtype=complex)
     if a.ndim != 2 or a.shape != (len(labels), len(labels)):
         raise ValueError(f"coupling shape {a.shape} does not match {len(labels)} labels")
-    norm = np.abs(a).sum(axis=1).max() if a.size else 0.0
-    deviation = np.abs(a - a.conj().T).sum(axis=1).max() if a.size else 0.0
-    if deviation > HERMITICITY_RTOL * max(norm, 1e-300):
-        raise NotHermitianError(
-            f"coupling deviates from Hermitian by {deviation:.3e} (norm {norm:.3e})"
-        )
+    check_hermitian(a, "coupling")
     a = (a + a.conj().T) / 2.0
     k = np.array(damping, dtype=float)
     if k.shape != (len(labels),):

@@ -16,13 +16,13 @@ off-resonant, S is unitary; a drive hitting an undamped resonance makes
 M singular, which surfaces as :class:`SingularAtFrequencyError` — the physical
 statement that no steady state exists there.
 
-Single-frequency evaluations go through the package's pivot-checked solver so
-that near-singular systems fail loudly and the pivot ratio is reported as a
-conditioning estimate.  Dense frequency grids run the same elimination
-vectorized over all frequencies at once (:func:`modeconv.linalg.solve_batched`),
-so a grid point trips the identical pivot test a single-point call would — the
-two routes agree by construction, and a singular frequency can never slip
-through the fast path disguised as a plausible number.
+Both routes share the package's one elimination kernel.  A single frequency is
+solved as a stack of one (:func:`modeconv.linalg.solve_with_condition`), which
+raises on a near-singular system and reports the pivot ratio as a conditioning
+estimate; a dense grid is solved as one stack over all frequencies
+(:func:`modeconv.linalg.solve_batched`).  A grid point therefore gets the same
+arithmetic and trips the same pivot test as a single-point call, and a singular
+frequency can never slip through the fast path disguised as a plausible number.
 """
 
 from __future__ import annotations
@@ -129,8 +129,8 @@ def transmission_grid(
 ) -> np.ndarray:
     """Transmission ``in_port -> out_port`` over a frequency grid.
 
-    All frequencies are eliminated in one vectorized pass with the same pivot
-    test as the single-point path, so the two agree wherever both are defined.
+    All frequencies are eliminated as one stack by the kernel the single-point
+    path also uses, so the two agree wherever both are defined.
     ``on_singular`` chooses what a singular frequency does: ``"raise"``
     propagates :class:`SingularAtFrequencyError` (reporting the first offending
     omega), ``"nan"`` records NaN so callers can leave a gap in a curve.

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergentError, NoPortsError, StepTooLargeError
-from .formatting import format_float
+from .formatting import csv_text
 from .network import CoupledModeNetwork
 from .scattering import transmission
 
@@ -230,14 +230,7 @@ def trace_csv_text(net: CoupledModeNetwork, result: SimResult) -> str:
         header += [f"{label}_re", f"{label}_im"]
     for label in net.port_labels():
         header += [f"out_{label}_re", f"out_{label}_im"]
-    lines = [",".join(header)]
-    for t_index, t in enumerate(result.times):
-        row = [format_float(float(t))]
-        for m in range(net.n_modes):
-            amp = result.mode_amplitudes[m, t_index]
-            row += [format_float(amp.real), format_float(amp.imag)]
-        for p in range(result.outputs.shape[0]):
-            out = result.outputs[p, t_index]
-            row += [format_float(out.real), format_float(out.imag)]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    columns = [result.times]
+    for amps in (*result.mode_amplitudes, *result.outputs):
+        columns += [amps.real, amps.imag]
+    return csv_text(",".join(header), zip(*columns))

@@ -295,3 +295,62 @@ def test_reproduce_writes_bundle(tmp_path):
 
 def test_reproduce_rejects_unknown_preset(tmp_path):
     assert main(["reproduce", "--preset", "fig9", "--out-dir", str(tmp_path)]) == 1
+
+
+def test_custom_network_non_iterable_labels(tmp_path, capsys):
+    net_doc = {
+        "labels": 5,
+        "coupling_re": [[0.0, 0.3], [0.3, 0.0]],
+        "coupling_im": [[0.0, 0.0], [0.0, 0.0]],
+        "damping": [0.6, 0.6],
+    }
+    doc = {"setup": "custom", "network": net_doc, "window": {"min": -1.0, "max": 1.0, "points": 3}}
+    cfg = write_cfg(tmp_path, "cfg.json", doc)
+    assert main(["sweep", cfg]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_undecodable_config_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b'{"setup": "\xff"}')
+    assert main(["sweep", str(path)]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_library_value_error_is_not_reported_as_config_error(tmp_path, monkeypatch):
+    # A ValueError from the numerics is a bug, not bad input: it must surface.
+    def broken(*args, **kwargs):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr("modeconv.cli.transmission_grid", broken)
+    cfg = write_cfg(tmp_path, "cfg.json", SWEEP_CFG)
+    with pytest.raises(ValueError, match="internal failure"):
+        main(["sweep", cfg])
+
+
+@pytest.mark.filterwarnings("ignore:map contains")
+def test_map_singular_member_exits_2(tmp_path, capsys):
+    # with g = 0 the interior mode is uncoupled and undamped, so every member
+    # is singular at omega = 0, which the odd-point window contains
+    doc = {
+        "setup": "resonant",
+        "g": 0.0,
+        "kappa_range": {"min": 0.5, "max": 1.5, "points": 3},
+        "window": {"min": -1.0, "max": 1.0, "points": 5},
+    }
+    cfg = write_cfg(tmp_path, "cfg.json", doc)
+    assert main(["map", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "omega=0.0" in err
+
+
+@pytest.mark.parametrize("k_max", [1.0, float(np.nextafter(1.0, 2.0))])
+def test_map_rejects_kappa_range_without_distinct_points(tmp_path, capsys, k_max):
+    doc = {
+        "setup": "resonant",
+        "kappa_range": {"min": 1.0, "max": k_max, "points": 3},
+        "window": {"min": -1.0, "max": 1.0, "points": 5},
+    }
+    cfg = write_cfg(tmp_path, "cfg.json", doc)
+    assert main(["map", cfg]) == 1
+    assert "kappa_range" in capsys.readouterr().err

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from modeconv.errors import NotHermitianError, SingularMatrixError
+from modeconv.errors import NotHermitianError, SingularAtFrequencyError, SingularMatrixError
 from modeconv.linalg import (
     PIVOT_RTOL,
     eigenvalues_hermitian,
@@ -11,6 +11,8 @@ from modeconv.linalg import (
     solve_linear,
     solve_with_condition,
 )
+from modeconv.network import new_network
+from modeconv.scattering import dynamical_matrix, transmission, transmission_grid
 
 
 def test_solve_matches_numpy_on_random_systems():
@@ -134,3 +136,60 @@ def test_eigenvalues_example():
 def test_non_hermitian_rejected():
     with pytest.raises(NotHermitianError):
         eigenvalues_hermitian(np.array([[0.0, 1.0], [2.0, 0.0]]))
+
+
+def test_kernel_matches_numpy_oracle_on_random_stacks():
+    # numpy's LAPACK solve is an independent reference for the one elimination
+    # kernel, reached both as a stack and as a stack of one.
+    rng = np.random.default_rng(2024)
+    for n in (1, 3, 8, 34):
+        mats = rng.normal(size=(25, n, n)) + 1j * rng.normal(size=(25, n, n))
+        rhs = rng.normal(size=(25, n, 2)) + 1j * rng.normal(size=(25, n, 2))
+        expected = np.linalg.solve(mats, rhs)
+        x, singular = solve_batched(mats, rhs)
+        assert not singular.any()
+        scale = np.abs(expected).max(axis=(1, 2))
+        assert np.all(np.abs(x - expected).max(axis=(1, 2)) <= 1e-10 * scale)
+        for i in range(len(mats)):
+            xi = solve_linear(mats[i], rhs[i])
+            assert np.abs(xi - expected[i]).max() <= 1e-10 * scale[i]
+            xv = solve_linear(mats[i], rhs[i, :, 0])
+            assert np.abs(xv - expected[i, :, 0]).max() <= 1e-10 * scale[i]
+
+
+@pytest.mark.parametrize("factor, singular", [(0.9, True), (1.1, False)])
+def test_pivot_threshold_verdict_is_shared_by_every_route(factor, singular):
+    # An undamped mode detuned by delta leaves a pivot of 2|delta| at omega = 0
+    # against a matrix scale of 1 (the port's damping), so delta sets the
+    # pivot just below or just above PIVOT_RTOL of the scale.
+    delta = 0.5 * factor * PIVOT_RTOL
+    net = new_network(("a", "c"), np.diag([0.0, delta]), (1.0, 0.0))
+    m = dynamical_matrix(net, 0.0)
+    rhs = np.ones(2, dtype=complex)
+    _, flagged = solve_batched(m[None], rhs[:, None])
+    assert bool(flagged[0]) is singular
+    if singular:
+        with pytest.raises(SingularMatrixError):
+            solve_linear(m, rhs)
+        with pytest.raises(SingularAtFrequencyError):
+            transmission(net, 0.0, "a", "a")
+        with pytest.raises(SingularAtFrequencyError):
+            transmission_grid(net, [0.0], "a", "a")
+        assert np.isnan(transmission_grid(net, [0.0], "a", "a", on_singular="nan")[0])
+    else:
+        assert np.abs(m @ solve_linear(m, rhs) - rhs).max() < 1e-12
+        point = transmission(net, 0.0, "a", "a")
+        assert transmission_grid(net, [0.0], "a", "a")[0] == point
+        assert abs(point - 1.0) < 1e-12
+
+
+def test_singular_error_names_pivot_and_threshold():
+    with pytest.raises(SingularMatrixError, match=r"pivot 0\.000e\+00.*threshold 1\.000e-13"):
+        solve_linear(np.diag([1.0, 0.0]), np.ones(2))
+
+
+def test_empty_stack_and_empty_grid():
+    x, singular = solve_batched(np.zeros((0, 3, 3)), np.ones((3, 1)))
+    assert x.shape == (0, 3, 1) and singular.shape == (0,)
+    net = new_network(("a", "b"), np.zeros((2, 2)), (1.0, 1.0))
+    assert transmission_grid(net, [], "a", "b").shape == (0,)
