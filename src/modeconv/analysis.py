@@ -2,10 +2,17 @@
 
 The conversion efficiency of a network is eta(omega) = |S_out,in(omega)|^2 for a
 chosen port pair.  This module scans it over frequency, extracts the maximal
-disjoint intervals where eta stays above a threshold (endpoints refined by
-bisection until eta sits on the threshold to 1e-9), counts branches, builds
+disjoint intervals where eta stays above a threshold, counts branches, builds
 (kappa, omega) efficiency maps for one-parameter converter families, and finds
 the damping that maximizes the widest interval.
+
+Interval extraction works on one (runs x 2) array of (lo, hi) run ends.  Scan
+points with eta >= threshold form runs; a single singular scan point between
+two qualifying neighbors counts as qualifying (the curve is continuous through
+it), while a wider singular gap splits the run.  Every end whose outer scan
+neighbor exists and is finite is refined, all in one vectorized bisection, until
+eta sits on the threshold to 1e-9; any other end stays on its scan point, so a
+range boundary clips the interval there.
 
 The width-versus-kappa curve is discontinuous where separate branches merge into
 one (the merged interval is suddenly much wider), so the optimizer never trusts
@@ -137,6 +144,15 @@ def _eta_grid(net, omegas, in_port, out_port, on_singular="raise") -> np.ndarray
     return np.abs(transmission_grid(net, omegas, in_port, out_port, on_singular)) ** 2
 
 
+def _ascending_grid(name: str, values) -> np.ndarray:
+    grid = np.asarray(values, dtype=float)
+    if grid.ndim != 1 or len(grid) == 0:
+        raise ValueError(f"{name} must be a non-empty 1-D array")
+    if np.any(np.diff(grid) <= 0.0):
+        raise ValueError(f"{name} must be strictly ascending")
+    return grid
+
+
 def efficiency_curve(net: CoupledModeNetwork, in_port: str, out_port: str, omega_grid) -> EfficiencyCurve:
     """eta at each grid frequency; singular frequencies become gaps, not errors.
 
@@ -144,11 +160,7 @@ def efficiency_curve(net: CoupledModeNetwork, in_port: str, out_port: str, omega
     singular (an undamped resonance hit exactly) is dropped from the curve with
     a warning, so ``omegas`` may come back shorter than the request.
     """
-    omega_grid = np.asarray(omega_grid, dtype=float)
-    if omega_grid.ndim != 1 or len(omega_grid) == 0:
-        raise ValueError("omega_grid must be a non-empty 1-D array")
-    if np.any(np.diff(omega_grid) <= 0.0):
-        raise ValueError("omega_grid must be strictly ascending")
+    omega_grid = _ascending_grid("omega_grid", omega_grid)
     etas = _eta_grid(net, omega_grid, in_port, out_port, on_singular="nan")
     keep = np.isfinite(etas)
     if not keep.all():
@@ -169,25 +181,22 @@ def _refine_crossings(net, in_port, out_port, threshold, lo, hi, f_lo_sign):
     """Vectorized bisection on eta - threshold inside the brackets [lo, hi].
 
     Each bracket must change sign.  Returns the refined crossing frequencies,
-    stopping per-crossing once |eta - threshold| <= ETA_REFINE_TOL.
+    stopping per-crossing once |eta - threshold| <= ETA_REFINE_TOL; no brackets
+    cost no evaluation.
     """
     lo = lo.copy()
     hi = hi.copy()
-    sign_lo = f_lo_sign.copy()
     result = (lo + hi) / 2.0
     done = np.zeros(len(lo), dtype=bool)
     for _ in range(96):
+        if done.all():
+            break
         mid = (lo + hi) / 2.0
-        f_mid = (
-            _eta_grid(net, mid, in_port, out_port)
-            - threshold
-        )
+        f_mid = _eta_grid(net, mid, in_port, out_port) - threshold
         newly = (np.abs(f_mid) <= ETA_REFINE_TOL) & ~done
         result[newly] = mid[newly]
         done |= newly
-        if done.all():
-            break
-        same = (np.sign(f_mid) == sign_lo) & ~done
+        same = (np.sign(f_mid) == f_lo_sign) & ~done
         opposite = ~same & ~done
         lo[same] = mid[same]
         hi[opposite] = mid[opposite]
@@ -205,10 +214,11 @@ def high_efficiency_intervals(
 ) -> BandwidthReport:
     """Maximal disjoint intervals with eta >= threshold inside omega_range.
 
-    A dense scan (default 4001 points) locates the intervals; every interior
-    endpoint is bisection-refined until eta equals the threshold to
-    ``ETA_REFINE_TOL``.  Endpoints on the range boundary stay clipped there.
-    An empty report (max_width 0) is returned when no grid point qualifies.
+    A dense scan (default 4001 points) locates the intervals; every endpoint
+    with a finite scan point outside it is bisection-refined until eta equals
+    the threshold to ``ETA_REFINE_TOL``.  Endpoints on the range boundary stay
+    clipped there.  The report is empty (max_width 0) when no scan point
+    qualifies.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
@@ -230,59 +240,29 @@ def high_efficiency_intervals(
     above = finite & (etas >= threshold)
     # A one-point singular gap between qualifying neighbors does not split an
     # interval: the curve is continuous through a removable singularity.
-    for i in np.flatnonzero(~finite):
-        if 0 < i < len(grid) - 1 and above[i - 1] and above[i + 1]:
-            above[i] = True
-    if not above.any():
-        return BandwidthReport(threshold=float(threshold), intervals=(), max_width=0.0)
-
-    runs: list[tuple[int, int]] = []
-    start = None
-    for i, flag in enumerate(above):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(above) - 1))
-
-    # Gather refinable edges: (bracket_lo, bracket_hi, sign of eta-threshold at bracket_lo).
-    edge_lo, edge_hi, edge_sign = [], [], []
-    edge_slot: list[tuple[int, str]] = []
-    for run_index, (i0, i1) in enumerate(runs):
-        if i0 > 0 and finite[i0 - 1]:
-            edge_lo.append(grid[i0 - 1])
-            edge_hi.append(grid[i0])
-            edge_sign.append(-1.0)
-            edge_slot.append((run_index, "lo"))
-        if i1 < len(grid) - 1 and finite[i1 + 1]:
-            edge_lo.append(grid[i1])
-            edge_hi.append(grid[i1 + 1])
-            edge_sign.append(1.0)
-            edge_slot.append((run_index, "hi"))
-    refined: dict[tuple[int, str], float] = {}
-    if edge_lo:
-        crossings = _refine_crossings(
-            net,
-            in_port,
-            out_port,
-            threshold,
-            np.array(edge_lo),
-            np.array(edge_hi),
-            np.array(edge_sign),
-        )
-        refined = dict(zip(edge_slot, (float(x) for x in crossings)))
-
-    intervals = []
-    for run_index, (i0, i1) in enumerate(runs):
-        lo = refined.get((run_index, "lo"), float(grid[i0]))
-        hi = refined.get((run_index, "hi"), float(grid[i1]))
-        intervals.append(Interval(lo=lo, hi=hi))
-    max_width = max((iv.width for iv in intervals), default=0.0)
-    return BandwidthReport(
-        threshold=float(threshold), intervals=tuple(intervals), max_width=float(max_width)
+    above[1:-1] |= ~finite[1:-1] & above[:-2] & above[2:]
+    # (lo, hi) grid indices of each run of qualifying points, one row per run.
+    runs = np.flatnonzero(np.diff(np.concatenate(([False], above, [False])))).reshape(-1, 2) - [0, 1]
+    ends = grid[runs]
+    # An end is refined inside the bracket it forms with its outer neighbor
+    # when that neighbor exists and is finite.  outer - inner (-1 at a lower
+    # end, +1 at an upper end) is the sign of eta - threshold at the bracket's
+    # lower point.
+    outer = runs + [-1, 1]
+    refine = np.concatenate(([False], finite, [False]))[outer + 1]
+    inner, outer = runs[refine], outer[refine]
+    ends[refine] = _refine_crossings(
+        net,
+        in_port,
+        out_port,
+        threshold,
+        grid[np.minimum(inner, outer)],
+        grid[np.maximum(inner, outer)],
+        (outer - inner).astype(float),
     )
+    intervals = tuple(Interval(lo=float(lo), hi=float(hi)) for lo, hi in ends)
+    max_width = max((iv.width for iv in intervals), default=0.0)
+    return BandwidthReport(threshold=float(threshold), intervals=intervals, max_width=float(max_width))
 
 
 def max_bandwidth(
@@ -318,13 +298,8 @@ def efficiency_map(family, kappa_grid, omega_grid) -> EfficiencyMap:
     Singular points (possible only for undamped members) are recorded as NaN
     gaps with a warning, as in :func:`efficiency_curve`.
     """
-    kappas = np.asarray(kappa_grid, dtype=float)
-    omegas = np.asarray(omega_grid, dtype=float)
-    for name, grid in (("kappa_grid", kappas), ("omega_grid", omegas)):
-        if grid.ndim != 1 or len(grid) == 0:
-            raise ValueError(f"{name} must be a non-empty 1-D array")
-        if np.any(np.diff(grid) <= 0.0):
-            raise ValueError(f"{name} must be strictly ascending")
+    kappas = _ascending_grid("kappa_grid", kappa_grid)
+    omegas = _ascending_grid("omega_grid", omega_grid)
     rows = np.empty((len(kappas), len(omegas)))
     gap_count = 0
     for i, kappa in enumerate(kappas):

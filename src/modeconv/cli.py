@@ -104,6 +104,8 @@ def _load_config(args) -> dict:
         value = getattr(args, flag, None)
         if value is not None:
             cfg[key] = value
+    if not isinstance(cfg.get("output", "-"), str):
+        raise ConfigError("field 'output' must be a path string")
     window_overrides = {
         "min": getattr(args, "omega_min", None),
         "max": getattr(args, "omega_max", None),
@@ -146,59 +148,50 @@ def _positive(cfg: dict, key: str, default=None, required: bool = False) -> floa
     return value
 
 
-def _int_field(doc: dict, key: str, owner: str, minimum: int) -> int:
-    if key not in doc:
-        raise ConfigError(f"missing required field '{owner}.{key}'")
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"field '{owner}.{key}' must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"field '{owner}.{key}' must be >= {minimum}, got {value}")
-    return value
+# The ordering each range field must satisfy: (test, wording for the error).
+_RANGE_ORDER = {
+    "window": (lambda lo, hi: lo < hi, "min < max"),
+    "kappa_range": (lambda lo, hi: 0.0 < lo <= hi, "0 < min <= max"),
+}
+_REQUIRED = object()
 
 
-def _window(
-    cfg: dict, required: bool = True, default=None, default_points: int | None = None
-) -> tuple[float, float, int] | None:
-    """Parse ``window``; ``points`` may be left out only when ``default_points`` is given."""
-    if "window" not in cfg:
-        if required:
-            raise ConfigError("missing required field 'window' ({min, max, points})")
+def _range(cfg: dict, name: str, points=_REQUIRED, default=_REQUIRED) -> tuple:
+    """Parse the ``{min, max[, points]}`` field ``name`` as (min, max, points).
+
+    ``points`` is the count used when the field gives none, ``_REQUIRED`` when
+    the field must give it, or None when the field takes only min and max (the
+    result is then (min, max)).  A missing field returns ``default`` unless that
+    is ``_REQUIRED``.
+    """
+    keys = ("min", "max") if points is None else ("min", "max", "points")
+    if name not in cfg:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing required field '{name}' ({{{', '.join(keys)}}})")
         return default
-    doc = cfg["window"]
+    doc = cfg[name]
     if not isinstance(doc, dict):
-        raise ConfigError("field 'window' must be an object with min, max, points")
-    extra = sorted(set(doc) - {"min", "max", "points"})
+        raise ConfigError(f"field '{name}' must be an object with {', '.join(keys)}")
+    extra = sorted(set(doc) - set(keys))
     if extra:
-        raise ConfigError(f"unknown field 'window.{extra[0]}'")
-    w_min = _number(doc, "min", required=True)
-    w_max = _number(doc, "max", required=True)
-    if w_max <= w_min:
-        raise ConfigError(f"window requires min < max, got [{w_min}, {w_max}]")
-    if default_points is not None and "points" not in doc:
-        return w_min, w_max, default_points
-    return w_min, w_max, _int_field(doc, "points", "window", 2)
-
-
-def _kappa_range(cfg: dict, need_points: bool) -> tuple[float, float, int | None]:
-    if "kappa_range" not in cfg:
-        raise ConfigError("missing required field 'kappa_range'")
-    doc = cfg["kappa_range"]
-    if not isinstance(doc, dict):
-        raise ConfigError("field 'kappa_range' must be an object with min, max" +
-                          (", points" if need_points else ""))
-    extra = sorted(set(doc) - {"min", "max", "points"})
-    if extra:
-        raise ConfigError(f"unknown field 'kappa_range.{extra[0]}'")
-    k_min = _number(doc, "min", required=True)
-    k_max = _number(doc, "max", required=True)
-    if k_min <= 0.0 or k_max < k_min:
-        raise ConfigError(f"kappa_range requires 0 < min <= max, got [{k_min}, {k_max}]")
-    if need_points or "points" in doc:
-        points = _int_field(doc, "points", "kappa_range", 2)
-    else:
-        points = None
-    return k_min, k_max, points
+        raise ConfigError(f"unknown field '{name}.{extra[0]}'")
+    lo = _number(doc, "min", required=True)
+    hi = _number(doc, "max", required=True)
+    in_order, wording = _RANGE_ORDER[name]
+    if not in_order(lo, hi):
+        raise ConfigError(f"{name} requires {wording}, got [{lo}, {hi}]")
+    if points is None:
+        return lo, hi
+    if "points" not in doc:
+        if points is _REQUIRED:
+            raise ConfigError(f"missing required field '{name}.points'")
+        return lo, hi, points
+    value = doc["points"]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"field '{name}.points' must be an integer, got {value!r}")
+    if value < 2:
+        raise ConfigError(f"field '{name}.points' must be >= 2, got {value}")
+    return lo, hi, value
 
 
 def _threshold(cfg: dict) -> float:
@@ -217,48 +210,35 @@ def _setup(cfg: dict) -> str:
     return setup
 
 
-def _load_ensemble(cfg: dict):
-    raw = cfg.get("ensemble")
-    if raw is None:
-        return default_validation_ensemble()
+def _load_document(cfg: dict, name: str, what: str, parse):
+    """Field ``name`` parsed by ``parse``: an inline object, or a path to a JSON file holding one."""
+    raw = cfg[name]
     if isinstance(raw, str):
         try:
             raw = json.loads(Path(raw).read_text())
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"ensemble file is not valid JSON: {exc}") from None
+            raise ConfigError(f"{name} file is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
-        raise ConfigError("field 'ensemble' must be an ensemble object or a path to one")
+        raise ConfigError(f"field '{name}' must be {what} object or a path to one")
     try:
-        return ensemble_from_dict(raw)
-    except ValueError as exc:
-        raise ConfigError(f"field 'ensemble' is malformed: {exc}") from None
-
-
-def _load_custom_network(cfg: dict):
-    raw = cfg.get("network")
-    if raw is None:
-        raise ConfigError("setup 'custom' requires field 'network'")
-    if isinstance(raw, str):
-        try:
-            raw = json.loads(Path(raw).read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"network file is not valid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError("field 'network' must be a network object or a path to one")
-    try:
-        return network_from_dict(raw)
+        return parse(raw)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"field 'network' is malformed: {exc}") from None
+        raise ConfigError(f"field '{name}' is malformed: {exc}") from None
 
 
-def _build_single_network(cfg: dict, command: str):
-    """Resolve (network, in_port, out_port) for commands driving one network."""
+def _load_ensemble(cfg: dict):
+    if cfg.get("ensemble") is None:
+        return default_validation_ensemble()
+    return _load_document(cfg, "ensemble", "an ensemble", ensemble_from_dict)
+
+
+def _build_single_network(cfg: dict, command: str, fields: set = frozenset()):
+    """Resolve (network, in_port, out_port) for commands driving one network.
+
+    ``fields`` lists the command's own fields besides setup, window and output.
+    """
     setup = _setup(cfg)
-    common = {"setup", "window", "output"}
-    if command == "bandwidth":
-        common |= {"threshold"}
-    if command == "timedomain":
-        common |= {"omega", "amplitude", "trace_output"}
+    common = {"setup", "window", "output"} | fields
     if setup in FAMILY_SETUPS:
         family = _family(cfg, command, common | {"kappa"})
         net = family.build(_positive(cfg, "kappa", required=True))
@@ -271,7 +251,9 @@ def _build_single_network(cfg: dict, command: str):
         net = microscopic_network(_load_ensemble(cfg), kappa, kappa, compensate_stark=compensate)
     else:  # custom
         _check_keys(cfg, common | {"network", "in_port", "out_port"}, command)
-        net = _load_custom_network(cfg)
+        if cfg.get("network") is None:
+            raise ConfigError("setup 'custom' requires field 'network'")
+        net = _load_document(cfg, "network", "a network", network_from_dict)
     ports = net.port_labels()
     if not ports:
         raise ConfigError("network has no damped modes, so no ports to drive")
@@ -299,10 +281,8 @@ def _family(cfg: dict, command: str, allowed: set) -> ConverterFamily:
     return ConverterFamily(kind=setup, g=g, delta_mu=delta_mu)
 
 
-def _write_output(cfg: dict, text: str):
-    target = cfg.get("output", "-")
-    if not isinstance(target, str):
-        raise ConfigError("field 'output' must be a path string")
+def _write_text(target, text: str):
+    """Write ``text`` to the file ``target``, or to standard output when it is ``-``."""
     if target == "-":
         sys.stdout.write(text)
     else:
@@ -348,8 +328,7 @@ def _map_text(family: ConverterFamily, kappa_range, window) -> str:
     return csv_text("kappa,omega,eta", rows)
 
 
-def _optimize_doc(family: ConverterFamily, threshold, kappa_range, coarse_points, window) -> dict:
-    omega_range = None if window is None else (window[0], window[1])
+def _optimize_doc(family: ConverterFamily, threshold, kappa_range, coarse_points, omega_range) -> dict:
     kappa_star, width_star = optimize_kappa(
         family,
         threshold,
@@ -398,38 +377,35 @@ def _timedomain_docs(net, in_port, out_port, omega, amplitude):
 def _cmd_sweep(args):
     cfg = _load_config(args)
     net, in_port, out_port = _build_single_network(cfg, "sweep")
-    window = _window(cfg, required=True)
-    _write_output(cfg, _sweep_text(net, in_port, out_port, window))
+    window = _range(cfg, "window")
+    _write_text(cfg.get("output", "-"), _sweep_text(net, in_port, out_port, window))
 
 
 def _cmd_bandwidth(args):
     cfg = _load_config(args)
-    net, in_port, out_port = _build_single_network(cfg, "bandwidth")
+    net, in_port, out_port = _build_single_network(cfg, "bandwidth", {"threshold"})
     threshold = _threshold(cfg)
-    w_min, w_max, points = _window(cfg, default_points=DEFAULT_SCAN_POINTS)
-    _write_output(
-        cfg, json_text(_bandwidth_doc(net, in_port, out_port, threshold, (w_min, w_max), points)) + "\n"
-    )
+    w_min, w_max, points = _range(cfg, "window", points=DEFAULT_SCAN_POINTS)
+    doc = _bandwidth_doc(net, in_port, out_port, threshold, (w_min, w_max), points)
+    _write_text(cfg.get("output", "-"), json_text(doc) + "\n")
 
 
 def _cmd_map(args):
     cfg = _load_config(args)
     family = _family(cfg, "map", FAMILY_FIELDS)
-    kappa_range = _kappa_range(cfg, need_points=True)
-    window = _window(cfg, required=True)
-    _write_output(cfg, _map_text(family, kappa_range, window))
+    kappa_range = _range(cfg, "kappa_range")
+    window = _range(cfg, "window")
+    _write_text(cfg.get("output", "-"), _map_text(family, kappa_range, window))
 
 
 def _cmd_optimize(args):
     cfg = _load_config(args)
     family = _family(cfg, "optimize", FAMILY_FIELDS | {"threshold"})
     threshold = _threshold(cfg)
-    k_min, k_max, points = _kappa_range(cfg, need_points=False)
-    window = _window(cfg, required=False)
-    coarse = points if points is not None else COARSE_KAPPA_POINTS
-    _write_output(
-        cfg, json_text(_optimize_doc(family, threshold, (k_min, k_max), coarse, window)) + "\n"
-    )
+    k_min, k_max, coarse = _range(cfg, "kappa_range", points=COARSE_KAPPA_POINTS)
+    omega_range = _range(cfg, "window", points=None, default=None)
+    doc = _optimize_doc(family, threshold, (k_min, k_max), coarse, omega_range)
+    _write_text(cfg.get("output", "-"), json_text(doc) + "\n")
 
 
 def _cmd_eliminate(args):
@@ -440,13 +416,13 @@ def _cmd_eliminate(args):
     _check_keys(cfg, allowed, "eliminate")
     ens = _load_ensemble(cfg)
     kappa = _positive(cfg, "kappa", default=ELIMINATE_DEFAULT_KAPPA)
-    window = _window(cfg, required=False, default=ELIMINATE_DEFAULT_WINDOW)
-    _write_output(cfg, json_text(_eliminate_doc(ens, kappa, window)) + "\n")
+    window = _range(cfg, "window", default=ELIMINATE_DEFAULT_WINDOW)
+    _write_text(cfg.get("output", "-"), json_text(_eliminate_doc(ens, kappa, window)) + "\n")
 
 
 def _cmd_timedomain(args):
     cfg = _load_config(args)
-    net, in_port, out_port = _build_single_network(cfg, "timedomain")
+    net, in_port, out_port = _build_single_network(cfg, "timedomain", {"omega", "amplitude", "trace_output"})
     omega = _number(cfg, "omega", required=True)
     amplitude = _number(cfg, "amplitude", default=1.0)
     doc, result = _timedomain_docs(net, in_port, out_port, omega, amplitude)
@@ -454,17 +430,11 @@ def _cmd_timedomain(args):
     if trace_target is not None:
         if not isinstance(trace_target, str) or trace_target == "-":
             raise ConfigError("field 'trace_output' must be a file path")
-        with open(trace_target, "w", newline="\n") as handle:
-            handle.write(trace_csv_text(net, result))
-    _write_output(cfg, json_text(doc) + "\n")
+        _write_text(trace_target, trace_csv_text(net, result))
+    _write_text(cfg.get("output", "-"), json_text(doc) + "\n")
 
 
 # ---------------------------------------------------------------- presets
-
-
-def _write_file(out_dir: Path, name: str, text: str):
-    with open(out_dir / name, "w", newline="\n") as handle:
-        handle.write(text)
 
 
 def _preset_fig2(out_dir: Path):
@@ -472,12 +442,11 @@ def _preset_fig2(out_dir: Path):
     resonant = resonant_network(ResonantParams(1.0, 1.0, 2.6, 2.6))
     detuned = detuned_network(DetunedParams(1.0, 1.0, 0.2, 0.2, delta_mu=10.0))
     eliminated = two_mode_network(0.1, 0.2, 0.2)
-    _write_file(out_dir, "fig2_resonant_sweep.csv", _sweep_text(resonant, "a", "b", window))
-    _write_file(out_dir, "fig2_detuned_sweep.csv", _sweep_text(detuned, "a", "b", window))
-    _write_file(out_dir, "fig2_two_mode_sweep.csv", _sweep_text(eliminated, "a", "b", window))
-    _write_file(
-        out_dir,
-        "fig2_resonant_bandwidth.json",
+    _write_text(out_dir / "fig2_resonant_sweep.csv", _sweep_text(resonant, "a", "b", window))
+    _write_text(out_dir / "fig2_detuned_sweep.csv", _sweep_text(detuned, "a", "b", window))
+    _write_text(out_dir / "fig2_two_mode_sweep.csv", _sweep_text(eliminated, "a", "b", window))
+    _write_text(
+        out_dir / "fig2_resonant_bandwidth.json",
         json_text(_bandwidth_doc(resonant, "a", "b", 0.999, (-3.0, 3.0), DEFAULT_SCAN_POINTS)) + "\n",
     )
 
@@ -492,13 +461,13 @@ def _preset_fig3(out_dir: Path):
     windows = {0: (-3.0, 3.0, 241), 1: (-3.0, 5.0, 321), 3: (-3.0, 7.0, 401), 10: (-3.0, 12.0, 601)}
     for delta_mu, window in windows.items():
         family = _preset_family(delta_mu)
-        _write_file(out_dir, f"fig3_map_dmu{delta_mu}.csv", _map_text(family, kappa_range, window))
+        _write_text(out_dir / f"fig3_map_dmu{delta_mu}.csv", _map_text(family, kappa_range, window))
 
 
 def _preset_fig4(out_dir: Path):
     for delta_mu in (0, 1, 3, 10):
         doc = _optimize_doc(_preset_family(delta_mu), 0.99, (0.1, 8.0), COARSE_KAPPA_POINTS, None)
-        _write_file(out_dir, f"fig4_optimize_dmu{delta_mu}.json", json_text(doc) + "\n")
+        _write_text(out_dir / f"fig4_optimize_dmu{delta_mu}.json", json_text(doc) + "\n")
 
 
 _PRESETS = {"fig2": _preset_fig2, "fig3": _preset_fig3, "fig4": _preset_fig4}

@@ -1,10 +1,13 @@
 """Tests for bandwidth extraction and damping optimization."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from modeconv.analysis import (
     ConverterFamily,
+    Interval,
     branch_count,
     efficiency_curve,
     efficiency_map,
@@ -13,11 +16,34 @@ from modeconv.analysis import (
     optimize_kappa,
 )
 from modeconv.converter import ResonantParams, efficiency_closed_form, resonant_network
+from modeconv.network import new_network
 from modeconv.scattering import transmission_grid
 
 
 def resonant(kappa):
     return resonant_network(ResonantParams(1.0, 1.0, kappa, kappa))
+
+
+def with_dark_modes(net, omegas):
+    """``net`` plus one decoupled undamped mode at each frequency in ``omegas``.
+
+    The extra modes leave the a -> b efficiency unchanged everywhere except at
+    their own frequencies, where the whole network is singular.
+    """
+    n, m = net.n_modes, net.n_modes + len(omegas)
+    coupling = np.zeros((m, m), dtype=complex)
+    coupling[:n, :n] = net.coupling
+    coupling[range(n, m), range(n, m)] = omegas
+    labels = net.labels + tuple(f"d{k}" for k in range(len(omegas)))
+    return new_network(labels, coupling, np.concatenate([net.damping, np.zeros(len(omegas))]))
+
+
+def dark_mode_report(omegas, omega_range=(-3.0, 3.0)):
+    """0.99-threshold report of the kappa = 2.6 resonant net with dark modes, and its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = high_efficiency_intervals(with_dark_modes(resonant(2.6), omegas), "a", "b", 0.99, omega_range)
+    return report, [str(w.message) for w in caught]
 
 
 def test_family_builders():
@@ -89,6 +115,39 @@ class TestIntervals:
     def test_no_intervals_when_curve_stays_below_threshold(self):
         report = high_efficiency_intervals(resonant(2.6), "a", "b", 0.9999999, (2.0, 3.0), 2001)
         assert report.intervals == ()
+        assert report.max_width == 0.0
+
+    def test_one_point_singular_gap_is_bridged(self):
+        # omega = 0 is a grid point of the default scan, inside the passband
+        report, caught = dark_mode_report([0.0])
+        assert report == high_efficiency_intervals(resonant(2.6), "a", "b", 0.99, (-3.0, 3.0))
+        assert len(caught) == 1 and "singular at 1 scan frequencies" in caught[0]
+
+    def test_edge_beside_a_singular_point_stays_on_the_grid(self):
+        plain = high_efficiency_intervals(resonant(2.6), "a", "b", 0.99, (-3.0, 3.0))
+        grid = np.linspace(-3.0, 3.0, 4001)
+        first = int(np.searchsorted(grid, plain.intervals[0].lo))
+        report, _ = dark_mode_report([grid[first - 1]])
+        assert report.intervals[0].lo == grid[first]
+        assert report.intervals[0].hi == plain.intervals[0].hi
+        assert report.intervals[1:] == plain.intervals[1:]
+
+    def test_two_point_singular_gap_splits_the_interval(self):
+        plain = high_efficiency_intervals(resonant(2.6), "a", "b", 0.99, (-3.0, 3.0))
+        grid = np.linspace(-3.0, 3.0, 4001)
+        report, caught = dark_mode_report([grid[2100], grid[2101]])
+        assert "singular at 2 scan frequencies" in caught[0]
+        assert [(iv.lo, iv.hi) for iv in report.intervals] == [
+            (plain.intervals[0].lo, grid[2099]),
+            (grid[2102], plain.intervals[0].hi),
+        ]
+
+    def test_single_point_range(self):
+        # eta(1.0) < 0.99 < eta(0.5) on the kappa = 2.6 flat top
+        net = resonant(2.6)
+        assert high_efficiency_intervals(net, "a", "b", 0.99, (1.0, 1.0)).intervals == ()
+        report = high_efficiency_intervals(net, "a", "b", 0.99, (0.5, 0.5))
+        assert report.intervals == (Interval(lo=0.5, hi=0.5),)
         assert report.max_width == 0.0
 
     def test_parameter_validation(self):

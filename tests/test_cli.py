@@ -6,7 +6,9 @@ import json
 import numpy as np
 import pytest
 
+from modeconv.analysis import ConverterFamily, optimize_kappa
 from modeconv.cli import main
+from modeconv.formatting import json_text
 
 
 def write_cfg(tmp_path, name, doc):
@@ -354,3 +356,28 @@ def test_map_rejects_kappa_range_without_distinct_points(tmp_path, capsys, k_max
     cfg = write_cfg(tmp_path, "cfg.json", doc)
     assert main(["map", cfg]) == 1
     assert "kappa_range" in capsys.readouterr().err
+
+
+OPTIMIZE_CFG = {
+    "setup": "two_mode",
+    "g": 1.0,
+    "threshold": 0.99,
+    "kappa_range": {"min": 0.5, "max": 4.0, "points": 5},
+}
+
+
+def test_optimize_window_takes_min_and_max(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "cfg.json", dict(OPTIMIZE_CFG, window={"min": -3.0, "max": 3.0}))
+    assert main(["optimize", cfg]) == 0
+    family = ConverterFamily(kind="two_mode", g=1.0)
+    kappa_star, width_star = optimize_kappa(family, 0.99, (0.5, 4.0), 5, omega_range=(-3.0, 3.0))
+    doc = {"threshold": 0.99, "kappa_star": kappa_star, "max_width": width_star}
+    assert capsys.readouterr().out == json_text(doc) + "\n"
+
+
+def test_optimize_rejects_window_points(tmp_path, capsys):
+    # optimize_kappa scans with its own grid, so a point count would be ignored
+    window = {"min": -3.0, "max": 3.0, "points": 7}
+    cfg = write_cfg(tmp_path, "cfg.json", dict(OPTIMIZE_CFG, window=window))
+    assert main(["optimize", cfg]) == 1
+    assert "window.points" in capsys.readouterr().err
