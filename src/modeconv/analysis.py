@@ -12,12 +12,18 @@ two qualifying neighbors counts as qualifying (the curve is continuous through
 it), while a wider singular gap splits the run.  Every end whose outer scan
 neighbor exists and is finite is refined, all in one vectorized bisection, until
 eta sits on the threshold to 1e-9; any other end stays on its scan point, so a
-range boundary clips the interval there.
+range boundary clips the interval there.  Several networks (the optimizer's
+coarse kappa grid) go through the same path as one batch: each member is scanned
+on its own and reduced to its runs before the next, then the edge brackets of
+all members are refined as one stack, so each bisection step is a single
+elimination over (member, omega) pairs (one stack per mode count, should a
+callable family's members differ in size).
 
 The width-versus-kappa curve is discontinuous where separate branches merge into
 one (the merged interval is suddenly much wider), so the optimizer never trusts
-local search alone: it scans a coarse grid, refines by golden section around the
-best grid point, and returns the best evaluation it has ever seen.
+local search alone: it evaluates a coarse grid as one batch, refines by golden
+section around the best grid point, and returns the best evaluation it has ever
+seen.
 """
 
 from __future__ import annotations
@@ -35,9 +41,10 @@ from .converter import (
     resonant_network,
     two_mode_network,
 )
+from .errors import SingularAtFrequencyError
 from .linalg import eigenvalues_hermitian
 from .network import CoupledModeNetwork
-from .scattering import transmission_grid
+from .scattering import _member_stack, _pair_transmission, transmission_grid
 
 # Dense-scan density for interval extraction, and the bisection stopping rule
 # |eta - threshold| <= ETA_REFINE_TOL at refined endpoints.
@@ -177,31 +184,118 @@ def efficiency_curve(net: CoupledModeNetwork, in_port: str, out_port: str, omega
     return EfficiencyCurve(omegas=omegas, etas=kept, in_port=in_port, out_port=out_port)
 
 
-def _refine_crossings(net, in_port, out_port, threshold, lo, hi, f_lo_sign):
+def _refine_crossings(nets, ports, member, threshold, lo, hi, f_lo_sign):
     """Vectorized bisection on eta - threshold inside the brackets [lo, hi].
 
-    Each bracket must change sign.  Returns the refined crossing frequencies,
-    stopping per-crossing once |eta - threshold| <= ETA_REFINE_TOL; no brackets
-    cost no evaluation.
+    Bracket j belongs to ``nets[member[j]]``, driven at ``ports[member[j]]``;
+    all networks have the same mode count.  Each bracket must change sign.
+    Returns the refined crossing frequencies, stopping per-crossing once
+    |eta - threshold| <= ETA_REFINE_TOL.  Each step solves the brackets still
+    open as one stack of (member, omega) pairs; no brackets cost no evaluation.
     """
+    if len(nets) == 1:
+        # transmission_grid is the one-member case of the same pair solve; a
+        # lone report refines through it, so layer tracing sees its steps.
+        def eta(_, omegas):
+            return _eta_grid(nets[0], omegas, *ports[0])
+
+    else:
+        stack = _member_stack(
+            nets,
+            [net.index_of(in_port) for net, (in_port, _) in zip(nets, ports)],
+            [net.index_of(out_port) for net, (_, out_port) in zip(nets, ports)],
+        )
+
+        def eta(members, omegas):
+            values, singular = _pair_transmission(stack, members, omegas)
+            if singular.any():
+                raise SingularAtFrequencyError(float(omegas[np.argmax(singular)]))
+            return np.abs(values) ** 2
+
     lo = lo.copy()
     hi = hi.copy()
     result = (lo + hi) / 2.0
-    done = np.zeros(len(lo), dtype=bool)
+    pending = np.arange(len(lo))
     for _ in range(96):
-        if done.all():
+        if not pending.size:
             break
-        mid = (lo + hi) / 2.0
-        f_mid = _eta_grid(net, mid, in_port, out_port) - threshold
-        newly = (np.abs(f_mid) <= ETA_REFINE_TOL) & ~done
-        result[newly] = mid[newly]
-        done |= newly
-        same = (np.sign(f_mid) == f_lo_sign) & ~done
-        opposite = ~same & ~done
-        lo[same] = mid[same]
-        hi[opposite] = mid[opposite]
-        result[~done] = mid[~done]
+        mid = (lo[pending] + hi[pending]) / 2.0
+        f_mid = eta(member[pending], mid) - threshold
+        result[pending] = mid
+        same = np.sign(f_mid) == f_lo_sign[pending]
+        lo[pending[same]] = mid[same]
+        hi[pending[~same]] = mid[~same]
+        pending = pending[np.abs(f_mid) > ETA_REFINE_TOL]
     return result
+
+
+def _bandwidth_reports(nets, ports, threshold: float, omega_range, points: int) -> list[BandwidthReport]:
+    """One :class:`BandwidthReport` per network, ``ports[i]`` = (in, out) of ``nets[i]``.
+
+    Each network is scanned on its own and reduced to its runs before the next
+    is scanned; the edge brackets of all networks are then refined together,
+    one bisection per mode count.
+    """
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
+    w_lo, w_hi = float(omega_range[0]), float(omega_range[1])
+    if not (math.isfinite(w_lo) and math.isfinite(w_hi)) or w_hi < w_lo:
+        raise ValueError(f"omega_range must be finite with min <= max, got {omega_range}")
+    if points < 2 or w_hi == w_lo:
+        grid = np.array([w_lo])
+    else:
+        grid = np.linspace(w_lo, w_hi, int(points))
+    runs, refine = [], []
+    for net, (in_port, out_port) in zip(nets, ports):
+        etas = _eta_grid(net, grid, in_port, out_port, on_singular="nan")
+        finite = np.isfinite(etas)
+        if not finite.all():
+            warnings.warn(
+                f"network singular at {int((~finite).sum())} scan frequencies; "
+                "those points are excluded from interval detection",
+                stacklevel=3,
+            )
+        above = finite & (etas >= threshold)
+        # A one-point singular gap between qualifying neighbors does not split
+        # an interval: the curve is continuous through a removable singularity.
+        above[1:-1] |= ~finite[1:-1] & above[:-2] & above[2:]
+        # (lo, hi) grid indices of each run of qualifying points, one row per run.
+        edges = np.flatnonzero(np.diff(np.concatenate(([False], above, [False]))))
+        member_runs = edges.reshape(-1, 2) - [0, 1]
+        # An end is refined inside the bracket it forms with its outer neighbor
+        # when that neighbor exists and is finite.
+        runs.append(member_runs)
+        refine.append(np.concatenate(([False], finite, [False]))[member_runs + [-1, 1] + 1])
+    counts = [len(member_runs) for member_runs in runs]
+    runs, refine = np.concatenate(runs), np.concatenate(refine)
+    owner = np.repeat(np.arange(len(nets)), counts)[:, None].repeat(2, axis=1)
+    ends = grid[runs]
+    # outer - inner (-1 at a lower end, +1 at an upper end) is the sign of
+    # eta - threshold at the bracket's lower point.
+    outer = runs + [-1, 1]
+    # Members of a callable family may differ in size; each size is one stack.
+    sizes = np.array([net.n_modes for net in nets])
+    for n in sorted(set(sizes.tolist())):
+        group = np.flatnonzero(sizes == n)
+        sel = refine & (sizes[owner] == n)
+        inner, out = runs[sel], outer[sel]
+        ends[sel] = _refine_crossings(
+            [nets[i] for i in group],
+            [ports[i] for i in group],
+            np.searchsorted(group, owner[sel]),
+            threshold,
+            grid[np.minimum(inner, out)],
+            grid[np.maximum(inner, out)],
+            (out - inner).astype(float),
+        )
+    reports = []
+    for member_ends in np.split(ends, np.cumsum(counts)[:-1]):
+        intervals = tuple(Interval(lo=float(lo), hi=float(hi)) for lo, hi in member_ends)
+        max_width = max((iv.width for iv in intervals), default=0.0)
+        reports.append(
+            BandwidthReport(threshold=float(threshold), intervals=intervals, max_width=float(max_width))
+        )
+    return reports
 
 
 def high_efficiency_intervals(
@@ -220,49 +314,7 @@ def high_efficiency_intervals(
     clipped there.  The report is empty (max_width 0) when no scan point
     qualifies.
     """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
-    w_lo, w_hi = float(omega_range[0]), float(omega_range[1])
-    if not (math.isfinite(w_lo) and math.isfinite(w_hi)) or w_hi < w_lo:
-        raise ValueError(f"omega_range must be finite with min <= max, got {omega_range}")
-    if points < 2 or w_hi == w_lo:
-        grid = np.array([w_lo])
-    else:
-        grid = np.linspace(w_lo, w_hi, int(points))
-    etas = _eta_grid(net, grid, in_port, out_port, on_singular="nan")
-    finite = np.isfinite(etas)
-    if not finite.all():
-        warnings.warn(
-            f"network singular at {int((~finite).sum())} scan frequencies; "
-            "those points are excluded from interval detection",
-            stacklevel=2,
-        )
-    above = finite & (etas >= threshold)
-    # A one-point singular gap between qualifying neighbors does not split an
-    # interval: the curve is continuous through a removable singularity.
-    above[1:-1] |= ~finite[1:-1] & above[:-2] & above[2:]
-    # (lo, hi) grid indices of each run of qualifying points, one row per run.
-    runs = np.flatnonzero(np.diff(np.concatenate(([False], above, [False])))).reshape(-1, 2) - [0, 1]
-    ends = grid[runs]
-    # An end is refined inside the bracket it forms with its outer neighbor
-    # when that neighbor exists and is finite.  outer - inner (-1 at a lower
-    # end, +1 at an upper end) is the sign of eta - threshold at the bracket's
-    # lower point.
-    outer = runs + [-1, 1]
-    refine = np.concatenate(([False], finite, [False]))[outer + 1]
-    inner, outer = runs[refine], outer[refine]
-    ends[refine] = _refine_crossings(
-        net,
-        in_port,
-        out_port,
-        threshold,
-        grid[np.minimum(inner, outer)],
-        grid[np.maximum(inner, outer)],
-        (outer - inner).astype(float),
-    )
-    intervals = tuple(Interval(lo=float(lo), hi=float(hi)) for lo, hi in ends)
-    max_width = max((iv.width for iv in intervals), default=0.0)
-    return BandwidthReport(threshold=float(threshold), intervals=intervals, max_width=float(max_width))
+    return _bandwidth_reports([net], [(in_port, out_port)], threshold, omega_range, points)[0]
 
 
 def max_bandwidth(
@@ -347,7 +399,11 @@ def optimize_kappa(
         return k_lo, width_at(k_lo)
 
     ks = np.linspace(k_lo, k_hi, max(int(coarse_points), 2))
-    widths = np.array([width_at(float(k)) for k in ks])
+    nets = [_build_member(family, float(k)) for k in ks]
+    reports = _bandwidth_reports(
+        nets, [_conversion_ports(net) for net in nets], threshold, omega_range, DEFAULT_SCAN_POINTS
+    )
+    widths = np.array([report.max_width for report in reports])
     best_i = int(np.argmax(widths))
     best_k = float(ks[best_i])
     best_w = float(widths[best_i])

@@ -127,17 +127,19 @@ def _check_keys(cfg: dict, allowed: set, command: str):
         raise ConfigError(f"field '{unknown[0]}' does not apply to '{command}' with this setup")
 
 
-def _number(cfg: dict, key: str, default=None, required: bool = False) -> float:
+def _number(cfg: dict, key: str, default=None, required: bool = False, field: str | None = None) -> float:
+    """``cfg[key]`` as a finite float; errors name it ``field`` (default ``key``)."""
+    field = key if field is None else field
     if key not in cfg:
         if required:
-            raise ConfigError(f"missing required field '{key}'")
+            raise ConfigError(f"missing required field '{field}'")
         return default
     value = cfg[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"field '{key}' must be a number, got {value!r}")
+        raise ConfigError(f"field '{field}' must be a number, got {value!r}")
     value = float(value)
     if not math.isfinite(value):
-        raise ConfigError(f"field '{key}' must be finite, got {value}")
+        raise ConfigError(f"field '{field}' must be finite, got {value}")
     return value
 
 
@@ -175,8 +177,8 @@ def _range(cfg: dict, name: str, points=_REQUIRED, default=_REQUIRED) -> tuple:
     extra = sorted(set(doc) - set(keys))
     if extra:
         raise ConfigError(f"unknown field '{name}.{extra[0]}'")
-    lo = _number(doc, "min", required=True)
-    hi = _number(doc, "max", required=True)
+    lo = _number(doc, "min", required=True, field=f"{name}.min")
+    hi = _number(doc, "max", required=True, field=f"{name}.max")
     in_order, wording = _RANGE_ORDER[name]
     if not in_order(lo, hi):
         raise ConfigError(f"{name} requires {wording}, got [{lo}, {hi}]")

@@ -23,6 +23,9 @@ estimate; a dense grid is solved as one stack over all frequencies
 (:func:`modeconv.linalg.solve_batched`).  A grid point therefore gets the same
 arithmetic and trips the same pivot test as a single-point call, and a singular
 frequency can never slip through the fast path disguised as a plausible number.
+The grid path assembles M(omega) over (member, omega) pairs of a stack of
+networks; a grid is the stack of one, and bandwidth refinement in
+:mod:`modeconv.analysis` solves many members at once through the same assembly.
 """
 
 from __future__ import annotations
@@ -148,17 +151,43 @@ def transmission_grid(
             f"ports must be damped modes; got {in_port!r} -> {out_port!r} "
             f"with ports {net.port_labels()}"
         )
-    n = net.n_modes
-    base = np.diag(net.damping).astype(complex) + 2j * net.coupling
-    stacked = base[None, :, :] - 2j * omegas[:, None, None] * np.eye(n)[None, :, :]
-    rhs = np.zeros((n, 1), dtype=complex)
-    rhs[i_in, 0] = np.sqrt(net.damping[i_in])
-    x, singular = solve_batched(stacked, rhs)
-    out = 2.0 * np.sqrt(net.damping[i_out]) * x[:, i_out, 0]
-    if i_out == i_in:
-        out -= 1.0
+    out, singular = _pair_transmission(_member_stack([net], [i_in], [i_out]), 0, omegas)
     if singular.any():
         if on_singular == "raise":
             raise SingularAtFrequencyError(float(omegas[np.argmax(singular)]))
         out[singular] = np.nan
     return out
+
+
+def _member_stack(nets, in_modes, out_modes) -> tuple:
+    """Per-member arrays that :func:`_pair_transmission` solves against.
+
+    All networks must have the same mode count; ``in_modes``/``out_modes`` are
+    each member's port mode indices.  Returns M(0) = K + 2iA as an (m, n, n)
+    stack, the drive sqrt(K_in) e_in as an (m, n, 1) stack, the output modes,
+    the readout factors 2 sqrt(K_out), and whether each member's ports coincide.
+    """
+    m, n = len(nets), nets[0].n_modes
+    base = np.array([np.diag(net.damping).astype(complex) + 2j * net.coupling for net in nets])
+    drive = np.zeros((m, n, 1), dtype=complex)
+    drive[np.arange(m), in_modes, 0] = [np.sqrt(net.damping[i]) for net, i in zip(nets, in_modes)]
+    scale = np.array([2.0 * np.sqrt(net.damping[o]) for net, o in zip(nets, out_modes)])
+    return base, drive, np.asarray(out_modes), scale, np.asarray(in_modes) == np.asarray(out_modes)
+
+
+def _pair_transmission(stack, member, omegas) -> tuple[np.ndarray, np.ndarray]:
+    """Transmission of member ``member[j]`` of ``stack`` at ``omegas[j]``, for every pair j.
+
+    ``member`` may also be one index for every pair (a frequency grid); that
+    member's arrays then broadcast over the pairs instead of being gathered.
+    The grid path and bandwidth refinement both assemble M(omega) =
+    M(0) - 2i omega I here, and every pair is one system of a single
+    :func:`solve_batched` call.  Returns the transmissions and the mask of
+    pairs flagged singular (their values are meaningless).
+    """
+    base, drive, out_modes, scale, same = stack
+    stacked = base[member] - 2j * omegas[:, None, None] * np.eye(base.shape[1])[None, :, :]
+    x, singular = solve_batched(stacked, drive[member])
+    out = scale[member] * x[np.arange(len(omegas)), out_modes[member], 0]
+    out[same[member]] -= 1.0
+    return out, singular

@@ -1,21 +1,26 @@
 """Tests for bandwidth extraction and damping optimization."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from modeconv.analysis import (
+    DEFAULT_SCAN_POINTS,
     ConverterFamily,
     Interval,
+    _bandwidth_reports,
+    _conversion_ports,
     branch_count,
+    default_omega_window,
     efficiency_curve,
     efficiency_map,
     high_efficiency_intervals,
     max_bandwidth,
     optimize_kappa,
 )
-from modeconv.converter import ResonantParams, efficiency_closed_form, resonant_network
+from modeconv.converter import ResonantParams, efficiency_closed_form, resonant_network, two_mode_network
 from modeconv.network import new_network
 from modeconv.scattering import transmission_grid
 
@@ -207,3 +212,106 @@ class TestOptimizeKappa:
             optimize_kappa(fam, 0.99, (0.0, 1.0))
         with pytest.raises(ValueError):
             optimize_kappa(fam, 1.5, (0.1, 1.0))
+
+
+def mixed_family(kappa):
+    """Members that differ in size, labels and port modes across the kappa range."""
+    net = resonant(kappa)
+    if kappa < 1.0:
+        return two_mode_network(1.0, kappa, kappa)
+    if kappa < 2.5:
+        return net
+    if kappa < 5.0:
+        perm = [0, 2, 1]  # ports on modes 0 and 1 instead of 0 and 2
+        return new_network(("p", "q", "r"), net.coupling[np.ix_(perm, perm)], net.damping[perm])
+    return new_network(("x", "y", "z"), net.coupling, net.damping)
+
+
+def batch_and_single(build, kappas, threshold, omega_range):
+    """Reports of the members at ``kappas``, batched and one at a time, and the warnings of each."""
+    nets = [build(float(k)) for k in kappas]
+    ports = [_conversion_ports(net) for net in nets]
+    with warnings.catch_warnings(record=True) as caught_batch:
+        warnings.simplefilter("always")
+        batch = _bandwidth_reports(nets, ports, threshold, omega_range, DEFAULT_SCAN_POINTS)
+    with warnings.catch_warnings(record=True) as caught_single:
+        warnings.simplefilter("always")
+        single = [
+            high_efficiency_intervals(net, in_port, out_port, threshold, omega_range)
+            for net, (in_port, out_port) in zip(nets, ports)
+        ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        widths = [max_bandwidth(net, *ports_, threshold, omega_range) for net, ports_ in zip(nets, ports)]
+    assert [report.max_width for report in single] == widths
+    return batch, single, [str(w.message) for w in caught_batch], [str(w.message) for w in caught_single]
+
+
+# g = 1: the resonant family's exceptional point kappa = 4 sqrt(2) g sits in the
+# optimizer's default range (0.1, 8).
+EXCEPTIONAL_KAPPA = 4.0 * math.sqrt(2.0)
+
+
+class TestBatchedReports:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            ConverterFamily(kind="resonant").build,
+            ConverterFamily(kind="detuned", g=1.5, delta_mu=1.0).build,
+            ConverterFamily(kind="two_mode", g=2.0).build,
+            resonant,
+        ],
+        ids=["resonant", "detuned", "two_mode", "callable"],
+    )
+    @pytest.mark.parametrize("threshold", [0.5, 0.99])
+    def test_batch_equals_one_member_at_a_time(self, build, threshold):
+        kappas = np.sort(np.append(np.linspace(0.1, 8.0, 24), EXCEPTIONAL_KAPPA))
+        batch, single, _, _ = batch_and_single(build, kappas, threshold, (-3.0, 3.0))
+        assert batch == single
+        assert sum(len(report.intervals) for report in batch) >= 20  # most members have refined edges
+
+    def test_refined_edges_at_the_exceptional_point(self):
+        kappas = np.array([2.0, EXCEPTIONAL_KAPPA, 7.0])
+        batch, single, _, _ = batch_and_single(resonant, kappas, 0.99, (-3.0, 3.0))
+        assert batch == single
+        (edge,) = batch[1].intervals
+        assert edge.lo == -edge.hi
+        assert abs(edge.hi - 0.0946147098541) < 1e-12
+        for omega in (edge.lo, edge.hi):
+            assert abs(efficiency_closed_form(omega, 1.0, EXCEPTIONAL_KAPPA) - 0.99) < 1e-8
+
+    def test_members_of_different_size_labels_and_ports(self):
+        kappas = np.linspace(0.1, 8.0, 41)
+        batch, single, _, _ = batch_and_single(mixed_family, kappas, 0.99, (-3.0, 3.0))
+        assert batch == single
+        # (kappa*, width*) as the per-kappa coarse stage found them
+        assert optimize_kappa(mixed_family, 0.99, (0.1, 8.0), 41) == pytest.approx(
+            (2.274577701158931, 1.9412347099792502), rel=1e-12
+        )
+
+    def test_singular_scan_warnings_one_per_affected_member(self):
+        grid = np.linspace(-3.0, 3.0, 4001)
+
+        def build(kappa):
+            # a dark mode on a scan point for kappa < 3, between two otherwise
+            return with_dark_modes(resonant(kappa), [grid[2000] if kappa < 3.0 else 1e-4])
+
+        kappas = np.linspace(1.0, 5.0, 9)
+        batch, single, caught_batch, caught_single = batch_and_single(build, kappas, 0.99, (-3.0, 3.0))
+        assert batch == single
+        assert caught_batch == caught_single
+        assert caught_batch == ["network singular at 1 scan frequencies; those points are excluded "
+                                "from interval detection"] * int(np.count_nonzero(kappas < 3.0))
+
+    def test_single_point_range_and_two_coarse_points(self):
+        net = mixed_family(0.5)
+        width = max_bandwidth(net, "a", "b", 0.99, default_omega_window(net))
+        assert optimize_kappa(mixed_family, 0.99, (0.5, 0.5)) == (0.5, width)
+        assert width == pytest.approx(0.05191859245300323, rel=1e-12)
+        assert optimize_kappa(mixed_family, 0.9, (1.0, 6.0), 2) == pytest.approx(
+            (1.6877087890645088, 2.620849486770612), rel=1e-12
+        )
+        fam = ConverterFamily(kind="detuned", g=1.0, delta_mu=3.0)
+        assert optimize_kappa(fam, 0.99, (0.5, 4.0), 2) == pytest.approx(
+            (0.5, 0.08862082345875946), rel=1e-12
+        )

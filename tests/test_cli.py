@@ -358,6 +358,23 @@ def test_map_rejects_kappa_range_without_distinct_points(tmp_path, capsys, k_max
     assert "kappa_range" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("field", ["window", "kappa_range"])
+@pytest.mark.parametrize("bound", ["min", "max"])
+def test_range_bound_errors_name_the_field(tmp_path, capsys, field, bound):
+    doc = {
+        "setup": "resonant",
+        "kappa_range": {"min": 1.0, "max": 2.0, "points": 3},
+        "window": {"min": -1.0, "max": 1.0, "points": 5},
+    }
+    missing = dict(doc, **{field: {k: v for k, v in doc[field].items() if k != bound}})
+    assert main(["map", write_cfg(tmp_path, "missing.json", missing)]) == 1
+    assert f"missing required field '{field}.{bound}'" in capsys.readouterr().err
+    not_a_number = dict(doc, **{field: dict(doc[field], **{bound: "1"})})
+    assert main(["map", write_cfg(tmp_path, "text.json", not_a_number)]) == 1
+    assert f"field '{field}.{bound}' must be a number, got '1'" in capsys.readouterr().err
+
+
 OPTIMIZE_CFG = {
     "setup": "two_mode",
     "g": 1.0,
