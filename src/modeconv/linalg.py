@@ -2,15 +2,20 @@
 
 The solver is partial-pivot Gaussian elimination written out by hand rather than a
 LAPACK call: the contract of this package is that a system whose best available
-pivot falls below ``PIVOT_RTOL`` times the largest entry magnitude of the *initial*
-matrix fails loudly with :class:`SingularMatrixError` instead of returning noise,
-and library solvers do not expose the pivots needed to enforce that.  The pivot
-ratio (largest over smallest pivot magnitude) doubles as a cheap conditioning
-estimate for downstream diagnostics.
+pivot falls below ``PIVOT_RTOL`` times the Frobenius norm of the matrix *as
+supplied* fails loudly with :class:`SingularMatrixError` instead of returning
+noise, and library solvers do not expose the pivots needed to enforce that.  The
+Frobenius norm is unchanged by a unitary similarity, so a system solved in a
+reduced basis (as :mod:`modeconv.scattering` does) meets the same threshold as
+the unreduced one.  The pivot ratio (largest over smallest pivot magnitude)
+doubles as a cheap conditioning estimate for downstream diagnostics.
 
 There is one elimination kernel, vectorized over a stack of systems: the
 single-system solvers run it on a stack of one and raise, :func:`solve_batched`
 flags singular members instead, and both get the same arithmetic and verdict.
+The kernel finds the stack's lower bandwidth p once and pivots and eliminates
+only within it, since partial pivoting never fills below the band: an upper
+Hessenberg system (p = 1) costs O(n^2), a general one O(n^3).
 
 Hermitian eigenvalues are delegated to ``numpy.linalg.eigvalsh`` after the
 package's one Hermiticity check (:func:`check_hermitian`); the returned spectrum
@@ -23,8 +28,8 @@ import numpy as np
 
 from .errors import NotHermitianError, SingularMatrixError
 
-# A pivot below this fraction of the largest entry magnitude of the initial
-# matrix marks the system as numerically singular.
+# A pivot below this fraction of the Frobenius norm of the matrix as supplied
+# marks the system as numerically singular.
 PIVOT_RTOL = 1e-13
 
 # Relative tolerance on ||A - A^dagger|| for a matrix to count as Hermitian.
@@ -41,6 +46,10 @@ def _as_square_complex(m) -> np.ndarray:
 def _eliminate_stack(mats, rhs):
     """Partial-pivot elimination of an (m, n, n) stack against a shared (n, k) or (m, n, k) rhs.
 
+    The stack's lower bandwidth p (the farthest nonzero below the diagonal in
+    any member) is found once; partial pivoting never fills below it, so each
+    column pivots among and eliminates only the p rows under the diagonal.  A
+    Hessenberg stack (p = 1) costs O(n^2) per system, a general one O(n^3).
     Returns the solutions, the (m, n) pivot magnitudes, each system's pivot
     threshold, and the mask of systems below it or with a non-finite solution.
     """
@@ -56,23 +65,33 @@ def _eliminate_stack(mats, rhs):
     b = np.array(b)
     # The singularity threshold is frozen against the matrix as supplied, not
     # against whatever the row operations later shrink it to.
-    threshold = PIVOT_RTOL * np.abs(a).max(axis=(1, 2), initial=0.0)
+    parts = a.view(float).reshape(m, 2 * n * n)
+    threshold = PIVOT_RTOL * np.sqrt(np.einsum("mi,mi->m", parts, parts))
+    rows, cols = np.nonzero((a != 0.0).any(axis=0))
+    band = int((rows - cols).max(initial=0))
     pivots = np.empty((m, n))
     idx = np.arange(m)
     for col in range(n):
-        rows = col + np.abs(a[:, col:, col]).argmax(axis=1)
-        taken_a = a[idx, rows].copy()
-        a[idx, rows] = a[:, col]
-        a[:, col] = taken_a
-        taken_b = b[idx, rows].copy()
-        b[idx, rows] = b[:, col]
-        b[:, col] = taken_b
+        end = min(col + band + 1, n)
+        # Between two candidate rows a masked swap is cheaper than gathers.
+        if end - col == 2:
+            swap = np.abs(a[:, col + 1, col]) > np.abs(a[:, col, col])
+            for x in (a[:, :, col:], b):
+                top, below = x[:, col].copy(), x[:, col + 1]
+                x[:, col] = np.where(swap[:, None], below, top)
+                x[:, col + 1] = np.where(swap[:, None], top, below)
+        elif end - col > 2:
+            piv_rows = col + np.abs(a[:, col:end, col]).argmax(axis=1)
+            for x in (a, b):
+                taken = x[idx, piv_rows].copy()
+                x[idx, piv_rows] = x[:, col]
+                x[:, col] = taken
         piv = a[:, col, col]
         pivots[:, col] = np.abs(piv)
         safe = np.where(pivots[:, col] > 0.0, piv, 1.0)
-        factors = a[:, col + 1 :, col] / safe[:, None]
-        a[:, col + 1 :, col:] -= factors[:, :, None] * a[:, None, col, col:]
-        b[:, col + 1 :, :] -= factors[:, :, None] * b[:, None, col, :]
+        factors = a[:, col + 1 : end, col] / safe[:, None]
+        a[:, col + 1 : end, col:] -= factors[:, :, None] * a[:, None, col, col:]
+        b[:, col + 1 : end, :] -= factors[:, :, None] * b[:, None, col, :]
     x = np.zeros_like(b)
     for col in range(n - 1, -1, -1):
         diag = a[:, col, col]
@@ -90,7 +109,9 @@ def solve_linear(m, rhs) -> np.ndarray:
 
     ``rhs`` may be a vector of length n or an (n, k) block of columns; the
     result has the same shape.  Raises :class:`SingularMatrixError` when any
-    elimination step finds no usable pivot (see module docstring).  For systems
+    pivot falls below ``PIVOT_RTOL`` times the Frobenius norm of ``m`` (see
+    module docstring).  The cost is O(p n^2) for lower bandwidth p: O(n^2) for
+    an upper Hessenberg ``m``, O(n^3) for a general one.  For systems
     that pass the pivot test, the residual satisfies
     ``max|m @ x - rhs| <= 1e-12 * (norm(m) * norm(x) + norm(rhs))`` in the
     max-row-sum norm.

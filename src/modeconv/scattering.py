@@ -16,16 +16,27 @@ off-resonant, S is unitary; a drive hitting an undamped resonance makes
 M singular, which surfaces as :class:`SingularAtFrequencyError` — the physical
 statement that no steady state exists there.
 
-Both routes share the package's one elimination kernel.  A single frequency is
-solved as a stack of one (:func:`modeconv.linalg.solve_with_condition`), which
-raises on a near-singular system and reports the pivot ratio as a conditioning
-estimate; a dense grid is solved as one stack over all frequencies
-(:func:`modeconv.linalg.solve_batched`).  A grid point therefore gets the same
-arithmetic and trips the same pivot test as a single-point call, and a singular
-frequency can never slip through the fast path disguised as a plausible number.
-The grid path assembles M(omega) over (member, omega) pairs of a stack of
-networks; a grid is the stack of one, and bandwidth refinement in
-:mod:`modeconv.analysis` solves many members at once through the same assembly.
+Every route first reduces the network once, with Householder reflections
+(Laub, IEEE TAC 1981): K + 2iA = Q H Q^H with Q unitary and H upper
+Hessenberg, so M(omega) = Q (H - 2i omega I) Q^H.  Each frequency is then one
+Hessenberg system, which the package's one elimination kernel solves in O(n^2)
+rather than O(n^3); the drive enters as Q^H sqrt(K) e_in and the answer is read
+out through the rows Q[out, :].  A network that is already Hessenberg (a chain,
+or modes coupled to nothing) needs no reflector and keeps Q = I exactly.
+
+A single frequency is solved as a stack of one
+(:func:`modeconv.linalg.solve_with_condition`), which raises on a near-singular
+system and reports the pivot ratio as a conditioning estimate; a dense grid is
+solved as one stack over all frequencies (:func:`modeconv.linalg.solve_batched`).
+Both solve the same reduced systems, so a grid point gets the same arithmetic
+and trips the same pivot test as a single-point call, and a singular frequency
+can never slip through the fast path disguised as a plausible number.  The
+pivot threshold is relative to the Frobenius norm, which the reduction
+preserves.  The reduction is normwise backward stable: S carries an error of
+order n eps cond(M(omega)).  The grid path assembles H - 2i omega I over
+(member, omega) pairs of a stack of reduced networks; a grid is the stack of
+one, and bandwidth refinement in :mod:`modeconv.analysis` solves many members
+at once through the same assembly.
 """
 
 from __future__ import annotations
@@ -77,12 +88,13 @@ def internal_amplitudes(net: CoupledModeNetwork, omega: float, a_in) -> np.ndarr
     """
     if not net.ports():
         raise NoPortsError("network has no damped modes to drive")
-    rhs = -2.0 * _port_drive(net, a_in)
+    h, q = _reduced(net)
+    rhs = _read_out(q.conj().T, -2.0 * _port_drive(net, a_in)[:, None])
     try:
-        amps, _ = solve_with_condition(dynamical_matrix(net, omega), rhs)
+        y, _ = solve_with_condition(_shifted(h, [omega])[0], rhs)
     except SingularMatrixError as exc:
         raise SingularAtFrequencyError(omega) from exc
-    return amps
+    return _read_out(q, y)[:, 0]
 
 
 def scattering_matrix(net: CoupledModeNetwork, omega: float) -> ScatteringResult:
@@ -95,16 +107,13 @@ def scattering_matrix(net: CoupledModeNetwork, omega: float) -> ScatteringResult
     ports = net.ports()
     if not ports:
         raise NoPortsError("network has no damped modes, so no scattering ports")
-    m = dynamical_matrix(net, omega)
+    h, q = _reduced(net)
     roots = np.sqrt(net.damping[ports])
-    rhs = np.zeros((net.n_modes, len(ports)), dtype=complex)
-    for col, (p, root) in enumerate(zip(ports, roots)):
-        rhs[p, col] = root
     try:
-        x, condition = solve_with_condition(m, rhs)
+        y, condition = solve_with_condition(_shifted(h, [omega])[0], q[ports].conj().T * roots)
     except SingularMatrixError as exc:
         raise SingularAtFrequencyError(omega) from exc
-    s = 2.0 * (roots[:, None] * x[ports, :]) - np.eye(len(ports))
+    s = 2.0 * (roots[:, None] * _read_out(q[ports], y)) - np.eye(len(ports))
     return ScatteringResult(omega=float(omega), s=s, condition_estimate=condition)
 
 
@@ -159,20 +168,77 @@ def transmission_grid(
     return out
 
 
+def _reduced(net: CoupledModeNetwork) -> tuple[np.ndarray, np.ndarray]:
+    """Householder reduction K + 2iA = Q H Q^H, with H upper Hessenberg and Q unitary.
+
+    A column already zero below its subdiagonal gets no reflector, so a network
+    that is already Hessenberg (a chain, or uncoupled modes) keeps Q = I and
+    H = K + 2iA exactly.
+    """
+    h = np.diag(net.damping).astype(complex) + 2j * net.coupling
+    n = len(h)
+    q = np.eye(n, dtype=complex)
+    for k in range(n - 2):
+        x = h[k + 1 :, k]
+        if not x[1:].any():
+            continue
+        v = x.copy()
+        v[0] += np.exp(1j * np.angle(x[0])) * np.linalg.norm(x)
+        v /= np.linalg.norm(v)
+        h[k + 1 :, k:] -= 2.0 * np.outer(v, v.conj() @ h[k + 1 :, k:])
+        h[:, k + 1 :] -= 2.0 * np.outer(h[:, k + 1 :] @ v, v.conj())
+        q[:, k + 1 :] -= 2.0 * np.outer(q[:, k + 1 :] @ v, v.conj())
+        h[k + 2 :, k] = 0.0
+    return h, q
+
+
+def _shifted(h, omegas) -> np.ndarray:
+    """The stack H - 2i omega I over ``omegas``: M(omega) in the reduced basis."""
+    omegas = np.asarray(omegas, dtype=float)
+    n = h.shape[-1]
+    stack = np.empty((len(omegas), n, n), dtype=complex)
+    stack[...] = h
+    stack[:, range(n), range(n)] -= 2j * omegas[:, None]
+    return stack
+
+
+def _read_out(rows, y) -> np.ndarray:
+    """``rows @ y`` for rows (..., n) and y (..., n, k), taken in mode order.
+
+    When every row is a unit vector (modes no reflector touched) the entries
+    are selected, not multiplied, so a network that needed no reduction keeps
+    its values down to the sign of a zero.  Otherwise the sum runs term by term
+    in real arithmetic: numpy's complex multiply may fuse its products or not
+    depending on the array layout, and a single frequency and a grid, laid out
+    differently, must round their readout alike.
+    """
+    if ((rows == 0.0) | (rows == 1.0)).all() and (np.count_nonzero(rows, axis=-1) == 1).all():
+        out = 0.0
+        for j in range(rows.shape[-1]):
+            out = np.where(rows[..., j : j + 1] == 1.0, y[..., j, :], out)
+        return out
+    re = im = 0.0
+    for j in range(rows.shape[-1]):
+        w, v = rows[..., j : j + 1], y[..., j, :]
+        re = re + (w.real * v.real - w.imag * v.imag)
+        im = im + (w.real * v.imag + w.imag * v.real)
+    return np.stack(np.broadcast_arrays(re, im), axis=-1).view(complex)[..., 0]
+
+
 def _member_stack(nets, in_modes, out_modes) -> tuple:
     """Per-member arrays that :func:`_pair_transmission` solves against.
 
     All networks must have the same mode count; ``in_modes``/``out_modes`` are
-    each member's port mode indices.  Returns M(0) = K + 2iA as an (m, n, n)
-    stack, the drive sqrt(K_in) e_in as an (m, n, 1) stack, the output modes,
-    the readout factors 2 sqrt(K_out), and whether each member's ports coincide.
+    each member's port mode indices.  Each network is reduced once
+    (:func:`_reduced`).  Returns H as an (m, n, n) stack, the reduced drive
+    Q^H sqrt(K_in) e_in as an (m, n, 1) stack, the readout rows Q[out, :], the
+    readout factors 2 sqrt(K_out), and whether each member's ports coincide.
     """
-    m, n = len(nets), nets[0].n_modes
-    base = np.array([np.diag(net.damping).astype(complex) + 2j * net.coupling for net in nets])
-    drive = np.zeros((m, n, 1), dtype=complex)
-    drive[np.arange(m), in_modes, 0] = [np.sqrt(net.damping[i]) for net, i in zip(nets, in_modes)]
+    hs, qs = zip(*(_reduced(net) for net in nets))
+    drive = np.array([q[i].conj() * np.sqrt(net.damping[i]) for q, net, i in zip(qs, nets, in_modes)])
+    readout = np.array([q[o] for q, o in zip(qs, out_modes)])
     scale = np.array([2.0 * np.sqrt(net.damping[o]) for net, o in zip(nets, out_modes)])
-    return base, drive, np.asarray(out_modes), scale, np.asarray(in_modes) == np.asarray(out_modes)
+    return np.array(hs), drive[:, :, None], readout, scale, np.asarray(in_modes) == np.asarray(out_modes)
 
 
 def _pair_transmission(stack, member, omegas) -> tuple[np.ndarray, np.ndarray]:
@@ -180,14 +246,13 @@ def _pair_transmission(stack, member, omegas) -> tuple[np.ndarray, np.ndarray]:
 
     ``member`` may also be one index for every pair (a frequency grid); that
     member's arrays then broadcast over the pairs instead of being gathered.
-    The grid path and bandwidth refinement both assemble M(omega) =
-    M(0) - 2i omega I here, and every pair is one system of a single
-    :func:`solve_batched` call.  Returns the transmissions and the mask of
-    pairs flagged singular (their values are meaningless).
+    The grid path and bandwidth refinement both assemble M(omega) in the
+    reduced basis, H - 2i omega I, here, and every pair is one system of a
+    single :func:`solve_batched` call.  Returns the transmissions and the mask
+    of pairs flagged singular (their values are meaningless).
     """
-    base, drive, out_modes, scale, same = stack
-    stacked = base[member] - 2j * omegas[:, None, None] * np.eye(base.shape[1])[None, :, :]
-    x, singular = solve_batched(stacked, drive[member])
-    out = scale[member] * x[np.arange(len(omegas)), out_modes[member], 0]
+    h, drive, readout, scale, same = stack
+    x, singular = solve_batched(_shifted(h[member], omegas), drive[member])
+    out = scale[member] * _read_out(readout[member], x)[:, 0]
     out[same[member]] -= 1.0
     return out, singular
