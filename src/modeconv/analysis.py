@@ -41,7 +41,6 @@ from .converter import (
     resonant_network,
     two_mode_network,
 )
-from .errors import SingularAtFrequencyError
 from .linalg import eigenvalues_hermitian
 from .network import CoupledModeNetwork
 from .scattering import _member_stack, _pair_transmission, transmission_grid
@@ -200,17 +199,10 @@ def _refine_crossings(nets, ports, member, threshold, lo, hi, f_lo_sign):
             return _eta_grid(nets[0], omegas, *ports[0])
 
     else:
-        stack = _member_stack(
-            nets,
-            [net.index_of(in_port) for net, (in_port, _) in zip(nets, ports)],
-            [net.index_of(out_port) for net, (_, out_port) in zip(nets, ports)],
-        )
+        stack = _member_stack(nets, ports)
 
         def eta(members, omegas):
-            values, singular = _pair_transmission(stack, members, omegas)
-            if singular.any():
-                raise SingularAtFrequencyError(float(omegas[np.argmax(singular)]))
-            return np.abs(values) ** 2
+            return np.abs(_pair_transmission(stack, members, omegas)) ** 2
 
     lo = lo.copy()
     hi = hi.copy()

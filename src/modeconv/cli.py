@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -91,33 +92,20 @@ def _load_config(args) -> dict:
             raise ConfigError("config must be a JSON object")
         cfg = dict(cfg)
 
-    for flag, key in (
-        ("g", "g"),
-        ("kappa", "kappa"),
-        ("delta_mu", "delta_mu"),
-        ("threshold", "threshold"),
-        ("omega", "omega"),
-        ("amplitude", "amplitude"),
-        ("out", "output"),
-        ("trace_out", "trace_output"),
-    ):
-        value = getattr(args, flag, None)
+    for key in ("g", "kappa", "delta_mu", "threshold", "omega", "amplitude", "output", "trace_output"):
+        value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
     if not isinstance(cfg.get("output", "-"), str):
         raise ConfigError("field 'output' must be a path string")
-    window_overrides = {
-        "min": getattr(args, "omega_min", None),
-        "max": getattr(args, "omega_max", None),
-        "points": getattr(args, "omega_points", None),
+    overrides = {
+        key: value
+        for key in ("min", "max", "points")
+        if (value := getattr(args, f"omega_{key}", None)) is not None
     }
-    if any(v is not None for v in window_overrides.values()):
+    if overrides:
         window = cfg.get("window")
-        window = dict(window) if isinstance(window, dict) else {}
-        for key, value in window_overrides.items():
-            if value is not None:
-                window[key] = value
-        cfg["window"] = window
+        cfg["window"] = {**(window if isinstance(window, dict) else {}), **overrides}
     return cfg
 
 
@@ -292,7 +280,7 @@ def _write_text(target, text: str):
             handle.write(text)
 
 
-# ---------------------------------------------------------------- command cores
+# ---------------------------------------------------------------- commands: config -> text
 
 
 def _sweep_text(net, in_port: str, out_port: str, window: tuple[float, float, int]) -> str:
@@ -302,15 +290,11 @@ def _sweep_text(net, in_port: str, out_port: str, window: tuple[float, float, in
     return csv_text("omega,eta", zip(grid, etas))
 
 
-def _bandwidth_doc(net, in_port, out_port, threshold, omega_range, points) -> dict:
+def _bandwidth_text(net, in_port, out_port, threshold, omega_range, points) -> str:
     report = high_efficiency_intervals(net, in_port, out_port, threshold, omega_range, points)
-    return {
-        "threshold": report.threshold,
-        "intervals": [
-            {"lo": iv.lo, "hi": iv.hi, "width": iv.width} for iv in report.intervals
-        ],
-        "max_width": report.max_width,
-    }
+    intervals = [{"lo": iv.lo, "hi": iv.hi, "width": iv.width} for iv in report.intervals]
+    doc = {"threshold": report.threshold, "intervals": intervals, "max_width": report.max_width}
+    return json_text(doc) + "\n"
 
 
 def _map_text(family: ConverterFamily, kappa_range, window) -> str:
@@ -330,23 +314,49 @@ def _map_text(family: ConverterFamily, kappa_range, window) -> str:
     return csv_text("kappa,omega,eta", rows)
 
 
-def _optimize_doc(family: ConverterFamily, threshold, kappa_range, coarse_points, omega_range) -> dict:
+def _optimize_text(family: ConverterFamily, threshold, kappa_range, coarse_points, omega_range) -> str:
     kappa_star, width_star = optimize_kappa(
-        family,
-        threshold,
-        kappa_range,
-        coarse_points=coarse_points,
-        omega_range=omega_range,
+        family, threshold, kappa_range, coarse_points=coarse_points, omega_range=omega_range
     )
-    return {"threshold": threshold, "kappa_star": kappa_star, "max_width": width_star}
+    return json_text({"threshold": threshold, "kappa_star": kappa_star, "max_width": width_star}) + "\n"
 
 
-def _eliminate_doc(ens, kappa: float, window: tuple[float, float, int]) -> dict:
-    w_min, w_max, points = window
+def _cmd_sweep(cfg: dict) -> str:
+    net, in_port, out_port = _build_single_network(cfg, "sweep")
+    return _sweep_text(net, in_port, out_port, _range(cfg, "window"))
+
+
+def _cmd_bandwidth(cfg: dict) -> str:
+    net, in_port, out_port = _build_single_network(cfg, "bandwidth", {"threshold"})
+    threshold = _threshold(cfg)
+    w_min, w_max, points = _range(cfg, "window", points=DEFAULT_SCAN_POINTS)
+    return _bandwidth_text(net, in_port, out_port, threshold, (w_min, w_max), points)
+
+
+def _cmd_map(cfg: dict) -> str:
+    family = _family(cfg, "map", FAMILY_FIELDS)
+    kappa_range = _range(cfg, "kappa_range")
+    return _map_text(family, kappa_range, _range(cfg, "window"))
+
+
+def _cmd_optimize(cfg: dict) -> str:
+    family = _family(cfg, "optimize", FAMILY_FIELDS | {"threshold"})
+    threshold = _threshold(cfg)
+    k_min, k_max, coarse = _range(cfg, "kappa_range", points=COARSE_KAPPA_POINTS)
+    omega_range = _range(cfg, "window", points=None, default=None)
+    return _optimize_text(family, threshold, (k_min, k_max), coarse, omega_range)
+
+
+def _cmd_eliminate(cfg: dict) -> str:
+    if cfg.get("setup", "microscopic") != "microscopic":
+        raise ConfigError("'eliminate' validates the microscopic setup only")
+    _check_keys(cfg, {"setup", "ensemble", "kappa", "window", "output"}, "eliminate")
+    ens = _load_ensemble(cfg)
+    kappa = _positive(cfg, "kappa", default=ELIMINATE_DEFAULT_KAPPA)
+    w_min, w_max, points = _range(cfg, "window", default=ELIMINATE_DEFAULT_WINDOW)
     cc = collective_couplings(ens)
-    grid = np.linspace(w_min, w_max, points)
-    error = elimination_error(ens, kappa, kappa, grid)
-    return {
+    error = elimination_error(ens, kappa, kappa, np.linspace(w_min, w_max, points))
+    doc = {
         "s_o": cc.s_o,
         "s_mu": cc.s_mu,
         "mode_mismatch": cc.mode_mismatch,
@@ -355,9 +365,14 @@ def _eliminate_doc(ens, kappa: float, window: tuple[float, float, int]) -> dict:
         "max_eta_error": error,
         "omega_window": [w_min, w_max, points],
     }
+    return json_text(doc) + "\n"
 
 
-def _timedomain_docs(net, in_port, out_port, omega, amplitude):
+def _cmd_timedomain(cfg: dict) -> str:
+    """The JSON cross-check; the trace CSV, when asked for, is written here first."""
+    net, in_port, out_port = _build_single_network(cfg, "timedomain", {"omega", "amplitude", "trace_output"})
+    omega = _number(cfg, "omega", required=True)
+    amplitude = _number(cfg, "amplitude", default=1.0)
     reference = transmission(net, omega, in_port, out_port)
     ratio, result = steady_state_response(net, omega, in_port, out_port, amplitude=amplitude)
     doc = {
@@ -370,70 +385,18 @@ def _timedomain_docs(net, in_port, out_port, omega, amplitude):
     }
     if amplitude == 0.0:
         doc["note"] = "ZeroDrive"
-    return doc, result
-
-
-# ---------------------------------------------------------------- command handlers
-
-
-def _cmd_sweep(args):
-    cfg = _load_config(args)
-    net, in_port, out_port = _build_single_network(cfg, "sweep")
-    window = _range(cfg, "window")
-    _write_text(cfg.get("output", "-"), _sweep_text(net, in_port, out_port, window))
-
-
-def _cmd_bandwidth(args):
-    cfg = _load_config(args)
-    net, in_port, out_port = _build_single_network(cfg, "bandwidth", {"threshold"})
-    threshold = _threshold(cfg)
-    w_min, w_max, points = _range(cfg, "window", points=DEFAULT_SCAN_POINTS)
-    doc = _bandwidth_doc(net, in_port, out_port, threshold, (w_min, w_max), points)
-    _write_text(cfg.get("output", "-"), json_text(doc) + "\n")
-
-
-def _cmd_map(args):
-    cfg = _load_config(args)
-    family = _family(cfg, "map", FAMILY_FIELDS)
-    kappa_range = _range(cfg, "kappa_range")
-    window = _range(cfg, "window")
-    _write_text(cfg.get("output", "-"), _map_text(family, kappa_range, window))
-
-
-def _cmd_optimize(args):
-    cfg = _load_config(args)
-    family = _family(cfg, "optimize", FAMILY_FIELDS | {"threshold"})
-    threshold = _threshold(cfg)
-    k_min, k_max, coarse = _range(cfg, "kappa_range", points=COARSE_KAPPA_POINTS)
-    omega_range = _range(cfg, "window", points=None, default=None)
-    doc = _optimize_doc(family, threshold, (k_min, k_max), coarse, omega_range)
-    _write_text(cfg.get("output", "-"), json_text(doc) + "\n")
-
-
-def _cmd_eliminate(args):
-    cfg = _load_config(args)
-    allowed = {"setup", "ensemble", "kappa", "window", "output"}
-    if cfg.get("setup", "microscopic") != "microscopic":
-        raise ConfigError("'eliminate' validates the microscopic setup only")
-    _check_keys(cfg, allowed, "eliminate")
-    ens = _load_ensemble(cfg)
-    kappa = _positive(cfg, "kappa", default=ELIMINATE_DEFAULT_KAPPA)
-    window = _range(cfg, "window", default=ELIMINATE_DEFAULT_WINDOW)
-    _write_text(cfg.get("output", "-"), json_text(_eliminate_doc(ens, kappa, window)) + "\n")
-
-
-def _cmd_timedomain(args):
-    cfg = _load_config(args)
-    net, in_port, out_port = _build_single_network(cfg, "timedomain", {"omega", "amplitude", "trace_output"})
-    omega = _number(cfg, "omega", required=True)
-    amplitude = _number(cfg, "amplitude", default=1.0)
-    doc, result = _timedomain_docs(net, in_port, out_port, omega, amplitude)
     trace_target = cfg.get("trace_output")
     if trace_target is not None:
         if not isinstance(trace_target, str) or trace_target == "-":
             raise ConfigError("field 'trace_output' must be a file path")
         _write_text(trace_target, trace_csv_text(net, result))
-    _write_text(cfg.get("output", "-"), json_text(doc) + "\n")
+    return json_text(doc) + "\n"
+
+
+def _run(command, args):
+    """The shell of every config command: load the config, write ``command(cfg)`` to its output."""
+    cfg = _load_config(args)
+    _write_text(cfg.get("output", "-"), command(cfg))
 
 
 # ---------------------------------------------------------------- presets
@@ -447,10 +410,8 @@ def _preset_fig2(out_dir: Path):
     _write_text(out_dir / "fig2_resonant_sweep.csv", _sweep_text(resonant, "a", "b", window))
     _write_text(out_dir / "fig2_detuned_sweep.csv", _sweep_text(detuned, "a", "b", window))
     _write_text(out_dir / "fig2_two_mode_sweep.csv", _sweep_text(eliminated, "a", "b", window))
-    _write_text(
-        out_dir / "fig2_resonant_bandwidth.json",
-        json_text(_bandwidth_doc(resonant, "a", "b", 0.999, (-3.0, 3.0), DEFAULT_SCAN_POINTS)) + "\n",
-    )
+    bandwidth = _bandwidth_text(resonant, "a", "b", 0.999, (-3.0, 3.0), DEFAULT_SCAN_POINTS)
+    _write_text(out_dir / "fig2_resonant_bandwidth.json", bandwidth)
 
 
 def _preset_family(delta_mu: int) -> ConverterFamily:
@@ -468,8 +429,8 @@ def _preset_fig3(out_dir: Path):
 
 def _preset_fig4(out_dir: Path):
     for delta_mu in (0, 1, 3, 10):
-        doc = _optimize_doc(_preset_family(delta_mu), 0.99, (0.1, 8.0), COARSE_KAPPA_POINTS, None)
-        _write_text(out_dir / f"fig4_optimize_dmu{delta_mu}.json", json_text(doc) + "\n")
+        text = _optimize_text(_preset_family(delta_mu), 0.99, (0.1, 8.0), COARSE_KAPPA_POINTS, None)
+        _write_text(out_dir / f"fig4_optimize_dmu{delta_mu}.json", text)
 
 
 _PRESETS = {"fig2": _preset_fig2, "fig3": _preset_fig3, "fig4": _preset_fig4}
@@ -494,7 +455,7 @@ def _add_common_flags(sub):
     sub.add_argument("--omega-min", dest="omega_min", type=float, default=None)
     sub.add_argument("--omega-max", dest="omega_max", type=float, default=None)
     sub.add_argument("--omega-points", dest="omega_points", type=int, default=None)
-    sub.add_argument("--out", default=None, help="output path (default: stdout)")
+    sub.add_argument("--out", dest="output", default=None, help="output path (default: stdout)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -517,9 +478,9 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "timedomain":
             sub.add_argument("--omega", type=float, default=None, help="override drive frequency")
             sub.add_argument("--amplitude", type=float, default=None, help="override drive amplitude")
-            sub.add_argument("--trace-out", dest="trace_out", default=None,
+            sub.add_argument("--trace-out", dest="trace_output", default=None,
                              help="write the integration trace CSV here")
-        sub.set_defaults(handler=handler)
+        sub.set_defaults(handler=partial(_run, handler))
 
     repro = subparsers.add_parser("reproduce", help="emit a named reference data bundle")
     repro.add_argument("--preset", required=True, choices=sorted(_PRESETS))

@@ -8,7 +8,9 @@ noise, and library solvers do not expose the pivots needed to enforce that.  The
 Frobenius norm is unchanged by a unitary similarity, so a system solved in a
 reduced basis (as :mod:`modeconv.scattering` does) meets the same threshold as
 the unreduced one.  The pivot ratio (largest over smallest pivot magnitude)
-doubles as a cheap conditioning estimate for downstream diagnostics.
+doubles as a cheap conditioning estimate for downstream diagnostics.  A system
+with a NaN pivot or a non-finite solution is singular too: a NaN fails every
+comparison, so the test asks that the pivot pass, not that it fail.
 
 There is one elimination kernel, vectorized over a stack of systems: the
 single-system solvers run it on a stack of one and raise, :func:`solve_batched`
@@ -99,7 +101,7 @@ def _eliminate_stack(mats, rhs):
         partial = np.einsum("mj,mjk->mk", a[:, col, col + 1 :], x[:, col + 1 :, :])
         x[:, col, :] = (b[:, col, :] - partial) / safe[:, None]
     min_piv = pivots.min(axis=1, initial=np.inf)
-    singular = (min_piv < threshold) | (min_piv == 0.0)
+    singular = ~(min_piv >= threshold) | (min_piv == 0.0)
     singular |= ~np.isfinite(x).all(axis=(1, 2))
     return x, pivots, threshold, singular
 

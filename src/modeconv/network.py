@@ -54,7 +54,9 @@ def new_network(labels, coupling, damping) -> CoupledModeNetwork:
     (:class:`NotHermitianError` otherwise) and is symmetrized to (A + A^dagger)/2
     so that downstream algebra sees an exactly Hermitian matrix.  Damping rates
     must be non-negative (:class:`NegativeDampingError`) and labels unique
-    (:class:`DuplicateLabelError`).
+    (:class:`DuplicateLabelError`).  Every coupling and damping entry must be
+    finite (``ValueError`` naming the field): a NaN would pass the Hermiticity
+    test and an infinite rate would silently become a port.
     """
     labels = tuple(str(lbl) for lbl in labels)
     if len(set(labels)) != len(labels):
@@ -64,11 +66,15 @@ def new_network(labels, coupling, damping) -> CoupledModeNetwork:
     a = np.array(coupling, dtype=complex)
     if a.ndim != 2 or a.shape != (len(labels), len(labels)):
         raise ValueError(f"coupling shape {a.shape} does not match {len(labels)} labels")
+    if not np.isfinite(a).all():
+        raise ValueError("coupling must be finite")
     check_hermitian(a, "coupling")
     a = (a + a.conj().T) / 2.0
     k = np.array(damping, dtype=float)
     if k.shape != (len(labels),):
         raise ValueError(f"damping shape {k.shape} does not match {len(labels)} labels")
+    if not np.isfinite(k).all():
+        raise ValueError("damping must be finite")
     if np.any(k < 0.0):
         bad = int(np.argmin(k))
         raise NegativeDampingError(f"mode {labels[bad]!r} has damping {k[bad]} < 0")

@@ -24,19 +24,22 @@ rather than O(n^3); the drive enters as Q^H sqrt(K) e_in and the answer is read
 out through the rows Q[out, :].  A network that is already Hessenberg (a chain,
 or modes coupled to nothing) needs no reflector and keeps Q = I exactly.
 
-A single frequency is solved as a stack of one
-(:func:`modeconv.linalg.solve_with_condition`), which raises on a near-singular
-system and reports the pivot ratio as a conditioning estimate; a dense grid is
-solved as one stack over all frequencies (:func:`modeconv.linalg.solve_batched`).
-Both solve the same reduced systems, so a grid point gets the same arithmetic
-and trips the same pivot test as a single-point call, and a singular frequency
-can never slip through the fast path disguised as a plausible number.  The
-pivot threshold is relative to the Frobenius norm, which the reduction
-preserves.  The reduction is normwise backward stable: S carries an error of
-order n eps cond(M(omega)).  The grid path assembles H - 2i omega I over
-(member, omega) pairs of a stack of reduced networks; a grid is the stack of
-one, and bandwidth refinement in :mod:`modeconv.analysis` solves many members
-at once through the same assembly.
+There are two solves, each written once.  Transmissions of one port pair go
+through the pair solve (:func:`_pair_transmission`): every (member, omega)
+pair of a stack of reduced networks is one system of a single
+:func:`modeconv.linalg.solve_batched` call.  :func:`transmission_grid` is the
+stack of one network, :func:`transmission` the grid of one frequency, and
+bandwidth refinement in :mod:`modeconv.analysis` solves many members at once.
+Whole columns at one frequency go through the point solve (:func:`_solve_at`,
+via :func:`modeconv.linalg.solve_with_condition`, which also reports the pivot
+ratio as a conditioning estimate): :func:`scattering_matrix` drives every port,
+:func:`internal_amplitudes` the given inputs.  Both solves run the same kernel
+on the same reduced systems, so a point and a grid trip the same pivot test
+and a singular frequency can never slip through disguised as a plausible
+number.  The pivot threshold is relative to the Frobenius norm, which the
+reduction preserves.  The reduction is normwise backward stable: S carries an
+error of order n eps cond(M(omega)).  A non-finite drive frequency is a
+``ValueError``, not a singular system.
 """
 
 from __future__ import annotations
@@ -69,16 +72,21 @@ def dynamical_matrix(net: CoupledModeNetwork, omega: float) -> np.ndarray:
     )
 
 
-def _port_drive(net: CoupledModeNetwork, a_in) -> np.ndarray:
-    """Embed per-port inputs into mode space, scaled by sqrt(K)."""
-    ports = net.ports()
-    a_in = np.asarray(a_in, dtype=complex)
-    if a_in.shape != (len(ports),):
-        raise ValueError(f"expected {len(ports)} port inputs, got shape {a_in.shape}")
-    drive = np.zeros(net.n_modes, dtype=complex)
-    for value, p in zip(a_in, ports):
-        drive[p] = np.sqrt(net.damping[p]) * value
-    return drive
+def _solve_at(net: CoupledModeNetwork, omega: float, rhs) -> tuple[np.ndarray, float]:
+    """M(omega)^-1 rhs in mode space, and the pivot ratio of the solve.
+
+    The one single-frequency solve: it reduces the network, carries ``rhs``
+    into the reduced basis and back, and turns a singular system into
+    :class:`SingularAtFrequencyError`.
+    """
+    if not net.ports():
+        raise NoPortsError("network has no damped modes, so no scattering ports")
+    h, q = _reduced(net)
+    try:
+        y, condition = solve_with_condition(_shifted(h, [omega])[0], _read_out(q.conj().T, rhs))
+    except SingularMatrixError as exc:
+        raise SingularAtFrequencyError(omega) from exc
+    return _read_out(q, y), condition
 
 
 def internal_amplitudes(net: CoupledModeNetwork, omega: float, a_in) -> np.ndarray:
@@ -86,15 +94,13 @@ def internal_amplitudes(net: CoupledModeNetwork, omega: float, a_in) -> np.ndarr
 
     ``a_in`` lists one complex amplitude per port, in port order.
     """
-    if not net.ports():
-        raise NoPortsError("network has no damped modes to drive")
-    h, q = _reduced(net)
-    rhs = _read_out(q.conj().T, -2.0 * _port_drive(net, a_in)[:, None])
-    try:
-        y, _ = solve_with_condition(_shifted(h, [omega])[0], rhs)
-    except SingularMatrixError as exc:
-        raise SingularAtFrequencyError(omega) from exc
-    return _read_out(q, y)[:, 0]
+    ports = net.ports()
+    a_in = np.asarray(a_in, dtype=complex)
+    if a_in.shape != (len(ports),):
+        raise ValueError(f"expected {len(ports)} port inputs, got shape {a_in.shape}")
+    drive = np.zeros(net.n_modes, dtype=complex)
+    drive[ports] = np.sqrt(net.damping[ports]) * a_in
+    return _solve_at(net, omega, -2.0 * drive[:, None])[0][:, 0]
 
 
 def scattering_matrix(net: CoupledModeNetwork, omega: float) -> ScatteringResult:
@@ -105,31 +111,17 @@ def scattering_matrix(net: CoupledModeNetwork, omega: float) -> ScatteringResult
     :class:`SingularAtFrequencyError` when the dynamical matrix is singular.
     """
     ports = net.ports()
-    if not ports:
-        raise NoPortsError("network has no damped modes, so no scattering ports")
-    h, q = _reduced(net)
     roots = np.sqrt(net.damping[ports])
-    try:
-        y, condition = solve_with_condition(_shifted(h, [omega])[0], q[ports].conj().T * roots)
-    except SingularMatrixError as exc:
-        raise SingularAtFrequencyError(omega) from exc
-    s = 2.0 * (roots[:, None] * _read_out(q[ports], y)) - np.eye(len(ports))
+    columns = np.zeros((net.n_modes, len(ports)), dtype=complex)
+    columns[ports, range(len(ports))] = roots
+    x, condition = _solve_at(net, omega, columns)
+    s = 2.0 * (roots[:, None] * x[ports]) - np.eye(len(ports))
     return ScatteringResult(omega=float(omega), s=s, condition_estimate=condition)
 
 
 def transmission(net: CoupledModeNetwork, omega: float, in_port: str, out_port: str) -> complex:
-    """S-matrix element from ``in_port`` to ``out_port`` (labels of damped modes)."""
-    result = scattering_matrix(net, omega)
-    ports = net.ports()
-    try:
-        row = ports.index(net.index_of(out_port))
-        col = ports.index(net.index_of(in_port))
-    except ValueError:
-        raise ValueError(
-            f"ports must be damped modes; got {in_port!r} -> {out_port!r} "
-            f"with ports {net.port_labels()}"
-        ) from None
-    return complex(result.s[row, col])
+    """S-matrix element from ``in_port`` to ``out_port``: a frequency grid of one."""
+    return complex(transmission_grid(net, [omega], in_port, out_port)[0])
 
 
 def transmission_grid(
@@ -139,33 +131,17 @@ def transmission_grid(
     out_port: str,
     on_singular: str = "raise",
 ) -> np.ndarray:
-    """Transmission ``in_port -> out_port`` over a frequency grid.
+    """Transmission ``in_port -> out_port`` (labels of damped modes) over a frequency grid.
 
-    All frequencies are eliminated as one stack by the kernel the single-point
-    path also uses, so the two agree wherever both are defined.
-    ``on_singular`` chooses what a singular frequency does: ``"raise"``
-    propagates :class:`SingularAtFrequencyError` (reporting the first offending
-    omega), ``"nan"`` records NaN so callers can leave a gap in a curve.
+    All frequencies are eliminated as one stack.  ``on_singular`` chooses what
+    a singular frequency does: ``"raise"`` propagates
+    :class:`SingularAtFrequencyError` (reporting the first offending omega),
+    ``"nan"`` records NaN so callers can leave a gap in a curve.
     """
     if on_singular not in ("raise", "nan"):
         raise ValueError(f"on_singular must be 'raise' or 'nan', got {on_singular!r}")
-    ports = net.ports()
-    if not ports:
-        raise NoPortsError("network has no damped modes, so no scattering ports")
     omegas = np.asarray(omegas, dtype=float)
-    i_in = net.index_of(in_port)
-    i_out = net.index_of(out_port)
-    if i_in not in ports or i_out not in ports:
-        raise ValueError(
-            f"ports must be damped modes; got {in_port!r} -> {out_port!r} "
-            f"with ports {net.port_labels()}"
-        )
-    out, singular = _pair_transmission(_member_stack([net], [i_in], [i_out]), 0, omegas)
-    if singular.any():
-        if on_singular == "raise":
-            raise SingularAtFrequencyError(float(omegas[np.argmax(singular)]))
-        out[singular] = np.nan
-    return out
+    return _pair_transmission(_member_stack([net], [(in_port, out_port)]), 0, omegas, on_singular)
 
 
 def _reduced(net: CoupledModeNetwork) -> tuple[np.ndarray, np.ndarray]:
@@ -195,6 +171,8 @@ def _reduced(net: CoupledModeNetwork) -> tuple[np.ndarray, np.ndarray]:
 def _shifted(h, omegas) -> np.ndarray:
     """The stack H - 2i omega I over ``omegas``: M(omega) in the reduced basis."""
     omegas = np.asarray(omegas, dtype=float)
+    if not np.isfinite(omegas).all():
+        raise ValueError(f"drive frequency must be finite, got {omegas[~np.isfinite(omegas)][0]}")
     n = h.shape[-1]
     stack = np.empty((len(omegas), n, n), dtype=complex)
     stack[...] = h
@@ -225,34 +203,51 @@ def _read_out(rows, y) -> np.ndarray:
     return np.stack(np.broadcast_arrays(re, im), axis=-1).view(complex)[..., 0]
 
 
-def _member_stack(nets, in_modes, out_modes) -> tuple:
+def _member_stack(nets, ports) -> tuple:
     """Per-member arrays that :func:`_pair_transmission` solves against.
 
-    All networks must have the same mode count; ``in_modes``/``out_modes`` are
-    each member's port mode indices.  Each network is reduced once
-    (:func:`_reduced`).  Returns H as an (m, n, n) stack, the reduced drive
-    Q^H sqrt(K_in) e_in as an (m, n, 1) stack, the readout rows Q[out, :], the
-    readout factors 2 sqrt(K_out), and whether each member's ports coincide.
+    ``ports[i]`` is the (in, out) label pair of ``nets[i]``; both must name
+    damped modes.  All networks must have the same mode count.  Each network
+    is reduced once (:func:`_reduced`).  Returns H as an (m, n, n) stack, the
+    reduced drive Q^H sqrt(K_in) e_in as an (m, n, 1) stack, the readout rows
+    Q[out, :], the readout factors 2 sqrt(K_out), and whether each member's
+    ports coincide.
     """
+    modes = []
+    for net, (in_port, out_port) in zip(nets, ports):
+        damped = net.ports()
+        if not damped:
+            raise NoPortsError("network has no damped modes, so no scattering ports")
+        pair = net.index_of(in_port), net.index_of(out_port)
+        if not set(pair) <= set(damped):
+            raise ValueError(
+                f"ports must be damped modes; got {in_port!r} -> {out_port!r} "
+                f"with ports {net.port_labels()}"
+            )
+        modes.append(pair)
+    in_modes, out_modes = np.array(modes).T
     hs, qs = zip(*(_reduced(net) for net in nets))
     drive = np.array([q[i].conj() * np.sqrt(net.damping[i]) for q, net, i in zip(qs, nets, in_modes)])
     readout = np.array([q[o] for q, o in zip(qs, out_modes)])
     scale = np.array([2.0 * np.sqrt(net.damping[o]) for net, o in zip(nets, out_modes)])
-    return np.array(hs), drive[:, :, None], readout, scale, np.asarray(in_modes) == np.asarray(out_modes)
+    return np.array(hs), drive[:, :, None], readout, scale, in_modes == out_modes
 
 
-def _pair_transmission(stack, member, omegas) -> tuple[np.ndarray, np.ndarray]:
+def _pair_transmission(stack, member, omegas, on_singular: str = "raise") -> np.ndarray:
     """Transmission of member ``member[j]`` of ``stack`` at ``omegas[j]``, for every pair j.
 
     ``member`` may also be one index for every pair (a frequency grid); that
     member's arrays then broadcast over the pairs instead of being gathered.
-    The grid path and bandwidth refinement both assemble M(omega) in the
-    reduced basis, H - 2i omega I, here, and every pair is one system of a
-    single :func:`solve_batched` call.  Returns the transmissions and the mask
-    of pairs flagged singular (their values are meaningless).
+    Every pair is one system of a single :func:`solve_batched` call.  A pair
+    flagged singular raises :class:`SingularAtFrequencyError` at the first
+    such omega (``on_singular="raise"``) or reads NaN (``"nan"``).
     """
     h, drive, readout, scale, same = stack
     x, singular = solve_batched(_shifted(h[member], omegas), drive[member])
     out = scale[member] * _read_out(readout[member], x)[:, 0]
     out[same[member]] -= 1.0
-    return out, singular
+    if singular.any():
+        if on_singular == "raise":
+            raise SingularAtFrequencyError(float(omegas[np.argmax(singular)]))
+        out[singular] = np.nan
+    return out

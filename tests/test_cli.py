@@ -6,9 +6,11 @@ import json
 import numpy as np
 import pytest
 
-from modeconv.analysis import ConverterFamily, optimize_kappa
+from modeconv.analysis import ConverterFamily, high_efficiency_intervals, optimize_kappa
 from modeconv.cli import main
+from modeconv.ensemble import AtomEnsemble, AtomParams, ensemble_to_dict, microscopic_network
 from modeconv.formatting import json_text
+from modeconv.scattering import _reduced, dynamical_matrix
 
 
 def write_cfg(tmp_path, name, doc):
@@ -398,3 +400,51 @@ def test_optimize_rejects_window_points(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "cfg.json", dict(OPTIMIZE_CFG, window=window))
     assert main(["optimize", cfg]) == 1
     assert "window.points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["coupling_re", "damping"])
+def test_custom_network_with_nan_is_malformed(tmp_path, capsys, field):
+    net_doc = {
+        "labels": ["p", "q"],
+        "coupling_re": [[0.0, 0.3], [0.3, 0.0]],
+        "coupling_im": [[0.0, 0.0], [0.0, 0.0]],
+        "damping": [0.6, 0.6],
+    }
+    net_doc[field][0] = [float("nan"), 0.3] if field == "coupling_re" else float("nan")
+    doc = {"setup": "custom", "network": net_doc, "window": {"min": -1.0, "max": 1.0, "points": 3}}
+    cfg = write_cfg(tmp_path, "cfg.json", doc)  # json writes the NaN literal it also reads
+    assert main(["sweep", cfg]) == 1
+    assert "field 'network' is malformed" in capsys.readouterr().err
+
+
+def test_microscopic_bandwidth_report_matches_the_library(tmp_path, capsys):
+    rng = np.random.default_rng(3)
+    atoms = [
+        AtomParams(2.5, 0.25, 5.0, delta_o=50.0 + 2.0 * rng.normal(), delta_mu=0.05 * rng.normal())
+        for _ in range(16)
+    ]
+    ens = AtomEnsemble(tuple(atoms))
+    doc = {
+        "setup": "microscopic",
+        "kappa": 2.6,
+        "threshold": 0.9,
+        "ensemble": ensemble_to_dict(ens),
+        "window": {"min": -3.0, "max": 3.0},
+    }
+    assert main(["bandwidth", write_cfg(tmp_path, "cfg.json", doc)]) == 0
+    net = microscopic_network(ens, 2.6, 2.6)
+    # Spread detunings need reflectors: the edges are refined in a reduced basis.
+    assert not np.array_equal(_reduced(net)[1], np.eye(net.n_modes))
+    report = high_efficiency_intervals(net, "a", "b", 0.9, (-3.0, 3.0))
+    intervals = [{"lo": iv.lo, "hi": iv.hi, "width": iv.width} for iv in report.intervals]
+    expected = {"threshold": 0.9, "intervals": intervals, "max_width": report.max_width}
+    assert capsys.readouterr().out == json_text(expected) + "\n"
+    assert len(intervals) == 6
+    a, b = net.index_of("a"), net.index_of("b")
+    drive = np.zeros(net.n_modes, dtype=complex)
+    drive[a] = np.sqrt(net.damping[a])
+    for iv in report.intervals:
+        for edge in (iv.lo, iv.hi):
+            x = np.linalg.solve(dynamical_matrix(net, edge), drive)
+            eta = abs(2.0 * np.sqrt(net.damping[b]) * x[b]) ** 2
+            assert abs(eta - 0.9) <= 2e-9

@@ -193,3 +193,20 @@ def test_empty_stack_and_empty_grid():
     assert x.shape == (0, 3, 1) and singular.shape == (0,)
     net = new_network(("a", "b"), np.zeros((2, 2)), (1.0, 1.0))
     assert transmission_grid(net, [], "a", "b").shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        [[np.nan, 1.0], [1.0, 2.0]],  # NaN pivot on the diagonal
+        [[1.0, 2.0], [np.nan, 1.0]],  # NaN below it, reaching the second pivot
+    ],
+)
+def test_nan_pivot_is_flagged_not_answered(m):
+    # A NaN pivot compares False against any threshold; it must still fail the test.
+    with pytest.raises(SingularMatrixError):
+        solve_linear(m, [1.0, 1.0])
+    stack = np.array([np.eye(2), m, [[2.0, 1.0], [1.0, 2.0]]], dtype=complex)
+    x, singular = solve_batched(stack, np.ones((2, 1)))
+    assert singular.tolist() == [False, True, False]
+    assert np.allclose(x[0, :, 0], 1.0) and np.allclose(x[2, :, 0], 1.0 / 3.0)

@@ -89,3 +89,18 @@ def test_from_dict_rejects_malformed_documents():
         broken = {k: v for k, v in good.items() if k != key}
         with pytest.raises((KeyError, ValueError)):
             network_from_dict(broken)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_coupling_rejected(bad):
+    a = np.array([[0.0, 1.0], [1.0, 0.0]])
+    a[0, 0] = bad
+    with pytest.raises(ValueError, match="coupling must be finite"):
+        new_network(("a", "b"), a, (1.0, 1.0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_damping_rejected(bad):
+    # A NaN rate would silently stop being a port and an infinite one become one.
+    with pytest.raises(ValueError, match="damping must be finite"):
+        new_network(("a", "b"), np.zeros((2, 2)), (1.0, bad))

@@ -9,7 +9,14 @@ single-point path everywhere, including on which frequencies are singular.
 import numpy as np
 import pytest
 
-from modeconv.converter import ResonantParams, resonant_network
+from modeconv.converter import (
+    DetunedParams,
+    ResonantParams,
+    detuned_network,
+    resonant_network,
+    two_mode_network,
+)
+from modeconv.ensemble import AtomEnsemble, AtomParams, default_validation_ensemble, microscopic_network
 from modeconv.errors import NoPortsError, SingularAtFrequencyError
 from modeconv.network import new_network
 from modeconv.scattering import (
@@ -193,3 +200,67 @@ class TestTransmissionGrid:
             transmission_grid(net, np.array([0.0]), "a", "c")
         with pytest.raises(ValueError):
             transmission_grid(net, np.array([0.0]), "a", "b", on_singular="skip")
+
+
+# ---------------------------------------------------------------- the routes agree
+
+
+def jittered_n16():
+    rng = np.random.default_rng(4)
+
+    def jitter(value):
+        return value * (1.0 + rng.uniform(-0.1, 0.1))
+
+    atoms = [AtomParams(jitter(2.5), jitter(0.25), jitter(5.0), jitter(50.0), 0.0) for _ in range(16)]
+    return microscopic_network(AtomEnsemble(tuple(atoms)), 2.6, 2.6)
+
+
+def dense_six_modes():
+    rng = np.random.default_rng(8)
+    raw = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    damping = rng.uniform(0.5, 2.0, 6)
+    damping[3] = 0.0
+    return new_network(tuple("abcdef"), (raw + raw.conj().T) / 2.0, damping)
+
+
+ROUTE_NETWORKS = {
+    "resonant": lambda: resonant_network(ResonantParams(1.0, 1.0, 2.6, 2.6)),
+    "detuned": lambda: detuned_network(DetunedParams(1.0, 1.0, 0.2, 0.2, delta_mu=10.0)),
+    "two_mode": lambda: two_mode_network(0.1, 0.2, 0.2),
+    "default_ensemble": lambda: microscopic_network(default_validation_ensemble(), 2.6, 2.6),
+    "jittered_n16": jittered_n16,
+    "dense_six_modes": dense_six_modes,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUTE_NETWORKS))
+@pytest.mark.parametrize("omega", [-0.45, 0.3, 1.7])
+def test_every_route_gives_the_same_number(name, omega):
+    net = ROUTE_NETWORKS[name]()
+    ports = net.ports()
+    labels = net.port_labels()
+    s = scattering_matrix(net, omega).s
+    for i, in_port in enumerate(labels):
+        for o, out_port in enumerate(labels):
+            point = transmission(net, omega, in_port, out_port)
+            assert point == transmission_grid(net, [omega], in_port, out_port)[0] == s[o, i]
+        # a_out = -sqrt(K) a - a_in rebuilds column i from the mode amplitudes.
+        a_in = np.eye(len(ports))[i]
+        amps = internal_amplitudes(net, omega, a_in)
+        column = -np.sqrt(net.damping[ports]) * amps[ports] - a_in
+        assert np.abs(column - s[:, i]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_drive_frequency_is_rejected_on_every_route(bad):
+    net = resonant_network(ResonantParams(1.0, 1.0, 2.6, 2.6))
+    routes = [
+        lambda w: transmission(net, w, "a", "b"),
+        lambda w: transmission_grid(net, [0.0, w], "a", "b"),
+        lambda w: transmission_grid(net, [0.0, w], "a", "b", on_singular="nan"),
+        lambda w: scattering_matrix(net, w),
+        lambda w: internal_amplitudes(net, w, [1.0, 0.0]),
+    ]
+    for route in routes:
+        with pytest.raises(ValueError, match="drive frequency must be finite"):
+            route(bad)
