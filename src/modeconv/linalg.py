@@ -17,7 +17,13 @@ single-system solvers run it on a stack of one and raise, :func:`solve_batched`
 flags singular members instead, and both get the same arithmetic and verdict.
 The kernel finds the stack's lower bandwidth p once and pivots and eliminates
 only within it, since partial pivoting never fills below the band: an upper
-Hessenberg system (p = 1) costs O(n^2), a general one O(n^3).
+Hessenberg system (p = 1) costs O(n^2), a general one O(n^3).  It works
+batch-last: the stack and its right-hand sides are copied once, side by side,
+into an (n, n + k, m) array, so every row operation runs over contiguous
+length-m vectors, and the solutions come back as an (m, n, k) view of
+batch-last memory.  That copy is the only one, and the contract needs it:
+callers' arrays are never overwritten.  A stack already laid out batch-last is
+copied straight, and either layout gives the same bytes.
 
 Hermitian eigenvalues are delegated to ``numpy.linalg.eigvalsh`` after the
 package's one Hermiticity check (:func:`check_hermitian`); the returned spectrum
@@ -48,62 +54,83 @@ def _as_square_complex(m) -> np.ndarray:
 def _eliminate_stack(mats, rhs):
     """Partial-pivot elimination of an (m, n, n) stack against a shared (n, k) or (m, n, k) rhs.
 
+    The stack and its rhs are copied once, side by side, into one batch-last
+    work array: entry (i, j) of the augmented systems [A | B] is a contiguous
+    length-m vector, so each row operation runs over the whole stack at unit
+    stride, and one swap and one update per column move A and B together.  A
+    stack that is already laid out batch-last (as
+    :func:`modeconv.scattering._shifted` builds it) is copied straight, a
+    C-ordered one is transposed as it is copied; the copy is the one the
+    contract needs, since the caller's arrays are never overwritten.
+
     The stack's lower bandwidth p (the farthest nonzero below the diagonal in
     any member) is found once; partial pivoting never fills below it, so each
     column pivots among and eliminates only the p rows under the diagonal.  A
     Hessenberg stack (p = 1) costs O(n^2) per system, a general one O(n^3).
-    Returns the solutions, the (m, n) pivot magnitudes, each system's pivot
-    threshold, and the mask of systems below it or with a non-finite solution.
+    Returns the (m, n, k) solutions (a view of batch-last memory), the (m, n)
+    pivot magnitudes, each system's pivot threshold, and the mask of systems
+    below it or with a non-finite solution.
     """
-    a = np.array(mats, dtype=complex)
+    a = np.asarray(mats, dtype=complex)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
     m, n, _ = a.shape
     b = np.asarray(rhs, dtype=complex)
     if b.ndim == 2:
         b = np.broadcast_to(b, (m,) + b.shape)
-    if b.shape[:2] != (m, n):
+    if b.ndim != 3 or b.shape[:2] != (m, n):
         raise ValueError(f"right-hand side shape {np.shape(rhs)} does not match stack {a.shape}")
-    b = np.array(b)
+    w = np.empty((n, n + b.shape[2], m), dtype=complex)
+    w[:, :n] = a.transpose(1, 2, 0)
+    w[:, n:] = b.transpose(1, 2, 0)
     # The singularity threshold is frozen against the matrix as supplied, not
     # against whatever the row operations later shrink it to.
-    parts = a.view(float).reshape(m, 2 * n * n)
-    threshold = PIVOT_RTOL * np.sqrt(np.einsum("mi,mi->m", parts, parts))
-    rows, cols = np.nonzero((a != 0.0).any(axis=0))
-    band = int((rows - cols).max(initial=0))
-    pivots = np.empty((m, n))
-    idx = np.arange(m)
+    parts = w.view(float)[:, :n]
+    squares = np.einsum("ijr,ijr->r", parts, parts)
+    threshold = PIVOT_RTOL * np.sqrt(squares[0::2] + squares[1::2])
+    # Row i is searched only left of the band found so far, so a Hessenberg
+    # stack reads just the entries that must be zero, one row at a time.
+    band = 0
+    for i in range(1, n):
+        nonzero = (parts[i, : i - band] != 0.0).any(axis=1)
+        if nonzero.any():
+            band = i - int(nonzero.argmax())
+    pivots = np.empty((n, m))
+    safes = []
     for col in range(n):
         end = min(col + band + 1, n)
+        rest = w[:, col:]
+        # cand[0] ends as each member's pivot magnitude.
+        cand = np.abs(w[col:end, col])
         # Between two candidate rows a masked swap is cheaper than gathers.
         if end - col == 2:
-            swap = np.abs(a[:, col + 1, col]) > np.abs(a[:, col, col])
-            for x in (a[:, :, col:], b):
-                top, below = x[:, col].copy(), x[:, col + 1]
-                x[:, col] = np.where(swap[:, None], below, top)
-                x[:, col + 1] = np.where(swap[:, None], top, below)
+            swap = cand[1] > cand[0]
+            if swap.any():
+                top, below = rest[col], rest[col + 1]
+                rest[col], rest[col + 1] = np.where(swap, below, top), np.where(swap, top, below)
+                cand[0] = np.where(swap, cand[1], cand[0])
         elif end - col > 2:
-            piv_rows = col + np.abs(a[:, col:end, col]).argmax(axis=1)
-            for x in (a, b):
-                taken = x[idx, piv_rows].copy()
-                x[idx, piv_rows] = x[:, col]
-                x[:, col] = taken
-        piv = a[:, col, col]
-        pivots[:, col] = np.abs(piv)
-        safe = np.where(pivots[:, col] > 0.0, piv, 1.0)
-        factors = a[:, col + 1 : end, col] / safe[:, None]
-        a[:, col + 1 : end, col:] -= factors[:, :, None] * a[:, None, col, col:]
-        b[:, col + 1 : end, :] -= factors[:, :, None] * b[:, None, col, :]
-    x = np.zeros_like(b)
+            piv_rows = col + cand.argmax(axis=0)[None, None]
+            taken = np.take_along_axis(rest, piv_rows, axis=0)
+            np.put_along_axis(rest, piv_rows, rest[col : col + 1], axis=0)
+            rest[col] = taken[0]
+            cand[0] = cand.max(axis=0)
+        pivots[col] = cand[0]
+        safe = np.where(pivots[col] > 0.0, w[col, col], 1.0)
+        safes.append(safe)
+        factors = w[col + 1 : end, col] / safe
+        # Operands of equal rank: numpy rounds a complex product of size-1
+        # arrays broadcast across ranks without FMA, so a stack of one would
+        # round unlike a grid.
+        rest[col + 1 : end] -= factors[:, None] * rest[col : col + 1]
+    x = np.zeros((n, w.shape[1] - n, m), dtype=complex)
     for col in range(n - 1, -1, -1):
-        diag = a[:, col, col]
-        safe = np.where(np.abs(diag) > 0.0, diag, 1.0)
-        partial = np.einsum("mj,mjk->mk", a[:, col, col + 1 :], x[:, col + 1 :, :])
-        x[:, col, :] = (b[:, col, :] - partial) / safe[:, None]
-    min_piv = pivots.min(axis=1, initial=np.inf)
+        partial = np.einsum("jm,jkm->km", w[col, col + 1 : n], x[col + 1 :])
+        x[col] = (w[col, n:] - partial) / safes[col]
+    min_piv = pivots.min(axis=0, initial=np.inf)
     singular = ~(min_piv >= threshold) | (min_piv == 0.0)
-    singular |= ~np.isfinite(x).all(axis=(1, 2))
-    return x, pivots, threshold, singular
+    singular |= ~np.isfinite(x).all(axis=(0, 1))
+    return x.transpose(2, 0, 1), pivots.T, threshold, singular
 
 
 def solve_linear(m, rhs) -> np.ndarray:

@@ -169,14 +169,22 @@ def _reduced(net: CoupledModeNetwork) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _shifted(h, omegas) -> np.ndarray:
-    """The stack H - 2i omega I over ``omegas``: M(omega) in the reduced basis."""
+    """The stack H - 2i omega I over ``omegas``: M(omega) in the reduced basis.
+
+    ``h`` is one (n, n) matrix or one per frequency.  The result is an
+    (m, n, n) view of memory laid out (n, n, m), batch-last, which is the
+    layout the elimination kernel works in, so its one copy is a straight one.
+    """
     omegas = np.asarray(omegas, dtype=float)
     if not np.isfinite(omegas).all():
         raise ValueError(f"drive frequency must be finite, got {omegas[~np.isfinite(omegas)][0]}")
     n = h.shape[-1]
-    stack = np.empty((len(omegas), n, n), dtype=complex)
+    work = np.empty((n, n, len(omegas)), dtype=complex)
+    stack = work.transpose(2, 0, 1)
     stack[...] = h
-    stack[:, range(n), range(n)] -= 2j * omegas[:, None]
+    shift = 2j * omegas
+    for i in range(n):
+        work[i, i] -= shift
     return stack
 
 

@@ -70,6 +70,13 @@ def _max_rate(net: CoupledModeNetwork) -> float:
     return rate
 
 
+def _positive_step(dt: float) -> float:
+    dt = float(dt)
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    return dt
+
+
 def integrate(
     net: CoupledModeNetwork,
     drives,
@@ -82,10 +89,13 @@ def integrate(
     ``drives`` is a list of :class:`DriveSignal`, at most one per port, each
     carrying 2*n_steps + 1 half-step samples covering [0, t_max].  Raises
     :class:`StepTooLargeError` when dt exceeds MAX_STEP_FACTOR over the fastest
-    rate in the network (largest coupling entry or damping rate).
+    rate in the network (largest coupling entry or damping rate).  A
+    non-finite ``t_max`` or a ``dt`` that is not positive and finite is a
+    ``ValueError`` naming it.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    dt = _positive_step(dt)
+    if not math.isfinite(t_max):
+        raise ValueError(f"t_max must be finite, got {t_max}")
     n_steps = int(round(t_max / dt))
     if n_steps < 1:
         raise ValueError(f"t_max={t_max} spans no steps at dt={dt}")
@@ -163,17 +173,20 @@ def steady_state_response(
     output * e^{+i omega t} over the last quarter of the run, divided by the
     drive amplitude; a zero amplitude returns ratio 0.  Raises
     :class:`NonConvergentError` when the demodulated ratio still drifts by more
-    than 1e-4 across the last tenth of the run.
+    than 1e-4 across the last tenth of the run.  A non-finite ``omega``, or a
+    ``dt`` that is not positive and finite, is a ``ValueError`` naming it.
     """
+    omega = float(omega)
+    if not math.isfinite(omega):
+        raise ValueError(f"omega must be finite, got {omega}")
     ports = net.ports()
     if not ports:
         raise NoPortsError("network has no damped modes to drive")
     kappa_min = float(net.damping[ports].min())
     t_ramp = 20.0 / kappa_min
     t_total = t_ramp + 40.0 / kappa_min
-    rate = max(_max_rate(net), abs(float(omega)))
-    if dt is None:
-        dt = DEFAULT_STEP_FACTOR / rate
+    rate = max(_max_rate(net), abs(omega))
+    dt = DEFAULT_STEP_FACTOR / rate if dt is None else _positive_step(dt)
     n_steps = int(math.ceil(t_total / dt))
     t_max = n_steps * dt
 
@@ -182,11 +195,11 @@ def steady_state_response(
     envelope = np.where(
         t_half < t_ramp, np.exp(-((t_half - t_ramp) ** 2) / (2.0 * sigma**2)), 1.0
     )
-    samples = amplitude * envelope * np.exp(-1j * float(omega) * t_half)
+    samples = amplitude * envelope * np.exp(-1j * omega * t_half)
     result = integrate(net, [DriveSignal(port=in_port, samples=samples)], t_max, dt)
 
     out_row = ports.index(net.index_of(out_port))
-    demodulated = result.outputs[out_row] * np.exp(1j * float(omega) * result.times)
+    demodulated = result.outputs[out_row] * np.exp(1j * omega * result.times)
     if amplitude == 0.0:
         return 0.0 + 0.0j, result
     demodulated = demodulated / amplitude

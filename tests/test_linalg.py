@@ -210,3 +210,57 @@ def test_nan_pivot_is_flagged_not_answered(m):
     x, singular = solve_batched(stack, np.ones((2, 1)))
     assert singular.tolist() == [False, True, False]
     assert np.allclose(x[0, :, 0], 1.0) and np.allclose(x[2, :, 0], 1.0 / 3.0)
+
+
+def _batch_last(stack):
+    """The same values as ``stack``, laid out with the batch axis last in memory."""
+    return np.ascontiguousarray(stack.transpose(1, 2, 0)).transpose(2, 0, 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 34, 130])
+@pytest.mark.parametrize("form", ["hessenberg", "general"])
+@pytest.mark.parametrize("shared", [True, False])
+def test_one_kernel_either_layout(n, form, shared):
+    # The kernel copies every stack into its own batch-last work array, so a
+    # C-ordered stack and the same values laid out batch-last solve to the
+    # same bytes; a stack of one rounds like its member of the grid.
+    rng = np.random.default_rng(n)
+    m = 5
+    stack = rng.normal(size=(m, n, n)) + 1j * rng.normal(size=(m, n, n))
+    if form == "hessenberg":
+        stack = np.triu(stack, -1)
+    stack[2] = 0.0
+    rhs_shape = (n, 2) if shared else (m, n, 2)
+    rhs = rng.normal(size=rhs_shape) + 1j * rng.normal(size=rhs_shape)
+    blocked = _batch_last(stack)
+    saved = stack.copy(), blocked.copy(), rhs.copy()
+    x, singular = solve_batched(stack, rhs)
+    x_last, singular_last = solve_batched(blocked, rhs)
+    assert x.tobytes() == x_last.tobytes()
+    assert singular.tolist() == singular_last.tolist() == [False, False, True, False, False]
+    for i in (0, 4):
+        one, _ = solve_batched(stack[i : i + 1], rhs if shared else rhs[i : i + 1])
+        assert one.tobytes() == x[i : i + 1].tobytes()
+        column, _ = solve_batched(stack[i : i + 1], (rhs if shared else rhs[i])[:, :1])
+        assert column[0, :, 0].tobytes() == x[i, :, 0].tobytes()
+    for before, after in zip(saved, (stack, blocked, rhs)):
+        assert before.tobytes() == after.tobytes()
+
+
+@pytest.mark.parametrize("swaps", ["none", "all"])
+def test_band_one_swaps_either_layout(swaps):
+    # Upper Hessenberg stacks whose subdiagonal is tiny (no member swaps) or
+    # dominant (every member swaps at every column).
+    rng = np.random.default_rng(5)
+    m, n = 7, 6
+    stack = np.triu(rng.normal(size=(m, n, n)) + 1j * rng.normal(size=(m, n, n)), -1)
+    scale = 1e-3 if swaps == "none" else 1e3
+    stack[:, range(1, n), range(n - 1)] *= scale
+    rhs = rng.normal(size=(m, n, 1)) + 1j * rng.normal(size=(m, n, 1))
+    x, singular = solve_batched(stack, rhs)
+    x_last, singular_last = solve_batched(_batch_last(stack), rhs)
+    assert not singular.any() and not singular_last.any()
+    assert x.tobytes() == x_last.tobytes()
+    assert np.abs(stack @ x - rhs).max() < 1e-10 * np.abs(stack).max() * np.abs(x).max()
+    expected = np.linalg.solve(stack, rhs)
+    assert np.abs(x - expected).max() < 1e-10 * np.abs(expected).max()

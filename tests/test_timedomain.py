@@ -115,3 +115,27 @@ def test_trace_csv_layout():
     # numeric fields parse back
     values = [float(entry) for entry in lines[1].split(",")]
     assert len(values) == len(header)
+
+
+@pytest.mark.parametrize("omega", [np.inf, -np.inf, np.nan])
+def test_non_finite_omega_is_named(omega):
+    net = resonant_network(ResonantParams(1.0, 1.0, 2.6, 2.6))
+    with pytest.raises(ValueError, match="omega must be finite"):
+        steady_state_response(net, omega, "a", "b")
+    with pytest.raises(ValueError, match="omega must be finite"):
+        steady_state_transmission(net, omega, "a", "b")
+
+
+@pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, -0.01])
+def test_bad_step_is_named(dt):
+    net = one_mode(1.0)
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        steady_state_response(net, 0.3, "a", "a", dt=dt)
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        integrate(net, [], t_max=1.0, dt=dt, initial_amplitudes=[1.0])
+
+
+@pytest.mark.parametrize("t_max", [np.inf, np.nan])
+def test_non_finite_t_max_is_named(t_max):
+    with pytest.raises(ValueError, match="t_max must be finite"):
+        integrate(one_mode(1.0), [], t_max=t_max, dt=0.01, initial_amplitudes=[1.0])
