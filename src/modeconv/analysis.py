@@ -6,18 +6,28 @@ disjoint intervals where eta stays above a threshold, counts branches, builds
 (kappa, omega) efficiency maps for one-parameter converter families, and finds
 the damping that maximizes the widest interval.
 
-Interval extraction works on one (runs x 2) array of (lo, hi) run ends.  Scan
-points with eta >= threshold form runs; a single singular scan point between
-two qualifying neighbors counts as qualifying (the curve is continuous through
-it), while a wider singular gap splits the run.  Every end whose outer scan
-neighbor exists and is finite is refined, all in one vectorized bisection, until
-eta sits on the threshold to 1e-9; any other end stays on its scan point, so a
-range boundary clips the interval there.  Several networks (the optimizer's
-coarse kappa grid) go through the same path as one batch: each member is scanned
-on its own and reduced to its runs before the next, then the edge brackets of
-all members are refined as one stack, so each bisection step is a single
-elimination over (member, omega) pairs (one stack per mode count, should a
-callable family's members differ in size).
+Interval edges come from a level-set eigenproblem, as in H-infinity norm
+algorithms (Boyd, Balakrishnan & Kabamba, MCSS 1989; Bruinsma & Steinbuch,
+SCL 1990): with H = A - iK/2, |S_out,in(omega)| = sqrt(threshold) exactly at
+the real eigenvalues of a matrix L twice the size of H, so no grid decides
+which passbands are found.  Between consecutive crossings (window ends
+included) eta - threshold keeps its sign, so one evaluation at each gap's
+midpoint classifies the gap; adjacent gaps above the threshold merge into one
+interval, and an interval touching a window end is clipped there.  An edge
+whose eta misses the threshold by more than ETA_REFINE_TOL (a root the
+eigensolver got only roughly) is polished by regula falsi inside the gaps'
+midpoints.  Several networks (the optimizer's coarse kappa grid) go through
+the same path as one batch: one ``eigvals`` call on the stack of their L, one
+pair solve for every gap midpoint and one for every edge (per mode count,
+should a callable family's members differ in size).
+
+A network with a real-axis pole in the window (an undamped mode no port sees)
+is singular at that frequency, so it keeps the scan to decide which runs
+exist: scan points with eta >= threshold form runs, a single singular scan
+point between two qualifying neighbors counts as qualifying (the curve is
+continuous through it), while a wider singular gap splits the run.  Each end
+with a finite scan point outside it is the level-set root inside that
+bracket; any other end stays on its scan point.
 
 The width-versus-kappa curve is discontinuous where separate branches merge into
 one (the merged interval is suddenly much wider), so the optimizer never trusts
@@ -45,10 +55,15 @@ from .linalg import eigenvalues_hermitian
 from .network import CoupledModeNetwork
 from .scattering import _member_stack, _pair_transmission, transmission_grid
 
-# Dense-scan density for interval extraction, and the bisection stopping rule
-# |eta - threshold| <= ETA_REFINE_TOL at refined endpoints.
+# Scan density for networks with a real-axis pole in the window, and the
+# polishing rule |eta - threshold| <= ETA_REFINE_TOL at every edge.
 DEFAULT_SCAN_POINTS = 4001
 ETA_REFINE_TOL = 1e-9
+POLISH_STEPS = 60
+
+# An eigenvalue within REAL_AXIS_RTOL * ||matrix||_F of the real axis counts as
+# real: a threshold crossing of the level-set matrix, or a pole of H.
+REAL_AXIS_RTOL = 1e-8
 
 # Coarse kappa-grid density for optimize_kappa before golden-section refinement.
 COARSE_KAPPA_POINTS = 201
@@ -183,50 +198,183 @@ def efficiency_curve(net: CoupledModeNetwork, in_port: str, out_port: str, omega
     return EfficiencyCurve(omegas=omegas, etas=kept, in_port=in_port, out_port=out_port)
 
 
-def _refine_crossings(nets, ports, member, threshold, lo, hi, f_lo_sign):
-    """Vectorized bisection on eta - threshold inside the brackets [lo, hi].
+def _level_set_matrix(h, i: int, o: int, k_i: float, k_o: float, gamma: float) -> np.ndarray:
+    """L_gamma, whose real eigenvalues are the frequencies where |S_oi| = gamma.
 
-    Bracket j belongs to ``nets[member[j]]``, driven at ``ports[member[j]]``;
-    all networks have the same mode count.  Each bracket must change sign.
-    Returns the refined crossing frequencies, stopping per-crossing once
-    |eta - threshold| <= ETA_REFINE_TOL.  Each step solves the brackets still
-    open as one stack of (member, omega) pairs; no brackets cost no evaluation.
+    With H = A - iK/2 (``h``), S_oi(omega) = D + C (omega - H)^-1 B for
+    B = sqrt(k_i) e_i, C = i sqrt(k_o) e_o^T and feedthrough D = -1 when a port
+    is driven into itself (0 otherwise).  For R = D^2 - gamma^2, nonzero when
+    gamma < 1,
+
+        L_gamma = [[H - B D C / R,       -gamma B B^H / R],
+                   [-gamma C^H C / R,    H^H - C^H D B^H / R]],
+
+    which for D = 0 is [[H, B B^H / gamma], [C^H C / gamma, H^H]] (Boyd,
+    Balakrishnan & Kabamba, MCSS 1989).  B and C each have one nonzero entry,
+    so L_gamma is diag(H, H^H) plus four entries.
     """
-    if len(nets) == 1:
-        # transmission_grid is the one-member case of the same pair solve; a
-        # lone report refines through it, so layer tracing sees its steps.
-        def eta(_, omegas):
-            return _eta_grid(nets[0], omegas, *ports[0])
+    n = len(h)
+    d = -1.0 if i == o else 0.0
+    r = d * d - gamma * gamma
+    feed = math.sqrt(k_i * k_o) * d / r
+    mat = np.zeros((2 * n, 2 * n), dtype=complex)
+    mat[:n, :n] = h
+    mat[n:, n:] = h.conj().T
+    mat[i, o] -= 1j * feed
+    mat[n + o, n + i] += 1j * feed
+    mat[i, n + i] = -gamma * k_i / r
+    mat[n + o, o] = -gamma * k_o / r
+    return mat
 
-    else:
-        stack = _member_stack(nets, ports)
 
-        def eta(members, omegas):
-            return np.abs(_pair_transmission(stack, members, omegas)) ** 2
+def _real_eigenvalues(mats) -> list[np.ndarray]:
+    """Sorted real parts of the eigenvalues of each matrix that lie on the real axis.
 
-    lo = lo.copy()
-    hi = hi.copy()
-    result = (lo + hi) / 2.0
-    pending = np.arange(len(lo))
-    for _ in range(96):
+    "On" means within REAL_AXIS_RTOL * ||matrix||_F; one stacked ``eigvals``
+    call per matrix size.
+    """
+    out = [None] * len(mats)
+    sizes = np.array([len(mat) for mat in mats])
+    for n in set(sizes.tolist()):
+        group = np.flatnonzero(sizes == n)
+        stack = np.array([mats[i] for i in group])
+        lam = np.linalg.eigvals(stack)
+        real = np.abs(lam.imag) <= REAL_AXIS_RTOL * np.linalg.norm(stack, axis=(1, 2))[:, None]
+        for i, values, keep in zip(group, lam.real, real):
+            out[i] = np.sort(values[keep])
+    return out
+
+
+def _level_set_roots(nets, ports, gamma: float, w_lo: float, w_hi: float):
+    """Crossings in (w_lo, w_hi) of networks of one mode count, and which have a pole in [w_lo, w_hi].
+
+    L_gamma is built on the modes the coupling graph links to a port of the
+    pair: the others cannot change S_out,in, and leaving them out keeps the
+    crossings of a network with a decoupled dark mode bit for bit.  A pole is
+    an eigenvalue of the whole network's H, decoupled modes included.
+    """
+    n = nets[0].n_modes
+    coupling = np.array([net.coupling for net in nets])
+    damping = np.array([net.damping for net in nets])
+    modes = np.array([[net.index_of(label) for label in pair] for net, pair in zip(nets, ports)])
+    h = coupling - 0.5j * (damping[:, None, :] * np.eye(n))
+    linked = coupling != 0.0
+    reach = np.zeros(damping.shape, dtype=bool)
+    reach[np.arange(len(nets))[:, None], modes] = True
+    while True:
+        grown = reach | (linked & reach[:, :, None]).any(axis=1)
+        if (grown == reach).all():
+            break
+        reach = grown
+    mats = []
+    for h_j, k_j, keep, (i, o) in zip(h, damping, reach, modes):
+        k_i, k_o = k_j[i], k_j[o]
+        if not keep.all():
+            keep = np.flatnonzero(keep)
+            h_j, i, o = h_j[np.ix_(keep, keep)], np.searchsorted(keep, i), np.searchsorted(keep, o)
+        mats.append(_level_set_matrix(h_j, i, o, k_i, k_o, gamma))
+    crossings = [r[(r > w_lo) & (r < w_hi)] for r in _real_eigenvalues(mats)]
+    poles = np.array([((r >= w_lo) & (r <= w_hi)).any() for r in _real_eigenvalues(list(h))])
+    return crossings, poles
+
+
+def _polish(stack, member, threshold, x, lo, g_lo, hi, g_hi) -> np.ndarray:
+    """Edges x on eta = threshold to ETA_REFINE_TOL, by regula falsi inside [lo, hi].
+
+    Edge j belongs to member ``member[j]`` of ``stack``.  ``g_lo`` and
+    ``g_hi`` are eta - threshold at the bracket ends, one >= 0 and one < 0,
+    and x lies between them.  An edge that already meets the tolerance costs
+    one evaluation; the others take Illinois steps (the end kept twice in a
+    row has its value halved), each step one stack of the edges still open.
+    """
+    x, lo, g_lo, hi, g_hi = (np.array(a, dtype=float) for a in (x, lo, g_lo, hi, g_hi))
+    kept = np.zeros(len(x))  # +1: lo moved last, -1: hi moved last
+    pending = np.arange(len(x))
+    for _ in range(POLISH_STEPS):
         if not pending.size:
             break
-        mid = (lo[pending] + hi[pending]) / 2.0
-        f_mid = eta(member[pending], mid) - threshold
-        result[pending] = mid
-        same = np.sign(f_mid) == f_lo_sign[pending]
-        lo[pending[same]] = mid[same]
-        hi[pending[~same]] = mid[~same]
-        pending = pending[np.abs(f_mid) > ETA_REFINE_TOL]
-    return result
+        g = np.abs(_pair_transmission(stack, member[pending], x[pending], "nan")) ** 2 - threshold
+        far = np.abs(g) > ETA_REFINE_TOL
+        p, g = pending[far], g[far]
+        low = (g < 0.0) == (g_lo[p] < 0.0)
+        lo[p[low]], g_lo[p[low]] = x[p[low]], g[low]
+        hi[p[~low]], g_hi[p[~low]] = x[p[~low]], g[~low]
+        g_hi[p[low & (kept[p] > 0)]] /= 2.0
+        g_lo[p[~low & (kept[p] < 0)]] /= 2.0
+        kept[p] = np.where(low, 1.0, -1.0)
+        x[p] = (lo[p] * g_hi[p] - hi[p] * g_lo[p]) / (g_hi[p] - g_lo[p])
+        pending = p
+    return x
+
+
+def _scan_edges(net, in_port, out_port, threshold, grid, crossings):
+    """Runs of the scan of a network with a real-axis pole in the window.
+
+    Returns the (runs x 2) grid ends, which of them have a finite outer
+    neighbor, and for those the level-set root inside the bracket they form
+    with it (the root nearest the run, or the bracket's middle should rounding
+    have pushed every root out) with the bracket, for :func:`_polish`.
+    """
+    etas = _eta_grid(net, grid, in_port, out_port, on_singular="nan")
+    finite = np.isfinite(etas)
+    if not finite.all():
+        warnings.warn(
+            f"network singular at {int((~finite).sum())} scan frequencies; "
+            "those points are excluded from interval detection",
+            stacklevel=5,
+        )
+    above = finite & (etas >= threshold)
+    # A one-point singular gap between qualifying neighbors does not split a
+    # run: the curve is continuous through a removable singularity.
+    above[1:-1] |= ~finite[1:-1] & above[:-2] & above[2:]
+    runs = np.flatnonzero(np.diff(np.concatenate(([False], above, [False])))).reshape(-1, 2) - [0, 1]
+    refine = np.concatenate(([False], finite, [False]))[runs + [-1, 1] + 1]
+    inner, outer = runs[refine], (runs + [-1, 1])[refine]
+    near = np.searchsorted(crossings, grid[inner]) - (outer < inner)
+    root = np.append(crossings, np.nan)[np.where(near >= 0, near, len(crossings))]
+    a, b = np.minimum(inner, outer), np.maximum(inner, outer)
+    x = np.where((root >= grid[a]) & (root <= grid[b]), root, (grid[a] + grid[b]) / 2.0)
+    return grid[runs], refine, (x, grid[a], etas[a] - threshold, grid[b], etas[b] - threshold)
+
+
+def _group_ends(nets, ports, threshold: float, w_lo: float, w_hi: float, grid) -> list[np.ndarray]:
+    """The (intervals x 2) edge array of each network, all of one mode count."""
+    stack = _member_stack(nets, ports)
+    crossings, poles = _level_set_roots(nets, ports, math.sqrt(threshold), w_lo, w_hi)
+    # Between consecutive cuts (crossings and window ends) eta - threshold
+    # keeps its sign, so the midpoint classifies the gap: one pair solve
+    # covers every gap of every pole-free member.
+    free = np.flatnonzero(~poles)
+    cuts = [np.concatenate(([w_lo], crossings[k], [w_hi])) for k in free]
+    mids = [(c[:-1] + c[1:]) / 2.0 for c in cuts]
+    counts = [len(m) for m in mids]
+    omegas = np.concatenate(mids) if mids else np.empty(0)
+    g_mid = np.abs(_pair_transmission(stack, np.repeat(free, counts), omegas, "nan")) ** 2 - threshold
+    ends = [None] * len(nets)
+    edges = []  # (member, which ends, x, lo, g_lo, hi, g_hi)
+    for k, c, m, g in zip(free, cuts, mids, np.split(g_mid, np.cumsum(counts)[:-1])):
+        runs = np.flatnonzero(np.diff(np.concatenate(([False], g >= 0.0, [False])))).reshape(-1, 2)
+        ends[k] = c[runs]
+        inner = (runs > 0) & (runs < len(c) - 1)
+        cut = runs[inner]
+        edges.append((k, inner, c[cut], m[cut - 1], g[cut - 1], m[cut], g[cut]))
+    for k in np.flatnonzero(poles):
+        ends[k], refine, bracket = _scan_edges(nets[k], *ports[k], threshold, grid, crossings[k])
+        edges.append((k, refine, *bracket))
+    sizes = [len(edge[2]) for edge in edges]
+    member = np.repeat([edge[0] for edge in edges], sizes)
+    x = _polish(stack, member, threshold, *(np.concatenate(col) for col in list(zip(*edges))[2:]))
+    for (k, which, *_), polished in zip(edges, np.split(x, np.cumsum(sizes)[:-1])):
+        ends[k][which] = polished
+    return ends
 
 
 def _bandwidth_reports(nets, ports, threshold: float, omega_range, points: int) -> list[BandwidthReport]:
     """One :class:`BandwidthReport` per network, ``ports[i]`` = (in, out) of ``nets[i]``.
 
-    Each network is scanned on its own and reduced to its runs before the next
-    is scanned; the edge brackets of all networks are then refined together,
-    one bisection per mode count.
+    Networks are handled one mode count at a time: one ``eigvals`` call on the
+    stack of their level-set matrices gives every crossing, one pair solve
+    classifies the gaps between them, and one more polishes every edge.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
@@ -237,51 +385,15 @@ def _bandwidth_reports(nets, ports, threshold: float, omega_range, points: int) 
         grid = np.array([w_lo])
     else:
         grid = np.linspace(w_lo, w_hi, int(points))
-    runs, refine = [], []
-    for net, (in_port, out_port) in zip(nets, ports):
-        etas = _eta_grid(net, grid, in_port, out_port, on_singular="nan")
-        finite = np.isfinite(etas)
-        if not finite.all():
-            warnings.warn(
-                f"network singular at {int((~finite).sum())} scan frequencies; "
-                "those points are excluded from interval detection",
-                stacklevel=3,
-            )
-        above = finite & (etas >= threshold)
-        # A one-point singular gap between qualifying neighbors does not split
-        # an interval: the curve is continuous through a removable singularity.
-        above[1:-1] |= ~finite[1:-1] & above[:-2] & above[2:]
-        # (lo, hi) grid indices of each run of qualifying points, one row per run.
-        edges = np.flatnonzero(np.diff(np.concatenate(([False], above, [False]))))
-        member_runs = edges.reshape(-1, 2) - [0, 1]
-        # An end is refined inside the bracket it forms with its outer neighbor
-        # when that neighbor exists and is finite.
-        runs.append(member_runs)
-        refine.append(np.concatenate(([False], finite, [False]))[member_runs + [-1, 1] + 1])
-    counts = [len(member_runs) for member_runs in runs]
-    runs, refine = np.concatenate(runs), np.concatenate(refine)
-    owner = np.repeat(np.arange(len(nets)), counts)[:, None].repeat(2, axis=1)
-    ends = grid[runs]
-    # outer - inner (-1 at a lower end, +1 at an upper end) is the sign of
-    # eta - threshold at the bracket's lower point.
-    outer = runs + [-1, 1]
-    # Members of a callable family may differ in size; each size is one stack.
+    ends = [None] * len(nets)
     sizes = np.array([net.n_modes for net in nets])
     for n in sorted(set(sizes.tolist())):
         group = np.flatnonzero(sizes == n)
-        sel = refine & (sizes[owner] == n)
-        inner, out = runs[sel], outer[sel]
-        ends[sel] = _refine_crossings(
-            [nets[i] for i in group],
-            [ports[i] for i in group],
-            np.searchsorted(group, owner[sel]),
-            threshold,
-            grid[np.minimum(inner, out)],
-            grid[np.maximum(inner, out)],
-            (out - inner).astype(float),
-        )
+        members = [nets[i] for i in group], [ports[i] for i in group]
+        for i, member_ends in zip(group, _group_ends(*members, threshold, w_lo, w_hi, grid)):
+            ends[i] = member_ends
     reports = []
-    for member_ends in np.split(ends, np.cumsum(counts)[:-1]):
+    for member_ends in ends:
         intervals = tuple(Interval(lo=float(lo), hi=float(hi)) for lo, hi in member_ends)
         max_width = max((iv.width for iv in intervals), default=0.0)
         reports.append(
@@ -300,11 +412,12 @@ def high_efficiency_intervals(
 ) -> BandwidthReport:
     """Maximal disjoint intervals with eta >= threshold inside omega_range.
 
-    A dense scan (default 4001 points) locates the intervals; every endpoint
-    with a finite scan point outside it is bisection-refined until eta equals
-    the threshold to ``ETA_REFINE_TOL``.  Endpoints on the range boundary stay
-    clipped there.  The report is empty (max_width 0) when no scan point
-    qualifies.
+    Every edge inside the range is a crossing of the threshold, with eta on it
+    to ``ETA_REFINE_TOL``; edges on the range boundary stay clipped there.  The
+    report is empty (max_width 0) when eta stays below the threshold.
+    ``points`` does not change the result for a network without a real-axis
+    pole in the range; for one with such a pole it is the density of the scan
+    that decides which runs exist (see the module docstring).
     """
     return _bandwidth_reports([net], [(in_port, out_port)], threshold, omega_range, points)[0]
 
@@ -317,7 +430,11 @@ def max_bandwidth(
     omega_range,
     points: int = DEFAULT_SCAN_POINTS,
 ) -> float:
-    """Width of the widest interval with eta >= threshold (0 if none)."""
+    """Width of the widest interval with eta >= threshold (0 if none).
+
+    ``points`` matters only for a network with a real-axis pole in the range,
+    as in :func:`high_efficiency_intervals`.
+    """
     return high_efficiency_intervals(net, in_port, out_port, threshold, omega_range, points).max_width
 
 
@@ -329,7 +446,11 @@ def branch_count(
     omega_range,
     points: int = DEFAULT_SCAN_POINTS,
 ) -> int:
-    """Number of disjoint intervals with eta >= threshold."""
+    """Number of disjoint intervals with eta >= threshold.
+
+    ``points`` matters only for a network with a real-axis pole in the range,
+    as in :func:`high_efficiency_intervals`.
+    """
     return len(
         high_efficiency_intervals(net, in_port, out_port, threshold, omega_range, points).intervals
     )
@@ -371,7 +492,10 @@ def optimize_kappa(
     width is discontinuous where branches merge, so the optimizer does not
     assume unimodality: it returns the best (kappa, width) pair it actually
     evaluated anywhere, never a merely-converged-to point.  A single-point
-    range returns that kappa with its width.
+    range returns that kappa with its width.  The coarse grid is one batch:
+    one eigen-solve stack for all its members.  Widths are those of
+    :func:`max_bandwidth` with its default ``points``, which matters only for
+    a member with a real-axis pole in the window.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")

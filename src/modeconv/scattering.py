@@ -29,7 +29,7 @@ through the pair solve (:func:`_pair_transmission`): every (member, omega)
 pair of a stack of reduced networks is one system of a single
 :func:`modeconv.linalg.solve_batched` call.  :func:`transmission_grid` is the
 stack of one network, :func:`transmission` the grid of one frequency, and
-bandwidth refinement in :mod:`modeconv.analysis` solves many members at once.
+bandwidth extraction in :mod:`modeconv.analysis` solves many members at once.
 Whole columns at one frequency go through the point solve (:func:`_solve_at`,
 via :func:`modeconv.linalg.solve_with_condition`, which also reports the pivot
 ratio as a conditioning estimate): :func:`scattering_matrix` drives every port,

@@ -8,10 +8,12 @@ import pytest
 
 from modeconv.analysis import (
     DEFAULT_SCAN_POINTS,
+    ETA_REFINE_TOL,
     ConverterFamily,
     Interval,
     _bandwidth_reports,
     _conversion_ports,
+    _polish,
     branch_count,
     default_omega_window,
     efficiency_curve,
@@ -21,8 +23,9 @@ from modeconv.analysis import (
     optimize_kappa,
 )
 from modeconv.converter import ResonantParams, efficiency_closed_form, resonant_network, two_mode_network
+from modeconv.ensemble import default_validation_ensemble, microscopic_network
 from modeconv.network import new_network
-from modeconv.scattering import transmission_grid
+from modeconv.scattering import _member_stack, dynamical_matrix, transmission_grid
 
 
 def resonant(kappa):
@@ -275,10 +278,11 @@ class TestBatchedReports:
         batch, single, _, _ = batch_and_single(resonant, kappas, 0.99, (-3.0, 3.0))
         assert batch == single
         (edge,) = batch[1].intervals
-        assert edge.lo == -edge.hi
-        assert abs(edge.hi - 0.0946147098541) < 1e-12
+        # two eigenvalues of one level-set matrix of norm ~8: symmetric to a few ulp of that norm
+        assert abs(edge.lo + edge.hi) < 1e-15
+        assert abs(edge.hi - 0.09461470968326868) < 1e-12
         for omega in (edge.lo, edge.hi):
-            assert abs(efficiency_closed_form(omega, 1.0, EXCEPTIONAL_KAPPA) - 0.99) < 1e-8
+            assert abs(efficiency_closed_form(omega, 1.0, EXCEPTIONAL_KAPPA) - 0.99) < 1e-12
 
     def test_members_of_different_size_labels_and_ports(self):
         kappas = np.linspace(0.1, 8.0, 41)
@@ -286,7 +290,7 @@ class TestBatchedReports:
         assert batch == single
         # (kappa*, width*) as the per-kappa coarse stage found them
         assert optimize_kappa(mixed_family, 0.99, (0.1, 8.0), 41) == pytest.approx(
-            (2.274577701158931, 1.9412347099792502), rel=1e-12
+            (2.2745788939166904, 1.941233579250126), rel=1e-12
         )
 
     def test_singular_scan_warnings_one_per_affected_member(self):
@@ -307,11 +311,128 @@ class TestBatchedReports:
         net = mixed_family(0.5)
         width = max_bandwidth(net, "a", "b", 0.99, default_omega_window(net))
         assert optimize_kappa(mixed_family, 0.99, (0.5, 0.5)) == (0.5, width)
-        assert width == pytest.approx(0.05191859245300323, rel=1e-12)
+        assert width == pytest.approx(0.051918592786257656, rel=1e-12)
         assert optimize_kappa(mixed_family, 0.9, (1.0, 6.0), 2) == pytest.approx(
-            (1.6877087890645088, 2.620849486770612), rel=1e-12
+            (1.6877088025689542, 2.620849480721409), rel=1e-12
         )
         fam = ConverterFamily(kind="detuned", g=1.0, delta_mu=3.0)
         assert optimize_kappa(fam, 0.99, (0.5, 4.0), 2) == pytest.approx(
-            (0.5, 0.08862082345875946), rel=1e-12
+            (0.5, 0.08862082538369151), rel=1e-12
         )
+
+
+def eta_by_solve(net, in_port, out_port, omegas):
+    """|S_out,in|^2 at each frequency from np.linalg.solve of the unreduced M(omega)."""
+    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    i, o = net.index_of(in_port), net.index_of(out_port)
+    drive = np.zeros((len(omegas), net.n_modes, 1), dtype=complex)
+    drive[:, i, 0] = np.sqrt(net.damping[i])
+    m = dynamical_matrix(net, 0.0) - 2j * omegas[:, None, None] * np.eye(net.n_modes)
+    x = np.linalg.solve(m, drive)[:, :, 0]
+    return np.abs(2.0 * np.sqrt(net.damping[o]) * x[:, o] - (1.0 if i == o else 0.0)) ** 2
+
+
+def assert_exact(net, in_port, out_port, threshold, window, report):
+    """Every edge inside the window sits on the threshold, every interval is above it, every gap below."""
+    edges = [e for iv in report.intervals for e in (iv.lo, iv.hi) if e not in window]
+    assert np.all(np.abs(eta_by_solve(net, in_port, out_port, edges) - threshold) <= 1e-9)
+    inside = [(iv.lo + iv.hi) / 2.0 for iv in report.intervals]
+    gaps = [(a.hi + b.lo) / 2.0 for a, b in zip(report.intervals, report.intervals[1:])]
+    assert np.all(eta_by_solve(net, in_port, out_port, inside) >= threshold)
+    assert np.all(eta_by_solve(net, in_port, out_port, gaps) < threshold)
+
+
+def scan_above(net, threshold, window, points=DEFAULT_SCAN_POINTS):
+    """Points of an evenly spaced scan with eta >= threshold."""
+    grid = np.linspace(*window, points)
+    return grid[np.abs(transmission_grid(net, grid, "a", "b")) ** 2 >= threshold]
+
+
+class TestLevelSetEdges:
+    """Edges are the real eigenvalues of the level-set matrix, so no grid decides what is found."""
+
+    def test_third_interval_the_scan_misses(self):
+        net = ConverterFamily(kind="detuned", g=1.0, delta_mu=3.0).build(0.02)
+        window = default_omega_window(net)
+        report = high_efficiency_intervals(net, "a", "b", 0.9, window)
+        assert len(report.intervals) == 3
+        third = report.intervals[2]
+        assert third.lo == pytest.approx(3.561094893581, abs=1e-9)
+        assert third.hi == pytest.approx(3.562002868204, abs=1e-9)
+        assert not np.any(scan_above(net, 0.9, window) > 3.0)
+        assert_exact(net, "a", "b", 0.9, window, report)
+
+    def test_passband_where_the_scan_finds_nothing(self):
+        net = ConverterFamily(kind="detuned", g=1.0, delta_mu=30.0).build(0.2)
+        window = default_omega_window(net)
+        report = high_efficiency_intervals(net, "a", "b", 0.5, window)
+        ((lo, hi),) = [(iv.lo, iv.hi) for iv in report.intervals]
+        assert lo == pytest.approx(30.066297686664, abs=1e-9)
+        assert hi == pytest.approx(30.066739185094, abs=1e-9)
+        assert scan_above(net, 0.5, window).size == 0
+        assert_exact(net, "a", "b", 0.5, window, report)
+
+    def test_detuned_optimum_splits_at_its_dip(self):
+        # The optimum optimize_kappa found for this member with the 4001-point
+        # scan: the scan's one interval spans a dip 1.4e-4 below the threshold.
+        net = ConverterFamily(kind="detuned", g=0.828568972017736, delta_mu=7.992628041608895).build(
+            0.12249073264815259
+        )
+        window = default_omega_window(net)
+        report = high_efficiency_intervals(net, "a", "b", 0.9, window)
+        first, second = report.intervals[:2]
+        above = scan_above(net, 0.9, window)
+        assert above.min() < first.hi < second.lo < above.max()
+        assert 1.4e-4 < 0.9 - eta_by_solve(net, "a", "b", (first.hi + second.lo) / 2.0)[0] < 1.5e-4
+        assert_exact(net, "a", "b", 0.9, window, report)
+
+    @pytest.mark.parametrize("offset, count", [(1e-12, 2), (-1e-12, 1)])
+    def test_dip_that_just_touches_the_threshold(self, offset, count):
+        # Overcoupled two-mode converter: one dip, at omega = 0 by symmetry.
+        net = two_mode_network(1.0, 1.0, 1.0)
+        threshold = float(eta_by_solve(net, "a", "b", 0.0)[0]) + offset
+        report = high_efficiency_intervals(net, "a", "b", threshold, (-3.0, 3.0))
+        assert len(report.intervals) == count
+        assert_exact(net, "a", "b", threshold, (-3.0, 3.0), report)
+
+    def test_reflection_port_against_a_dense_grid(self):
+        # a -> a has feedthrough -1, so the level set takes its D != 0 form.
+        net = ConverterFamily(kind="detuned", g=1.0, delta_mu=1.0).build(0.7)
+        window = (-4.0, 4.0)
+        report = high_efficiency_intervals(net, "a", "a", 0.5, window)
+        assert len(report.intervals) >= 2
+        assert_exact(net, "a", "a", 0.5, window, report)
+        grid = np.linspace(*window, 200001)
+        eta = eta_by_solve(net, "a", "a", grid)
+        inside = np.zeros(len(grid), dtype=bool)
+        for iv in report.intervals:
+            inside |= (grid >= iv.lo) & (grid <= iv.hi)
+        assert np.all(eta[inside] >= 0.5 - 1e-9)
+        assert np.all(eta[~inside] < 0.5 + 1e-9)
+
+    def test_real_axis_pole_keeps_the_scan_with_level_set_edges(self):
+        # The compensated uniform ensemble has 30 dark modes at omega = 0, a
+        # scan point of the default 4001-point grid but not of a 4000-point one.
+        net = microscopic_network(default_validation_ensemble(), 2.6, 2.6)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = high_efficiency_intervals(net, "a", "b", 0.9, (-3.0, 3.0))
+        assert [str(w.message) for w in caught] == [
+            "network singular at 1 scan frequencies; those points are excluded from interval detection"
+        ]
+        assert report == high_efficiency_intervals(net, "a", "b", 0.9, (-3.0, 3.0), 4000)
+        (interval,) = report.intervals
+        edges = [interval.lo, interval.hi]
+        assert np.all(np.abs(eta_by_solve(net, "a", "b", edges) - 0.9) <= 1e-12)
+
+    def test_polish_converges_from_a_far_start(self):
+        # Level-set roots rarely need polishing; start one bracket per edge
+        # side from its middle, far from the closed-form edge of the flat top.
+        net = resonant(2.6)
+        (edge,) = high_efficiency_intervals(net, "a", "b", 0.99, (-3.0, 3.0)).intervals
+        lo, hi = np.array([-1.0, 0.5]), np.array([-0.5, 1.0])
+        g_lo, g_hi = (eta_by_solve(net, "a", "b", ends) - 0.99 for ends in (lo, hi))
+        stack = _member_stack([net], [("a", "b")])
+        x = _polish(stack, np.array([0, 0]), 0.99, (lo + hi) / 2.0, lo, g_lo, hi, g_hi)
+        assert np.all(np.abs(efficiency_closed_form(x, 1.0, 2.6) - 0.99) <= ETA_REFINE_TOL)
+        assert x == pytest.approx([edge.lo, edge.hi], abs=1e-9)

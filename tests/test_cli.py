@@ -439,12 +439,17 @@ def test_microscopic_bandwidth_report_matches_the_library(tmp_path, capsys):
     intervals = [{"lo": iv.lo, "hi": iv.hi, "width": iv.width} for iv in report.intervals]
     expected = {"threshold": 0.9, "intervals": intervals, "max_width": report.max_width}
     assert capsys.readouterr().out == json_text(expected) + "\n"
-    assert len(intervals) == 6
+    assert len(intervals) == 16
     a, b = net.index_of("a"), net.index_of("b")
     drive = np.zeros(net.n_modes, dtype=complex)
     drive[a] = np.sqrt(net.damping[a])
+
+    def eta(omega):
+        x = np.linalg.solve(dynamical_matrix(net, omega), drive)
+        return abs(2.0 * np.sqrt(net.damping[b]) * x[b]) ** 2
+
     for iv in report.intervals:
         for edge in (iv.lo, iv.hi):
-            x = np.linalg.solve(dynamical_matrix(net, edge), drive)
-            eta = abs(2.0 * np.sqrt(net.damping[b]) * x[b]) ** 2
-            assert abs(eta - 0.9) <= 2e-9
+            assert abs(eta(edge) - 0.9) <= 2e-9
+    for left, right in zip(report.intervals, report.intervals[1:]):
+        assert eta((left.hi + right.lo) / 2.0) < 0.9
