@@ -21,13 +21,13 @@ the same path as one batch: one ``eigvals`` call on the stack of their L, one
 pair solve for every gap midpoint and one for every edge (per mode count,
 should a callable family's members differ in size).
 
-A network with a real-axis pole in the window (an undamped mode no port sees)
-is singular at that frequency, so it keeps the scan to decide which runs
-exist: scan points with eta >= threshold form runs, a single singular scan
-point between two qualifying neighbors counts as qualifying (the curve is
-continuous through it), while a wider singular gap splits the run.  Each end
-with a finite scan point outside it is the level-set root inside that
-bracket; any other end stays on its scan point.
+A real eigenvalue of H is a pole: its mode is undamped, so no port sees it and
+it cancels from S_out,in.  eta is continuous through it, but the network is
+singular there.  Poles in the window (eigenvalues within REAL_AXIS_RTOL of the
+real axis, so weakly damped modes too) are cuts as well, so no gap midpoint
+sits on one.  A midpoint the pair solve still flags singular lies between
+near-coincident cuts; its gap takes the class of the gap before it (the first
+gap that of the next classified gap).
 
 The width-versus-kappa curve is discontinuous where separate branches merge into
 one (the merged interval is suddenly much wider), so the optimizer never trusts
@@ -55,9 +55,9 @@ from .linalg import eigenvalues_hermitian
 from .network import CoupledModeNetwork
 from .scattering import _member_stack, _pair_transmission, transmission_grid
 
-# Scan density for networks with a real-axis pole in the window, and the
-# polishing rule |eta - threshold| <= ETA_REFINE_TOL at every edge.
+# Scan spacing of the merge-dip allowance in bench/oracles.py, its only reader.
 DEFAULT_SCAN_POINTS = 4001
+# The polishing rule |eta - threshold| <= ETA_REFINE_TOL at every edge.
 ETA_REFINE_TOL = 1e-9
 POLISH_STEPS = 60
 
@@ -246,7 +246,7 @@ def _real_eigenvalues(mats) -> list[np.ndarray]:
 
 
 def _level_set_roots(nets, ports, gamma: float, w_lo: float, w_hi: float):
-    """Crossings in (w_lo, w_hi) of networks of one mode count, and which have a pole in [w_lo, w_hi].
+    """Crossings and poles in (w_lo, w_hi) of networks of one mode count.
 
     L_gamma is built on the modes the coupling graph links to a port of the
     pair: the others cannot change S_out,in, and leaving them out keeps the
@@ -274,7 +274,7 @@ def _level_set_roots(nets, ports, gamma: float, w_lo: float, w_hi: float):
             h_j, i, o = h_j[np.ix_(keep, keep)], np.searchsorted(keep, i), np.searchsorted(keep, o)
         mats.append(_level_set_matrix(h_j, i, o, k_i, k_o, gamma))
     crossings = [r[(r > w_lo) & (r < w_hi)] for r in _real_eigenvalues(mats)]
-    poles = np.array([((r >= w_lo) & (r <= w_hi)).any() for r in _real_eigenvalues(list(h))])
+    poles = [r[(r > w_lo) & (r < w_hi)] for r in _real_eigenvalues(list(h))]
     return crossings, poles
 
 
@@ -307,69 +307,40 @@ def _polish(stack, member, threshold, x, lo, g_lo, hi, g_hi) -> np.ndarray:
     return x
 
 
-def _scan_edges(net, in_port, out_port, threshold, grid, crossings):
-    """Runs of the scan of a network with a real-axis pole in the window.
-
-    Returns the (runs x 2) grid ends, which of them have a finite outer
-    neighbor, and for those the level-set root inside the bracket they form
-    with it (the root nearest the run, or the bracket's middle should rounding
-    have pushed every root out) with the bracket, for :func:`_polish`.
-    """
-    etas = _eta_grid(net, grid, in_port, out_port, on_singular="nan")
-    finite = np.isfinite(etas)
-    if not finite.all():
-        warnings.warn(
-            f"network singular at {int((~finite).sum())} scan frequencies; "
-            "those points are excluded from interval detection",
-            stacklevel=5,
-        )
-    above = finite & (etas >= threshold)
-    # A one-point singular gap between qualifying neighbors does not split a
-    # run: the curve is continuous through a removable singularity.
-    above[1:-1] |= ~finite[1:-1] & above[:-2] & above[2:]
-    runs = np.flatnonzero(np.diff(np.concatenate(([False], above, [False])))).reshape(-1, 2) - [0, 1]
-    refine = np.concatenate(([False], finite, [False]))[runs + [-1, 1] + 1]
-    inner, outer = runs[refine], (runs + [-1, 1])[refine]
-    near = np.searchsorted(crossings, grid[inner]) - (outer < inner)
-    root = np.append(crossings, np.nan)[np.where(near >= 0, near, len(crossings))]
-    a, b = np.minimum(inner, outer), np.maximum(inner, outer)
-    x = np.where((root >= grid[a]) & (root <= grid[b]), root, (grid[a] + grid[b]) / 2.0)
-    return grid[runs], refine, (x, grid[a], etas[a] - threshold, grid[b], etas[b] - threshold)
-
-
-def _group_ends(nets, ports, threshold: float, w_lo: float, w_hi: float, grid) -> list[np.ndarray]:
+def _group_ends(nets, ports, threshold: float, w_lo: float, w_hi: float) -> list[np.ndarray]:
     """The (intervals x 2) edge array of each network, all of one mode count."""
     stack = _member_stack(nets, ports)
     crossings, poles = _level_set_roots(nets, ports, math.sqrt(threshold), w_lo, w_hi)
-    # Between consecutive cuts (crossings and window ends) eta - threshold
-    # keeps its sign, so the midpoint classifies the gap: one pair solve
-    # covers every gap of every pole-free member.
-    free = np.flatnonzero(~poles)
-    cuts = [np.concatenate(([w_lo], crossings[k], [w_hi])) for k in free]
+    # Between consecutive cuts (crossings, poles and window ends) eta -
+    # threshold keeps its sign, so the midpoint classifies the gap: one pair
+    # solve covers every gap of every member.
+    cuts = [np.sort(np.concatenate(([w_lo], c, p, [w_hi]))) for c, p in zip(crossings, poles)]
     mids = [(c[:-1] + c[1:]) / 2.0 for c in cuts]
     counts = [len(m) for m in mids]
-    omegas = np.concatenate(mids) if mids else np.empty(0)
-    g_mid = np.abs(_pair_transmission(stack, np.repeat(free, counts), omegas, "nan")) ** 2 - threshold
-    ends = [None] * len(nets)
-    edges = []  # (member, which ends, x, lo, g_lo, hi, g_hi)
-    for k, c, m, g in zip(free, cuts, mids, np.split(g_mid, np.cumsum(counts)[:-1])):
+    member = np.repeat(np.arange(len(nets)), counts)
+    g_mid = np.abs(_pair_transmission(stack, member, np.concatenate(mids), "nan")) ** 2 - threshold
+    ends = []
+    edges = []  # (which ends, x, lo, g_lo, hi, g_hi) per member
+    for c, m, g in zip(cuts, mids, np.split(g_mid, np.cumsum(counts)[:-1])):
+        # A singular midpoint takes the gap before it (the first the next
+        # classified gap): its point and value, so each bracket stays true.
+        src = np.maximum.accumulate(np.where(np.isfinite(g), np.arange(len(g)), -1))
+        src[src < 0] = np.argmax(np.isfinite(g))
+        m, g = m[src], g[src]
         runs = np.flatnonzero(np.diff(np.concatenate(([False], g >= 0.0, [False])))).reshape(-1, 2)
-        ends[k] = c[runs]
+        ends.append(c[runs])
         inner = (runs > 0) & (runs < len(c) - 1)
         cut = runs[inner]
-        edges.append((k, inner, c[cut], m[cut - 1], g[cut - 1], m[cut], g[cut]))
-    for k in np.flatnonzero(poles):
-        ends[k], refine, bracket = _scan_edges(nets[k], *ports[k], threshold, grid, crossings[k])
-        edges.append((k, refine, *bracket))
-    sizes = [len(edge[2]) for edge in edges]
-    member = np.repeat([edge[0] for edge in edges], sizes)
-    x = _polish(stack, member, threshold, *(np.concatenate(col) for col in list(zip(*edges))[2:]))
-    for (k, which, *_), polished in zip(edges, np.split(x, np.cumsum(sizes)[:-1])):
-        ends[k][which] = polished
+        edges.append((inner, c[cut], m[cut - 1], g[cut - 1], m[cut], g[cut]))
+    sizes = [len(edge[1]) for edge in edges]
+    member = np.repeat(np.arange(len(nets)), sizes)
+    x = _polish(stack, member, threshold, *(np.concatenate(col) for col in list(zip(*edges))[1:]))
+    for member_ends, (which, *_), polished in zip(ends, edges, np.split(x, np.cumsum(sizes)[:-1])):
+        member_ends[which] = polished
     return ends
 
 
-def _bandwidth_reports(nets, ports, threshold: float, omega_range, points: int) -> list[BandwidthReport]:
+def _bandwidth_reports(nets, ports, threshold: float, omega_range) -> list[BandwidthReport]:
     """One :class:`BandwidthReport` per network, ``ports[i]`` = (in, out) of ``nets[i]``.
 
     Networks are handled one mode count at a time: one ``eigvals`` call on the
@@ -381,16 +352,12 @@ def _bandwidth_reports(nets, ports, threshold: float, omega_range, points: int) 
     w_lo, w_hi = float(omega_range[0]), float(omega_range[1])
     if not (math.isfinite(w_lo) and math.isfinite(w_hi)) or w_hi < w_lo:
         raise ValueError(f"omega_range must be finite with min <= max, got {omega_range}")
-    if points < 2 or w_hi == w_lo:
-        grid = np.array([w_lo])
-    else:
-        grid = np.linspace(w_lo, w_hi, int(points))
     ends = [None] * len(nets)
     sizes = np.array([net.n_modes for net in nets])
     for n in sorted(set(sizes.tolist())):
         group = np.flatnonzero(sizes == n)
         members = [nets[i] for i in group], [ports[i] for i in group]
-        for i, member_ends in zip(group, _group_ends(*members, threshold, w_lo, w_hi, grid)):
+        for i, member_ends in zip(group, _group_ends(*members, threshold, w_lo, w_hi)):
             ends[i] = member_ends
     reports = []
     for member_ends in ends:
@@ -408,18 +375,14 @@ def high_efficiency_intervals(
     out_port: str,
     threshold: float,
     omega_range,
-    points: int = DEFAULT_SCAN_POINTS,
 ) -> BandwidthReport:
     """Maximal disjoint intervals with eta >= threshold inside omega_range.
 
     Every edge inside the range is a crossing of the threshold, with eta on it
     to ``ETA_REFINE_TOL``; edges on the range boundary stay clipped there.  The
     report is empty (max_width 0) when eta stays below the threshold.
-    ``points`` does not change the result for a network without a real-axis
-    pole in the range; for one with such a pole it is the density of the scan
-    that decides which runs exist (see the module docstring).
     """
-    return _bandwidth_reports([net], [(in_port, out_port)], threshold, omega_range, points)[0]
+    return _bandwidth_reports([net], [(in_port, out_port)], threshold, omega_range)[0]
 
 
 def max_bandwidth(
@@ -428,14 +391,9 @@ def max_bandwidth(
     out_port: str,
     threshold: float,
     omega_range,
-    points: int = DEFAULT_SCAN_POINTS,
 ) -> float:
-    """Width of the widest interval with eta >= threshold (0 if none).
-
-    ``points`` matters only for a network with a real-axis pole in the range,
-    as in :func:`high_efficiency_intervals`.
-    """
-    return high_efficiency_intervals(net, in_port, out_port, threshold, omega_range, points).max_width
+    """Width of the widest interval with eta >= threshold (0 if none)."""
+    return high_efficiency_intervals(net, in_port, out_port, threshold, omega_range).max_width
 
 
 def branch_count(
@@ -444,16 +402,9 @@ def branch_count(
     out_port: str,
     threshold: float,
     omega_range,
-    points: int = DEFAULT_SCAN_POINTS,
 ) -> int:
-    """Number of disjoint intervals with eta >= threshold.
-
-    ``points`` matters only for a network with a real-axis pole in the range,
-    as in :func:`high_efficiency_intervals`.
-    """
-    return len(
-        high_efficiency_intervals(net, in_port, out_port, threshold, omega_range, points).intervals
-    )
+    """Number of disjoint intervals with eta >= threshold."""
+    return len(high_efficiency_intervals(net, in_port, out_port, threshold, omega_range).intervals)
 
 
 def efficiency_map(family, kappa_grid, omega_grid) -> EfficiencyMap:
@@ -493,12 +444,14 @@ def optimize_kappa(
     assume unimodality: it returns the best (kappa, width) pair it actually
     evaluated anywhere, never a merely-converged-to point.  A single-point
     range returns that kappa with its width.  The coarse grid is one batch:
-    one eigen-solve stack for all its members.  Widths are those of
-    :func:`max_bandwidth` with its default ``points``, which matters only for
-    a member with a real-axis pole in the window.
+    one eigen-solve stack for all its members.  ``coarse_points`` must be an
+    integer >= 2.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
+    whole = isinstance(coarse_points, (int, np.integer)) and not isinstance(coarse_points, bool)
+    if not whole or coarse_points < 2:
+        raise ValueError(f"coarse_points must be an integer >= 2, got {coarse_points!r}")
     k_lo, k_hi = float(kappa_range[0]), float(kappa_range[1])
     if not (0.0 < k_lo <= k_hi) or not math.isfinite(k_hi):
         raise ValueError(f"kappa_range must be positive and finite, got {kappa_range}")
@@ -514,11 +467,9 @@ def optimize_kappa(
     if k_lo == k_hi:
         return k_lo, width_at(k_lo)
 
-    ks = np.linspace(k_lo, k_hi, max(int(coarse_points), 2))
+    ks = np.linspace(k_lo, k_hi, int(coarse_points))
     nets = [_build_member(family, float(k)) for k in ks]
-    reports = _bandwidth_reports(
-        nets, [_conversion_ports(net) for net in nets], threshold, omega_range, DEFAULT_SCAN_POINTS
-    )
+    reports = _bandwidth_reports(nets, [_conversion_ports(net) for net in nets], threshold, omega_range)
     widths = np.array([report.max_width for report in reports])
     best_i = int(np.argmax(widths))
     best_k = float(ks[best_i])

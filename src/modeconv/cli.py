@@ -22,7 +22,6 @@ import numpy as np
 
 from .analysis import (
     COARSE_KAPPA_POINTS,
-    DEFAULT_SCAN_POINTS,
     ConverterFamily,
     efficiency_map,
     high_efficiency_intervals,
@@ -290,8 +289,8 @@ def _sweep_text(net, in_port: str, out_port: str, window: tuple[float, float, in
     return csv_text("omega,eta", zip(grid, etas))
 
 
-def _bandwidth_text(net, in_port, out_port, threshold, omega_range, points) -> str:
-    report = high_efficiency_intervals(net, in_port, out_port, threshold, omega_range, points)
+def _bandwidth_text(net, in_port, out_port, threshold, omega_range) -> str:
+    report = high_efficiency_intervals(net, in_port, out_port, threshold, omega_range)
     intervals = [{"lo": iv.lo, "hi": iv.hi, "width": iv.width} for iv in report.intervals]
     doc = {"threshold": report.threshold, "intervals": intervals, "max_width": report.max_width}
     return json_text(doc) + "\n"
@@ -329,8 +328,7 @@ def _cmd_sweep(cfg: dict) -> str:
 def _cmd_bandwidth(cfg: dict) -> str:
     net, in_port, out_port = _build_single_network(cfg, "bandwidth", {"threshold"})
     threshold = _threshold(cfg)
-    w_min, w_max, points = _range(cfg, "window", points=DEFAULT_SCAN_POINTS)
-    return _bandwidth_text(net, in_port, out_port, threshold, (w_min, w_max), points)
+    return _bandwidth_text(net, in_port, out_port, threshold, _range(cfg, "window", points=None))
 
 
 def _cmd_map(cfg: dict) -> str:
@@ -410,7 +408,7 @@ def _preset_fig2(out_dir: Path):
     _write_text(out_dir / "fig2_resonant_sweep.csv", _sweep_text(resonant, "a", "b", window))
     _write_text(out_dir / "fig2_detuned_sweep.csv", _sweep_text(detuned, "a", "b", window))
     _write_text(out_dir / "fig2_two_mode_sweep.csv", _sweep_text(eliminated, "a", "b", window))
-    bandwidth = _bandwidth_text(resonant, "a", "b", 0.999, (-3.0, 3.0), DEFAULT_SCAN_POINTS)
+    bandwidth = _bandwidth_text(resonant, "a", "b", 0.999, (-3.0, 3.0))
     _write_text(out_dir / "fig2_resonant_bandwidth.json", bandwidth)
 
 

@@ -39,11 +39,11 @@ def test_criterion_1_unity_efficiency_points():
 
 def test_criterion_2_flat_top_width():
     net = resonant_network(ResonantParams(1.0, 1.0, 2.6, 2.6))
-    report = high_efficiency_intervals(net, "a", "b", 0.999, (-3.0, 3.0), 4001)
+    report = high_efficiency_intervals(net, "a", "b", 0.999, (-3.0, 3.0))
     assert len(report.intervals) == 1
     assert 1.30 <= report.max_width <= 1.34
     # pre-registered dense-scan oracle for the 0.99-threshold width at kappa = 2.6
-    report99 = high_efficiency_intervals(net, "a", "b", 0.99, (-3.0, 3.0), 4001)
+    report99 = high_efficiency_intervals(net, "a", "b", 0.99, (-3.0, 3.0))
     assert len(report99.intervals) == 1
     assert abs(report99.max_width - 1.596649817) < 1e-6
 
@@ -176,7 +176,7 @@ def test_criterion_9_cli_regression(tmp_path):
     # criterion 2 spot value: the flat-top width in the bandwidth report matches
     # the engine's own value at full precision
     net = resonant_network(ResonantParams(1.0, 1.0, 2.6, 2.6))
-    report = high_efficiency_intervals(net, "a", "b", 0.999, (-3.0, 3.0), 4001)
+    report = high_efficiency_intervals(net, "a", "b", 0.999, (-3.0, 3.0))
     text = (first / "fig2_resonant_bandwidth.json").read_text()
     assert f'"max_width": {format_float(report.max_width)}' in text
     assert 1.30 <= report.max_width <= 1.34

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from modeconv.analysis import (
-    DEFAULT_SCAN_POINTS,
     ETA_REFINE_TOL,
     ConverterFamily,
     Interval,
@@ -81,7 +80,7 @@ class TestIntervals:
     def test_triple_branch_structure_at_matching(self):
         # kappa = 2g: three maxima at omega = 0, +/-g; threshold 0.99 cuts
         # three separate intervals whose endpoints are known to 1e-8
-        report = high_efficiency_intervals(resonant(2.0), "a", "b", 0.99, (-3.0, 3.0), 4001)
+        report = high_efficiency_intervals(resonant(2.0), "a", "b", 0.99, (-3.0, 3.0))
         assert report.threshold == 0.99
         assert len(report.intervals) == 3
         lo, mid, hi = report.intervals
@@ -95,12 +94,12 @@ class TestIntervals:
         assert max_bandwidth(resonant(2.0), "a", "b", 0.99, (-3.0, 3.0)) == report.max_width
 
     def test_flat_top_merged_interval(self):
-        report = high_efficiency_intervals(resonant(2.6), "a", "b", 0.999, (-3.0, 3.0), 4001)
+        report = high_efficiency_intervals(resonant(2.6), "a", "b", 0.999, (-3.0, 3.0))
         assert len(report.intervals) == 1
         assert abs(report.max_width - 1.318723019) < 1e-6
 
     def test_refined_edges_sit_on_threshold(self):
-        report = high_efficiency_intervals(resonant(2.6), "a", "b", 0.99, (-3.0, 3.0), 4001)
+        report = high_efficiency_intervals(resonant(2.6), "a", "b", 0.99, (-3.0, 3.0))
         for iv in report.intervals:
             for edge in (iv.lo, iv.hi):
                 assert abs(efficiency_closed_form(edge, 1.0, 2.6) - 0.99) < 1e-8
@@ -108,47 +107,68 @@ class TestIntervals:
     def test_interval_clipped_at_scan_boundary(self):
         # a scan window cutting through the passband leaves the boundary as an
         # interval edge rather than refining past it
-        report = high_efficiency_intervals(resonant(2.6), "a", "b", 0.99, (0.0, 3.0), 2001)
+        report = high_efficiency_intervals(resonant(2.6), "a", "b", 0.99, (0.0, 3.0))
         assert len(report.intervals) == 1
         assert report.intervals[0].lo == 0.0
 
     def test_side_unity_points_survive_extreme_thresholds(self):
         # kappa = 2.6 still touches eta = 1 at omega = 0 and two side points,
         # so even a near-one threshold keeps three slivers of passband
-        report = high_efficiency_intervals(resonant(2.6), "a", "b", 0.9999999, (-3.0, 3.0), 4001)
+        report = high_efficiency_intervals(resonant(2.6), "a", "b", 0.9999999, (-3.0, 3.0))
         assert len(report.intervals) == 3
         for iv in report.intervals:
             assert iv.width < 0.02
 
     def test_no_intervals_when_curve_stays_below_threshold(self):
-        report = high_efficiency_intervals(resonant(2.6), "a", "b", 0.9999999, (2.0, 3.0), 2001)
+        report = high_efficiency_intervals(resonant(2.6), "a", "b", 0.9999999, (2.0, 3.0))
         assert report.intervals == ()
         assert report.max_width == 0.0
 
+    # A dark mode is a real-axis pole that cancels from S_ab: each report
+    # below is the plain report, bit for bit and without a warning.
+
     def test_one_point_singular_gap_is_bridged(self):
-        # omega = 0 is a grid point of the default scan, inside the passband
+        # omega = 0 lies inside the passband
         report, caught = dark_mode_report([0.0])
         assert report == high_efficiency_intervals(resonant(2.6), "a", "b", 0.99, (-3.0, 3.0))
-        assert len(caught) == 1 and "singular at 1 scan frequencies" in caught[0]
+        assert caught == []
 
-    def test_edge_beside_a_singular_point_stays_on_the_grid(self):
+    def test_edge_beside_a_pole_is_the_plain_edge(self):
         plain = high_efficiency_intervals(resonant(2.6), "a", "b", 0.99, (-3.0, 3.0))
         grid = np.linspace(-3.0, 3.0, 4001)
         first = int(np.searchsorted(grid, plain.intervals[0].lo))
-        report, _ = dark_mode_report([grid[first - 1]])
-        assert report.intervals[0].lo == grid[first]
-        assert report.intervals[0].hi == plain.intervals[0].hi
-        assert report.intervals[1:] == plain.intervals[1:]
+        report, caught = dark_mode_report([grid[first - 1]])
+        assert report == plain
+        assert caught == []
 
-    def test_two_point_singular_gap_splits_the_interval(self):
+    def test_two_poles_inside_a_passband_keep_it_whole(self):
         plain = high_efficiency_intervals(resonant(2.6), "a", "b", 0.99, (-3.0, 3.0))
         grid = np.linspace(-3.0, 3.0, 4001)
         report, caught = dark_mode_report([grid[2100], grid[2101]])
-        assert "singular at 2 scan frequencies" in caught[0]
-        assert [(iv.lo, iv.hi) for iv in report.intervals] == [
-            (plain.intervals[0].lo, grid[2099]),
-            (grid[2102], plain.intervals[0].hi),
-        ]
+        assert report == plain
+        assert caught == []
+
+    @pytest.mark.parametrize(
+        "net, threshold",
+        [
+            (resonant(2.0), 0.99),
+            (ConverterFamily(kind="detuned", g=1.5, delta_mu=1.0).build(0.7), 0.5),
+            (two_mode_network(1.0, 1.0, 1.0), 0.9),
+        ],
+        ids=["resonant", "detuned", "two_mode"],
+    )
+    def test_pole_at_each_gap_midpoint_and_each_edge(self, net, threshold):
+        # The gap midpoints are where a report classifies its gaps, and the
+        # edges are its cuts: a pole on either must not move the answer.
+        window = (-3.0, 3.0)
+        plain = high_efficiency_intervals(net, "a", "b", threshold, window)
+        assert len(plain.intervals) >= 2
+        cuts = np.array([window[0], *(e for iv in plain.intervals for e in (iv.lo, iv.hi)), window[1]])
+        for omega in np.concatenate([cuts[1:-1], (cuts[:-1] + cuts[1:]) / 2.0]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report = high_efficiency_intervals(with_dark_modes(net, [omega]), "a", "b", threshold, window)
+            assert report == plain, omega
 
     def test_single_point_range(self):
         # eta(1.0) < 0.99 < eta(0.5) on the kappa = 2.6 flat top
@@ -162,11 +182,11 @@ class TestIntervals:
         net = resonant(2.0)
         for bad in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(ValueError):
-                high_efficiency_intervals(net, "a", "b", bad, (-1.0, 1.0), 101)
+                high_efficiency_intervals(net, "a", "b", bad, (-1.0, 1.0))
         with pytest.raises(ValueError):
-            high_efficiency_intervals(net, "a", "b", 0.9, (1.0, -1.0), 101)
+            high_efficiency_intervals(net, "a", "b", 0.9, (1.0, -1.0))
         with pytest.raises(ValueError):
-            high_efficiency_intervals(net, "a", "b", 0.9, (-np.inf, 1.0), 101)
+            high_efficiency_intervals(net, "a", "b", 0.9, (-np.inf, 1.0))
 
 
 def test_branch_count_transition():
@@ -216,6 +236,12 @@ class TestOptimizeKappa:
         with pytest.raises(ValueError):
             optimize_kappa(fam, 1.5, (0.1, 1.0))
 
+    @pytest.mark.parametrize("coarse_points", [1, 0, -5, 2.7, True, "3"])
+    def test_coarse_points_validation(self, coarse_points):
+        # no silent rounding to a two-point grid
+        with pytest.raises(ValueError, match="coarse_points"):
+            optimize_kappa(ConverterFamily(kind="resonant"), 0.99, (0.1, 8.0), coarse_points)
+
 
 def mixed_family(kappa):
     """Members that differ in size, labels and port modes across the kappa range."""
@@ -236,7 +262,7 @@ def batch_and_single(build, kappas, threshold, omega_range):
     ports = [_conversion_ports(net) for net in nets]
     with warnings.catch_warnings(record=True) as caught_batch:
         warnings.simplefilter("always")
-        batch = _bandwidth_reports(nets, ports, threshold, omega_range, DEFAULT_SCAN_POINTS)
+        batch = _bandwidth_reports(nets, ports, threshold, omega_range)
     with warnings.catch_warnings(record=True) as caught_single:
         warnings.simplefilter("always")
         single = [
@@ -293,7 +319,7 @@ class TestBatchedReports:
             (2.2745788939166904, 1.941233579250126), rel=1e-12
         )
 
-    def test_singular_scan_warnings_one_per_affected_member(self):
+    def test_pole_members_batch_like_plain_members(self):
         grid = np.linspace(-3.0, 3.0, 4001)
 
         def build(kappa):
@@ -303,9 +329,9 @@ class TestBatchedReports:
         kappas = np.linspace(1.0, 5.0, 9)
         batch, single, caught_batch, caught_single = batch_and_single(build, kappas, 0.99, (-3.0, 3.0))
         assert batch == single
-        assert caught_batch == caught_single
-        assert caught_batch == ["network singular at 1 scan frequencies; those points are excluded "
-                                "from interval detection"] * int(np.count_nonzero(kappas < 3.0))
+        assert caught_batch == caught_single == []
+        plain, _, _, _ = batch_and_single(resonant, kappas, 0.99, (-3.0, 3.0))
+        assert batch == plain
 
     def test_single_point_range_and_two_coarse_points(self):
         net = mixed_family(0.5)
@@ -342,7 +368,7 @@ def assert_exact(net, in_port, out_port, threshold, window, report):
     assert np.all(eta_by_solve(net, in_port, out_port, gaps) < threshold)
 
 
-def scan_above(net, threshold, window, points=DEFAULT_SCAN_POINTS):
+def scan_above(net, threshold, window, points=4001):
     """Points of an evenly spaced scan with eta >= threshold."""
     grid = np.linspace(*window, points)
     return grid[np.abs(transmission_grid(net, grid, "a", "b")) ** 2 >= threshold]
@@ -410,20 +436,38 @@ class TestLevelSetEdges:
         assert np.all(eta[inside] >= 0.5 - 1e-9)
         assert np.all(eta[~inside] < 0.5 + 1e-9)
 
-    def test_real_axis_pole_keeps_the_scan_with_level_set_edges(self):
-        # The compensated uniform ensemble has 30 dark modes at omega = 0, a
-        # scan point of the default 4001-point grid but not of a 4000-point one.
+    def test_uniform_ensemble_poles_keep_the_level_set_edges(self):
+        # The compensated uniform ensemble has 30 dark modes at omega = 0,
+        # inside its one passband.
         net = microscopic_network(default_validation_ensemble(), 2.6, 2.6)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             report = high_efficiency_intervals(net, "a", "b", 0.9, (-3.0, 3.0))
-        assert [str(w.message) for w in caught] == [
-            "network singular at 1 scan frequencies; those points are excluded from interval detection"
-        ]
-        assert report == high_efficiency_intervals(net, "a", "b", 0.9, (-3.0, 3.0), 4000)
         (interval,) = report.intervals
+        assert interval.lo == pytest.approx(-1.0291141843804537, abs=1e-12)
+        assert interval.hi == pytest.approx(1.0705453457466003, abs=1e-12)
         edges = [interval.lo, interval.hi]
         assert np.all(np.abs(eta_by_solve(net, "a", "b", edges) - 0.9) <= 1e-12)
+
+    @pytest.mark.parametrize(
+        "net, threshold, count",
+        [(resonant(1e-8), 0.9, 3), (two_mode_network(1.0, 1e-8, 1e-8), 0.5, 2)],
+        ids=["resonant", "two_mode"],
+    )
+    def test_weakly_damped_passbands(self, net, threshold, count):
+        # Every eigenvalue of H lies within 1e-8 ||H||_F of the real axis, so
+        # these poles are cuts too, inside passbands ~1e-8 wide: the side
+        # bands of the resonant chain sit at +/- sqrt(2).
+        window = (-3.0, 3.0)
+        report = high_efficiency_intervals(net, "a", "b", threshold, window)
+        assert len(report.intervals) == count
+        # Double precision pins edges this steep only to ~4e-8 in eta, so
+        # classify midpoints rather than edges.
+        inside = [(iv.lo + iv.hi) / 2.0 for iv in report.intervals]
+        cuts = [window[0], *(e for iv in report.intervals for e in (iv.lo, iv.hi)), window[1]]
+        gaps = [(lo + hi) / 2.0 for lo, hi in zip(cuts[::2], cuts[1::2])]
+        assert np.all(eta_by_solve(net, "a", "b", inside) >= threshold)
+        assert np.all(eta_by_solve(net, "a", "b", gaps) < threshold)
 
     def test_polish_converges_from_a_far_start(self):
         # Level-set roots rarely need polishing; start one bracket per edge

@@ -394,12 +394,24 @@ def test_optimize_window_takes_min_and_max(tmp_path, capsys):
     assert capsys.readouterr().out == json_text(doc) + "\n"
 
 
-def test_optimize_rejects_window_points(tmp_path, capsys):
-    # optimize_kappa scans with its own grid, so a point count would be ignored
-    window = {"min": -3.0, "max": 3.0, "points": 7}
-    cfg = write_cfg(tmp_path, "cfg.json", dict(OPTIMIZE_CFG, window=window))
-    assert main(["optimize", cfg]) == 1
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("optimize", OPTIMIZE_CFG),
+        ("bandwidth", {"setup": "resonant", "kappa": 2.6, "threshold": 0.99}),
+    ],
+    ids=["optimize", "bandwidth"],
+)
+def test_window_rejects_points(tmp_path, capsys, command, doc):
+    # Band edges come from no frequency grid, so a point count would be ignored.
+    window = {"min": -3.0, "max": 3.0}
+    cfg = write_cfg(tmp_path, "cfg.json", dict(doc, window=dict(window, points=7)))
+    assert main([command, cfg]) == 1
     assert "window.points" in capsys.readouterr().err
+    cfg = write_cfg(tmp_path, "cfg.json", dict(doc, window=window))
+    assert main([command, cfg, "--omega-points", "7"]) == 1
+    assert "window.points" in capsys.readouterr().err
+    assert main([command, cfg]) == 0
 
 
 @pytest.mark.parametrize("field", ["coupling_re", "damping"])
