@@ -321,12 +321,15 @@ def _group_ends(nets, ports, threshold: float, w_lo: float, w_hi: float) -> list
     g_mid = np.abs(_pair_transmission(stack, member, np.concatenate(mids), "nan")) ** 2 - threshold
     ends = []
     edges = []  # (which ends, x, lo, g_lo, hi, g_hi) per member
-    for c, m, g in zip(cuts, mids, np.split(g_mid, np.cumsum(counts)[:-1])):
-        # A singular midpoint takes the gap before it (the first the next
-        # classified gap): its point and value, so each bracket stays true.
-        src = np.maximum.accumulate(np.where(np.isfinite(g), np.arange(len(g)), -1))
-        src[src < 0] = np.argmax(np.isfinite(g))
-        m, g = m[src], g[src]
+    singular = set(member[np.isnan(g_mid)].tolist())
+    for k, (c, m, g) in enumerate(zip(cuts, mids, np.split(g_mid, np.cumsum(counts)[:-1]))):
+        if k in singular:
+            # A gap with a singular midpoint takes the midpoint and value of
+            # the gap before it (leading ones those of the first classified
+            # gap), so each polish bracket stays a true bracket.
+            src = np.maximum.accumulate(np.where(np.isfinite(g), np.arange(len(g)), -1))
+            src[src < 0] = np.argmax(np.isfinite(g))
+            m, g = m[src], g[src]
         runs = np.flatnonzero(np.diff(np.concatenate(([False], g >= 0.0, [False])))).reshape(-1, 2)
         ends.append(c[runs])
         inner = (runs > 0) & (runs < len(c) - 1)

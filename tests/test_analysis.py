@@ -448,6 +448,14 @@ class TestLevelSetEdges:
         assert interval.hi == pytest.approx(1.0705453457466003, abs=1e-12)
         edges = [interval.lo, interval.hi]
         assert np.all(np.abs(eta_by_solve(net, "a", "b", edges) - 0.9) <= 1e-12)
+        # A window end on the poles: the first gaps, between near-coincident
+        # poles, take the class of the first gap the pair solve classifies.
+        assert high_efficiency_intervals(net, "a", "b", 0.9, (0.0, 3.0)).intervals == (
+            Interval(lo=0.0, hi=interval.hi),
+        )
+        assert high_efficiency_intervals(net, "a", "b", 0.9, (-3.0, 0.0)).intervals == (
+            Interval(lo=interval.lo, hi=0.0),
+        )
 
     @pytest.mark.parametrize(
         "net, threshold, count",
