@@ -30,10 +30,14 @@ near-coincident cuts; its gap takes the class of the gap before it (the first
 gap that of the next classified gap).
 
 The width-versus-kappa curve is discontinuous where separate branches merge into
-one (the merged interval is suddenly much wider), so the optimizer never trusts
-local search alone: it evaluates a coarse grid as one batch, refines by golden
-section around the best grid point, and returns the best evaluation it has ever
-seen.
+one (the merged interval is suddenly much wider).  A merge is where the number
+of crossings changes, so the optimizer evaluates a coarse grid as one batch,
+then bisects on the crossing count between the best grid point and each
+neighbor whose count differs, one level-set eigen-solve per step and no pair
+solve, to a bracket of 1e-12 * max(1, range width); one batched report measures
+the bracket ends.  Where no merge beats the best grid point (a smooth
+maximum), golden section around it refines instead.  Either way the optimizer
+returns the best evaluation it has seen.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ POLISH_STEPS = 60
 # real: a threshold crossing of the level-set matrix, or a pole of H.
 REAL_AXIS_RTOL = 1e-8
 
-# Coarse kappa-grid density for optimize_kappa before golden-section refinement.
+# Coarse kappa-grid density for optimize_kappa before it refines around the best point.
 COARSE_KAPPA_POINTS = 201
 
 
@@ -227,11 +231,11 @@ def _level_set_matrix(h, i: int, o: int, k_i: float, k_o: float, gamma: float) -
     return mat
 
 
-def _real_eigenvalues(mats) -> list[np.ndarray]:
-    """Sorted real parts of the eigenvalues of each matrix that lie on the real axis.
+def _real_eigenvalues(mats, w_lo: float, w_hi: float) -> list[np.ndarray]:
+    """Sorted real eigenvalues in (w_lo, w_hi) of each matrix.
 
-    "On" means within REAL_AXIS_RTOL * ||matrix||_F; one stacked ``eigvals``
-    call per matrix size.
+    Real means within REAL_AXIS_RTOL * ||matrix||_F of the real axis; the real
+    part is kept.  One stacked ``eigvals`` call per matrix size.
     """
     out = [None] * len(mats)
     sizes = np.array([len(mat) for mat in mats])
@@ -241,17 +245,19 @@ def _real_eigenvalues(mats) -> list[np.ndarray]:
         lam = np.linalg.eigvals(stack)
         real = np.abs(lam.imag) <= REAL_AXIS_RTOL * np.linalg.norm(stack, axis=(1, 2))[:, None]
         for i, values, keep in zip(group, lam.real, real):
-            out[i] = np.sort(values[keep])
+            values = np.sort(values[keep])
+            out[i] = values[(values > w_lo) & (values < w_hi)]
     return out
 
 
-def _level_set_roots(nets, ports, gamma: float, w_lo: float, w_hi: float):
-    """Crossings and poles in (w_lo, w_hi) of networks of one mode count.
+def _level_set_matrices(nets, ports, gamma: float) -> tuple[np.ndarray, list[np.ndarray]]:
+    """H = A - iK/2 of networks of one mode count, as a stack, and each L_gamma.
 
     L_gamma is built on the modes the coupling graph links to a port of the
     pair: the others cannot change S_out,in, and leaving them out keeps the
-    crossings of a network with a decoupled dark mode bit for bit.  A pole is
-    an eigenvalue of the whole network's H, decoupled modes included.
+    crossings of a network with a decoupled dark mode bit for bit.  H is the
+    whole network's, decoupled modes included, so its real eigenvalues are
+    every pole.
     """
     n = nets[0].n_modes
     coupling = np.array([net.coupling for net in nets])
@@ -273,9 +279,18 @@ def _level_set_roots(nets, ports, gamma: float, w_lo: float, w_hi: float):
             keep = np.flatnonzero(keep)
             h_j, i, o = h_j[np.ix_(keep, keep)], np.searchsorted(keep, i), np.searchsorted(keep, o)
         mats.append(_level_set_matrix(h_j, i, o, k_i, k_o, gamma))
-    crossings = [r[(r > w_lo) & (r < w_hi)] for r in _real_eigenvalues(mats)]
-    poles = [r[(r > w_lo) & (r < w_hi)] for r in _real_eigenvalues(list(h))]
-    return crossings, poles
+    return h, mats
+
+
+def _per_mode_count(nets, ports, solve) -> list:
+    """``solve(nets, ports)`` on each group of one mode count, results in the order of ``nets``."""
+    out = [None] * len(nets)
+    sizes = np.array([net.n_modes for net in nets])
+    for n in sorted(set(sizes.tolist())):
+        group = np.flatnonzero(sizes == n)
+        for i, result in zip(group, solve([nets[i] for i in group], [ports[i] for i in group])):
+            out[i] = result
+    return out
 
 
 def _polish(stack, member, threshold, x, lo, g_lo, hi, g_hi) -> np.ndarray:
@@ -310,7 +325,9 @@ def _polish(stack, member, threshold, x, lo, g_lo, hi, g_hi) -> np.ndarray:
 def _group_ends(nets, ports, threshold: float, w_lo: float, w_hi: float) -> list[np.ndarray]:
     """The (intervals x 2) edge array of each network, all of one mode count."""
     stack = _member_stack(nets, ports)
-    crossings, poles = _level_set_roots(nets, ports, math.sqrt(threshold), w_lo, w_hi)
+    h, mats = _level_set_matrices(nets, ports, math.sqrt(threshold))
+    crossings = _real_eigenvalues(mats, w_lo, w_hi)
+    poles = _real_eigenvalues(list(h), w_lo, w_hi)
     # Between consecutive cuts (crossings, poles and window ends) eta -
     # threshold keeps its sign, so the midpoint classifies the gap: one pair
     # solve covers every gap of every member.
@@ -355,13 +372,7 @@ def _bandwidth_reports(nets, ports, threshold: float, omega_range) -> list[Bandw
     w_lo, w_hi = float(omega_range[0]), float(omega_range[1])
     if not (math.isfinite(w_lo) and math.isfinite(w_hi)) or w_hi < w_lo:
         raise ValueError(f"omega_range must be finite with min <= max, got {omega_range}")
-    ends = [None] * len(nets)
-    sizes = np.array([net.n_modes for net in nets])
-    for n in sorted(set(sizes.tolist())):
-        group = np.flatnonzero(sizes == n)
-        members = [nets[i] for i in group], [ports[i] for i in group]
-        for i, member_ends in zip(group, _group_ends(*members, threshold, w_lo, w_hi)):
-            ends[i] = member_ends
+    ends = _per_mode_count(nets, ports, lambda group, pairs: _group_ends(group, pairs, threshold, w_lo, w_hi))
     reports = []
     for member_ends in ends:
         intervals = tuple(Interval(lo=float(lo), hi=float(hi)) for lo, hi in member_ends)
@@ -441,14 +452,20 @@ def optimize_kappa(
 ) -> tuple[float, float]:
     """Damping that maximizes the widest above-threshold interval.
 
-    Coarse scan over ``kappa_range`` (default 201 points) followed by
-    golden-section refinement bracketed by the best point's neighbors.  The
-    width is discontinuous where branches merge, so the optimizer does not
-    assume unimodality: it returns the best (kappa, width) pair it actually
-    evaluated anywhere, never a merely-converged-to point.  A single-point
-    range returns that kappa with its width.  The coarse grid is one batch:
-    one eigen-solve stack for all its members.  ``coarse_points`` must be an
-    integer >= 2.
+    The coarse grid over ``kappa_range`` (default 201 points) is one batch:
+    one eigen-solve stack for all its members.  The width is discontinuous
+    where branches merge, which is where the number of crossings (real
+    eigenvalues of the level-set matrix in the window) changes.  For each
+    neighbor of the best grid point whose crossing count differs from its own,
+    the pair is bisected on the count, one member and one level-set eigen-solve
+    per step, to a bracket of 1e-12 * max(1, range width); one batched report
+    then measures both ends of every bracket.  When no bracket end is wider
+    than the best grid point (no neighbor differs in count, or the merge is
+    narrower: a smooth interior maximum), golden section between the
+    neighbors refines instead.  The optimizer returns the best (kappa, width)
+    pair it actually evaluated anywhere, never a merely-converged-to point.
+    A single-point range returns that kappa with its width.
+    ``coarse_points`` must be an integer >= 2.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
@@ -462,6 +479,10 @@ def optimize_kappa(
     if omega_range is None:
         omega_range = default_omega_window(_build_member(family, (k_lo + k_hi) / 2.0))
 
+    def reports_at(kappas) -> list[BandwidthReport]:
+        nets = [_build_member(family, float(k)) for k in kappas]
+        return _bandwidth_reports(nets, [_conversion_ports(net) for net in nets], threshold, omega_range)
+
     def width_at(kappa: float) -> float:
         net = _build_member(family, kappa)
         in_port, out_port = _conversion_ports(net)
@@ -471,12 +492,47 @@ def optimize_kappa(
         return k_lo, width_at(k_lo)
 
     ks = np.linspace(k_lo, k_hi, int(coarse_points))
-    nets = [_build_member(family, float(k)) for k in ks]
-    reports = _bandwidth_reports(nets, [_conversion_ports(net) for net in nets], threshold, omega_range)
-    widths = np.array([report.max_width for report in reports])
+    widths = np.array([report.max_width for report in reports_at(ks)])
     best_i = int(np.argmax(widths))
     best_k = float(ks[best_i])
     best_w = float(widths[best_i])
+
+    gamma = math.sqrt(threshold)
+    w_lo, w_hi = float(omega_range[0]), float(omega_range[1])
+
+    def crossing_counts(kappas) -> list[int]:
+        nets = [_build_member(family, float(k)) for k in kappas]
+        roots = _per_mode_count(
+            nets,
+            [_conversion_ports(net) for net in nets],
+            lambda group, pairs: _real_eigenvalues(_level_set_matrices(group, pairs, gamma)[1], w_lo, w_hi),
+        )
+        return [len(r) for r in roots]
+
+    near = sorted({max(best_i - 1, 0), best_i, min(best_i + 1, len(ks) - 1)})
+    counts = dict(zip(near, crossing_counts(ks[near])))
+    tol = 1e-12 * max(1.0, k_hi - k_lo)
+    brackets = []
+    for i, j in zip(near, near[1:]):
+        if counts[i] == counts[j]:
+            continue
+        a, b = float(ks[i]), float(ks[j])
+        while b - a > tol:
+            mid = (a + b) / 2.0
+            if mid in (a, b):  # the ends are adjacent floats: tol is below one ulp of kappa
+                break
+            if crossing_counts([mid])[0] == counts[i]:
+                a = mid
+            else:
+                b = mid
+        brackets += [a, b]
+    if brackets:
+        coarse_w = best_w
+        for kappa, report in zip(brackets, reports_at(brackets)):
+            if report.max_width > best_w:
+                best_k, best_w = kappa, report.max_width
+        if best_w > coarse_w:
+            return best_k, best_w
 
     def track(kappa: float) -> float:
         nonlocal best_k, best_w
@@ -485,8 +541,8 @@ def optimize_kappa(
             best_k, best_w = kappa, w
         return w
 
-    a = float(ks[max(best_i - 1, 0)])
-    b = float(ks[min(best_i + 1, len(ks) - 1)])
+    a = float(ks[near[0]])
+    b = float(ks[near[-1]])
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)

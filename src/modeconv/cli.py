@@ -97,6 +97,9 @@ def _load_config(args) -> dict:
             cfg[key] = value
     if not isinstance(cfg.get("output", "-"), str):
         raise ConfigError("field 'output' must be a path string")
+    if getattr(args, "omega_points", None) is not None and args.command in ("bandwidth", "optimize"):
+        # Band edges come from no frequency grid, so these windows have no points.
+        raise ConfigError(f"option '--omega-points' does not apply to '{args.command}'")
     overrides = {
         key: value
         for key in ("min", "max", "points")

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from modeconv import analysis
 from modeconv.analysis import (
     ETA_REFINE_TOL,
     ConverterFamily,
@@ -314,9 +315,9 @@ class TestBatchedReports:
         kappas = np.linspace(0.1, 8.0, 41)
         batch, single, _, _ = batch_and_single(mixed_family, kappas, 0.99, (-3.0, 3.0))
         assert batch == single
-        # (kappa*, width*) as the per-kappa coarse stage found them
+        # (kappa*, width*) on the merge, where the crossing count changes
         assert optimize_kappa(mixed_family, 0.99, (0.1, 8.0), 41) == pytest.approx(
-            (2.2745788939166904, 1.941233579250126), rel=1e-12
+            (2.2745788930526034, 1.941233580068154), rel=1e-12
         )
 
     def test_pole_members_batch_like_plain_members(self):
@@ -339,11 +340,11 @@ class TestBatchedReports:
         assert optimize_kappa(mixed_family, 0.99, (0.5, 0.5)) == (0.5, width)
         assert width == pytest.approx(0.051918592786257656, rel=1e-12)
         assert optimize_kappa(mixed_family, 0.9, (1.0, 6.0), 2) == pytest.approx(
-            (1.6877088025689542, 2.620849480721409), rel=1e-12
+            (1.6877088010651278, 2.620849481322734), rel=1e-12
         )
         fam = ConverterFamily(kind="detuned", g=1.0, delta_mu=3.0)
         assert optimize_kappa(fam, 0.99, (0.5, 4.0), 2) == pytest.approx(
-            (0.5, 0.08862082538369151), rel=1e-12
+            (0.5495275550110819, 0.33946159529902403), rel=1e-12
         )
 
 
@@ -488,3 +489,98 @@ class TestLevelSetEdges:
         x = _polish(stack, np.array([0, 0]), 0.99, (lo + hi) / 2.0, lo, g_lo, hi, g_hi)
         assert np.all(np.abs(efficiency_closed_form(x, 1.0, 2.6) - 0.99) <= ETA_REFINE_TOL)
         assert x == pytest.approx([edge.lo, edge.hi], abs=1e-9)
+
+
+def record_reports(monkeypatch):
+    """Each ``_bandwidth_reports`` call optimize_kappa makes, as (member kappas, reports).
+
+    Every family used with it damps its first mode with kappa.
+    """
+    calls = []
+    batch = analysis._bandwidth_reports
+
+    def recorded(nets, ports, threshold, omega_range):
+        reports = batch(nets, ports, threshold, omega_range)
+        calls.append(([float(net.damping[0]) for net in nets], reports))
+        return reports
+
+    monkeypatch.setattr(analysis, "_bandwidth_reports", recorded)
+    return calls
+
+
+def assert_optimum_on_theta(family, threshold, kappa_range, kappa_star, width_star):
+    """The report at kappa* has width*, and its widest interval's edges sit on the threshold."""
+    net = family.build(kappa_star)
+    window = default_omega_window(family.build((kappa_range[0] + kappa_range[1]) / 2.0))
+    report = high_efficiency_intervals(net, "a", "b", threshold, window)
+    assert report.max_width == width_star
+    widest = max(report.intervals, key=lambda iv: iv.width)
+    edges = [e for e in (widest.lo, widest.hi) if e not in window]
+    assert edges and np.all(np.abs(eta_by_solve(net, "a", "b", edges) - threshold) <= 1e-9)
+
+
+class TestMergeBisection:
+    """optimize_kappa bisects the level-set crossing count onto the branch merge."""
+
+    @pytest.mark.parametrize("delta_mu", [0.0, 3.0, 10.0], ids=["resonant", "detuned3", "detuned10"])
+    def test_optimum_sits_on_the_merge(self, monkeypatch, delta_mu):
+        family = ConverterFamily(kind="detuned" if delta_mu else "resonant", delta_mu=delta_mu)
+        calls = record_reports(monkeypatch)
+        kappa_star, width_star = optimize_kappa(family, 0.99, (0.1, 8.0))
+        (_, coarse), (bracket, ends) = calls
+        lo, hi = bracket
+        assert 0.0 < hi - lo <= 1e-12 * 7.9
+        # one end is split into more intervals, the other merged and far wider
+        assert len(ends[0].intervals) != len(ends[1].intervals)
+        narrow, wide = sorted(report.max_width for report in ends)
+        assert wide > 1.5 * narrow
+        assert (kappa_star, width_star) in zip(bracket, (report.max_width for report in ends))
+        assert width_star == wide > max(report.max_width for report in coarse)
+        assert_optimum_on_theta(family, 0.99, (0.1, 8.0), kappa_star, width_star)
+
+    def test_two_coarse_points_find_the_merge(self):
+        # Golden section between the grid's two ends stayed at kappa = 0.5
+        # (width 0.0886); the crossing count differs between them, and the
+        # bisection reaches the merge the 201-point grid finds.
+        family = ConverterFamily(kind="detuned", g=1.0, delta_mu=3.0)
+        kappa_star, width_star = optimize_kappa(family, 0.99, (0.5, 4.0), 2)
+        assert kappa_star == pytest.approx(0.54953, abs=1e-5)
+        assert width_star == pytest.approx(0.33946, abs=1e-5)
+        assert (kappa_star, width_star) == pytest.approx(optimize_kappa(family, 0.99, (0.1, 8.0)), abs=1e-10)
+        assert_optimum_on_theta(family, 0.99, (0.5, 4.0), kappa_star, width_star)
+
+    @pytest.mark.parametrize(
+        "kind, threshold, kappa_range, bracketed",
+        [
+            ("resonant", 0.99, (EXCEPTIONAL_KAPPA - 1.0, EXCEPTIONAL_KAPPA + 1.0), False),
+            ("resonant", 0.99, (EXCEPTIONAL_KAPPA, EXCEPTIONAL_KAPPA + 1.0), False),
+            ("resonant", 0.99, (3.0, 8.0), False),
+            ("resonant", 0.5, (0.1, 8.0), True),
+            ("two_mode", 0.5, (0.1, 8.0), False),
+        ],
+        ids=["exceptional_inside", "exceptional_end", "no_count_change", "narrower_merge", "two_mode"],
+    )
+    def test_golden_section_where_no_merge_beats_the_grid(
+        self, monkeypatch, kind, threshold, kappa_range, bracketed
+    ):
+        # The coarse grid (21 points) puts the exceptional point kappa = 4 sqrt(2)
+        # on a grid point in the first case and on the best one in the second.
+        family = ConverterFamily(kind=kind)
+        calls = record_reports(monkeypatch)
+        kappa_star, width_star = optimize_kappa(family, threshold, kappa_range, 21)
+        (_, coarse), *rest = calls
+        # a bracket pair, if any, and then golden section's one-member reports
+        assert [len(kappas) for kappas, _ in rest[:1]] == [2 if bracketed else 1]
+        assert len(rest) > 20 and all(len(kappas) == 1 for kappas, _ in rest[1:])
+        assert width_star >= max(report.max_width for report in coarse)
+        assert_optimum_on_theta(family, threshold, kappa_range, kappa_star, width_star)
+
+    def test_bisection_stops_at_adjacent_floats(self):
+        # Near kappa = 1e6 one ulp (1.2e-10) exceeds the 1e-12 bracket, so the
+        # bisection ends when its midpoint rounds onto an end.
+        def shifted(kappa):
+            return resonant(kappa - 1e6 + 2.0)
+
+        kappa_star, width_star = optimize_kappa(shifted, 0.99, (1e6, 1e6 + 1.0), 11)
+        assert abs(kappa_star - 1e6 - 0.2745789) < 1e-6
+        assert width_star == pytest.approx(1.9412335, abs=1e-6)

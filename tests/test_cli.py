@@ -394,7 +394,8 @@ def test_optimize_window_takes_min_and_max(tmp_path, capsys):
     assert capsys.readouterr().out == json_text(doc) + "\n"
 
 
-@pytest.mark.parametrize(
+# The commands whose window is {min, max}: band edges come from no frequency grid.
+gridless_window_commands = pytest.mark.parametrize(
     "command, doc",
     [
         ("optimize", OPTIMIZE_CFG),
@@ -402,6 +403,9 @@ def test_optimize_window_takes_min_and_max(tmp_path, capsys):
     ],
     ids=["optimize", "bandwidth"],
 )
+
+
+@gridless_window_commands
 def test_window_rejects_points(tmp_path, capsys, command, doc):
     # Band edges come from no frequency grid, so a point count would be ignored.
     window = {"min": -3.0, "max": 3.0}
@@ -409,9 +413,18 @@ def test_window_rejects_points(tmp_path, capsys, command, doc):
     assert main([command, cfg]) == 1
     assert "window.points" in capsys.readouterr().err
     cfg = write_cfg(tmp_path, "cfg.json", dict(doc, window=window))
-    assert main([command, cfg, "--omega-points", "7"]) == 1
-    assert "window.points" in capsys.readouterr().err
     assert main([command, cfg]) == 0
+
+
+@gridless_window_commands
+def test_omega_points_flag_is_rejected_by_its_own_name(tmp_path, capsys, command, doc):
+    # The flag is named, not the config field 'window.points' the user never wrote.
+    cfg = write_cfg(tmp_path, "cfg.json", doc)
+    flags = ["--omega-min", "-3", "--omega-max", "3"]
+    assert main([command, cfg, *flags, "--omega-points", "7"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: option '--omega-points' does not apply to '{command}'\n"
+    assert main([command, cfg, *flags]) == 0
 
 
 @pytest.mark.parametrize("field", ["coupling_re", "damping"])
