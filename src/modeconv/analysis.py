@@ -55,6 +55,7 @@ from .converter import (
     resonant_network,
     two_mode_network,
 )
+from .errors import NoPortsError
 from .linalg import eigenvalues_hermitian
 from .network import CoupledModeNetwork
 from .scattering import _member_stack, _pair_transmission, transmission_grid
@@ -149,6 +150,8 @@ def _build_member(family, kappa: float) -> CoupledModeNetwork:
 
 def _conversion_ports(net: CoupledModeNetwork) -> tuple[str, str]:
     labels = net.port_labels()
+    if not labels:
+        raise NoPortsError("network has no damped modes, so no ports to convert between")
     return labels[0], labels[-1]
 
 

@@ -51,6 +51,22 @@ FAMILY_SETUPS = ("resonant", "detuned", "two_mode")
 # Fields every kappa-family command (map, optimize) accepts besides g and delta_mu.
 FAMILY_FIELDS = frozenset({"setup", "kappa_range", "window", "output"})
 
+# Each flag overrides one config field: (field, type, help).  The field is the
+# flag's argparse dest, and "window.min" names the key "min" of the field "window".
+FLAGS = {
+    "--g": ("g", float, "override coupling strength g"),
+    "--kappa": ("kappa", float, "override damping rate kappa"),
+    "--delta-mu": ("delta_mu", float, "override intermediate-mode detuning"),
+    "--threshold": ("threshold", float, "override efficiency threshold"),
+    "--omega-min": ("window.min", float, "override the frequency window's lower end"),
+    "--omega-max": ("window.max", float, "override the frequency window's upper end"),
+    "--omega-points": ("window.points", int, "override the frequency window's point count"),
+    "--omega": ("omega", float, "override drive frequency"),
+    "--amplitude": ("amplitude", float, "override drive amplitude"),
+    "--trace-out": ("trace_output", str, "write the integration trace CSV here"),
+    "--out": ("output", str, "output path (default: stdout)"),
+}
+
 # Defaults for the `eliminate` command: the reference damping and an
 # even-point window straddling omega = 0 (uniform compensated ensembles are
 # exactly singular there).
@@ -91,23 +107,15 @@ def _load_config(args) -> dict:
             raise ConfigError("config must be a JSON object")
         cfg = dict(cfg)
 
-    for key in ("g", "kappa", "delta_mu", "threshold", "omega", "amplitude", "output", "trace_output"):
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
+    for field, _, _ in FLAGS.values():
+        if (value := getattr(args, field, None)) is None:
+            continue
+        name, _, key = field.partition(".")
+        if key:
+            value = {**(cfg[name] if isinstance(cfg.get(name), dict) else {}), key: value}
+        cfg[name] = value
     if not isinstance(cfg.get("output", "-"), str):
         raise ConfigError("field 'output' must be a path string")
-    if getattr(args, "omega_points", None) is not None and args.command in ("bandwidth", "optimize"):
-        # Band edges come from no frequency grid, so these windows have no points.
-        raise ConfigError(f"option '--omega-points' does not apply to '{args.command}'")
-    overrides = {
-        key: value
-        for key in ("min", "max", "points")
-        if (value := getattr(args, f"omega_{key}", None)) is not None
-    }
-    if overrides:
-        window = cfg.get("window")
-        cfg["window"] = {**(window if isinstance(window, dict) else {}), **overrides}
     return cfg
 
 
@@ -154,7 +162,7 @@ def _range(cfg: dict, name: str, points=_REQUIRED, default=_REQUIRED) -> tuple:
     ``points`` is the count used when the field gives none, ``_REQUIRED`` when
     the field must give it, or None when the field takes only min and max (the
     result is then (min, max)).  A missing field returns ``default`` unless that
-    is ``_REQUIRED``.
+    is ``_REQUIRED``; a tuple ``default`` also fills the keys a field leaves out.
     """
     keys = ("min", "max") if points is None else ("min", "max", "points")
     if name not in cfg:
@@ -167,6 +175,8 @@ def _range(cfg: dict, name: str, points=_REQUIRED, default=_REQUIRED) -> tuple:
     extra = sorted(set(doc) - set(keys))
     if extra:
         raise ConfigError(f"unknown field '{name}.{extra[0]}'")
+    if isinstance(default, tuple):
+        doc = {**dict(zip(keys, default)), **doc}
     lo = _number(doc, "min", required=True, field=f"{name}.min")
     hi = _number(doc, "max", required=True, field=f"{name}.max")
     in_order, wording = _RANGE_ORDER[name]
@@ -224,13 +234,13 @@ def _load_ensemble(cfg: dict):
     return _load_document(cfg, "ensemble", "an ensemble", ensemble_from_dict)
 
 
-def _build_single_network(cfg: dict, command: str, fields: set = frozenset()):
+def _build_single_network(cfg: dict, command: str, fields: set):
     """Resolve (network, in_port, out_port) for commands driving one network.
 
-    ``fields`` lists the command's own fields besides setup, window and output.
+    ``fields`` lists the command's own fields besides setup and output.
     """
     setup = _setup(cfg)
-    common = {"setup", "window", "output"} | fields
+    common = {"setup", "output"} | fields
     if setup in FAMILY_SETUPS:
         family = _family(cfg, command, common | {"kappa"})
         net = family.build(_positive(cfg, "kappa", required=True))
@@ -324,12 +334,12 @@ def _optimize_text(family: ConverterFamily, threshold, kappa_range, coarse_point
 
 
 def _cmd_sweep(cfg: dict) -> str:
-    net, in_port, out_port = _build_single_network(cfg, "sweep")
+    net, in_port, out_port = _build_single_network(cfg, "sweep", {"window"})
     return _sweep_text(net, in_port, out_port, _range(cfg, "window"))
 
 
 def _cmd_bandwidth(cfg: dict) -> str:
-    net, in_port, out_port = _build_single_network(cfg, "bandwidth", {"threshold"})
+    net, in_port, out_port = _build_single_network(cfg, "bandwidth", {"threshold", "window"})
     threshold = _threshold(cfg)
     return _bandwidth_text(net, in_port, out_port, threshold, _range(cfg, "window", points=None))
 
@@ -374,6 +384,9 @@ def _cmd_timedomain(cfg: dict) -> str:
     net, in_port, out_port = _build_single_network(cfg, "timedomain", {"omega", "amplitude", "trace_output"})
     omega = _number(cfg, "omega", required=True)
     amplitude = _number(cfg, "amplitude", default=1.0)
+    trace_target = cfg.get("trace_output")
+    if trace_target is not None and (not isinstance(trace_target, str) or trace_target == "-"):
+        raise ConfigError("field 'trace_output' must be a file path")
     reference = transmission(net, omega, in_port, out_port)
     ratio, result = steady_state_response(net, omega, in_port, out_port, amplitude=amplitude)
     doc = {
@@ -386,10 +399,7 @@ def _cmd_timedomain(cfg: dict) -> str:
     }
     if amplitude == 0.0:
         doc["note"] = "ZeroDrive"
-    trace_target = cfg.get("trace_output")
     if trace_target is not None:
-        if not isinstance(trace_target, str) or trace_target == "-":
-            raise ConfigError("field 'trace_output' must be a file path")
         _write_text(trace_target, trace_csv_text(net, result))
     return json_text(doc) + "\n"
 
@@ -446,19 +456,6 @@ def _cmd_reproduce(args):
 # ---------------------------------------------------------------- entry point
 
 
-def _add_common_flags(sub):
-    sub.add_argument("config", nargs="?", default=None, help="JSON config path, or - for stdin")
-    sub.add_argument("--g", type=float, default=None, help="override coupling strength g")
-    sub.add_argument("--kappa", type=float, default=None, help="override damping rate kappa")
-    sub.add_argument("--delta-mu", dest="delta_mu", type=float, default=None,
-                     help="override intermediate-mode detuning")
-    sub.add_argument("--threshold", type=float, default=None, help="override efficiency threshold")
-    sub.add_argument("--omega-min", dest="omega_min", type=float, default=None)
-    sub.add_argument("--omega-max", dest="omega_max", type=float, default=None)
-    sub.add_argument("--omega-points", dest="omega_points", type=int, default=None)
-    sub.add_argument("--out", dest="output", default=None, help="output path (default: stdout)")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="modeconv",
@@ -466,21 +463,25 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command")
 
-    for name, handler, extra in (
-        ("sweep", _cmd_sweep, "efficiency vs frequency (CSV omega,eta)"),
-        ("bandwidth", _cmd_bandwidth, "above-threshold intervals (JSON report)"),
-        ("map", _cmd_map, "efficiency map over kappa and omega (CSV kappa,omega,eta)"),
-        ("optimize", _cmd_optimize, "bandwidth-maximizing kappa (JSON report)"),
-        ("eliminate", _cmd_eliminate, "validate the microscopic-to-effective reduction (JSON)"),
-        ("timedomain", _cmd_timedomain, "time-domain cross-check of one S element (JSON)"),
+    for name, handler, extra, flags in (
+        ("sweep", _cmd_sweep, "efficiency vs frequency (CSV omega,eta)",
+         ("--g", "--kappa", "--delta-mu", "--omega-min", "--omega-max", "--omega-points", "--out")),
+        ("bandwidth", _cmd_bandwidth, "above-threshold intervals (JSON report)",
+         ("--g", "--kappa", "--delta-mu", "--threshold", "--omega-min", "--omega-max", "--out")),
+        ("map", _cmd_map, "efficiency map over kappa and omega (CSV kappa,omega,eta)",
+         ("--g", "--delta-mu", "--omega-min", "--omega-max", "--omega-points", "--out")),
+        ("optimize", _cmd_optimize, "bandwidth-maximizing kappa (JSON report)",
+         ("--g", "--delta-mu", "--threshold", "--omega-min", "--omega-max", "--out")),
+        ("eliminate", _cmd_eliminate, "validate the microscopic-to-effective reduction (JSON)",
+         ("--kappa", "--omega-min", "--omega-max", "--omega-points", "--out")),
+        ("timedomain", _cmd_timedomain, "time-domain cross-check of one S element (JSON)",
+         ("--g", "--kappa", "--delta-mu", "--omega", "--amplitude", "--trace-out", "--out")),
     ):
         sub = subparsers.add_parser(name, help=extra)
-        _add_common_flags(sub)
-        if name == "timedomain":
-            sub.add_argument("--omega", type=float, default=None, help="override drive frequency")
-            sub.add_argument("--amplitude", type=float, default=None, help="override drive amplitude")
-            sub.add_argument("--trace-out", dest="trace_output", default=None,
-                             help="write the integration trace CSV here")
+        sub.add_argument("config", nargs="?", default=None, help="JSON config path, or - for stdin")
+        for flag in flags:
+            field, kind, text = FLAGS[flag]
+            sub.add_argument(flag, dest=field, type=kind, help=text)
         sub.set_defaults(handler=partial(_run, handler))
 
     repro = subparsers.add_parser("reproduce", help="emit a named reference data bundle")

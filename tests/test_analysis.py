@@ -24,6 +24,7 @@ from modeconv.analysis import (
 )
 from modeconv.converter import ResonantParams, efficiency_closed_form, resonant_network, two_mode_network
 from modeconv.ensemble import default_validation_ensemble, microscopic_network
+from modeconv.errors import NoPortsError
 from modeconv.network import new_network
 from modeconv.scattering import _member_stack, dynamical_matrix, transmission_grid
 
@@ -204,6 +205,18 @@ def test_efficiency_map_matches_rows():
     assert emap.etas.shape == (3, 21)
     row = np.abs(transmission_grid(fam.build(2.0), omegas, "a", "b")) ** 2
     assert np.abs(emap.etas[1] - row).max() < 1e-14
+
+
+def test_member_without_ports_raises_no_ports_error():
+    # kappa = 0 leaves the resonant member with no damped mode
+    with pytest.raises(NoPortsError):
+        efficiency_map(ConverterFamily(kind="resonant"), [0.0, 1.0], [0.5])
+
+    def portless(kappa):
+        return new_network(("x", "y"), np.array([[0.0, kappa], [kappa, 0.0]]), (0.0, 0.0))
+
+    with pytest.raises(NoPortsError):
+        optimize_kappa(portless, 0.99, (0.5, 1.0))
 
 
 class TestOptimizeKappa:

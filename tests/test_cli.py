@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import argparse
 import io
 import json
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from modeconv.analysis import ConverterFamily, high_efficiency_intervals, optimize_kappa
-from modeconv.cli import main
+from modeconv.cli import _build_parser, main
 from modeconv.ensemble import AtomEnsemble, AtomParams, ensemble_to_dict, microscopic_network
 from modeconv.formatting import json_text
 from modeconv.scattering import _reduced, dynamical_matrix
@@ -423,8 +424,77 @@ def test_omega_points_flag_is_rejected_by_its_own_name(tmp_path, capsys, command
     flags = ["--omega-min", "-3", "--omega-max", "3"]
     assert main([command, cfg, *flags, "--omega-points", "7"]) == 1
     err = capsys.readouterr().err
-    assert err == f"config error: option '--omega-points' does not apply to '{command}'\n"
+    assert err == "usage error: unrecognized arguments: --omega-points 7\n"
     assert main([command, cfg, *flags]) == 0
+
+
+COMMAND_OPTIONS = {
+    "sweep": "--g --kappa --delta-mu --omega-min --omega-max --omega-points --out",
+    "bandwidth": "--g --kappa --delta-mu --threshold --omega-min --omega-max --out",
+    "map": "--g --delta-mu --omega-min --omega-max --omega-points --out",
+    "optimize": "--g --delta-mu --threshold --omega-min --omega-max --out",
+    "eliminate": "--kappa --omega-min --omega-max --omega-points --out",
+    "timedomain": "--g --kappa --delta-mu --omega --amplitude --trace-out --out",
+    "reproduce": "--preset --out-dir",
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+def test_each_command_takes_only_its_own_flags(command):
+    (commands,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {flag for action in commands.choices[command]._actions for flag in action.option_strings}
+    assert options - {"-h", "--help"} == set(COMMAND_OPTIONS[command].split())
+
+
+@pytest.mark.parametrize(
+    "command, doc, flag",
+    [
+        ("timedomain", {"setup": "resonant", "kappa": 2.6, "omega": 0.5}, ["--omega-min", "-3"]),
+        ("eliminate", {"setup": "microscopic"}, ["--threshold", "0.9"]),
+    ],
+    ids=["timedomain-window", "eliminate-threshold"],
+)
+def test_flag_a_command_does_not_read_is_rejected_by_its_name(tmp_path, capsys, command, doc, flag):
+    # The flag is named: not ignored, and not reported as a config field the user never wrote.
+    assert main([command, write_cfg(tmp_path, "cfg.json", doc), *flag]) == 1
+    assert capsys.readouterr().err == f"usage error: unrecognized arguments: {' '.join(flag)}\n"
+
+
+def test_timedomain_rejects_a_window_field(tmp_path, capsys):
+    # timedomain drives one frequency, so a window would be silently ignored.
+    window = {"min": -3.0, "max": 3.0, "points": 3}
+    doc = {"setup": "resonant", "kappa": 2.6, "omega": 0.5, "window": window}
+    assert main(["timedomain", write_cfg(tmp_path, "cfg.json", doc)]) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: field 'window' does not apply to 'timedomain' with this setup\n"
+
+
+@pytest.mark.parametrize(
+    "args, window, expected",
+    [
+        (["--omega-points", "4"], None, [-1.5, 1.5, 4]),
+        (["--omega-min", "-1"], None, [-1.0, 1.5, 300]),
+        ([], {"points": 4}, [-1.5, 1.5, 4]),
+        (["--omega-max", "1"], {"min": -1.0}, [-1.0, 1.0, 300]),
+    ],
+    ids=["points-flag", "min-flag", "points-field", "max-flag-min-field"],
+)
+def test_eliminate_partial_window_takes_the_rest_from_the_default(
+    tmp_path, capsys, args, window, expected
+):
+    cfg = [] if window is None else [write_cfg(tmp_path, "cfg.json", {"window": window})]
+    assert main(["eliminate", *cfg, *args]) == 0
+    assert json.loads(capsys.readouterr().out)["omega_window"] == expected
+
+
+def test_timedomain_checks_trace_output_before_integrating(tmp_path, capsys, monkeypatch):
+    def not_called(*args, **kwargs):
+        raise AssertionError("integrated before the config was checked")
+
+    monkeypatch.setattr("modeconv.cli.steady_state_response", not_called)
+    doc = {"setup": "resonant", "kappa": 0.5, "omega": 0.5, "trace_output": "-"}
+    assert main(["timedomain", write_cfg(tmp_path, "cfg.json", doc)]) == 1
+    assert "field 'trace_output' must be a file path" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field", ["coupling_re", "damping"])
