@@ -2,7 +2,10 @@
 
 Configuration is a single JSON document given as a file path (or ``-`` for
 standard input); a handful of flags override top-level scalars for quick
-variations.  Every emitted CSV/JSON value uses a fixed 12-decimal scientific
+variations.  Each command is one function from a config to text.  The
+reference bundles of ``reproduce`` are a table of (file, command, config)
+entries, so every bundle file is exactly what its command writes for that
+config.  Every emitted CSV/JSON value uses a fixed 12-decimal scientific
 format and fixed row/key order, so identical runs produce byte-identical files.
 
 Exit codes: 0 success, 1 configuration/input error, 2 numerical failure
@@ -27,7 +30,10 @@ from .analysis import (
     high_efficiency_intervals,
     optimize_kappa,
 )
-from .converter import DetunedParams, ResonantParams, detuned_network, resonant_network, two_mode_network
+# Not called here: the benchmark's set-up probe builds a network through
+# ``cli.resonant_network`` and ``cli.ResonantParams``, and its tracer wraps the
+# three constructors where this module looks them up.
+from .converter import ResonantParams, detuned_network, resonant_network, two_mode_network  # noqa: F401
 from .ensemble import (
     collective_couplings,
     default_validation_ensemble,
@@ -71,7 +77,7 @@ FLAGS = {
 # even-point window straddling omega = 0 (uniform compensated ensembles are
 # exactly singular there).
 ELIMINATE_DEFAULT_KAPPA = 2.6
-ELIMINATE_DEFAULT_WINDOW = (-1.5, 1.5, 300)
+ELIMINATE_DEFAULT_WINDOW = {"min": -1.5, "max": 1.5, "points": 300}
 
 
 class ConfigError(Exception):
@@ -112,7 +118,9 @@ def _load_config(args) -> dict:
             continue
         name, _, key = field.partition(".")
         if key:
-            value = {**(cfg[name] if isinstance(cfg.get(name), dict) else {}), key: value}
+            if not isinstance(doc := cfg.get(name, {}), dict):
+                continue  # left as written, so the field is rejected by its name
+            value = {**doc, key: value}
         cfg[name] = value
     if not isinstance(cfg.get("output", "-"), str):
         raise ConfigError("field 'output' must be a path string")
@@ -153,41 +161,33 @@ _RANGE_ORDER = {
     "window": (lambda lo, hi: lo < hi, "min < max"),
     "kappa_range": (lambda lo, hi: 0.0 < lo <= hi, "0 < min <= max"),
 }
-_REQUIRED = object()
 
 
-def _range(cfg: dict, name: str, points=_REQUIRED, default=_REQUIRED) -> tuple:
-    """Parse the ``{min, max[, points]}`` field ``name`` as (min, max, points).
+def _range(cfg: dict, name: str, keys=("min", "max", "points"), default=None) -> tuple:
+    """Parse the field ``name``, an object with ``keys``, as a tuple in that order.
 
-    ``points`` is the count used when the field gives none, ``_REQUIRED`` when
-    the field must give it, or None when the field takes only min and max (the
-    result is then (min, max)).  A missing field returns ``default`` unless that
-    is ``_REQUIRED``; a tuple ``default`` also fills the keys a field leaves out.
+    ``default`` (a dict) fills the keys the field leaves out; a missing field
+    takes the default only when the default gives every key.
     """
-    keys = ("min", "max") if points is None else ("min", "max", "points")
-    if name not in cfg:
-        if default is _REQUIRED:
-            raise ConfigError(f"missing required field '{name}' ({{{', '.join(keys)}}})")
-        return default
-    doc = cfg[name]
+    default = default or {}
+    if name not in cfg and not set(keys) <= set(default):
+        raise ConfigError(f"missing required field '{name}' ({{{', '.join(keys)}}})")
+    doc = cfg.get(name, {})
     if not isinstance(doc, dict):
         raise ConfigError(f"field '{name}' must be an object with {', '.join(keys)}")
     extra = sorted(set(doc) - set(keys))
     if extra:
         raise ConfigError(f"unknown field '{name}.{extra[0]}'")
-    if isinstance(default, tuple):
-        doc = {**dict(zip(keys, default)), **doc}
+    doc = {**default, **doc}
     lo = _number(doc, "min", required=True, field=f"{name}.min")
     hi = _number(doc, "max", required=True, field=f"{name}.max")
     in_order, wording = _RANGE_ORDER[name]
     if not in_order(lo, hi):
         raise ConfigError(f"{name} requires {wording}, got [{lo}, {hi}]")
-    if points is None:
+    if "points" not in keys:
         return lo, hi
     if "points" not in doc:
-        if points is _REQUIRED:
-            raise ConfigError(f"missing required field '{name}.points'")
-        return lo, hi, points
+        raise ConfigError(f"missing required field '{name}.points'")
     value = doc["points"]
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"field '{name}.points' must be an integer, got {value!r}")
@@ -295,22 +295,27 @@ def _write_text(target, text: str):
 # ---------------------------------------------------------------- commands: config -> text
 
 
-def _sweep_text(net, in_port: str, out_port: str, window: tuple[float, float, int]) -> str:
-    w_min, w_max, points = window
-    grid = np.linspace(w_min, w_max, points)
+def _cmd_sweep(cfg: dict) -> str:
+    net, in_port, out_port = _build_single_network(cfg, "sweep", {"window"})
+    grid = np.linspace(*_range(cfg, "window"))
     etas = np.abs(transmission_grid(net, grid, in_port, out_port, on_singular="raise")) ** 2
     return csv_text("omega,eta", zip(grid, etas))
 
 
-def _bandwidth_text(net, in_port, out_port, threshold, omega_range) -> str:
+def _cmd_bandwidth(cfg: dict) -> str:
+    net, in_port, out_port = _build_single_network(cfg, "bandwidth", {"threshold", "window"})
+    threshold = _threshold(cfg)
+    omega_range = _range(cfg, "window", ("min", "max"))
     report = high_efficiency_intervals(net, in_port, out_port, threshold, omega_range)
     intervals = [{"lo": iv.lo, "hi": iv.hi, "width": iv.width} for iv in report.intervals]
     doc = {"threshold": report.threshold, "intervals": intervals, "max_width": report.max_width}
     return json_text(doc) + "\n"
 
 
-def _map_text(family: ConverterFamily, kappa_range, window) -> str:
-    kappas, omegas = np.linspace(*kappa_range), np.linspace(*window)
+def _cmd_map(cfg: dict) -> str:
+    family = _family(cfg, "map", FAMILY_FIELDS)
+    kappas = np.linspace(*_range(cfg, "kappa_range"))
+    omegas = np.linspace(*_range(cfg, "window"))
     for name, grid in (("kappa_range", kappas), ("window", omegas)):
         if np.any(np.diff(grid) <= 0.0):
             raise ConfigError(f"field '{name}' is too narrow for {len(grid)} distinct points")
@@ -326,36 +331,15 @@ def _map_text(family: ConverterFamily, kappa_range, window) -> str:
     return csv_text("kappa,omega,eta", rows)
 
 
-def _optimize_text(family: ConverterFamily, threshold, kappa_range, coarse_points, omega_range) -> str:
-    kappa_star, width_star = optimize_kappa(
-        family, threshold, kappa_range, coarse_points=coarse_points, omega_range=omega_range
-    )
-    return json_text({"threshold": threshold, "kappa_star": kappa_star, "max_width": width_star}) + "\n"
-
-
-def _cmd_sweep(cfg: dict) -> str:
-    net, in_port, out_port = _build_single_network(cfg, "sweep", {"window"})
-    return _sweep_text(net, in_port, out_port, _range(cfg, "window"))
-
-
-def _cmd_bandwidth(cfg: dict) -> str:
-    net, in_port, out_port = _build_single_network(cfg, "bandwidth", {"threshold", "window"})
-    threshold = _threshold(cfg)
-    return _bandwidth_text(net, in_port, out_port, threshold, _range(cfg, "window", points=None))
-
-
-def _cmd_map(cfg: dict) -> str:
-    family = _family(cfg, "map", FAMILY_FIELDS)
-    kappa_range = _range(cfg, "kappa_range")
-    return _map_text(family, kappa_range, _range(cfg, "window"))
-
-
 def _cmd_optimize(cfg: dict) -> str:
     family = _family(cfg, "optimize", FAMILY_FIELDS | {"threshold"})
     threshold = _threshold(cfg)
-    k_min, k_max, coarse = _range(cfg, "kappa_range", points=COARSE_KAPPA_POINTS)
-    omega_range = _range(cfg, "window", points=None, default=None)
-    return _optimize_text(family, threshold, (k_min, k_max), coarse, omega_range)
+    k_min, k_max, coarse = _range(cfg, "kappa_range", default={"points": COARSE_KAPPA_POINTS})
+    omega_range = _range(cfg, "window", ("min", "max")) if "window" in cfg else None
+    kappa_star, width_star = optimize_kappa(
+        family, threshold, (k_min, k_max), coarse_points=coarse, omega_range=omega_range
+    )
+    return json_text({"threshold": threshold, "kappa_star": kappa_star, "max_width": width_star}) + "\n"
 
 
 def _cmd_eliminate(cfg: dict) -> str:
@@ -410,47 +394,66 @@ def _run(command, args):
     _write_text(cfg.get("output", "-"), command(cfg))
 
 
+# Each config command: name -> (config -> text, help, the flags it reads).
+_COMMANDS = {
+    "sweep": (_cmd_sweep, "efficiency vs frequency (CSV omega,eta)",
+              ("--g", "--kappa", "--delta-mu", "--omega-min", "--omega-max", "--omega-points", "--out")),
+    "bandwidth": (_cmd_bandwidth, "above-threshold intervals (JSON report)",
+                  ("--g", "--kappa", "--delta-mu", "--threshold", "--omega-min", "--omega-max", "--out")),
+    "map": (_cmd_map, "efficiency map over kappa and omega (CSV kappa,omega,eta)",
+            ("--g", "--delta-mu", "--omega-min", "--omega-max", "--omega-points", "--out")),
+    "optimize": (_cmd_optimize, "bandwidth-maximizing kappa (JSON report)",
+                 ("--g", "--delta-mu", "--threshold", "--omega-min", "--omega-max", "--out")),
+    "eliminate": (_cmd_eliminate, "validate the microscopic-to-effective reduction (JSON)",
+                  ("--kappa", "--omega-min", "--omega-max", "--omega-points", "--out")),
+    "timedomain": (_cmd_timedomain, "time-domain cross-check of one S element (JSON)",
+                   ("--g", "--kappa", "--delta-mu", "--omega", "--amplitude", "--trace-out", "--out")),
+}
+
+
 # ---------------------------------------------------------------- presets
 
+# The g = 1 converter families of the fig3/fig4 bundles, by interior detuning.
+_FAMILIES = {
+    0: {"setup": "resonant", "g": 1.0},
+    1: {"setup": "detuned", "g": 1.0, "delta_mu": 1.0},
+    3: {"setup": "detuned", "g": 1.0, "delta_mu": 3.0},
+    10: {"setup": "detuned", "g": 1.0, "delta_mu": 10.0},
+}
+_FIG2_WINDOW = {"min": -3.0, "max": 3.0, "points": 601}
 
-def _preset_fig2(out_dir: Path):
-    window = (-3.0, 3.0, 601)
-    resonant = resonant_network(ResonantParams(1.0, 1.0, 2.6, 2.6))
-    detuned = detuned_network(DetunedParams(1.0, 1.0, 0.2, 0.2, delta_mu=10.0))
-    eliminated = two_mode_network(0.1, 0.2, 0.2)
-    _write_text(out_dir / "fig2_resonant_sweep.csv", _sweep_text(resonant, "a", "b", window))
-    _write_text(out_dir / "fig2_detuned_sweep.csv", _sweep_text(detuned, "a", "b", window))
-    _write_text(out_dir / "fig2_two_mode_sweep.csv", _sweep_text(eliminated, "a", "b", window))
-    bandwidth = _bandwidth_text(resonant, "a", "b", 0.999, (-3.0, 3.0))
-    _write_text(out_dir / "fig2_resonant_bandwidth.json", bandwidth)
-
-
-def _preset_family(delta_mu: int) -> ConverterFamily:
-    """The g = 1 converter family of the fig3/fig4 bundles at interior detuning ``delta_mu``."""
-    return ConverterFamily(kind="detuned" if delta_mu else "resonant", g=1.0, delta_mu=float(delta_mu))
-
-
-def _preset_fig3(out_dir: Path):
-    kappa_range = (0.1, 5.0, 99)
-    windows = {0: (-3.0, 3.0, 241), 1: (-3.0, 5.0, 321), 3: (-3.0, 7.0, 401), 10: (-3.0, 12.0, 601)}
-    for delta_mu, window in windows.items():
-        family = _preset_family(delta_mu)
-        _write_text(out_dir / f"fig3_map_dmu{delta_mu}.csv", _map_text(family, kappa_range, window))
-
-
-def _preset_fig4(out_dir: Path):
-    for delta_mu in (0, 1, 3, 10):
-        text = _optimize_text(_preset_family(delta_mu), 0.99, (0.1, 8.0), COARSE_KAPPA_POINTS, None)
-        _write_text(out_dir / f"fig4_optimize_dmu{delta_mu}.json", text)
-
-
-_PRESETS = {"fig2": _preset_fig2, "fig3": _preset_fig3, "fig4": _preset_fig4}
+# Each bundle file is what its command writes for a fixed config: (file, command, config).
+_PRESETS = {
+    "fig2": (
+        ("fig2_resonant_sweep.csv", "sweep",
+         {"setup": "resonant", "g": 1.0, "kappa": 2.6, "window": _FIG2_WINDOW}),
+        ("fig2_detuned_sweep.csv", "sweep",
+         {"setup": "detuned", "g": 1.0, "delta_mu": 10.0, "kappa": 0.2, "window": _FIG2_WINDOW}),
+        ("fig2_two_mode_sweep.csv", "sweep",
+         {"setup": "two_mode", "g": 0.1, "kappa": 0.2, "window": _FIG2_WINDOW}),
+        ("fig2_resonant_bandwidth.json", "bandwidth",
+         {"setup": "resonant", "g": 1.0, "kappa": 2.6, "threshold": 0.999,
+          "window": {"min": -3.0, "max": 3.0}}),
+    ),
+    "fig3": tuple(
+        (f"fig3_map_dmu{delta_mu}.csv", "map",
+         {**_FAMILIES[delta_mu], "kappa_range": {"min": 0.1, "max": 5.0, "points": 99},
+          "window": {"min": -3.0, "max": w_max, "points": points}})
+        for delta_mu, w_max, points in ((0, 3.0, 241), (1, 5.0, 321), (3, 7.0, 401), (10, 12.0, 601))
+    ),
+    "fig4": tuple(
+        (f"fig4_optimize_dmu{delta_mu}.json", "optimize",
+         {**family, "threshold": 0.99, "kappa_range": {"min": 0.1, "max": 8.0}})
+        for delta_mu, family in _FAMILIES.items()
+    ),
+}
 
 
 def _cmd_reproduce(args):
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _PRESETS[args.preset](out_dir)
+    for name, command, cfg in _PRESETS[args.preset]:
+        _write_text(out_dir / name, _COMMANDS[command][0](cfg))
 
 
 # ---------------------------------------------------------------- entry point
@@ -462,21 +465,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Frequency-domain coupled-mode converter simulator",
     )
     subparsers = parser.add_subparsers(dest="command")
-
-    for name, handler, extra, flags in (
-        ("sweep", _cmd_sweep, "efficiency vs frequency (CSV omega,eta)",
-         ("--g", "--kappa", "--delta-mu", "--omega-min", "--omega-max", "--omega-points", "--out")),
-        ("bandwidth", _cmd_bandwidth, "above-threshold intervals (JSON report)",
-         ("--g", "--kappa", "--delta-mu", "--threshold", "--omega-min", "--omega-max", "--out")),
-        ("map", _cmd_map, "efficiency map over kappa and omega (CSV kappa,omega,eta)",
-         ("--g", "--delta-mu", "--omega-min", "--omega-max", "--omega-points", "--out")),
-        ("optimize", _cmd_optimize, "bandwidth-maximizing kappa (JSON report)",
-         ("--g", "--delta-mu", "--threshold", "--omega-min", "--omega-max", "--out")),
-        ("eliminate", _cmd_eliminate, "validate the microscopic-to-effective reduction (JSON)",
-         ("--kappa", "--omega-min", "--omega-max", "--omega-points", "--out")),
-        ("timedomain", _cmd_timedomain, "time-domain cross-check of one S element (JSON)",
-         ("--g", "--kappa", "--delta-mu", "--omega", "--amplitude", "--trace-out", "--out")),
-    ):
+    for name, (handler, extra, flags) in _COMMANDS.items():
         sub = subparsers.add_parser(name, help=extra)
         sub.add_argument("config", nargs="?", default=None, help="JSON config path, or - for stdin")
         for flag in flags:

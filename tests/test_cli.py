@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from modeconv.analysis import ConverterFamily, high_efficiency_intervals, optimize_kappa
-from modeconv.cli import _build_parser, main
+from modeconv.cli import _PRESETS, _build_parser, main
 from modeconv.ensemble import AtomEnsemble, AtomParams, ensemble_to_dict, microscopic_network
 from modeconv.formatting import json_text
 from modeconv.scattering import _reduced, dynamical_matrix
@@ -298,6 +298,17 @@ def test_reproduce_writes_bundle(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("preset", sorted(_PRESETS))
+def test_each_bundle_file_is_what_its_command_writes_for_its_config(tmp_path, preset):
+    # One path: a bundle file is a user's run of its command on a plain JSON config.
+    assert main(["reproduce", "--preset", preset, "--out-dir", str(tmp_path / "bundle")]) == 0
+    for name, command, config in _PRESETS[preset]:
+        cfg = write_cfg(tmp_path, f"{name}.cfg.json", config)
+        out = tmp_path / name
+        assert main([command, cfg, "--out", str(out)]) == 0
+        assert out.read_bytes() == (tmp_path / "bundle" / name).read_bytes()
+
+
 def test_reproduce_rejects_unknown_preset(tmp_path):
     assert main(["reproduce", "--preset", "fig9", "--out-dir", str(tmp_path)]) == 1
 
@@ -485,6 +496,25 @@ def test_eliminate_partial_window_takes_the_rest_from_the_default(
     cfg = [] if window is None else [write_cfg(tmp_path, "cfg.json", {"window": window})]
     assert main(["eliminate", *cfg, *args]) == 0
     assert json.loads(capsys.readouterr().out)["omega_window"] == expected
+
+
+@pytest.mark.parametrize(
+    "command, doc, args",
+    [
+        ("eliminate", {"window": 5}, ["--omega-min", "-1"]),
+        (
+            "sweep",
+            {"setup": "resonant", "kappa": 2.6, "window": 5},
+            ["--omega-min", "-1", "--omega-max", "1", "--omega-points", "3"],
+        ),
+    ],
+    ids=["eliminate-min-flag", "sweep-all-flags"],
+)
+def test_window_flag_keeps_a_malformed_window_field(tmp_path, capsys, command, doc, args):
+    # A flag merges into a window object only; a malformed field is rejected by its name.
+    assert main([command, write_cfg(tmp_path, "cfg.json", doc), *args]) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: field 'window' must be an object with min, max, points\n"
 
 
 def test_timedomain_checks_trace_output_before_integrating(tmp_path, capsys, monkeypatch):
