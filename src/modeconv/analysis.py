@@ -120,13 +120,14 @@ class ConverterFamily:
 
     kind "resonant" builds the symmetric three-mode chain with coupling ``g``;
     "detuned" adds intermediate-mode detuning ``delta_mu``; "two_mode" couples
-    the resonators directly with strength ``s`` (defaulting to ``g``).
+    the resonators directly with strength ``g``.  Calling the family builds
+    its member at kappa, so it is one of the callables kappa -> network that
+    :func:`efficiency_map` and :func:`optimize_kappa` take as a family.
     """
 
     kind: str
     g: float = 1.0
     delta_mu: float = 0.0
-    s: float | None = None
 
     def build(self, kappa: float) -> CoupledModeNetwork:
         if self.kind == "resonant":
@@ -136,16 +137,10 @@ class ConverterFamily:
                 DetunedParams(self.g, self.g, kappa, kappa, delta_mu=self.delta_mu)
             )
         if self.kind == "two_mode":
-            s = self.g if self.s is None else self.s
-            return two_mode_network(s, kappa, kappa)
+            return two_mode_network(self.g, kappa, kappa)
         raise ValueError(f"unknown family kind {self.kind!r}")
 
-
-def _build_member(family, kappa: float) -> CoupledModeNetwork:
-    """A family is a ConverterFamily or any callable kappa -> network."""
-    if hasattr(family, "build"):
-        return family.build(kappa)
-    return family(kappa)
+    __call__ = build
 
 
 def _conversion_ports(net: CoupledModeNetwork) -> tuple[str, str]:
@@ -425,7 +420,7 @@ def branch_count(
 
 
 def efficiency_map(family, kappa_grid, omega_grid) -> EfficiencyMap:
-    """eta over the (kappa, omega) grid for a one-parameter converter family.
+    """eta over the (kappa, omega) grid for a family, any callable kappa -> network.
 
     Rows follow ``kappa_grid`` ascending, columns ``omega_grid`` ascending.
     Singular points (possible only for undamped members) are recorded as NaN
@@ -436,7 +431,7 @@ def efficiency_map(family, kappa_grid, omega_grid) -> EfficiencyMap:
     rows = np.empty((len(kappas), len(omegas)))
     gap_count = 0
     for i, kappa in enumerate(kappas):
-        net = _build_member(family, float(kappa))
+        net = family(float(kappa))
         in_port, out_port = _conversion_ports(net)
         rows[i] = _eta_grid(net, omegas, in_port, out_port, on_singular="nan")
         gap_count += int(np.count_nonzero(~np.isfinite(rows[i])))
@@ -455,19 +450,24 @@ def optimize_kappa(
 ) -> tuple[float, float]:
     """Damping that maximizes the widest above-threshold interval.
 
-    The coarse grid over ``kappa_range`` (default 201 points) is one batch:
-    one eigen-solve stack for all its members.  The width is discontinuous
-    where branches merge, which is where the number of crossings (real
-    eigenvalues of the level-set matrix in the window) changes.  For each
-    neighbor of the best grid point whose crossing count differs from its own,
-    the pair is bisected on the count, one member and one level-set eigen-solve
-    per step, to a bracket of 1e-12 * max(1, range width); one batched report
-    then measures both ends of every bracket.  When no bracket end is wider
-    than the best grid point (no neighbor differs in count, or the merge is
-    narrower: a smooth interior maximum), golden section between the
-    neighbors refines instead.  The optimizer returns the best (kappa, width)
-    pair it actually evaluated anywhere, never a merely-converged-to point.
-    A single-point range returns that kappa with its width.
+    ``family`` is any callable kappa -> network (a :class:`ConverterFamily`
+    is one); each member's conversion ports are its first and last damped
+    modes.  The coarse grid over ``kappa_range`` (default 201 points) is one
+    batch: one eigen-solve stack for all its members.  The width is
+    discontinuous where branches merge, which is where the number of
+    crossings (real eigenvalues of the level-set matrix in the window)
+    changes.  For each neighbor of the best grid point whose crossing count
+    differs from its own, the pair is bisected on the count, one member and
+    one level-set eigen-solve per step, to a bracket of
+    1e-12 * max(1, range width); one batched report then measures both ends
+    of every bracket.  When no bracket end is wider than the best grid point
+    (no neighbor differs in count, or the merge is narrower: a smooth
+    interior maximum), golden section between the neighbors refines instead,
+    one batch of one member per step.  Every width
+    is measured the same way, and the optimizer returns the first widest
+    (kappa, width) pair it evaluated anywhere, in evaluation order, never a
+    merely-converged-to point.  A single-point range returns that kappa with
+    its width.
     ``coarse_points`` must be an integer >= 2.
     """
     if not 0.0 < threshold < 1.0:
@@ -480,38 +480,37 @@ def optimize_kappa(
         raise ValueError(f"kappa_range must be positive and finite, got {kappa_range}")
 
     if omega_range is None:
-        omega_range = default_omega_window(_build_member(family, (k_lo + k_hi) / 2.0))
-
-    def reports_at(kappas) -> list[BandwidthReport]:
-        nets = [_build_member(family, float(k)) for k in kappas]
-        return _bandwidth_reports(nets, [_conversion_ports(net) for net in nets], threshold, omega_range)
-
-    def width_at(kappa: float) -> float:
-        net = _build_member(family, kappa)
-        in_port, out_port = _conversion_ports(net)
-        return max_bandwidth(net, in_port, out_port, threshold, omega_range)
-
-    if k_lo == k_hi:
-        return k_lo, width_at(k_lo)
-
-    ks = np.linspace(k_lo, k_hi, int(coarse_points))
-    widths = np.array([report.max_width for report in reports_at(ks)])
-    best_i = int(np.argmax(widths))
-    best_k = float(ks[best_i])
-    best_w = float(widths[best_i])
-
+        omega_range = default_omega_window(family((k_lo + k_hi) / 2.0))
     gamma = math.sqrt(threshold)
     w_lo, w_hi = float(omega_range[0]), float(omega_range[1])
+    seen = []  # (kappa, width) of every member measured, in evaluation order
+
+    def members(kappas):
+        nets = [family(float(k)) for k in kappas]
+        return nets, [_conversion_ports(net) for net in nets]
+
+    def widths_at(kappas) -> list[float]:
+        reports = _bandwidth_reports(*members(kappas), threshold, omega_range)
+        seen.extend((float(k), report.max_width) for k, report in zip(kappas, reports))
+        return [report.max_width for report in reports]
 
     def crossing_counts(kappas) -> list[int]:
-        nets = [_build_member(family, float(k)) for k in kappas]
         roots = _per_mode_count(
-            nets,
-            [_conversion_ports(net) for net in nets],
+            *members(kappas),
             lambda group, pairs: _real_eigenvalues(_level_set_matrices(group, pairs, gamma)[1], w_lo, w_hi),
         )
         return [len(r) for r in roots]
 
+    def best() -> tuple[float, float]:
+        return max(seen, key=lambda entry: entry[1])  # the first of the widest
+
+    if k_lo == k_hi:
+        widths_at([k_lo])
+        return best()
+
+    ks = np.linspace(k_lo, k_hi, int(coarse_points))
+    widths = widths_at(ks)
+    best_i = int(np.argmax(widths))
     near = sorted({max(best_i - 1, 0), best_i, min(best_i + 1, len(ks) - 1)})
     counts = dict(zip(near, crossing_counts(ks[near])))
     tol = 1e-12 * max(1.0, k_hi - k_lo)
@@ -529,28 +528,16 @@ def optimize_kappa(
             else:
                 b = mid
         brackets += [a, b]
-    if brackets:
-        coarse_w = best_w
-        for kappa, report in zip(brackets, reports_at(brackets)):
-            if report.max_width > best_w:
-                best_k, best_w = kappa, report.max_width
-        if best_w > coarse_w:
-            return best_k, best_w
-
-    def track(kappa: float) -> float:
-        nonlocal best_k, best_w
-        w = width_at(kappa)
-        if w > best_w:
-            best_k, best_w = kappa, w
-        return w
+    if brackets and max(widths_at(brackets)) > widths[best_i]:
+        return best()
 
     a = float(ks[near[0]])
     b = float(ks[near[-1]])
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc = track(c)
-    fd = track(d)
+    (fc,) = widths_at([c])
+    (fd,) = widths_at([d])
     tol = 1e-8 * max(1.0, k_hi - k_lo)
     for _ in range(200):
         if b - a <= tol:
@@ -558,9 +545,9 @@ def optimize_kappa(
         if fc < fd:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = track(d)
+            (fd,) = widths_at([d])
         else:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = track(c)
-    return best_k, best_w
+            (fc,) = widths_at([c])
+    return best()

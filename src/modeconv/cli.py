@@ -243,7 +243,7 @@ def _build_single_network(cfg: dict, command: str, fields: set):
     common = {"setup", "output"} | fields
     if setup in FAMILY_SETUPS:
         family = _family(cfg, command, common | {"kappa"})
-        net = family.build(_positive(cfg, "kappa", required=True))
+        net = family(_positive(cfg, "kappa", required=True))
     elif setup == "microscopic":
         _check_keys(cfg, common | {"kappa", "ensemble", "compensate_stark"}, command)
         kappa = _positive(cfg, "kappa", required=True)

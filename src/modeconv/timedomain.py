@@ -173,8 +173,9 @@ def steady_state_response(
     output * e^{+i omega t} over the last quarter of the run, divided by the
     drive amplitude; a zero amplitude returns ratio 0.  Raises
     :class:`NonConvergentError` when the demodulated ratio still drifts by more
-    than 1e-4 across the last tenth of the run.  A non-finite ``omega``, or a
-    ``dt`` that is not positive and finite, is a ``ValueError`` naming it.
+    than 1e-4 across the last tenth of the run.  A non-finite ``omega``, a
+    ``dt`` that is not positive and finite, or an ``out_port`` that is not a
+    damped mode is a ``ValueError`` naming it, raised before any integration.
     """
     omega = float(omega)
     if not math.isfinite(omega):
@@ -182,6 +183,10 @@ def steady_state_response(
     ports = net.ports()
     if not ports:
         raise NoPortsError("network has no damped modes to drive")
+    out_index = net.index_of(out_port)
+    if out_index not in ports:
+        raise ValueError(f"output port {out_port!r} is not a damped mode")
+    out_row = ports.index(out_index)
     kappa_min = float(net.damping[ports].min())
     t_ramp = 20.0 / kappa_min
     t_total = t_ramp + 40.0 / kappa_min
@@ -198,7 +203,6 @@ def steady_state_response(
     samples = amplitude * envelope * np.exp(-1j * omega * t_half)
     result = integrate(net, [DriveSignal(port=in_port, samples=samples)], t_max, dt)
 
-    out_row = ports.index(net.index_of(out_port))
     demodulated = result.outputs[out_row] * np.exp(1j * omega * result.times)
     if amplitude == 0.0:
         return 0.0 + 0.0j, result

@@ -563,30 +563,52 @@ class TestMergeBisection:
         assert_optimum_on_theta(family, 0.99, (0.5, 4.0), kappa_star, width_star)
 
     @pytest.mark.parametrize(
-        "kind, threshold, kappa_range, bracketed",
+        "kind, threshold, kappa_range, bracketed, optimum",
         [
-            ("resonant", 0.99, (EXCEPTIONAL_KAPPA - 1.0, EXCEPTIONAL_KAPPA + 1.0), False),
-            ("resonant", 0.99, (EXCEPTIONAL_KAPPA, EXCEPTIONAL_KAPPA + 1.0), False),
-            ("resonant", 0.99, (3.0, 8.0), False),
-            ("resonant", 0.5, (0.1, 8.0), True),
-            ("two_mode", 0.5, (0.1, 8.0), False),
+            (
+                "resonant",
+                0.99,
+                (EXCEPTIONAL_KAPPA - 1.0, EXCEPTIONAL_KAPPA + 1.0),
+                False,
+                (4.656854249492381, 0.2721047401480283),
+            ),
+            (
+                "resonant",
+                0.99,
+                (EXCEPTIONAL_KAPPA, EXCEPTIONAL_KAPPA + 1.0),
+                False,
+                (5.656854249492381, 0.1892294193665372),
+            ),
+            ("resonant", 0.99, (3.0, 8.0), False, (3.0, 1.0959039870799352)),
+            ("resonant", 0.5, (0.1, 8.0), True, (1.2871886078273223, 3.107547948060075)),
+            ("two_mode", 0.5, (0.1, 8.0), False, (2.000000048617225, 2.8284271247461916)),
         ],
         ids=["exceptional_inside", "exceptional_end", "no_count_change", "narrower_merge", "two_mode"],
     )
     def test_golden_section_where_no_merge_beats_the_grid(
-        self, monkeypatch, kind, threshold, kappa_range, bracketed
+        self, monkeypatch, kind, threshold, kappa_range, bracketed, optimum
     ):
         # The coarse grid (21 points) puts the exceptional point kappa = 4 sqrt(2)
         # on a grid point in the first case and on the best one in the second.
+        # The optimum is pinned bit for bit: no reference bundle reaches this path.
         family = ConverterFamily(kind=kind)
         calls = record_reports(monkeypatch)
         kappa_star, width_star = optimize_kappa(family, threshold, kappa_range, 21)
+        assert (kappa_star, width_star) == optimum
         (_, coarse), *rest = calls
         # a bracket pair, if any, and then golden section's one-member reports
         assert [len(kappas) for kappas, _ in rest[:1]] == [2 if bracketed else 1]
         assert len(rest) > 20 and all(len(kappas) == 1 for kappas, _ in rest[1:])
         assert width_star >= max(report.max_width for report in coarse)
         assert_optimum_on_theta(family, threshold, kappa_range, kappa_star, width_star)
+
+    @pytest.mark.parametrize("omega_range", [None, (-3.0, 3.0)], ids=["default_window", "given_window"])
+    def test_equal_widths_keep_the_first_evaluated(self, omega_range):
+        # Every member is the same network, so every width ties: the coarse
+        # grid's first point wins over the later grid points and golden section.
+        net = resonant(2.6)
+        optimum = optimize_kappa(lambda kappa: net, 0.9, (0.5, 4.0), 11, omega_range=omega_range)
+        assert optimum == (0.5, 2.122773489718325)
 
     def test_bisection_stops_at_adjacent_floats(self):
         # Near kappa = 1e6 one ulp (1.2e-10) exceeds the 1e-12 bracket, so the

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from modeconv import timedomain
 from modeconv.converter import ResonantParams, resonant_network
 from modeconv.errors import NonConvergentError, StepTooLargeError
 from modeconv.network import new_network
@@ -139,3 +140,21 @@ def test_bad_step_is_named(dt):
 def test_non_finite_t_max_is_named(t_max):
     with pytest.raises(ValueError, match="t_max must be finite"):
         integrate(one_mode(1.0), [], t_max=t_max, dt=0.01, initial_amplitudes=[1.0])
+
+
+@pytest.mark.parametrize(
+    "out_port, message",
+    [("c", "output port 'c' is not a damped mode"), ("nope", "no mode labeled 'nope'")],
+    ids=["undamped", "unknown"],
+)
+def test_bad_output_port_is_named_before_integrating(monkeypatch, out_port, message):
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrate was called")
+
+    monkeypatch.setattr(timedomain, "integrate", no_integration)
+    net = resonant_network(ResonantParams(1.0, 1.0, 2.6, 2.6))
+    assert net.damping[net.index_of("c")] == 0.0
+    with pytest.raises(ValueError, match=message):
+        steady_state_response(net, 0.3, "a", out_port)
+    with pytest.raises(ValueError, match=message):
+        frequency_domain_check(net, 0.3, "a", out_port)
