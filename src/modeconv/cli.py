@@ -299,7 +299,7 @@ def _cmd_sweep(cfg: dict) -> str:
     net, in_port, out_port = _build_single_network(cfg, "sweep", {"window"})
     grid = np.linspace(*_range(cfg, "window"))
     etas = np.abs(transmission_grid(net, grid, in_port, out_port, on_singular="raise")) ** 2
-    return csv_text("omega,eta", zip(grid, etas))
+    return csv_text("omega,eta", np.column_stack([grid, etas]))
 
 
 def _cmd_bandwidth(cfg: dict) -> str:
@@ -323,10 +323,9 @@ def _cmd_map(cfg: dict) -> str:
     singular = np.argwhere(~np.isfinite(emap.etas))
     if len(singular):
         raise SingularAtFrequencyError(float(emap.omegas[singular[0][1]]))
-    rows = (
-        (kappa, omega, eta)
-        for kappa, etas in zip(emap.kappas, emap.etas)
-        for omega, eta in zip(emap.omegas, etas)
+    n_kappa, n_omega = emap.etas.shape
+    rows = np.column_stack(
+        [np.repeat(emap.kappas, n_omega), np.tile(emap.omegas, n_kappa), emap.etas.ravel()]
     )
     return csv_text("kappa,omega,eta", rows)
 

@@ -5,18 +5,42 @@ Every numeric value is written as lower-case scientific notation with a
 "8.000000000000e-1").  That is precise enough that parsing the text recovers the
 computed double to better than 1e-12 relative, and stable enough that identical
 runs produce byte-identical files.
+
+There is one exponent rule, :func:`_minimal_exponents`: Python's ``%e`` always
+writes a sign and at least two exponent digits, and three string replacements
+turn that into ``int(exponent)``.  :func:`format_float` applies it to one value;
+:func:`csv_text` formats a table in blocks of rows, each block with a single
+``%`` operation and one pass of the same rule, so no Python code runs per value
+and the memory held at once stays bounded by the block.  NaN and infinities
+have no place in the emitted files and raise ``ValueError`` naming the value.
 """
 
 from __future__ import annotations
 
 import json
+import math
+
+import numpy as np
+
+# Rows formatted per ``%`` operation in :func:`csv_text`.
+_BLOCK_ROWS = 2048
+
+
+def _minimal_exponents(text: str) -> str:
+    """Rewrite every ``%e`` exponent in ``text`` ("e+00", "e-05", "e+123") as int(exponent)."""
+    return text.replace("e+0", "e").replace("e-0", "e-").replace("e+", "e")
+
+
+def _non_finite(x: float) -> ValueError:
+    return ValueError(f"cannot format non-finite value {x!r}")
 
 
 def format_float(x: float) -> str:
     """Scientific notation, 12 decimal places, no '+' or leading zeros in the exponent."""
     x = float(x)
-    mantissa, exponent = f"{x:.12e}".split("e")
-    return f"{mantissa}e{int(exponent)}"
+    if not math.isfinite(x):
+        raise _non_finite(x)
+    return _minimal_exponents(f"{x:.12e}")
 
 
 def json_text(value, indent: int = 0) -> str:
@@ -49,8 +73,20 @@ def json_text(value, indent: int = 0) -> str:
 
 
 def csv_text(header: str, rows) -> str:
-    """CSV document: a literal header line plus formatted numeric rows."""
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(format_float(x) for x in row))
-    return "\n".join(lines) + "\n"
+    """CSV document: a literal header line plus one formatted line per table row.
+
+    ``rows`` is a 2-D table of floats (an array, or a sequence of equal-length
+    rows); an empty table gives the header line alone.
+    """
+    table = np.asarray(rows, dtype=float)
+    if table.size == 0:
+        return header + "\n"
+    line = ",".join(["%.12e"] * table.shape[1]) + "\n"
+    parts = [header + "\n"]
+    for start in range(0, len(table), _BLOCK_ROWS):
+        block = table[start : start + _BLOCK_ROWS]
+        finite = np.isfinite(block)
+        if not finite.all():
+            raise _non_finite(float(block[~finite][0]))
+        parts.append(_minimal_exponents((line * len(block)) % tuple(block.ravel().tolist())))
+    return "".join(parts)

@@ -15,6 +15,13 @@ values at t, t + dt/2 and t + dt and the integrator keeps its full 4th-order
 accuracy for driven systems; per-step sampling with interpolated midpoints
 would silently degrade it to 2nd order.
 
+Because the equation is linear, one RK4 step is exactly an affine map
+a -> P a + k_i: P is the 4th-degree Taylor polynomial of e^{M dt} and each
+drive term k_i is a fixed combination of the step's three half-step samples.
+The integrator builds P and every k_i with a few matrix products before it
+steps, so the time loop does one matrix-vector product per step; the result
+is the four-stage RK4 result up to rounding.
+
 Outputs follow the input-output relation a_out = -sqrt(K) a - a_in at each port.
 """
 
@@ -84,7 +91,10 @@ def integrate(
     dt: float,
     initial_amplitudes=None,
 ) -> SimResult:
-    """Evolve the network for n_steps = round(t_max / dt) RK4 steps.
+    """Evolve the network for n_steps = round(t_max / dt) classical RK4 steps.
+
+    Each step is applied as its precomputed affine map (see the module
+    docstring), which is 4th-order RK4 on the half-step drive samples.
 
     ``drives`` is a list of :class:`DriveSignal`, at most one per port, each
     carrying 2*n_steps + 1 half-step samples covering [0, t_max].  Raises
@@ -138,17 +148,26 @@ def integrate(
         if a.shape != (n,):
             raise ValueError(f"initial amplitudes must have shape ({n},), got {a.shape}")
 
-    amplitudes = np.empty((n, n_steps + 1), dtype=complex)
-    amplitudes[:, 0] = a
-    half = 0.5 * dt
+    # One RK4 step of da/dt = M a + f(t) is the affine map a -> P a + k_i with
+    # H = dt M, P = I + H + H^2/2 + H^3/6 + H^4/24 and
+    # k_i = dt/6 [(I + H + H^2/2 + H^3/4) f_2i + (4I + 2H + H^2/2) f_2i+1 + f_2i+2],
+    # where f_j is the forcing at half-step sample j.  Rows here are time steps.
+    eye = np.eye(n)
+    h = dt * m_op
+    h2 = h @ h
+    h3 = h2 @ h
+    propagator = eye + h + h2 / 2.0 + h3 / 6.0 + h3 @ h / 24.0
+    f_start, f_mid, f_end = forcing[:, 0:-1:2].T, forcing[:, 1::2].T, forcing[:, 2::2].T
+    start_weight = eye + h + h2 / 2.0 + h3 / 4.0
+    mid_weight = 4.0 * eye + 2.0 * h + h2 / 2.0
+    kicks = (dt / 6.0) * (f_start @ start_weight.T + f_mid @ mid_weight.T + f_end)
+
+    trajectory = np.empty((n_steps + 1, n), dtype=complex)
+    trajectory[0] = a
     for i in range(n_steps):
-        j = 2 * i
-        k1 = m_op @ a + forcing[:, j]
-        k2 = m_op @ (a + half * k1) + forcing[:, j + 1]
-        k3 = m_op @ (a + half * k2) + forcing[:, j + 1]
-        k4 = m_op @ (a + dt * k3) + forcing[:, j + 2]
-        a = a + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        amplitudes[:, i + 1] = a
+        a = propagator @ a + kicks[i]
+        trajectory[i + 1] = a
+    amplitudes = np.ascontiguousarray(trajectory.T)
 
     times = np.arange(n_steps + 1) * dt
     outputs = np.empty((len(ports), n_steps + 1), dtype=complex)
@@ -250,4 +269,4 @@ def trace_csv_text(net: CoupledModeNetwork, result: SimResult) -> str:
     columns = [result.times]
     for amps in (*result.mode_amplitudes, *result.outputs):
         columns += [amps.real, amps.imag]
-    return csv_text(",".join(header), zip(*columns))
+    return csv_text(",".join(header), np.column_stack(columns))

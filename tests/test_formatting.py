@@ -1,9 +1,12 @@
 """Tests for the deterministic number/CSV/JSON formatting."""
 
 import json
+import sys
 
 import numpy as np
+import pytest
 
+from modeconv import formatting
 from modeconv.formatting import csv_text, format_float, json_text
 
 
@@ -54,3 +57,62 @@ def test_json_text_is_valid_and_ordered():
     assert parsed["flag"] is True
     assert parsed["note"] is None
     assert '"threshold": 9.990000000000e-1' in text
+
+
+def _per_value_csv(header, table):
+    """The CSV text written one format_float call per value."""
+    return header + "\n" + "".join(",".join(format_float(x) for x in row) + "\n" for row in table)
+
+
+def _edge_values():
+    """About 20k values whose decimal exponents span -323..308, plus edge cases."""
+    rng = np.random.default_rng(15)
+    spread = np.ldexp(rng.uniform(0.5, 1.0, 20000), rng.integers(-1073, 1025, 20000))
+    spread *= rng.choice([-1.0, 1.0], spread.size)
+    edges = [0.0, -0.0, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max]
+    edges += [1e5, 1e-5, 1e100, 1e-100, -1e5, -1e-100]
+    # 12-decimal rounding carries these up to the next power of ten
+    edges += [9.9999999999995e-1, 9.99999999999995, -9.99999999999995]
+    return np.concatenate([np.array(edges), spread])
+
+
+def test_exponent_rule_is_int_of_the_exponent():
+    for x in _edge_values():
+        mantissa, exponent = f"{x:.12e}".split("e")
+        assert format_float(x) == f"{mantissa}e{int(exponent)}"
+    assert format_float(9.9999999999995e-1) == "1.000000000000e0"
+    assert format_float(9.99999999999995) == "1.000000000000e1"
+    assert format_float(5e-324) == "4.940656458412e-324"
+    assert format_float(-0.0) == "-0.000000000000e0"
+
+
+@pytest.mark.parametrize("columns", [1, 2, 3])
+def test_csv_text_matches_per_value_format(columns):
+    values = _edge_values()
+    table = values[: len(values) // columns * columns].reshape(-1, columns)
+    assert len(table) > formatting._BLOCK_ROWS
+    header = ",".join(f"c{i}" for i in range(columns))
+    assert csv_text(header, table) == _per_value_csv(header, table)
+    # a table one row past a whole number of blocks, and one shorter than a block
+    for rows in (formatting._BLOCK_ROWS + 1, 7):
+        assert csv_text(header, table[:rows]) == _per_value_csv(header, table[:rows])
+
+
+def test_csv_text_empty_table():
+    assert csv_text("h", []) == "h\n"
+    assert csv_text("h", np.empty((0, 3))) == "h\n"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_values_are_named(bad):
+    message = f"non-finite value {bad!r}"
+    with pytest.raises(ValueError, match=message):
+        format_float(bad)
+    with pytest.raises(ValueError, match=message):
+        json_text({"ok": 1.0, "values": [0.5, bad]})
+    table = np.ones((formatting._BLOCK_ROWS + 5, 2))
+    table[-1, 1] = bad
+    with pytest.raises(ValueError, match=message):
+        csv_text("a,b", table)
+    with pytest.raises(ValueError, match=message):
+        csv_text("a,b", [(0.0, 1.0), (bad, 2.0)])

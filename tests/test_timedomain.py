@@ -41,6 +41,54 @@ def test_two_mode_beat_against_exact_rotation():
     assert np.abs(result.mode_amplitudes[1] - (-1j) * np.sin(g * t)).max() < 1e-7
 
 
+def test_driven_single_mode_is_fourth_order():
+    # da/dt = -(kappa/2) a - sqrt(kappa) e^{-i omega t} from a(0) = 0 has the
+    # exact solution -sqrt(kappa) (e^{-i omega t} - e^{-kappa t/2}) / (kappa/2 - i omega)
+    kappa, omega, t_max = 1.0, 20.0, 2.0
+    net = one_mode(kappa)
+
+    def error(dt):
+        n_steps = int(round(t_max / dt))
+        t_half = np.arange(2 * n_steps + 1) * (dt / 2.0)
+        result = integrate(net, [DriveSignal("a", np.exp(-1j * omega * t_half))], t_max, dt)
+        t = result.times
+        exact = (
+            -np.sqrt(kappa)
+            * (np.exp(-1j * omega * t) - np.exp(-kappa * t / 2.0))
+            / (kappa / 2.0 - 1j * omega)
+        )
+        return np.abs(result.mode_amplitudes[0] - exact).max()
+
+    assert 12.0 <= error(0.01) / error(0.005) <= 20.0
+
+
+def test_matches_a_four_stage_rk4_loop():
+    net = resonant_network(ResonantParams(1.0, 1.0, 2.6, 2.6))
+    dt, t_max = 0.003, 3.0
+    n_steps = int(round(t_max / dt))
+    t_half = np.arange(2 * n_steps + 1) * (dt / 2.0)
+    samples = np.tanh(t_half) * np.exp(-0.5j * t_half)
+    a0 = np.array([0.3, -0.2j, 0.1 + 0.1j])
+    result = integrate(net, [DriveSignal("a", samples)], t_max, dt, initial_amplitudes=a0)
+
+    m_op = -1j * net.coupling - np.diag(net.damping) / 2.0
+    forcing = np.zeros((3, len(t_half)), dtype=complex)
+    forcing[net.index_of("a")] = -np.sqrt(net.damping[net.index_of("a")]) * samples
+    a = a0.astype(complex)
+    expected = [a]
+    for i in range(n_steps):
+        f0, f1, f2 = forcing[:, 2 * i], forcing[:, 2 * i + 1], forcing[:, 2 * i + 2]
+        k1 = m_op @ a + f0
+        k2 = m_op @ (a + dt / 2.0 * k1) + f1
+        k3 = m_op @ (a + dt / 2.0 * k2) + f1
+        k4 = m_op @ (a + dt * k3) + f2
+        a = a + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        expected.append(a)
+    expected = np.array(expected).T
+    scale = np.abs(expected).max()
+    assert np.abs(result.mode_amplitudes - expected).max() <= 1e-12 * scale
+
+
 def test_output_record_is_input_output_consistent():
     net = one_mode(1.0)
     samples = np.ones(2 * 100 + 1, dtype=complex)
@@ -101,6 +149,23 @@ def test_slow_ring_up_detected_as_non_convergent():
     net = new_network(("a", "d"), a, (1.0, 0.0))
     with pytest.raises(NonConvergentError):
         steady_state_response(net, 5.0, "a", "a")
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        ResonantParams(1.0, 1.0, 4.0 * np.sqrt(2.0), 4.0 * np.sqrt(2.0)),
+        ResonantParams(0.5, 0.5, 8.0, 8.0),
+    ],
+    ids=["exceptional_point", "overdamped"],
+)
+def test_slowest_decay_outlasting_the_run_is_non_convergent(params):
+    # The run length is set by kappa_min, not by the network's slowest decay
+    # rate, which is far slower at the exceptional point and when overdamped;
+    # the drift guard must raise rather than return an unsettled ratio.
+    net = resonant_network(params)
+    with pytest.raises(NonConvergentError, match="drifts by"):
+        steady_state_response(net, 0.0, "a", "b")
 
 
 def test_trace_csv_layout():
