@@ -25,11 +25,15 @@ out through the rows Q[out, :].  A network that is already Hessenberg (a chain,
 or modes coupled to nothing) needs no reflector and keeps Q = I exactly.
 
 There are two solves, each written once.  Transmissions of one port pair go
-through the pair solve (:func:`_pair_transmission`): every (member, omega)
-pair of a stack of reduced networks is one system of a single
-:func:`modeconv.linalg.solve_batched` call.  :func:`transmission_grid` is the
-stack of one network, :func:`transmission` the grid of one frequency, and
-bandwidth extraction in :mod:`modeconv.analysis` solves many members at once.
+through the pair solve (:func:`_pair_transmission`): the (member, omega)
+pairs of a stack of reduced networks are solved in chunks of consecutive
+pairs, each chunk one :func:`modeconv.linalg.solve_batched` call on at most
+``_PAIR_STACK_BYTES`` of systems, so memory stays bounded on networks of
+hundreds of modes and the result is the same, bit for bit, as one stack.  A
+chunk of one member broadcasts that member's H instead of gathering copies.
+:func:`transmission_grid` is the stack of one network, :func:`transmission`
+the grid of one frequency, and bandwidth extraction in
+:mod:`modeconv.analysis` solves many members at once.
 Whole columns at one frequency go through the point solve (:func:`_solve_at`,
 via :func:`modeconv.linalg.solve_with_condition`, which also reports the pivot
 ratio as a conditioning estimate): :func:`scattering_matrix` drives every port,
@@ -51,6 +55,10 @@ import numpy as np
 from .errors import NoPortsError, SingularAtFrequencyError, SingularMatrixError
 from .linalg import solve_batched, solve_with_condition
 from .network import CoupledModeNetwork
+
+# Bytes of complex (pairs, n, n) stack that one chunk of the pair solve may
+# hold; a chunk takes max(1, _PAIR_STACK_BYTES // (16 n^2)) pairs.
+_PAIR_STACK_BYTES = 2**25
 
 
 @dataclass(frozen=True)
@@ -133,14 +141,17 @@ def transmission_grid(
 ) -> np.ndarray:
     """Transmission ``in_port -> out_port`` (labels of damped modes) over a frequency grid.
 
-    All frequencies are eliminated as one stack.  ``on_singular`` chooses what
-    a singular frequency does: ``"raise"`` propagates
-    :class:`SingularAtFrequencyError` (reporting the first offending omega),
-    ``"nan"`` records NaN so callers can leave a gap in a curve.
+    ``omegas`` must be 1-D, or a ``ValueError`` names its shape; an empty grid
+    gives an empty array.  ``on_singular`` chooses what a singular frequency
+    does: ``"raise"`` propagates :class:`SingularAtFrequencyError` (reporting
+    the first offending omega), ``"nan"`` records NaN so callers can leave a
+    gap in a curve.
     """
     if on_singular not in ("raise", "nan"):
         raise ValueError(f"on_singular must be 'raise' or 'nan', got {on_singular!r}")
     omegas = np.asarray(omegas, dtype=float)
+    if omegas.ndim != 1:
+        raise ValueError(f"omegas must be a 1-D frequency grid, got shape {omegas.shape}")
     return _pair_transmission(_member_stack([net], [(in_port, out_port)]), 0, omegas, on_singular)
 
 
@@ -244,16 +255,31 @@ def _member_stack(nets, ports) -> tuple:
 def _pair_transmission(stack, member, omegas, on_singular: str = "raise") -> np.ndarray:
     """Transmission of member ``member[j]`` of ``stack`` at ``omegas[j]``, for every pair j.
 
-    ``member`` may also be one index for every pair (a frequency grid); that
-    member's arrays then broadcast over the pairs instead of being gathered.
-    Every pair is one system of a single :func:`solve_batched` call.  A pair
+    ``member`` may also be one index for every pair (a frequency grid).  The
+    pairs are solved in chunks of consecutive pairs, each one
+    :func:`solve_batched` call on a stack of at most ``_PAIR_STACK_BYTES``
+    (or of one pair, if a single system is larger), so memory stays bounded
+    however many pairs there are.  A chunk whose pairs all belong to one
+    member passes that member's arrays to broadcast over its pairs; only a
+    chunk that mixes members gathers them.  Elimination is elementwise per
+    system, so the chunking does not change a bit of the result.  A pair
     flagged singular raises :class:`SingularAtFrequencyError` at the first
     such omega (``on_singular="raise"``) or reads NaN (``"nan"``).
     """
     h, drive, readout, scale, same = stack
-    x, singular = solve_batched(_shifted(h[member], omegas), drive[member])
-    out = scale[member] * _read_out(readout[member], x)[:, 0]
-    out[same[member]] -= 1.0
+    members = np.broadcast_to(member, (len(omegas),))
+    out = np.empty(len(members), dtype=complex)
+    singular = np.empty(len(members), dtype=bool)
+    size = max(1, _PAIR_STACK_BYTES // (16 * h.shape[-1] ** 2))
+    for start in range(0, len(members), size):
+        part = slice(start, start + size)
+        k = members[part]
+        if (k == k[0]).all():
+            k = k[0]
+        x, singular[part] = solve_batched(_shifted(h[k], omegas[part]), drive[k])
+        values = scale[k] * _read_out(readout[k], x)[:, 0]
+        values[same[k]] -= 1.0
+        out[part] = values
     if singular.any():
         if on_singular == "raise":
             raise SingularAtFrequencyError(float(omegas[np.argmax(singular)]))

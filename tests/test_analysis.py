@@ -191,6 +191,44 @@ class TestIntervals:
             high_efficiency_intervals(net, "a", "b", 0.9, (-np.inf, 1.0))
 
 
+class TestButterworth:
+    """The maximally flat converters: eta = 1 / (1 + (omega / omega_c)^(2k)).
+
+    At kappa = 2 sqrt(2) g the three-mode chain is third order, 1/eta - 1 =
+    omega^6 / (8 g^6); at kappa = 2s the two-mode network is second order,
+    1/eta - 1 = omega^4 / (4 s^4).  The criterion's kappa = 2.6 g is not this
+    point: its curve dips below one between its unity points.
+    """
+
+    @pytest.mark.parametrize("g", [1.0, 0.7])
+    @pytest.mark.parametrize("threshold", [0.9, 0.99])
+    def test_chain_width_is_the_butterworth_width(self, g, threshold):
+        kappa = 2.0 * math.sqrt(2.0) * g
+        net = resonant_network(ResonantParams(g, g, kappa, kappa))
+        report = high_efficiency_intervals(net, "a", "b", threshold, (-4.0 * g, 4.0 * g))
+        width = 2.0 * math.sqrt(2.0) * g * ((1.0 - threshold) / threshold) ** (1.0 / 6.0)
+        assert len(report.intervals) == 1
+        assert report.max_width == pytest.approx(width, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("g", [1.0, 0.7])
+    def test_chain_edges_sit_on_a_near_one_threshold(self, g):
+        # Edges are polished in eta, not in omega: near theta = 1 the width
+        # moves by (1 - theta)^(-5/6) per unit of eta, so pin eta on the edge.
+        threshold = 1.0 - 1e-6
+        kappa = 2.0 * math.sqrt(2.0) * g
+        net = resonant_network(ResonantParams(g, g, kappa, kappa))
+        (iv,) = high_efficiency_intervals(net, "a", "b", threshold, (-4.0 * g, 4.0 * g)).intervals
+        for edge in (iv.lo, iv.hi):
+            assert abs(efficiency_closed_form(edge, g, kappa) - threshold) <= 1e-9
+
+    @pytest.mark.parametrize("s", [1.0, 0.7])
+    def test_two_mode_network_is_second_order(self, s):
+        net = two_mode_network(s, 2.0 * s, 2.0 * s)
+        omegas = np.array([0.3, 1.0])
+        eta = np.abs(transmission_grid(net, omegas, "a", "b")) ** 2
+        assert (1.0 / eta - 1.0) / omegas**4 == pytest.approx(1.0 / (4.0 * s**4), rel=1e-12, abs=0.0)
+
+
 def test_branch_count_transition():
     fam = ConverterFamily(kind="resonant")
     assert branch_count(fam.build(2.0), "a", "b", 0.99, (-3.0, 3.0)) == 3

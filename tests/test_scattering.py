@@ -6,9 +6,13 @@ used as ground truth here.  Grid evaluation must agree with the strict
 single-point path everywhere, including on which frequencies are singular.
 """
 
+import re
+
 import numpy as np
 import pytest
 
+from modeconv import scattering
+from modeconv.analysis import _group_ends, high_efficiency_intervals
 from modeconv.converter import (
     DetunedParams,
     ResonantParams,
@@ -20,6 +24,7 @@ from modeconv.ensemble import AtomEnsemble, AtomParams, default_validation_ensem
 from modeconv.errors import NoPortsError, SingularAtFrequencyError
 from modeconv.network import new_network
 from modeconv.scattering import (
+    _PAIR_STACK_BYTES,
     dynamical_matrix,
     internal_amplitudes,
     scattering_matrix,
@@ -194,6 +199,18 @@ class TestTransmissionGrid:
         assert np.isnan(out[1])
         assert np.isfinite(out[0]) and np.isfinite(out[2])
 
+    @pytest.mark.parametrize("omegas", [np.zeros((2, 3)), np.zeros((1, 1)), 0.5])
+    def test_grid_that_is_not_1d_is_named(self, omegas):
+        net = resonant_network(ResonantParams(1.0, 1.0, 2.0, 2.0))
+        shape = np.shape(omegas)
+        with pytest.raises(ValueError, match=rf"1-D frequency grid, got shape {re.escape(str(shape))}"):
+            transmission_grid(net, omegas, "a", "b")
+
+    def test_empty_grid_gives_an_empty_array(self):
+        net = resonant_network(ResonantParams(1.0, 1.0, 2.0, 2.0))
+        out = transmission_grid(net, [], "a", "b")
+        assert out.shape == (0,) and out.dtype == complex
+
     def test_bad_mode_and_option_validation(self):
         net = resonant_network(ResonantParams(1.0, 1.0, 2.0, 2.0))
         with pytest.raises(ValueError):
@@ -205,14 +222,24 @@ class TestTransmissionGrid:
 # ---------------------------------------------------------------- the routes agree
 
 
-def jittered_n16():
-    rng = np.random.default_rng(4)
+def spread_ensemble(n_atoms, seed):
+    """``n_atoms`` atoms with jittered couplings and detunings, couplings scaled as sqrt(16 / N)."""
+    rng = np.random.default_rng(seed)
+    scale = np.sqrt(16.0 / n_atoms)
 
     def jitter(value):
         return value * (1.0 + rng.uniform(-0.1, 0.1))
 
-    atoms = [AtomParams(jitter(2.5), jitter(0.25), jitter(5.0), jitter(50.0), 0.0) for _ in range(16)]
-    return microscopic_network(AtomEnsemble(tuple(atoms)), 2.6, 2.6)
+    return AtomEnsemble(
+        tuple(
+            AtomParams(jitter(2.5 * scale), jitter(0.25 * scale), jitter(5.0), jitter(50.0), 0.0)
+            for _ in range(n_atoms)
+        )
+    )
+
+
+def jittered_n16():
+    return microscopic_network(spread_ensemble(16, 4), 2.6, 2.6)
 
 
 def dense_six_modes():
@@ -264,3 +291,104 @@ def test_non_finite_drive_frequency_is_rejected_on_every_route(bad):
     for route in routes:
         with pytest.raises(ValueError, match="drive frequency must be finite"):
             route(bad)
+
+
+# ---------------------------------------------------------------- chunked pair solve
+
+
+def pair_bytes(n):
+    """Budget for exactly one (n, n) complex system per chunk."""
+    return 16 * n * n
+
+
+def with_budget(monkeypatch, budget, compute):
+    monkeypatch.setattr(scattering, "_PAIR_STACK_BYTES", budget)
+    return compute()
+
+
+class TestChunkedPairSolve:
+    def test_n64_grid_is_bit_identical_in_any_chunking(self, monkeypatch):
+        net = microscopic_network(spread_ensemble(64, 5), 2.6, 2.6)
+        assert net.n_modes == 130
+        grid = np.linspace(-1.5, 1.5, 300)
+
+        def compute():
+            return transmission_grid(net, grid, "a", "b")
+
+        whole = compute()
+        for pairs in (1, 7, 299):
+            chunked = with_budget(monkeypatch, pairs * pair_bytes(130), compute)
+            assert chunked.tobytes() == whole.tobytes()
+
+    def test_gap_and_edge_stacks_mixing_members_are_bit_identical(self, monkeypatch):
+        nets = [microscopic_network(spread_ensemble(4, seed), 2.6, 2.6) for seed in range(4)]
+        ports = [("a", "b")] * len(nets)
+
+        def compute():
+            return _group_ends(nets, ports, 0.9, -3.0, 3.0)
+
+        gathered = []
+        shifted = scattering._shifted
+
+        def spy(h, omegas):
+            gathered.append(h.ndim == 3)
+            return shifted(h, omegas)
+
+        whole = compute()
+        monkeypatch.setattr(scattering, "_shifted", spy)
+        for pairs in (1, 3, 5):
+            chunked = with_budget(monkeypatch, pairs * pair_bytes(nets[0].n_modes), compute)
+            assert [e.tobytes() for e in chunked] == [e.tobytes() for e in whole]
+        # Single-pair chunks never gather; the larger ones straddle members.
+        assert any(gathered) and not all(gathered)
+
+    def test_pinned_16_atom_report_is_bit_identical(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        atoms = [
+            AtomParams(2.5, 0.25, 5.0, delta_o=50.0 + 2.0 * rng.normal(), delta_mu=0.05 * rng.normal())
+            for _ in range(16)
+        ]
+        net = microscopic_network(AtomEnsemble(tuple(atoms)), 2.6, 2.6)
+
+        def compute():
+            report = high_efficiency_intervals(net, "a", "b", 0.9, (-3.0, 3.0))
+            return np.array([(iv.lo, iv.hi) for iv in report.intervals]).tobytes()
+
+        whole = compute()
+        assert len(whole) == 16 * 2 * 8
+        for pairs in (1, 4):
+            assert with_budget(monkeypatch, pairs * pair_bytes(34), compute) == whole
+
+    def test_singular_pair_in_a_later_chunk(self, monkeypatch):
+        # Undamped uncoupled modes at detunings 5 and 3 make omega = 5 and 3
+        # singular; in pair order 5 comes first, in a later chunk than 0..2.
+        net = new_network(
+            ("a", "d", "e"), np.diag([0.0, 5.0, 3.0]).astype(complex), (1.0, 0.0, 0.0)
+        )
+        grid = np.array([0.0, 1.0, 2.0, 4.0, 5.0, 6.0, 3.0, 7.0])
+        whole = transmission_grid(net, grid, "a", "a", on_singular="nan")
+        monkeypatch.setattr(scattering, "_PAIR_STACK_BYTES", 3 * pair_bytes(3))
+        with pytest.raises(SingularAtFrequencyError) as info:
+            transmission_grid(net, grid, "a", "a")
+        assert info.value.omega == 5.0
+        chunked = transmission_grid(net, grid, "a", "a", on_singular="nan")
+        assert np.flatnonzero(np.isnan(chunked)).tolist() == [4, 6]
+        assert chunked.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("budget", [_PAIR_STACK_BYTES, 5 * pair_bytes(34) + 7, pair_bytes(34) - 1])
+    def test_no_stack_exceeds_the_budget_unless_it_holds_one_pair(self, monkeypatch, budget):
+        stacks = []
+        solve = scattering.solve_batched
+
+        def spy(mats, rhs):
+            stacks.append(mats.shape)
+            return solve(mats, rhs)
+
+        monkeypatch.setattr(scattering, "solve_batched", spy)
+        monkeypatch.setattr(scattering, "_PAIR_STACK_BYTES", budget)
+        nets = [microscopic_network(spread_ensemble(16, seed), 2.6, 2.6) for seed in range(3)]
+        _group_ends(nets, [("a", "b")] * len(nets), 0.9, -3.0, 3.0)
+        transmission_grid(nets[0], np.linspace(-1.5, 1.5, 300), "a", "b")
+        assert stacks and sum(m for m, _, _ in stacks) >= 300
+        for m, n, _ in stacks:
+            assert 16 * m * n * n <= budget or m == 1
