@@ -55,7 +55,6 @@ from .converter import (
     resonant_network,
     two_mode_network,
 )
-from .errors import NoPortsError
 from .linalg import eigenvalues_hermitian
 from .network import CoupledModeNetwork
 from .scattering import _member_stack, _pair_transmission, transmission_grid
@@ -141,13 +140,6 @@ class ConverterFamily:
         raise ValueError(f"unknown family kind {self.kind!r}")
 
     __call__ = build
-
-
-def _conversion_ports(net: CoupledModeNetwork) -> tuple[str, str]:
-    labels = net.port_labels()
-    if not labels:
-        raise NoPortsError("network has no damped modes, so no ports to convert between")
-    return labels[0], labels[-1]
 
 
 def default_omega_window(net: CoupledModeNetwork) -> tuple[float, float]:
@@ -422,9 +414,10 @@ def branch_count(
 def efficiency_map(family, kappa_grid, omega_grid) -> EfficiencyMap:
     """eta over the (kappa, omega) grid for a family, any callable kappa -> network.
 
-    Rows follow ``kappa_grid`` ascending, columns ``omega_grid`` ascending.
-    Singular points (possible only for undamped members) are recorded as NaN
-    gaps with a warning, as in :func:`efficiency_curve`.
+    Rows follow ``kappa_grid`` ascending, columns ``omega_grid`` ascending;
+    each member's eta is between its default ``port_pair()``.  Singular
+    points (possible only for undamped members) are recorded as NaN gaps with
+    a warning, as in :func:`efficiency_curve`.
     """
     kappas = _ascending_grid("kappa_grid", kappa_grid)
     omegas = _ascending_grid("omega_grid", omega_grid)
@@ -432,8 +425,7 @@ def efficiency_map(family, kappa_grid, omega_grid) -> EfficiencyMap:
     gap_count = 0
     for i, kappa in enumerate(kappas):
         net = family(float(kappa))
-        in_port, out_port = _conversion_ports(net)
-        rows[i] = _eta_grid(net, omegas, in_port, out_port, on_singular="nan")
+        rows[i] = _eta_grid(net, omegas, *net.port_pair(), on_singular="nan")
         gap_count += int(np.count_nonzero(~np.isfinite(rows[i])))
     if gap_count:
         warnings.warn(f"map contains {gap_count} singular grid points recorded as NaN", stacklevel=2)
@@ -451,9 +443,9 @@ def optimize_kappa(
     """Damping that maximizes the widest above-threshold interval.
 
     ``family`` is any callable kappa -> network (a :class:`ConverterFamily`
-    is one); each member's conversion ports are its first and last damped
-    modes.  The coarse grid over ``kappa_range`` (default 201 points) is one
-    batch: one eigen-solve stack for all its members.  The width is
+    is one); each member converts between its default ``port_pair()``.  The
+    coarse grid over ``kappa_range`` (default 201 points) is one batch: one
+    eigen-solve stack for all its members.  The width is
     discontinuous where branches merge, which is where the number of
     crossings (real eigenvalues of the level-set matrix in the window)
     changes.  For each neighbor of the best grid point whose crossing count
@@ -487,7 +479,7 @@ def optimize_kappa(
 
     def members(kappas):
         nets = [family(float(k)) for k in kappas]
-        return nets, [_conversion_ports(net) for net in nets]
+        return nets, [net.port_pair() for net in nets]
 
     def widths_at(kappas) -> list[float]:
         reports = _bandwidth_reports(*members(kappas), threshold, omega_range)

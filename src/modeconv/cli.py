@@ -237,7 +237,9 @@ def _load_ensemble(cfg: dict):
 def _build_single_network(cfg: dict, command: str, fields: set):
     """Resolve (network, in_port, out_port) for commands driving one network.
 
-    ``fields`` lists the command's own fields besides setup and output.
+    ``fields`` lists the command's own fields besides setup and output.  The
+    ports are the network's ``port_pair`` of the config's ``in_port`` and
+    ``out_port``; a label it rejects is a config error.
     """
     setup = _setup(cfg)
     common = {"setup", "output"} | fields
@@ -256,15 +258,10 @@ def _build_single_network(cfg: dict, command: str, fields: set):
         if cfg.get("network") is None:
             raise ConfigError("setup 'custom' requires field 'network'")
         net = _load_document(cfg, "network", "a network", network_from_dict)
-    ports = net.port_labels()
-    if not ports:
-        raise ConfigError("network has no damped modes, so no ports to drive")
-    in_port = cfg.get("in_port", ports[0])
-    out_port = cfg.get("out_port", ports[-1])
-    for key, label in (("in_port", in_port), ("out_port", out_port)):
-        if label not in ports:
-            raise ConfigError(f"field '{key}' must name a damped mode; ports are {ports}")
-    return net, in_port, out_port
+    try:
+        return (net, *net.port_pair(cfg.get("in_port"), cfg.get("out_port")))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _family(cfg: dict, command: str, allowed: set) -> ConverterFamily:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DuplicateLabelError, NegativeDampingError
+from .errors import DuplicateLabelError, NegativeDampingError, NoPortsError
 from .linalg import check_hermitian
 
 
@@ -39,6 +39,22 @@ class CoupledModeNetwork:
 
     def port_labels(self) -> list[str]:
         return [self.labels[i] for i in self.ports()]
+
+    def port_pair(self, in_port=None, out_port=None) -> tuple[str, str]:
+        """The (in, out) port labels a conversion runs between.
+
+        A missing ``in_port`` is the first port and a missing ``out_port`` the
+        last.  Raises :class:`NoPortsError` when the network has no damped mode
+        and a ``ValueError`` naming a given label that is not one.
+        """
+        ports = self.port_labels()
+        if not ports:
+            raise NoPortsError("network has no damped modes, so no scattering ports")
+        pair = (ports[0] if in_port is None else in_port, ports[-1] if out_port is None else out_port)
+        for name, label in zip(("in_port", "out_port"), pair):
+            if label not in ports:
+                raise ValueError(f"{name} {label!r} is not a damped mode; ports are {ports}")
+        return pair
 
     def index_of(self, label: str) -> int:
         try:

@@ -21,8 +21,10 @@ Every route first reduces the network once, with Householder reflections
 Hessenberg, so M(omega) = Q (H - 2i omega I) Q^H.  Each frequency is then one
 Hessenberg system, which the package's one elimination kernel solves in O(n^2)
 rather than O(n^3); the drive enters as Q^H sqrt(K) e_in and the answer is read
-out through the rows Q[out, :].  A network that is already Hessenberg (a chain,
-or modes coupled to nothing) needs no reflector and keeps Q = I exactly.
+out through the rows Q[out, :], one term-by-term sum in real arithmetic
+(:func:`_read_out`) for every network.  A network that is already Hessenberg
+(a chain, or modes coupled to nothing) needs no reflector and keeps Q = I
+exactly, so its readout selects entries exactly, up to the sign of a zero.
 
 There are two solves, each written once.  Transmissions of one port pair go
 through the pair solve (:func:`_pair_transmission`): the (member, omega)
@@ -52,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoPortsError, SingularAtFrequencyError, SingularMatrixError
+from .errors import SingularAtFrequencyError, SingularMatrixError
 from .linalg import solve_batched, solve_with_condition
 from .network import CoupledModeNetwork
 
@@ -87,8 +89,7 @@ def _solve_at(net: CoupledModeNetwork, omega: float, rhs) -> tuple[np.ndarray, f
     into the reduced basis and back, and turns a singular system into
     :class:`SingularAtFrequencyError`.
     """
-    if not net.ports():
-        raise NoPortsError("network has no damped modes, so no scattering ports")
+    net.port_pair()  # NoPortsError for a network with no damped mode
     h, q = _reduced(net)
     try:
         y, condition = solve_with_condition(_shifted(h, [omega])[0], _read_out(q.conj().T, rhs))
@@ -202,18 +203,12 @@ def _shifted(h, omegas) -> np.ndarray:
 def _read_out(rows, y) -> np.ndarray:
     """``rows @ y`` for rows (..., n) and y (..., n, k), taken in mode order.
 
-    When every row is a unit vector (modes no reflector touched) the entries
-    are selected, not multiplied, so a network that needed no reduction keeps
-    its values down to the sign of a zero.  Otherwise the sum runs term by term
-    in real arithmetic: numpy's complex multiply may fuse its products or not
-    depending on the array layout, and a single frequency and a grid, laid out
-    differently, must round their readout alike.
+    The sum runs term by term in real arithmetic: numpy's complex multiply may
+    fuse its products or not depending on the array layout, and a single
+    frequency and a grid, laid out differently, must round their readout
+    alike.  Unit rows (modes no reflector touched) give the selected entries
+    exactly, up to the sign of a zero.
     """
-    if ((rows == 0.0) | (rows == 1.0)).all() and (np.count_nonzero(rows, axis=-1) == 1).all():
-        out = 0.0
-        for j in range(rows.shape[-1]):
-            out = np.where(rows[..., j : j + 1] == 1.0, y[..., j, :], out)
-        return out
     re = im = 0.0
     for j in range(rows.shape[-1]):
         w, v = rows[..., j : j + 1], y[..., j, :]
@@ -225,25 +220,14 @@ def _read_out(rows, y) -> np.ndarray:
 def _member_stack(nets, ports) -> tuple:
     """Per-member arrays that :func:`_pair_transmission` solves against.
 
-    ``ports[i]`` is the (in, out) label pair of ``nets[i]``; both must name
-    damped modes.  All networks must have the same mode count.  Each network
-    is reduced once (:func:`_reduced`).  Returns H as an (m, n, n) stack, the
-    reduced drive Q^H sqrt(K_in) e_in as an (m, n, 1) stack, the readout rows
-    Q[out, :], the readout factors 2 sqrt(K_out), and whether each member's
-    ports coincide.
+    ``ports[i]`` is the (in, out) label pair of ``nets[i]``, checked by
+    :meth:`CoupledModeNetwork.port_pair`.  All networks must have the same
+    mode count.  Each network is reduced once (:func:`_reduced`).  Returns H
+    as an (m, n, n) stack, the reduced drive Q^H sqrt(K_in) e_in as an
+    (m, n, 1) stack, the readout rows Q[out, :], the readout factors
+    2 sqrt(K_out), and whether each member's ports coincide.
     """
-    modes = []
-    for net, (in_port, out_port) in zip(nets, ports):
-        damped = net.ports()
-        if not damped:
-            raise NoPortsError("network has no damped modes, so no scattering ports")
-        pair = net.index_of(in_port), net.index_of(out_port)
-        if not set(pair) <= set(damped):
-            raise ValueError(
-                f"ports must be damped modes; got {in_port!r} -> {out_port!r} "
-                f"with ports {net.port_labels()}"
-            )
-        modes.append(pair)
+    modes = [[net.index_of(label) for label in net.port_pair(*pair)] for net, pair in zip(nets, ports)]
     in_modes, out_modes = np.array(modes).T
     hs, qs = zip(*(_reduced(net) for net in nets))
     drive = np.array([q[i].conj() * np.sqrt(net.damping[i]) for q, net, i in zip(qs, nets, in_modes)])

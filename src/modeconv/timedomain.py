@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergentError, NoPortsError, StepTooLargeError
+from .errors import NonConvergentError, StepTooLargeError
 from .formatting import csv_text
 from .network import CoupledModeNetwork
 from .scattering import transmission
@@ -100,8 +100,8 @@ def integrate(
     carrying 2*n_steps + 1 half-step samples covering [0, t_max].  Raises
     :class:`StepTooLargeError` when dt exceeds MAX_STEP_FACTOR over the fastest
     rate in the network (largest coupling entry or damping rate).  A
-    non-finite ``t_max`` or a ``dt`` that is not positive and finite is a
-    ``ValueError`` naming it.
+    non-finite ``t_max`` or initial amplitude, or a ``dt`` that is not
+    positive and finite, is a ``ValueError`` naming it.
     """
     dt = _positive_step(dt)
     if not math.isfinite(t_max):
@@ -147,6 +147,8 @@ def integrate(
         a = np.asarray(initial_amplitudes, dtype=complex).copy()
         if a.shape != (n,):
             raise ValueError(f"initial amplitudes must have shape ({n},), got {a.shape}")
+        if not np.isfinite(a).all():
+            raise ValueError(f"initial amplitudes must be finite, got {a[~np.isfinite(a)][0]}")
 
     # One RK4 step of da/dt = M a + f(t) is the affine map a -> P a + k_i with
     # H = dt M, P = I + H + H^2/2 + H^3/6 + H^4/24 and
@@ -193,19 +195,16 @@ def steady_state_response(
     drive amplitude; a zero amplitude returns ratio 0.  Raises
     :class:`NonConvergentError` when the demodulated ratio still drifts by more
     than 1e-4 across the last tenth of the run.  A non-finite ``omega``, a
-    ``dt`` that is not positive and finite, or an ``out_port`` that is not a
-    damped mode is a ``ValueError`` naming it, raised before any integration.
+    ``dt`` that is not positive and finite, or a port that
+    :meth:`~modeconv.network.CoupledModeNetwork.port_pair` rejects is an
+    error naming it, raised before any integration.
     """
     omega = float(omega)
     if not math.isfinite(omega):
         raise ValueError(f"omega must be finite, got {omega}")
+    in_port, out_port = net.port_pair(in_port, out_port)
     ports = net.ports()
-    if not ports:
-        raise NoPortsError("network has no damped modes to drive")
-    out_index = net.index_of(out_port)
-    if out_index not in ports:
-        raise ValueError(f"output port {out_port!r} is not a damped mode")
-    out_row = ports.index(out_index)
+    out_row = ports.index(net.index_of(out_port))
     kappa_min = float(net.damping[ports].min())
     t_ramp = 20.0 / kappa_min
     t_total = t_ramp + 40.0 / kappa_min

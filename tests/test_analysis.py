@@ -12,7 +12,6 @@ from modeconv.analysis import (
     ConverterFamily,
     Interval,
     _bandwidth_reports,
-    _conversion_ports,
     _polish,
     branch_count,
     default_omega_window,
@@ -221,6 +220,24 @@ class TestButterworth:
         for edge in (iv.lo, iv.hi):
             assert abs(efficiency_closed_form(edge, g, kappa) - threshold) <= 1e-9
 
+    def test_optimum_tends_to_the_maximally_flat_damping(self):
+        # As theta -> 1 the chain's widest band approaches the Butterworth one:
+        # kappa* rises towards 2 sqrt(2) g from below, and each decade of
+        # 1 - theta narrows the widest band by a ratio tending to 10^(-1/6).
+        thresholds = [1.0 - 10.0**-e for e in range(2, 7)]
+        optima = {
+            g: [optimize_kappa(ConverterFamily(kind="resonant", g=g), th, (0.1, 8.0)) for th in thresholds]
+            for g in (1.0, 0.7)
+        }
+        kappas = np.array([kappa for kappa, _ in optima[1.0]])
+        assert kappas == pytest.approx([2.27458, 2.56569, 2.70531, 2.77104, 2.80174], abs=1e-5)
+        assert (np.diff(kappas) > 0.0).all() and kappas[-1] < 2.0 * math.sqrt(2.0)
+        widths = np.array([width for _, width in optima[1.0]])
+        ratios = widths[1:] / widths[:-1]
+        assert ratios == pytest.approx([0.708, 0.693, 0.687, 0.684], abs=1e-3)
+        assert (np.diff(np.abs(ratios - 10.0 ** (-1.0 / 6.0))) < 0.0).all()
+        assert [kappa / 0.7 for kappa, _ in optima[0.7]] == pytest.approx(kappas, rel=1e-6)
+
     @pytest.mark.parametrize("s", [1.0, 0.7])
     def test_two_mode_network_is_second_order(self, s):
         net = two_mode_network(s, 2.0 * s, 2.0 * s)
@@ -243,6 +260,19 @@ def test_efficiency_map_matches_rows():
     assert emap.etas.shape == (3, 21)
     row = np.abs(transmission_grid(fam.build(2.0), omegas, "a", "b")) ** 2
     assert np.abs(emap.etas[1] - row).max() < 1e-14
+
+
+def test_map_of_a_three_port_family_is_the_first_to_last_port_efficiency():
+    def lossy_chain(kappa):
+        a = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        return new_network(("a", "c", "b"), a, (kappa, 0.3, kappa))
+
+    omegas = np.linspace(-2.0, 2.0, 9)
+    emap = efficiency_map(lossy_chain, [1.0, 2.0], omegas)
+    for kappa, row in zip(emap.kappas, emap.etas):
+        net = lossy_chain(kappa)
+        assert net.port_pair() == ("a", "b")
+        assert row.tobytes() == (np.abs(transmission_grid(net, omegas, "a", "b")) ** 2).tobytes()
 
 
 def test_member_without_ports_raises_no_ports_error():
@@ -311,7 +341,7 @@ def mixed_family(kappa):
 def batch_and_single(build, kappas, threshold, omega_range):
     """Reports of the members at ``kappas``, batched and one at a time, and the warnings of each."""
     nets = [build(float(k)) for k in kappas]
-    ports = [_conversion_ports(net) for net in nets]
+    ports = [net.port_pair() for net in nets]
     with warnings.catch_warnings(record=True) as caught_batch:
         warnings.simplefilter("always")
         batch = _bandwidth_reports(nets, ports, threshold, omega_range)

@@ -10,8 +10,9 @@ import pytest
 from modeconv.analysis import ConverterFamily, high_efficiency_intervals, optimize_kappa
 from modeconv.cli import _PRESETS, _build_parser, main
 from modeconv.ensemble import AtomEnsemble, AtomParams, ensemble_to_dict, microscopic_network
-from modeconv.formatting import json_text
-from modeconv.scattering import _reduced, dynamical_matrix
+from modeconv.formatting import csv_text, json_text
+from modeconv.network import network_from_dict
+from modeconv.scattering import _reduced, dynamical_matrix, transmission_grid
 
 
 def write_cfg(tmp_path, name, doc):
@@ -284,7 +285,40 @@ def test_custom_network_bad_port(tmp_path, capsys):
     }
     cfg = write_cfg(tmp_path, "cfg.json", doc)
     assert main(["sweep", cfg]) == 1
-    assert "out_port" in capsys.readouterr().err
+    assert capsys.readouterr().err == "config error: out_port 'q' is not a damped mode; ports are ['p']\n"
+
+
+def test_custom_network_with_three_ports_converts_between_the_named_pair(tmp_path, capsys):
+    net_doc = {
+        "labels": ["p", "m", "q"],
+        "coupling_re": [[0.0, 0.4, 0.0], [0.4, 0.0, 0.3], [0.0, 0.3, 0.0]],
+        "coupling_im": [[0.0] * 3] * 3,
+        "damping": [0.6, 0.2, 0.8],
+    }
+    window = {"min": -1.0, "max": 1.0, "points": 5}
+    net = network_from_dict(net_doc)
+    omegas = np.linspace(-1.0, 1.0, 5)
+    for pair in (("q", "m"), ("m", "p"), ("p", "q")):
+        doc = {"setup": "custom", "network": net_doc, "in_port": pair[0], "out_port": pair[1], "window": window}
+        assert main(["sweep", write_cfg(tmp_path, "cfg.json", doc)]) == 0
+        etas = np.abs(transmission_grid(net, omegas, *pair)) ** 2
+        assert capsys.readouterr().out == csv_text("omega,eta", np.column_stack([omegas, etas]))
+    # with no pair given, the first and last port: the p -> q output
+    doc = {"setup": "custom", "network": net_doc, "window": window}
+    assert main(["sweep", write_cfg(tmp_path, "cfg.json", doc)]) == 0
+    assert capsys.readouterr().out == csv_text("omega,eta", np.column_stack([omegas, etas]))
+
+
+def test_custom_network_without_ports_is_an_input_error(tmp_path, capsys):
+    net_doc = {
+        "labels": ["p", "q"],
+        "coupling_re": [[0.0, 0.3], [0.3, 0.0]],
+        "coupling_im": [[0.0, 0.0], [0.0, 0.0]],
+        "damping": [0.0, 0.0],
+    }
+    doc = {"setup": "custom", "network": net_doc, "window": {"min": -1.0, "max": 1.0, "points": 3}}
+    assert main(["sweep", write_cfg(tmp_path, "cfg.json", doc)]) == 1
+    assert capsys.readouterr().err == "input error: network has no damped modes, so no scattering ports\n"
 
 
 def test_reproduce_writes_bundle(tmp_path):

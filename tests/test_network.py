@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from modeconv.errors import DuplicateLabelError, NegativeDampingError, NotHermitianError
+from modeconv.errors import DuplicateLabelError, NegativeDampingError, NoPortsError, NotHermitianError
 from modeconv.network import network_from_dict, network_from_json, network_to_json, new_network
 
 
@@ -104,3 +104,39 @@ def test_non_finite_damping_rejected(bad):
     # A NaN rate would silently stop being a port and an infinite one become one.
     with pytest.raises(ValueError, match="damping must be finite"):
         new_network(("a", "b"), np.zeros((2, 2)), (1.0, bad))
+
+
+class TestPortPair:
+    @pytest.mark.parametrize(
+        "damping, pair",
+        [((0.0, 0.0, 2.0), ("b", "b")), ((2.0, 0.0, 2.0), ("a", "b")), ((2.0, 1.0, 2.0), ("a", "b"))],
+        ids=["one_port", "two_ports", "three_ports"],
+    )
+    def test_defaults_are_the_first_and_last_port(self, damping, pair):
+        a = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        net = new_network(("a", "c", "b"), a, damping)
+        assert net.port_pair() == pair
+        assert net.port_pair(in_port="b") == ("b", pair[1])
+        assert net.port_pair(out_port="b") == (pair[0], "b")
+
+    def test_given_ports_are_kept(self):
+        a = np.zeros((3, 3))
+        net = new_network(("a", "c", "b"), a, (2.0, 1.0, 2.0))
+        assert net.port_pair("c", "a") == ("c", "a")
+        assert net.port_pair("c") == ("c", "b")
+
+    def test_no_damped_mode_has_no_pair(self):
+        net = new_network(("x", "y"), np.zeros((2, 2)), (0.0, 0.0))
+        with pytest.raises(NoPortsError):
+            net.port_pair()
+        with pytest.raises(NoPortsError):
+            net.port_pair("x", "y")
+
+    @pytest.mark.parametrize("label", ["c", "z"], ids=["undamped", "unknown"])
+    def test_a_label_that_is_not_a_port_is_named(self, label):
+        net = simple_net()
+        named = rf"'{label}' is not a damped mode; ports are \['a', 'b'\]"
+        with pytest.raises(ValueError, match="in_port " + named):
+            net.port_pair(label, "b")
+        with pytest.raises(ValueError, match="out_port " + named):
+            net.port_pair(out_port=label)

@@ -104,6 +104,8 @@ def test_no_ports_raises():
         internal_amplitudes(net, 0.0, [])
     with pytest.raises(NoPortsError):
         scattering_matrix(net, 0.0)
+    with pytest.raises(NoPortsError):
+        transmission(net, 0.0, "x", "x")
 
 
 # ---------------------------------------------------------------- scattering matrix
@@ -135,8 +137,10 @@ def test_detuned_anchor_efficiency():
 
 def test_transmission_requires_damped_ports():
     net = resonant_network(ResonantParams(1.0, 1.0, 2.0, 2.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"out_port 'c' is not a damped mode; ports are \['a', 'b'\]"):
         transmission(net, 0.0, "a", "c")
+    with pytest.raises(ValueError, match="in_port 'z' is not a damped mode"):
+        transmission(net, 0.0, "z", "b")
 
 
 def test_transmission_is_reciprocal_for_real_couplings():

@@ -207,12 +207,22 @@ def test_non_finite_t_max_is_named(t_max):
         integrate(one_mode(1.0), [], t_max=t_max, dt=0.01, initial_amplitudes=[1.0])
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_non_finite_initial_amplitude_is_named(value):
+    with pytest.raises(ValueError, match="initial amplitudes must be finite"):
+        integrate(one_mode(1.0), [], t_max=1.0, dt=0.01, initial_amplitudes=[value])
+
+
 @pytest.mark.parametrize(
-    "out_port, message",
-    [("c", "output port 'c' is not a damped mode"), ("nope", "no mode labeled 'nope'")],
-    ids=["undamped", "unknown"],
+    "in_port, out_port, message",
+    [
+        ("a", "c", r"out_port 'c' is not a damped mode; ports are \['a', 'b'\]"),
+        ("a", "nope", "out_port 'nope' is not a damped mode"),
+        ("c", "b", "in_port 'c' is not a damped mode"),
+    ],
+    ids=["undamped", "unknown", "undamped_in"],
 )
-def test_bad_output_port_is_named_before_integrating(monkeypatch, out_port, message):
+def test_bad_output_port_is_named_before_integrating(monkeypatch, in_port, out_port, message):
     def no_integration(*args, **kwargs):
         raise AssertionError("integrate was called")
 
@@ -220,6 +230,6 @@ def test_bad_output_port_is_named_before_integrating(monkeypatch, out_port, mess
     net = resonant_network(ResonantParams(1.0, 1.0, 2.6, 2.6))
     assert net.damping[net.index_of("c")] == 0.0
     with pytest.raises(ValueError, match=message):
-        steady_state_response(net, 0.3, "a", out_port)
+        steady_state_response(net, 0.3, in_port, out_port)
     with pytest.raises(ValueError, match=message):
-        frequency_domain_check(net, 0.3, "a", out_port)
+        frequency_domain_check(net, 0.3, in_port, out_port)
