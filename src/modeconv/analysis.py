@@ -17,9 +17,11 @@ interval, and an interval touching a window end is clipped there.  An edge
 whose eta misses the threshold by more than ETA_REFINE_TOL (a root the
 eigensolver got only roughly) is polished by regula falsi inside the gaps'
 midpoints.  Several networks (the optimizer's coarse kappa grid) go through
-the same path as one batch: one ``eigvals`` call on the stack of their L, one
-pair solve for every gap midpoint and one for every edge (per mode count,
-should a callable family's members differ in size).
+the same path as one batch, per mode count should a callable family's members
+differ in size: one ``eigvals`` call on the stack of their L, one pair solve
+for every gap midpoint and one for every edge.  Crossings and poles come back
+padded with +inf, so each other step is one array operation on (member x cut)
+arrays, with no loop over members.
 
 A real eigenvalue of H is a pole: its mode is undamped, so no port sees it and
 it cancels from S_out,in.  eta is continuous through it, but the network is
@@ -42,6 +44,7 @@ returns the best evaluation it has seen.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -57,7 +60,7 @@ from .converter import (
 )
 from .linalg import eigenvalues_hermitian
 from .network import CoupledModeNetwork
-from .scattering import _member_stack, _pair_transmission, transmission_grid
+from .scattering import _member_stack, _pair_transmission, _port_modes, transmission_grid
 
 # Scan spacing of the merge-dip allowance in bench/oracles.py, its only reader.
 DEFAULT_SCAN_POINTS = 4001
@@ -192,92 +195,93 @@ def efficiency_curve(net: CoupledModeNetwork, in_port: str, out_port: str, omega
     return EfficiencyCurve(omegas=omegas, etas=kept, in_port=in_port, out_port=out_port)
 
 
-def _level_set_matrix(h, i: int, o: int, k_i: float, k_o: float, gamma: float) -> np.ndarray:
-    """L_gamma, whose real eigenvalues are the frequencies where |S_oi| = gamma.
+def _real_eigenvalues(groups, w_lo: float, w_hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted real eigenvalues in (w_lo, w_hi) of each member's matrix, and how many there are.
 
-    With H = A - iK/2 (``h``), S_oi(omega) = D + C (omega - H)^-1 B for
-    B = sqrt(k_i) e_i, C = i sqrt(k_o) e_o^T and feedthrough D = -1 when a port
-    is driven into itself (0 otherwise).  For R = D^2 - gamma^2, nonzero when
-    gamma < 1,
-
-        L_gamma = [[H - B D C / R,       -gamma B B^H / R],
-                   [-gamma C^H C / R,    H^H - C^H D B^H / R]],
-
-    which for D = 0 is [[H, B B^H / gamma], [C^H C / gamma, H^H]] (Boyd,
-    Balakrishnan & Kabamba, MCSS 1989).  B and C each have one nonzero entry,
-    so L_gamma is diag(H, H^H) plus four entries.
+    ``groups`` lists (members, stack) pairs that together cover members
+    0..m-1, one stacked ``eigvals`` call each.  Real means within
+    REAL_AXIS_RTOL * ||matrix||_F of the real axis; the real part is kept.
+    The values come back as one (m, width) array, each row ascending and
+    padded with +inf, beside the (m,) array of counts.
     """
-    n = len(h)
-    d = -1.0 if i == o else 0.0
-    r = d * d - gamma * gamma
-    feed = math.sqrt(k_i * k_o) * d / r
-    mat = np.zeros((2 * n, 2 * n), dtype=complex)
-    mat[:n, :n] = h
-    mat[n:, n:] = h.conj().T
-    mat[i, o] -= 1j * feed
-    mat[n + o, n + i] += 1j * feed
-    mat[i, n + i] = -gamma * k_i / r
-    mat[n + o, o] = -gamma * k_o / r
-    return mat
-
-
-def _real_eigenvalues(mats, w_lo: float, w_hi: float) -> list[np.ndarray]:
-    """Sorted real eigenvalues in (w_lo, w_hi) of each matrix.
-
-    Real means within REAL_AXIS_RTOL * ||matrix||_F of the real axis; the real
-    part is kept.  One stacked ``eigvals`` call per matrix size.
-    """
-    out = [None] * len(mats)
-    sizes = np.array([len(mat) for mat in mats])
-    for n in set(sizes.tolist()):
-        group = np.flatnonzero(sizes == n)
-        stack = np.array([mats[i] for i in group])
+    parts = []
+    for members, stack in groups:
         lam = np.linalg.eigvals(stack)
         real = np.abs(lam.imag) <= REAL_AXIS_RTOL * np.linalg.norm(stack, axis=(1, 2))[:, None]
-        for i, values, keep in zip(group, lam.real, real):
-            values = np.sort(values[keep])
-            out[i] = values[(values > w_lo) & (values < w_hi)]
-    return out
+        parts.append((members, np.where(real & (lam.real > w_lo) & (lam.real < w_hi), lam.real, np.inf)))
+    values = parts[0][1]  # a single group holds every member in order
+    if len(parts) > 1:
+        values = np.full((sum(len(members) for members, _ in parts), max(v.shape[1] for _, v in parts)), np.inf)
+        for members, part in parts:
+            values[members, : part.shape[1]] = part
+    values.sort(axis=1)
+    return values, (values < np.inf).sum(axis=1)
 
 
-def _level_set_matrices(nets, ports, gamma: float) -> tuple[np.ndarray, list[np.ndarray]]:
-    """H = A - iK/2 of networks of one mode count, as a stack, and each L_gamma.
+def _level_set_matrices(nets, modes, gamma: float) -> tuple[np.ndarray, list]:
+    """H = A - iK/2 of networks of one mode count, as a stack, and their L_gamma in groups.
 
-    L_gamma is built on the modes the coupling graph links to a port of the
-    pair: the others cannot change S_out,in, and leaving them out keeps the
-    crossings of a network with a decoupled dark mode bit for bit.  H is the
-    whole network's, decoupled modes included, so its real eigenvalues are
-    every pole.
+    With (i, o) = ``modes[j]``, S_oi(omega) = D + C (omega - H)^-1 B for
+    B = sqrt(k_i) e_i, C = i sqrt(k_o) e_o^T and feedthrough D = -1 when a
+    port is driven into itself (0 otherwise).  For R = D^2 - gamma^2, nonzero
+    when gamma < 1, the real eigenvalues of
+
+        L_gamma = diag(H, H^H) - [[B D C, gamma B B^H], [gamma C^H C, C^H D B^H]] / R
+
+    are the frequencies where |S_oi| = gamma (Boyd, Balakrishnan & Kabamba,
+    MCSS 1989).  The four entries of the second term go in by fancy indexing
+    for the whole batch, the two off-diagonal-block ones as L_gamma's only
+    entries in those blocks.  L_gamma keeps only the modes the coupling
+    graph links to a port: leaving the others out keeps the crossings of a
+    network with a decoupled dark mode bit for bit.  Members that keep the
+    same modes form one (members, stack) group.  H is the whole network's, so
+    its real eigenvalues are every pole.
     """
     n = nets[0].n_modes
     coupling = np.array([net.coupling for net in nets])
     damping = np.array([net.damping for net in nets])
-    modes = np.array([[net.index_of(label) for label in pair] for net, pair in zip(nets, ports)])
-    h = coupling - 0.5j * (damping[:, None, :] * np.eye(n))
+    eye = np.eye(n)
+    h = coupling - 0.5j * (damping[:, None, :] * eye)
+    member, i, o = np.arange(len(nets)), modes[:, 0], modes[:, 1]
     linked = coupling != 0.0
-    reach = np.zeros(damping.shape, dtype=bool)
-    reach[np.arange(len(nets))[:, None], modes] = True
-    while True:
-        grown = reach | (linked & reach[:, :, None]).any(axis=1)
+    step = linked | eye.astype(bool)
+    reach = step[member, i] | step[member, o]  # the ports and their neighbors
+    full = reach.all()
+    while not full:
+        grown = reach | (reach[:, None, :] @ linked)[:, 0]
         if (grown == reach).all():
             break
-        reach = grown
-    mats = []
-    for h_j, k_j, keep, (i, o) in zip(h, damping, reach, modes):
-        k_i, k_o = k_j[i], k_j[o]
-        if not keep.all():
-            keep = np.flatnonzero(keep)
-            h_j, i, o = h_j[np.ix_(keep, keep)], np.searchsorted(keep, i), np.searchsorted(keep, o)
-        mats.append(_level_set_matrix(h_j, i, o, k_i, k_o, gamma))
-    return h, mats
+        reach, full = grown, grown.all()
+    d = 0.0 - (i == o)  # D: -1.0 or +0.0
+    r = d * d - gamma * gamma
+    k = damping[member[:, None], modes]
+    feed = 1j * (np.sqrt(k[:, 0] * k[:, 1]) * d / r)
+    n_i, n_o = i + n, o + n
+    mats = np.zeros((len(nets), 2 * n, 2 * n), dtype=complex)
+    mats[member, i, o], mats[member, n_o, n_i] = feed, -feed  # E's entries in the diagonal blocks
+    np.subtract(h, mats[:, :n, :n], out=mats[:, :n, :n])
+    np.subtract(h.conj().transpose(0, 2, 1), mats[:, n:, n:], out=mats[:, n:, n:])
+    side = -gamma * k / r[:, None]
+    mats[member, i, n_i], mats[member, n_o, o] = side[:, 0], side[:, 1]
+    if full:
+        return h, [(member, mats)]
+    groups = []
+    reach = np.concatenate((reach, reach), axis=1)
+    while member.size:
+        keep = reach[member[0]]
+        same = (reach[member] == keep).all(axis=1)
+        rows, member = member[same], member[~same]
+        keep = np.flatnonzero(keep)
+        groups.append((rows, mats[rows[:, None, None], keep[:, None], keep]))
+    return h, groups
 
 
 def _per_mode_count(nets, ports, solve) -> list:
     """``solve(nets, ports)`` on each group of one mode count, results in the order of ``nets``."""
     out = [None] * len(nets)
-    sizes = np.array([net.n_modes for net in nets])
-    for n in sorted(set(sizes.tolist())):
-        group = np.flatnonzero(sizes == n)
+    sizes = [net.n_modes for net in nets]
+    for n in sorted(set(sizes)):
+        group = [i for i, size in enumerate(sizes) if size == n]
         for i, result in zip(group, solve([nets[i] for i in group], [ports[i] for i in group])):
             out[i] = result
     return out
@@ -312,65 +316,72 @@ def _polish(stack, member, threshold, x, lo, g_lo, hi, g_hi) -> np.ndarray:
     return x
 
 
-def _group_ends(nets, ports, threshold: float, w_lo: float, w_hi: float) -> list[np.ndarray]:
-    """The (intervals x 2) edge array of each network, all of one mode count."""
-    stack = _member_stack(nets, ports)
-    h, mats = _level_set_matrices(nets, ports, math.sqrt(threshold))
-    crossings = _real_eigenvalues(mats, w_lo, w_hi)
-    poles = _real_eigenvalues(list(h), w_lo, w_hi)
+def _group_ends(nets, ports, threshold: float, w_lo: float, w_hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """The interval edges of networks of one mode count, and each one's interval count.
+
+    The edges come as one (intervals, 2) array in member order.  Cuts, gap
+    midpoints and gap classes are (member x cut) arrays padded past each
+    member's last cut, so finding the runs of gaps above the threshold and
+    writing back the polished edges take one array operation each.
+    """
+    m = len(nets)
+    modes = _port_modes(nets, ports)
+    stack = _member_stack(nets, modes)
+    h, groups = _level_set_matrices(nets, modes, math.sqrt(threshold))
+    crossings, n_crossings = _real_eigenvalues(groups, w_lo, w_hi)
+    poles, n_poles = _real_eigenvalues([(np.arange(m), h)], w_lo, w_hi)
+    cuts = np.concatenate((np.full((m, 1), w_lo), crossings, poles, np.full((m, 1), w_hi)), axis=1)
+    cuts.sort(axis=1)
+    last = 1 + n_crossings + n_poles  # the column of w_hi
     # Between consecutive cuts (crossings, poles and window ends) eta -
     # threshold keeps its sign, so the midpoint classifies the gap: one pair
     # solve covers every gap of every member.
-    cuts = [np.sort(np.concatenate(([w_lo], c, p, [w_hi]))) for c, p in zip(crossings, poles)]
-    mids = [(c[:-1] + c[1:]) / 2.0 for c in cuts]
-    counts = [len(m) for m in mids]
-    member = np.repeat(np.arange(len(nets)), counts)
-    g_mid = np.abs(_pair_transmission(stack, member, np.concatenate(mids), "nan")) ** 2 - threshold
-    ends = []
-    edges = []  # (which ends, x, lo, g_lo, hi, g_hi) per member
-    singular = set(member[np.isnan(g_mid)].tolist())
-    for k, (c, m, g) in enumerate(zip(cuts, mids, np.split(g_mid, np.cumsum(counts)[:-1]))):
-        if k in singular:
-            # A gap with a singular midpoint takes the midpoint and value of
-            # the gap before it (leading ones those of the first classified
-            # gap), so each polish bracket stays a true bracket.
-            src = np.maximum.accumulate(np.where(np.isfinite(g), np.arange(len(g)), -1))
-            src[src < 0] = np.argmax(np.isfinite(g))
-            m, g = m[src], g[src]
-        runs = np.flatnonzero(np.diff(np.concatenate(([False], g >= 0.0, [False])))).reshape(-1, 2)
-        ends.append(c[runs])
-        inner = (runs > 0) & (runs < len(c) - 1)
-        cut = runs[inner]
-        edges.append((inner, c[cut], m[cut - 1], g[cut - 1], m[cut], g[cut]))
-    sizes = [len(edge[1]) for edge in edges]
-    member = np.repeat(np.arange(len(nets)), sizes)
-    x = _polish(stack, member, threshold, *(np.concatenate(col) for col in list(zip(*edges))[1:]))
-    for member_ends, (which, *_), polished in zip(ends, edges, np.split(x, np.cumsum(sizes)[:-1])):
-        member_ends[which] = polished
-    return ends
+    mids = (cuts[:, :-1] + cuts[:, 1:]) / 2.0
+    gap = np.arange(mids.shape[1]) < last[:, None]
+    g = np.full(mids.shape, np.nan)
+    g[gap] = np.abs(_pair_transmission(stack, np.nonzero(gap)[0], mids[gap], "nan")) ** 2 - threshold
+    if np.isnan(g[gap]).any():
+        # A gap with a singular midpoint takes the midpoint and value of the
+        # gap before it (leading ones those of the first classified gap), so
+        # each polish bracket stays a true bracket.
+        classified = np.isfinite(g)
+        src = np.maximum.accumulate(np.where(classified, np.arange(g.shape[1]), -1), axis=1)
+        src = np.where(src < 0, np.argmax(classified, axis=1)[:, None], src)
+        mids, g = np.take_along_axis(mids, src, axis=1), np.take_along_axis(g, src, axis=1)
+    above = np.zeros((m, mids.shape[1] + 2), dtype=bool)
+    above[:, 1:-1] = (g >= 0.0) & gap
+    member, at = np.nonzero(above[:, 1:] != above[:, :-1])
+    runs, member = at.reshape(-1, 2), member[::2]  # each run's first and last cut
+    ends = cuts[member[:, None], runs]
+    inner = (runs > 0) & (runs < last[member, None])
+    edge, cut = member[np.nonzero(inner)[0]], runs[inner]
+    ends[inner] = _polish(
+        stack, edge, threshold, cuts[edge, cut], mids[edge, cut - 1], g[edge, cut - 1], mids[edge, cut], g[edge, cut]
+    )
+    return ends, np.bincount(member, minlength=m)
 
 
 def _bandwidth_reports(nets, ports, threshold: float, omega_range) -> list[BandwidthReport]:
     """One :class:`BandwidthReport` per network, ``ports[i]`` = (in, out) of ``nets[i]``.
 
     Networks are handled one mode count at a time: one ``eigvals`` call on the
-    stack of their level-set matrices gives every crossing, one pair solve
-    classifies the gaps between them, and one more polishes every edge.
+    stack of their level-set matrices (per group of kept modes) gives every
+    crossing, one pair solve classifies the gaps between them, and one more
+    polishes every edge.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
     w_lo, w_hi = float(omega_range[0]), float(omega_range[1])
     if not (math.isfinite(w_lo) and math.isfinite(w_hi)) or w_hi < w_lo:
         raise ValueError(f"omega_range must be finite with min <= max, got {omega_range}")
-    ends = _per_mode_count(nets, ports, lambda group, pairs: _group_ends(group, pairs, threshold, w_lo, w_hi))
-    reports = []
-    for member_ends in ends:
-        intervals = tuple(Interval(lo=float(lo), hi=float(hi)) for lo, hi in member_ends)
-        max_width = max((iv.width for iv in intervals), default=0.0)
-        reports.append(
-            BandwidthReport(threshold=float(threshold), intervals=intervals, max_width=float(max_width))
-        )
-    return reports
+
+    def reports(group, pairs) -> list[BandwidthReport]:
+        ends, counts = _group_ends(group, pairs, threshold, w_lo, w_hi)
+        edges = iter([Interval(lo=lo, hi=hi) for lo, hi in ends.tolist()])
+        parts = [tuple(itertools.islice(edges, count)) for count in counts.tolist()]
+        return [BandwidthReport(float(threshold), part, max((iv.width for iv in part), default=0.0)) for part in parts]
+
+    return _per_mode_count(nets, ports, reports)
 
 
 def high_efficiency_intervals(
@@ -478,8 +489,7 @@ def optimize_kappa(
     seen = []  # (kappa, width) of every member measured, in evaluation order
 
     def members(kappas):
-        nets = [family(float(k)) for k in kappas]
-        return nets, [net.port_pair() for net in nets]
+        return [family(float(k)) for k in kappas], [(None, None)] * len(kappas)
 
     def widths_at(kappas) -> list[float]:
         reports = _bandwidth_reports(*members(kappas), threshold, omega_range)
@@ -487,11 +497,10 @@ def optimize_kappa(
         return [report.max_width for report in reports]
 
     def crossing_counts(kappas) -> list[int]:
-        roots = _per_mode_count(
-            *members(kappas),
-            lambda group, pairs: _real_eigenvalues(_level_set_matrices(group, pairs, gamma)[1], w_lo, w_hi),
-        )
-        return [len(r) for r in roots]
+        def count(group, pairs):
+            return _real_eigenvalues(_level_set_matrices(group, _port_modes(group, pairs), gamma)[1], w_lo, w_hi)[1]
+
+        return _per_mode_count(*members(kappas), count)
 
     def best() -> tuple[float, float]:
         return max(seen, key=lambda entry: entry[1])  # the first of the widest

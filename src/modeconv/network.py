@@ -35,7 +35,7 @@ class CoupledModeNetwork:
 
     def ports(self) -> list[int]:
         """Indices of all damped modes (the scattering ports), in label order."""
-        return [i for i, rate in enumerate(self.damping) if rate > 0.0]
+        return [i for i, rate in enumerate(self.damping.tolist()) if rate > 0.0]
 
     def port_labels(self) -> list[str]:
         return [self.labels[i] for i in self.ports()]

@@ -153,7 +153,7 @@ def transmission_grid(
     omegas = np.asarray(omegas, dtype=float)
     if omegas.ndim != 1:
         raise ValueError(f"omegas must be a 1-D frequency grid, got shape {omegas.shape}")
-    return _pair_transmission(_member_stack([net], [(in_port, out_port)]), 0, omegas, on_singular)
+    return _pair_transmission(_member_stack([net], _port_modes([net], [(in_port, out_port)])), 0, omegas, on_singular)
 
 
 def _reduced(net: CoupledModeNetwork) -> tuple[np.ndarray, np.ndarray]:
@@ -214,26 +214,42 @@ def _read_out(rows, y) -> np.ndarray:
         w, v = rows[..., j : j + 1], y[..., j, :]
         re = re + (w.real * v.real - w.imag * v.imag)
         im = im + (w.real * v.imag + w.imag * v.real)
-    return np.stack(np.broadcast_arrays(re, im), axis=-1).view(complex)[..., 0]
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
 
 
-def _member_stack(nets, ports) -> tuple:
+def _port_modes(nets, ports) -> np.ndarray:
+    """The (m, 2) mode indices of each member's ``port_pair(*ports[j])``."""
+    return np.array([[net.index_of(label) for label in net.port_pair(*pair)] for net, pair in zip(nets, ports)])
+
+
+def _member_stack(nets, modes) -> tuple:
     """Per-member arrays that :func:`_pair_transmission` solves against.
 
-    ``ports[i]`` is the (in, out) label pair of ``nets[i]``, checked by
-    :meth:`CoupledModeNetwork.port_pair`.  All networks must have the same
-    mode count.  Each network is reduced once (:func:`_reduced`).  Returns H
-    as an (m, n, n) stack, the reduced drive Q^H sqrt(K_in) e_in as an
-    (m, n, 1) stack, the readout rows Q[out, :], the readout factors
-    2 sqrt(K_out), and whether each member's ports coincide.
+    ``modes`` holds each member's (in, out) mode indices (:func:`_port_modes`);
+    all networks have one mode count.  The stack K + 2iA is built at once, and
+    only a member with an entry below the subdiagonal is reduced
+    (:func:`_reduced`): the others keep Q = I.  Returns H as an (m, n, n)
+    stack, the reduced drive Q^H sqrt(K_in) e_in as an (m, n, 1) stack, the
+    readout rows Q[out, :], the readout factors 2 sqrt(K_out), and whether
+    each member's ports coincide.
     """
-    modes = [[net.index_of(label) for label in net.port_pair(*pair)] for net, pair in zip(nets, ports)]
-    in_modes, out_modes = np.array(modes).T
-    hs, qs = zip(*(_reduced(net) for net in nets))
-    drive = np.array([q[i].conj() * np.sqrt(net.damping[i]) for q, net, i in zip(qs, nets, in_modes)])
-    readout = np.array([q[o] for q, o in zip(qs, out_modes)])
-    scale = np.array([2.0 * np.sqrt(net.damping[o]) for net, o in zip(nets, out_modes)])
-    return np.array(hs), drive[:, :, None], readout, scale, in_modes == out_modes
+    m, n = len(nets), nets[0].n_modes
+    member, in_modes, out_modes = np.arange(m), modes[:, 0], modes[:, 1]
+    # Reduce first, so that no stack is held while a large network is reduced.
+    lower = np.array([net.coupling for net in nets])[:, np.tri(n, k=-2, dtype=bool)].any(axis=1)
+    reduced = [(j, *_reduced(nets[j])) for j in np.flatnonzero(lower)]
+    damping = np.array([net.damping for net in nets])
+    h = np.zeros((m, n, n), dtype=complex)
+    h.reshape(m, -1)[:, :: n + 1] = damping
+    h += 2j * np.array([net.coupling for net in nets])
+    roots = np.sqrt(damping[member[:, None], modes])
+    drive, readout = np.zeros((2, m, n), dtype=complex)
+    drive[member, in_modes], readout[member, out_modes] = roots[:, 0], 1.0
+    for j, h_j, q in reduced:
+        h[j], drive[j], readout[j] = h_j, q[in_modes[j]].conj() * roots[j, 0], q[out_modes[j]]
+    return h, drive[:, :, None], readout, 2.0 * roots[:, 1], in_modes == out_modes
 
 
 def _pair_transmission(stack, member, omegas, on_singular: str = "raise") -> np.ndarray:
@@ -261,9 +277,8 @@ def _pair_transmission(stack, member, omegas, on_singular: str = "raise") -> np.
         if (k == k[0]).all():
             k = k[0]
         x, singular[part] = solve_batched(_shifted(h[k], omegas[part]), drive[k])
-        values = scale[k] * _read_out(readout[k], x)[:, 0]
-        values[same[k]] -= 1.0
-        out[part] = values
+        np.multiply(scale[k], _read_out(readout[k], x)[:, 0], out=out[part])
+        out[part] -= same[k]  # the feedthrough D = -1 where the ports coincide (x - 0 is x, bit for bit)
     if singular.any():
         if on_singular == "raise":
             raise SingularAtFrequencyError(float(omegas[np.argmax(singular)]))

@@ -12,7 +12,10 @@ from modeconv.analysis import (
     ConverterFamily,
     Interval,
     _bandwidth_reports,
+    _level_set_matrices,
+    _per_mode_count,
     _polish,
+    _real_eigenvalues,
     branch_count,
     default_omega_window,
     efficiency_curve,
@@ -25,11 +28,22 @@ from modeconv.converter import ResonantParams, efficiency_closed_form, resonant_
 from modeconv.ensemble import default_validation_ensemble, microscopic_network
 from modeconv.errors import NoPortsError
 from modeconv.network import new_network
-from modeconv.scattering import _member_stack, dynamical_matrix, transmission_grid
+from modeconv.scattering import _member_stack, _port_modes, dynamical_matrix, transmission_grid
 
 
 def resonant(kappa):
     return resonant_network(ResonantParams(1.0, 1.0, kappa, kappa))
+
+
+def with_extra_modes(net, extra):
+    """``net`` plus one undamped mode per (detuning, coupling to mode 1) pair in ``extra``."""
+    n, m = net.n_modes, net.n_modes + len(extra)
+    coupling = np.zeros((m, m), dtype=complex)
+    coupling[:n, :n] = net.coupling
+    for k, (omega, g) in enumerate(extra, start=n):
+        coupling[k, k], coupling[1, k], coupling[k, 1] = omega, g, g
+    labels = net.labels + tuple(f"d{k}" for k in range(len(extra)))
+    return new_network(labels, coupling, np.concatenate([net.damping, np.zeros(len(extra))]))
 
 
 def with_dark_modes(net, omegas):
@@ -38,12 +52,7 @@ def with_dark_modes(net, omegas):
     The extra modes leave the a -> b efficiency unchanged everywhere except at
     their own frequencies, where the whole network is singular.
     """
-    n, m = net.n_modes, net.n_modes + len(omegas)
-    coupling = np.zeros((m, m), dtype=complex)
-    coupling[:n, :n] = net.coupling
-    coupling[range(n, m), range(n, m)] = omegas
-    labels = net.labels + tuple(f"d{k}" for k in range(len(omegas)))
-    return new_network(labels, coupling, np.concatenate([net.damping, np.zeros(len(omegas))]))
+    return with_extra_modes(net, [(omega, 0.0) for omega in omegas])
 
 
 def dark_mode_report(omegas, omega_range=(-3.0, 3.0)):
@@ -325,6 +334,22 @@ class TestOptimizeKappa:
             optimize_kappa(ConverterFamily(kind="resonant"), 0.99, (0.1, 8.0), coarse_points)
 
 
+@pytest.mark.parametrize(
+    "delta_mu, optimum",
+    [
+        (0.0, (2.2745788930491546, 1.9412335800714173)),
+        (1.0, (1.1647479086702806, 0.6252656726628188)),
+        (3.0, (0.5495275550098738, 0.33946159530050934)),
+        (10.0, (0.17914071837760273, 0.11828794849073528)),
+    ],
+    ids=["dmu0", "dmu1", "dmu3", "dmu10"],
+)
+def test_fig4_optima(delta_mu, optimum):
+    # The families, threshold, range, coarse grid and window of the fig4 bundle.
+    family = ConverterFamily(kind="detuned" if delta_mu else "resonant", delta_mu=delta_mu)
+    assert optimize_kappa(family, 0.99, (0.1, 8.0)) == pytest.approx(optimum, rel=1e-12)
+
+
 def mixed_family(kappa):
     """Members that differ in size, labels and port modes across the kappa range."""
     net = resonant(kappa)
@@ -356,6 +381,11 @@ def batch_and_single(build, kappas, threshold, omega_range):
         widths = [max_bandwidth(net, *ports_, threshold, omega_range) for net, ports_ in zip(nets, ports)]
     assert [report.max_width for report in single] == widths
     return batch, single, [str(w.message) for w in caught_batch], [str(w.message) for w in caught_single]
+
+
+def one_at_a_time(nets, ports, threshold, omega_range):
+    """The report of each member on its own."""
+    return [high_efficiency_intervals(net, *pair, threshold, omega_range) for net, pair in zip(nets, ports)]
 
 
 # g = 1: the resonant family's exceptional point kappa = 4 sqrt(2) g sits in the
@@ -427,6 +457,94 @@ class TestBatchedReports:
         assert optimize_kappa(fam, 0.99, (0.5, 4.0), 2) == pytest.approx(
             (0.5495275550110819, 0.33946159529902403), rel=1e-12
         )
+
+    def test_mixed_port_pairs_in_one_batch(self):
+        # a -> a and b -> b drive a port into itself (feedthrough D = -1)
+        pairs = [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]
+        for build in (resonant, ConverterFamily(kind="detuned", g=1.5, delta_mu=1.0).build):
+            nets = [build(float(k)) for k in np.linspace(0.3, 6.0, 12)]
+            ports = [pairs[j % len(pairs)] for j in range(len(nets))]
+            for threshold in (0.5, 0.99):
+                batch = _bandwidth_reports(nets, ports, threshold, (-3.0, 3.0))
+                assert batch == one_at_a_time(nets, ports, threshold, (-3.0, 3.0))
+                assert any(report.intervals for report, (i, o) in zip(batch, ports) if i == o)
+
+    def test_members_with_and_without_dark_modes(self):
+        # Four-mode members whose extra mode is decoupled (a dark mode) or
+        # coupled to the middle mode, and five-mode members with either or
+        # both, interleaved with plain three-mode members: three groups of
+        # kept modes in the five-mode batch, two in the four-mode one.
+        def member(j):
+            net = resonant(1.5 + 0.25 * j)
+            extra = [((0.4, 0.0),), ((0.4, 0.3),), ((0.4, 0.0), (-0.9, 0.0)), ((0.4, 0.3), (-0.9, 0.0)), ()]
+            return with_extra_modes(net, extra[j % len(extra)])
+
+        nets = [member(j) for j in range(15)]
+        assert sorted({net.n_modes for net in nets}) == [3, 4, 5]
+        ports = [("a", "b")] * len(nets)
+        batch = _bandwidth_reports(nets, ports, 0.99, (-3.0, 3.0))
+        assert batch == one_at_a_time(nets, ports, 0.99, (-3.0, 3.0))
+        plain = one_at_a_time([resonant(1.5 + 0.25 * j) for j in range(15)], ports, 0.99, (-3.0, 3.0))
+        for j, (report, reference) in enumerate(zip(batch, plain)):
+            if j % 5 in (0, 2):  # only dark extra modes: the plain report, bit for bit
+                assert report == reference
+
+    def test_members_without_crossings_beside_members_with_several(self):
+        # Mismatched damping keeps the chain's eta below 0.2 everywhere, and
+        # on the narrow window the kappa = 2.6 flat top covers it whole.
+        mismatched = resonant_network(ResonantParams(1.0, 1.0, 0.2, 5.0))
+        nets = [resonant(2.0), mismatched, resonant(2.6), resonant(1.0)]
+        ports = [("a", "b")] * len(nets)
+        for window in ((-3.0, 3.0), (-0.5, 0.5)):
+            batch = _bandwidth_reports(nets, ports, 0.99, window)
+            assert batch == one_at_a_time(nets, ports, 0.99, window)
+            inner = [sum(e not in window for iv in report.intervals for e in (iv.lo, iv.hi)) for report in batch]
+            assert inner[1] == 0 and max(inner) >= 2
+        assert batch[1].intervals == ()
+        assert batch[2].intervals == (Interval(lo=-0.5, hi=0.5),)
+
+    def test_singular_gap_midpoint_inside_a_batch(self):
+        # Two dark modes one ulp apart are two poles whose gap midpoint is
+        # one of them, so the pair solve flags it singular.  The gap takes the
+        # class of the gap before it, or with the window starting on the
+        # first pole, that of the first classified gap.
+        pole = 0.3
+        pair = [pole, np.nextafter(pole, 1.0)]
+        assert np.isnan(transmission_grid(with_dark_modes(resonant(2.6), pair), [np.mean(pair)], "a", "b", "nan"))
+        kappas = [2.6, 2.2, 3.0, 2.6, 2.4]
+        nets = [with_dark_modes(resonant(k), pair if j % 2 == 0 else [1.7, 2.9]) for j, k in enumerate(kappas)]
+        ports = [("a", "b")] * len(nets)
+        for window in ((-3.0, 3.0), (pole, 3.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                batch = _bandwidth_reports(nets, ports, 0.99, window)
+            assert batch == one_at_a_time(nets, ports, 0.99, window)
+            assert batch == one_at_a_time([resonant(k) for k in kappas], ports, 0.99, window)
+
+    @pytest.mark.parametrize(
+        "build",
+        [ConverterFamily(kind="resonant").build, ConverterFamily(kind="detuned", g=1.5, delta_mu=1.0).build, mixed_family],
+        ids=["resonant", "detuned", "mixed"],
+    )
+    def test_batched_crossing_counts_equal_single_counts(self, build):
+        # The count the merge bisection compares, batched as for the coarse grid.
+        kappas = np.sort(np.append(np.linspace(0.1, 8.0, 40), EXCEPTIONAL_KAPPA))
+        nets = [build(float(k)) for k in kappas]
+        pairs = [(None, None)] * len(nets)
+        gamma = math.sqrt(0.99)
+
+        def crossings(group, group_pairs):
+            return _real_eigenvalues(_level_set_matrices(group, _port_modes(group, group_pairs), gamma)[1], -3.0, 3.0)
+
+        batch = _per_mode_count(nets, pairs, lambda group, group_pairs: zip(*crossings(group, group_pairs)))
+        single = [next(zip(*crossings([net], [(None, None)]))) for net in nets]
+        for (values, count), (one_values, one_count) in zip(batch, single):
+            assert count == one_count == np.count_nonzero(np.isfinite(values))
+            assert values[:count].tobytes() == one_values[:one_count].tobytes()
+        assert len({count for _, count in batch}) > 1
+        if build is not mixed_family:
+            # one interval at the exceptional point, so two crossings
+            assert batch[int(np.searchsorted(kappas, EXCEPTIONAL_KAPPA))][1] == 2
 
 
 def eta_by_solve(net, in_port, out_port, omegas):
@@ -566,7 +684,7 @@ class TestLevelSetEdges:
         (edge,) = high_efficiency_intervals(net, "a", "b", 0.99, (-3.0, 3.0)).intervals
         lo, hi = np.array([-1.0, 0.5]), np.array([-0.5, 1.0])
         g_lo, g_hi = (eta_by_solve(net, "a", "b", ends) - 0.99 for ends in (lo, hi))
-        stack = _member_stack([net], [("a", "b")])
+        stack = _member_stack([net], _port_modes([net], [("a", "b")]))
         x = _polish(stack, np.array([0, 0]), 0.99, (lo + hi) / 2.0, lo, g_lo, hi, g_hi)
         assert np.all(np.abs(efficiency_closed_form(x, 1.0, 2.6) - 0.99) <= ETA_REFINE_TOL)
         assert x == pytest.approx([edge.lo, edge.hi], abs=1e-9)
