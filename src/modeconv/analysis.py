@@ -35,11 +35,15 @@ The width-versus-kappa curve is discontinuous where separate branches merge into
 one (the merged interval is suddenly much wider).  A merge is where the number
 of crossings changes, so the optimizer evaluates a coarse grid as one batch,
 then bisects on the crossing count between the best grid point and each
-neighbor whose count differs, one level-set eigen-solve per step and no pair
-solve, to a bracket of 1e-12 * max(1, range width); one batched report measures
-the bracket ends.  Where no merge beats the best grid point (a smooth
-maximum), golden section around it refines instead.  Either way the optimizer
-returns the best evaluation it has seen.
+neighbor whose count differs, to a bracket of 1e-12 * max(1, range width).
+Each level-set eigen-solve batch counts the midpoint and the midpoints of
+both its halves, the kappas the next two binary steps can visit, so a batch
+of at most three members takes two steps, with no pair solve; one batched
+report measures the bracket ends.  Where no merge beats the best grid point
+(a smooth maximum), golden section around it refines instead.  Either way
+the optimizer returns the best evaluation it has seen.  A
+:class:`ConverterFamily` hands over each batch of members as one validated
+stack; any other family is called once per kappa.
 """
 
 from __future__ import annotations
@@ -54,12 +58,14 @@ import numpy as np
 from .converter import (
     DetunedParams,
     ResonantParams,
+    _chain,
+    _two_mode,
     detuned_network,
     resonant_network,
     two_mode_network,
 )
 from .linalg import eigenvalues_hermitian
-from .network import CoupledModeNetwork
+from .network import CoupledModeNetwork, new_networks
 from .scattering import _member_stack, _pair_transmission, _port_modes, transmission_grid
 
 # Scan spacing of the merge-dip allowance in bench/oracles.py, its only reader.
@@ -122,14 +128,23 @@ class ConverterFamily:
 
     kind "resonant" builds the symmetric three-mode chain with coupling ``g``;
     "detuned" adds intermediate-mode detuning ``delta_mu``; "two_mode" couples
-    the resonators directly with strength ``g``.  Calling the family builds
-    its member at kappa, so it is one of the callables kappa -> network that
-    :func:`efficiency_map` and :func:`optimize_kappa` take as a family.
+    the resonators directly with strength ``g``.  Any other kind, or a nonzero
+    ``delta_mu`` on a kind that has no intermediate detuning, is a
+    ``ValueError`` naming the field.  Calling the family builds its member at
+    kappa, so it is one of the callables kappa -> network that
+    :func:`efficiency_map` and :func:`optimize_kappa` take as a family;
+    :meth:`members` builds many kappas as one validated stack.
     """
 
     kind: str
     g: float = 1.0
     delta_mu: float = 0.0
+
+    def __post_init__(self):
+        if self.kind not in ("resonant", "detuned", "two_mode"):
+            raise ValueError(f"kind must be 'resonant', 'detuned' or 'two_mode', got {self.kind!r}")
+        if self.kind != "detuned" and self.delta_mu != 0.0:
+            raise ValueError(f"delta_mu applies only to kind 'detuned', got {self.delta_mu!r} for {self.kind!r}")
 
     def build(self, kappa: float) -> CoupledModeNetwork:
         if self.kind == "resonant":
@@ -138,11 +153,34 @@ class ConverterFamily:
             return detuned_network(
                 DetunedParams(self.g, self.g, kappa, kappa, delta_mu=self.delta_mu)
             )
-        if self.kind == "two_mode":
-            return two_mode_network(self.g, kappa, kappa)
-        raise ValueError(f"unknown family kind {self.kind!r}")
+        return two_mode_network(self.g, kappa, kappa)
 
     __call__ = build
+
+    def members(self, kappas) -> list[CoupledModeNetwork]:
+        """The member at each kappa of the 1-D ``kappas``, byte for byte ``[self.build(k) for k in kappas]``.
+
+        The members come from one coupling and one damping stack, written by
+        the same formula as :meth:`build` and validated at once by
+        :func:`modeconv.network.new_networks`.
+        """
+        kappas = np.asarray(kappas, dtype=float)
+        if self.kind == "two_mode":
+            return new_networks(*_two_mode(self.g, kappas, kappas))
+        # +0.0 for a resonant member, as resonant_network writes it, even for delta_mu = -0.0
+        delta_mu = self.delta_mu if self.kind == "detuned" else 0.0
+        return new_networks(*_chain(self.g, self.g, kappas, kappas, delta_mu))
+
+
+def _members(family, kappas) -> list[CoupledModeNetwork]:
+    """The members of ``family`` at ``kappas``.
+
+    A :class:`ConverterFamily` builds them as one validated stack; any other
+    callable kappa -> network is called once per kappa.
+    """
+    if isinstance(family, ConverterFamily):
+        return family.members(kappas)
+    return [family(float(k)) for k in kappas]
 
 
 def default_omega_window(net: CoupledModeNetwork) -> tuple[float, float]:
@@ -429,19 +467,39 @@ def efficiency_map(family, kappa_grid, omega_grid) -> EfficiencyMap:
     each member's eta is between its default ``port_pair()``.  Singular
     points (possible only for undamped members) are recorded as NaN gaps with
     a warning, as in :func:`efficiency_curve`.
+
+    The members come as one stack from a :class:`ConverterFamily`, but each
+    row is its own solve over omega.  Solving the whole map as one
+    (member, omega) stack gives the same bytes at a far higher memory peak:
+    ``reproduce --preset fig3`` then peaks at 67 MB of RSS, against 38 MB.
     """
     kappas = _ascending_grid("kappa_grid", kappa_grid)
     omegas = _ascending_grid("omega_grid", omega_grid)
     rows = np.empty((len(kappas), len(omegas)))
     gap_count = 0
-    for i, kappa in enumerate(kappas):
-        net = family(float(kappa))
+    for i, net in enumerate(_members(family, kappas)):
         rows[i] = _eta_grid(net, omegas, *net.port_pair(), on_singular="nan")
         gap_count += int(np.count_nonzero(~np.isfinite(rows[i])))
     if gap_count:
         warnings.warn(f"map contains {gap_count} singular grid points recorded as NaN", stacklevel=2)
     rows.setflags(write=False)
     return EfficiencyMap(kappas=kappas.copy(), omegas=omegas.copy(), etas=rows)
+
+
+def _crossing_counts(nets, ports, threshold: float, omega_range) -> list:
+    """Each network's number of threshold crossings in the window, as one batch.
+
+    A crossing is a real eigenvalue of the network's level-set matrix
+    L_gamma, gamma = sqrt(threshold), inside ``omega_range``; one stacked
+    ``eigvals`` call per mode count (and group of kept modes) counts them
+    all, with no pole solve and no pair solve.
+    """
+    gamma, w_lo, w_hi = math.sqrt(threshold), float(omega_range[0]), float(omega_range[1])
+
+    def count(group, pairs):
+        return _real_eigenvalues(_level_set_matrices(group, _port_modes(group, pairs), gamma)[1], w_lo, w_hi)[1]
+
+    return _per_mode_count(nets, ports, count)
 
 
 def optimize_kappa(
@@ -454,23 +512,27 @@ def optimize_kappa(
     """Damping that maximizes the widest above-threshold interval.
 
     ``family`` is any callable kappa -> network (a :class:`ConverterFamily`
-    is one); each member converts between its default ``port_pair()``.  The
-    coarse grid over ``kappa_range`` (default 201 points) is one batch: one
-    eigen-solve stack for all its members.  The width is
-    discontinuous where branches merge, which is where the number of
-    crossings (real eigenvalues of the level-set matrix in the window)
-    changes.  For each neighbor of the best grid point whose crossing count
-    differs from its own, the pair is bisected on the count, one member and
-    one level-set eigen-solve per step, to a bracket of
-    1e-12 * max(1, range width); one batched report then measures both ends
+    is one, and builds each batch of members as one validated stack); each
+    member converts between its default ``port_pair()``.  The coarse grid
+    over ``kappa_range`` (default 201 points) is one batch: one eigen-solve
+    stack for all its members.  The width is discontinuous where branches
+    merge, which is where the number of crossings (real eigenvalues of the
+    level-set matrix in the window) changes.  For each neighbor of the best
+    grid point whose crossing count differs from its own, the pair is
+    bisected on the count to a bracket of 1e-12 * max(1, range width), or
+    until its ends are adjacent floats.  Each eigen-solve batch counts the
+    midpoint and both midpoints the step after it can visit, so one batch
+    of at most three members takes two binary steps; the bracket is the one
+    a step at a time would reach.  One batched report then measures both ends
     of every bracket.  When no bracket end is wider than the best grid point
     (no neighbor differs in count, or the merge is narrower: a smooth
     interior maximum), golden section between the neighbors refines instead,
-    one batch of one member per step.  Every width
-    is measured the same way, and the optimizer returns the first widest
-    (kappa, width) pair it evaluated anywhere, in evaluation order, never a
-    merely-converged-to point.  A single-point range returns that kappa with
-    its width.
+    one batch of one member per step.  Every width is measured the same way,
+    and the optimizer returns the first widest (kappa, width) pair it
+    evaluated anywhere, in evaluation order, never a merely-converged-to
+    point.  A single-point range returns that kappa with its width.  When
+    every width it evaluated is 0 (no member reaches the threshold in the
+    window), it returns ``(kappa_range[0], 0.0)`` with a ``UserWarning``.
     ``coarse_points`` must be an integer >= 2.
     """
     if not 0.0 < threshold < 1.0:
@@ -484,26 +546,25 @@ def optimize_kappa(
 
     if omega_range is None:
         omega_range = default_omega_window(family((k_lo + k_hi) / 2.0))
-    gamma = math.sqrt(threshold)
-    w_lo, w_hi = float(omega_range[0]), float(omega_range[1])
     seen = []  # (kappa, width) of every member measured, in evaluation order
 
     def members(kappas):
-        return [family(float(k)) for k in kappas], [(None, None)] * len(kappas)
+        return _members(family, kappas), [(None, None)] * len(kappas)
 
     def widths_at(kappas) -> list[float]:
         reports = _bandwidth_reports(*members(kappas), threshold, omega_range)
         seen.extend((float(k), report.max_width) for k, report in zip(kappas, reports))
         return [report.max_width for report in reports]
 
-    def crossing_counts(kappas) -> list[int]:
-        def count(group, pairs):
-            return _real_eigenvalues(_level_set_matrices(group, _port_modes(group, pairs), gamma)[1], w_lo, w_hi)[1]
-
-        return _per_mode_count(*members(kappas), count)
-
     def best() -> tuple[float, float]:
-        return max(seen, key=lambda entry: entry[1])  # the first of the widest
+        kappa, width = max(seen, key=lambda entry: entry[1])  # the first of the widest
+        if width == 0.0:
+            warnings.warn(
+                f"no member reaches threshold {threshold} in the omega window "
+                f"({float(omega_range[0]):g}, {float(omega_range[1]):g}); width 0 at kappa {kappa:g}",
+                stacklevel=3,
+            )
+        return kappa, width
 
     if k_lo == k_hi:
         widths_at([k_lo])
@@ -513,21 +574,30 @@ def optimize_kappa(
     widths = widths_at(ks)
     best_i = int(np.argmax(widths))
     near = sorted({max(best_i - 1, 0), best_i, min(best_i + 1, len(ks) - 1)})
-    counts = dict(zip(near, crossing_counts(ks[near])))
+    counts = dict(zip(near, _crossing_counts(*members(ks[near]), threshold, omega_range)))
     tol = 1e-12 * max(1.0, k_hi - k_lo)
+
+    def midpoint(a, b):
+        """The bisection's next kappa in [a, b], or None where it stops."""
+        mid = (a + b) / 2.0
+        # Ends that are adjacent floats mean tol is below one ulp of kappa.
+        return mid if b - a > tol and mid not in (a, b) else None
+
     brackets = []
     for i, j in zip(near, near[1:]):
         if counts[i] == counts[j]:
             continue
         a, b = float(ks[i]), float(ks[j])
-        while b - a > tol:
-            mid = (a + b) / 2.0
-            if mid in (a, b):  # the ends are adjacent floats: tol is below one ulp of kappa
-                break
-            if crossing_counts([mid])[0] == counts[i]:
-                a = mid
-            else:
-                b = mid
+        mid = midpoint(a, b)
+        while mid is not None:
+            batch = [k for k in (mid, midpoint(a, mid), midpoint(mid, b)) if k is not None]
+            counted = dict(zip(batch, _crossing_counts(*members(batch), threshold, omega_range)))
+            while mid in counted:  # popped: a step that could not move the bracket asks for a new batch
+                if counted.pop(mid) == counts[i]:
+                    a = mid
+                else:
+                    b = mid
+                mid = midpoint(a, b)
         brackets += [a, b]
     if brackets and max(widths_at(brackets)) > widths[best_i]:
         return best()

@@ -29,6 +29,11 @@ These closed forms are the independent check on the generic scattering engine.
 Also provided: the two-mode contrast network (a and b coupled directly with
 strength s, both damped) and the residual direct coupling strength left when
 both intermediate transitions of an atomic ensemble are far detuned.
+
+Each model's coupling and damping formula is written once, as stacks that
+broadcast over kappa: a scalar constructor builds its stack of one through
+:func:`modeconv.network.new_network`, and a converter family builds many
+kappas at once through :func:`modeconv.network.new_networks`.
 """
 
 from __future__ import annotations
@@ -62,6 +67,32 @@ class DetunedParams(ResonantParams):
     delta_mu: float = 0.0
 
 
+def _chain(s_o, s_mu, kappa_o, kappa_mu, delta_mu):
+    """Labels, coupling stack and damping stack of the three-mode chain, one member per kappa.
+
+    The parameters broadcast against each other into one dimension, so a
+    scalar builder gets a stack of one and a family one member per kappa
+    from the same formula.
+    """
+    params = np.broadcast_arrays(*np.atleast_1d(s_o, s_mu, kappa_o, kappa_mu, delta_mu))
+    s_o, s_mu, kappa_o, kappa_mu, delta_mu = params
+    coupling = np.zeros(s_o.shape + (3, 3), dtype=complex)
+    coupling[:, 0, 1] = coupling[:, 1, 0] = s_o
+    coupling[:, 1, 1] = delta_mu
+    coupling[:, 1, 2] = coupling[:, 2, 1] = s_mu
+    damping = np.zeros(s_o.shape + (3,))
+    damping[:, 0], damping[:, 2] = kappa_o, kappa_mu
+    return ("a", "c", "b"), coupling, damping
+
+
+def _two_mode(s, kappa_o, kappa_mu):
+    """Labels, coupling stack and damping stack of the two-mode network, as :func:`_chain` gives them."""
+    s, kappa_o, kappa_mu = np.broadcast_arrays(*np.atleast_1d(s, kappa_o, kappa_mu))
+    coupling = np.zeros(s.shape + (2, 2), dtype=complex)
+    coupling[:, 0, 1] = coupling[:, 1, 0] = s
+    return ("a", "b"), coupling, np.stack([kappa_o, kappa_mu], axis=1)
+
+
 def resonant_network(p: ResonantParams) -> CoupledModeNetwork:
     """Three-mode converter network with the intermediate mode on resonance.
 
@@ -72,21 +103,14 @@ def resonant_network(p: ResonantParams) -> CoupledModeNetwork:
 
 def detuned_network(p: DetunedParams) -> CoupledModeNetwork:
     """Three-mode converter network with intermediate-mode detuning ``delta_mu``."""
-    coupling = np.array(
-        [
-            [0.0, p.s_o, 0.0],
-            [p.s_o, p.delta_mu, p.s_mu],
-            [0.0, p.s_mu, 0.0],
-        ],
-        dtype=complex,
-    )
-    return new_network(("a", "c", "b"), coupling, (p.kappa_o, 0.0, p.kappa_mu))
+    labels, coupling, damping = _chain(p.s_o, p.s_mu, p.kappa_o, p.kappa_mu, p.delta_mu)
+    return new_network(labels, coupling[0], damping[0])
 
 
 def two_mode_network(s: float, kappa_o: float, kappa_mu: float) -> CoupledModeNetwork:
     """Two damped modes coupled directly with strength ``s`` (no intermediate mode)."""
-    coupling = np.array([[0.0, s], [s, 0.0]], dtype=complex)
-    return new_network(("a", "b"), coupling, (kappa_o, kappa_mu))
+    labels, coupling, damping = _two_mode(s, kappa_o, kappa_mu)
+    return new_network(labels, coupling[0], damping[0])
 
 
 def reflection_coefficients(omega, g: float, kappa: float):

@@ -182,12 +182,21 @@ def solve_batched(mats, rhs) -> tuple[np.ndarray, np.ndarray]:
 
 
 def check_hermitian(m: np.ndarray, what: str = "matrix") -> None:
-    """Raise :class:`NotHermitianError`, naming ``what``, unless ``m`` is Hermitian to ``HERMITICITY_RTOL``."""
-    norm = np.abs(m).sum(axis=1).max() if m.size else 0.0
-    deviation = np.abs(m - m.conj().T).sum(axis=1).max() if m.size else 0.0
-    if deviation > HERMITICITY_RTOL * max(norm, 1e-300):
+    """Raise :class:`NotHermitianError`, naming ``what``, unless ``m`` is Hermitian to ``HERMITICITY_RTOL``.
+
+    ``m`` is one matrix or an (m, n, n) stack, each member held to its own
+    norm; in a stack of more than one the error names the first member that
+    fails, as ``member i: ...``.
+    """
+    stack = m if m.ndim == 3 else m[None]
+    norms = np.abs(stack).sum(axis=2).max(axis=1, initial=0.0)
+    deviations = np.abs(stack - stack.conj().transpose(0, 2, 1)).sum(axis=2).max(axis=1, initial=0.0)
+    bad = np.flatnonzero(deviations > HERMITICITY_RTOL * np.maximum(norms, 1e-300))
+    if bad.size:
+        i = bad[0]
+        where = f"member {i}: " if len(stack) > 1 else ""
         raise NotHermitianError(
-            f"{what} deviates from Hermitian by {deviation:.3e} (norm {norm:.3e})"
+            f"{where}{what} deviates from Hermitian by {deviations[i]:.3e} (norm {norms[i]:.3e})"
         )
 
 

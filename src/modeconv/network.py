@@ -7,7 +7,8 @@ A network is the static description of a set of harmonic modes a_j evolving as
 with A the Hermitian coupling matrix (diagonal entries are detunings, off-diagonal
 entries coherent couplings) and K the diagonal matrix of non-negative damping
 rates.  Every damped mode is an input-output port; undamped modes are internal.
-Instances are immutable and validated on construction via :func:`new_network`.
+Instances are immutable and validated on construction via :func:`new_network`,
+or :func:`new_networks` for a stack of members that share their labels.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class CoupledModeNetwork:
 
 
 def new_network(labels, coupling, damping) -> CoupledModeNetwork:
-    """Validate and build a network.
+    """Validate and build a network: :func:`new_networks` on a stack of one.
 
     The coupling matrix must pass :func:`modeconv.linalg.check_hermitian`
     (:class:`NotHermitianError` otherwise) and is symmetrized to (A + A^dagger)/2
@@ -74,29 +75,53 @@ def new_network(labels, coupling, damping) -> CoupledModeNetwork:
     finite (``ValueError`` naming the field): a NaN would pass the Hermiticity
     test and an infinite rate would silently become a port.
     """
+    (net,) = new_networks(labels, [coupling], [damping])
+    return net
+
+
+def new_networks(labels, couplings, dampings) -> list[CoupledModeNetwork]:
+    """Validate and build one network per member of an (m, n, n) coupling and an (m, n) damping stack.
+
+    Every member shares ``labels`` and gets :func:`new_network`'s checks and
+    messages; in a stack of more than one, an error names the first member
+    that fails its check, as ``member i: ...``.  The stack is symmetrized
+    once, and each member's read-only coupling and damping are views of it.
+    """
     labels = tuple(str(lbl) for lbl in labels)
     if len(set(labels)) != len(labels):
         seen: set[str] = set()
         dup = next(lbl for lbl in labels if lbl in seen or seen.add(lbl))
         raise DuplicateLabelError(f"duplicate mode label {dup!r}")
-    a = np.array(coupling, dtype=complex)
-    if a.ndim != 2 or a.shape != (len(labels), len(labels)):
-        raise ValueError(f"coupling shape {a.shape} does not match {len(labels)} labels")
-    if not np.isfinite(a).all():
-        raise ValueError("coupling must be finite")
+    n = len(labels)
+    a = np.array(couplings, dtype=complex)
+    stacked = a.ndim > 0 and len(a) > 1
+
+    def member(i) -> str:
+        return f"member {i}: " if stacked else ""
+
+    if a.shape[1:] != (n, n):
+        raise ValueError(f"{member(0)}coupling shape {a.shape[1:]} does not match {n} labels")
+    finite = np.isfinite(a).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"{member(int(np.argmin(finite)))}coupling must be finite")
     check_hermitian(a, "coupling")
-    a = (a + a.conj().T) / 2.0
-    k = np.array(damping, dtype=float)
-    if k.shape != (len(labels),):
-        raise ValueError(f"damping shape {k.shape} does not match {len(labels)} labels")
-    if not np.isfinite(k).all():
-        raise ValueError("damping must be finite")
-    if np.any(k < 0.0):
-        bad = int(np.argmin(k))
-        raise NegativeDampingError(f"mode {labels[bad]!r} has damping {k[bad]} < 0")
+    a = (a + a.conj().transpose(0, 2, 1)) / 2.0
+    k = np.array(dampings, dtype=float)
+    if k.shape[1:] != (n,):
+        raise ValueError(f"{member(0)}damping shape {k.shape[1:]} does not match {n} labels")
+    if len(k) != len(a):
+        raise ValueError(f"damping stack of {len(k)} members does not match coupling stack of {len(a)}")
+    finite = np.isfinite(k).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{member(int(np.argmin(finite)))}damping must be finite")
+    negative = (k < 0.0).any(axis=1)
+    if negative.any():
+        i = int(np.argmax(negative))
+        bad = int(np.argmin(k[i]))
+        raise NegativeDampingError(f"{member(i)}mode {labels[bad]!r} has damping {k[i, bad]} < 0")
     a.setflags(write=False)
     k.setflags(write=False)
-    return CoupledModeNetwork(labels=labels, coupling=a, damping=k)
+    return [CoupledModeNetwork(labels=labels, coupling=c, damping=d) for c, d in zip(a, k)]
 
 
 def network_to_json(net: CoupledModeNetwork) -> str:

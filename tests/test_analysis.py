@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from modeconv import analysis
+from modeconv import converter as converter_module
+from modeconv import network as network_module
 from modeconv.analysis import (
     ETA_REFINE_TOL,
     ConverterFamily,
@@ -74,6 +76,38 @@ def test_family_builders():
     assert two.labels == ("a", "b")
     with pytest.raises(ValueError):
         ConverterFamily(kind="nope").build(1.0)
+
+
+class TestConverterFamily:
+    @pytest.mark.parametrize(
+        "family",
+        [
+            ConverterFamily("resonant", g=1.3),
+            ConverterFamily("detuned", g=0.8, delta_mu=-3.0),
+            ConverterFamily("two_mode", g=0.5),
+        ],
+        ids=["resonant", "detuned", "two_mode"],
+    )
+    def test_members_are_the_built_networks_byte_for_byte(self, family):
+        kappas = np.append(np.linspace(0.1, 8.0, 201), [8.0, 0.1, EXCEPTIONAL_KAPPA])
+        for net, built in zip(family.members(kappas), [family.build(float(k)) for k in kappas], strict=True):
+            assert net.labels == built.labels
+            for stacked, single in ((net.coupling, built.coupling), (net.damping, built.damping)):
+                assert stacked.dtype == single.dtype and stacked.shape == single.shape
+                assert stacked.tobytes() == single.tobytes()
+                assert not stacked.flags.writeable and not single.flags.writeable
+
+    def test_fields_are_checked_at_construction(self):
+        with pytest.raises(ValueError, match="kind must be 'resonant', 'detuned' or 'two_mode', got 'nope'"):
+            ConverterFamily("nope")
+        for kind in ("resonant", "two_mode"):
+            with pytest.raises(ValueError, match=f"delta_mu applies only to kind 'detuned', got 3.0 for '{kind}'"):
+                ConverterFamily(kind, delta_mu=3.0)
+        assert ConverterFamily("detuned", delta_mu=3.0).build(1.0).coupling[1, 1] == 3.0
+
+    def test_a_bad_kappa_names_its_member(self):
+        with pytest.raises(ValueError, match="^member 2: damping must be finite$"):
+            ConverterFamily("resonant").members([1.0, 2.0, np.nan, np.inf])
 
 
 def test_efficiency_curve_values():
@@ -326,6 +360,21 @@ class TestOptimizeKappa:
             optimize_kappa(fam, 0.99, (0.0, 1.0))
         with pytest.raises(ValueError):
             optimize_kappa(fam, 1.5, (0.1, 1.0))
+
+    @pytest.mark.parametrize("omega_range", [None, (-3.0, 3.0)], ids=["default_window", "given_window"])
+    def test_no_member_reaching_the_threshold_is_named(self, omega_range):
+        # g = 0 decouples the ports: every width is 0.
+        with pytest.warns(UserWarning, match="no member reaches threshold 0.9 in the omega window") as caught:
+            optimum = optimize_kappa(
+                ConverterFamily("resonant", g=0.0), 0.9, (0.1, 8.0), 21, omega_range=omega_range
+            )
+        assert optimum == (0.1, 0.0)
+        assert len(caught) == 1 and caught[0].filename == __file__
+
+    def test_no_warning_when_a_member_reaches_the_threshold(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert optimize_kappa(ConverterFamily("resonant"), 0.99, (2.6, 2.6))[1] > 0.0
 
     @pytest.mark.parametrize("coarse_points", [1, 0, -5, 2.7, True, "3"])
     def test_coarse_points_validation(self, coarse_points):
@@ -707,6 +756,25 @@ def record_reports(monkeypatch):
     return calls
 
 
+def record_count_batches(monkeypatch):
+    """Each crossing-count batch optimize_kappa makes, as (member kappas, counts).
+
+    Every family used with it damps its first mode with kappa.  More than
+    200 batches fail the test, so a walk that does not stop ends it.
+    """
+    calls = []
+    batch = analysis._crossing_counts
+
+    def recorded(nets, ports, threshold, omega_range):
+        assert len(calls) < 200, "the merge bisection did not stop"
+        counts = batch(nets, ports, threshold, omega_range)
+        calls.append(([float(net.damping[0]) for net in nets], counts))
+        return counts
+
+    monkeypatch.setattr(analysis, "_crossing_counts", recorded)
+    return calls
+
+
 def assert_optimum_on_theta(family, threshold, kappa_range, kappa_star, width_star):
     """The report at kappa* has width*, and its widest interval's edges sit on the threshold."""
     net = family.build(kappa_star)
@@ -796,12 +864,62 @@ class TestMergeBisection:
         optimum = optimize_kappa(lambda kappa: net, 0.9, (0.5, 4.0), 11, omega_range=omega_range)
         assert optimum == (0.5, 2.122773489718325)
 
-    def test_bisection_stops_at_adjacent_floats(self):
+    def test_bisection_stops_at_adjacent_floats(self, monkeypatch):
         # Near kappa = 1e6 one ulp (1.2e-10) exceeds the 1e-12 bracket, so the
         # bisection ends when its midpoint rounds onto an end.
         def shifted(kappa):
             return resonant(kappa - 1e6 + 2.0)
 
+        batches = record_count_batches(monkeypatch)
         kappa_star, width_star = optimize_kappa(shifted, 0.99, (1e6, 1e6 + 1.0), 11)
+        assert 1 < len(batches) < 40
         assert abs(kappa_star - 1e6 - 0.2745789) < 1e-6
         assert width_star == pytest.approx(1.9412335, abs=1e-6)
+
+
+class TestCountBatches:
+    """The merge bisection takes two binary steps per crossing-count batch."""
+
+    @pytest.mark.parametrize("delta_mu", [0.0, 1.0, 3.0, 10.0], ids=["dmu0", "dmu1", "dmu3", "dmu10"])
+    def test_two_steps_per_batch_reach_the_one_step_bracket(self, monkeypatch, delta_mu):
+        family = ConverterFamily(kind="detuned" if delta_mu else "resonant", delta_mu=delta_mu)
+        count = analysis._crossing_counts
+        batches = record_count_batches(monkeypatch)
+        reports = record_reports(monkeypatch)
+        optimize_kappa(family, 0.99, (0.1, 8.0))
+        (near, near_counts), *steps = batches
+        (_, _), (bracket, _) = reports
+        assert len(near) == 3 and all(0 < len(kappas) <= 3 for kappas, _ in steps)
+        # The same walk one count per step, from the neighbor pair whose counts differ.
+        count_of = dict(zip(near, near_counts))
+        ((a, b),) = [(lo, hi) for lo, hi in zip(near, near[1:]) if count_of[lo] != count_of[hi]]
+        count_a = count_of[a]
+        window = default_omega_window(family.build((0.1 + 8.0) / 2.0))
+        tol, walked = 1e-12 * max(1.0, 8.0 - 0.1), 0
+        while b - a > tol and (a + b) / 2.0 not in (a, b):
+            mid = (a + b) / 2.0
+            walked += 1
+            if count([family.build(mid)], [(None, None)], 0.99, window)[0] == count_a:
+                a = mid
+            else:
+                b = mid
+        assert bracket == [a, b]
+        assert walked > 30 and len(steps) == math.ceil(walked / 2)
+
+    def test_coarse_grid_is_one_stack_without_single_builds(self, monkeypatch):
+        singles, stacks = [], []
+        new_network, new_networks = network_module.new_network, analysis.new_networks
+
+        def single(*args):
+            singles.append(args)
+            return new_network(*args)
+
+        def stack(labels, couplings, dampings):
+            stacks.append(len(couplings))
+            return new_networks(labels, couplings, dampings)
+
+        monkeypatch.setattr(converter_module, "new_network", single)
+        monkeypatch.setattr(network_module, "new_network", single)
+        monkeypatch.setattr(analysis, "new_networks", stack)
+        optimize_kappa(ConverterFamily("detuned", delta_mu=3.0), 0.99, (0.1, 8.0), omega_range=(-4.0, 7.0))
+        assert singles == [] and stacks[0] == 201 and max(stacks[1:]) <= 3

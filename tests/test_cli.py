@@ -192,6 +192,19 @@ def test_optimize_two_mode(tmp_path, capsys):
     assert report["max_width"] > 0.0
 
 
+def test_optimize_with_no_member_above_threshold_warns_and_reports_width_zero(tmp_path, capsys):
+    doc = {
+        "setup": "resonant",
+        "g": 0.0,
+        "threshold": 0.9,
+        "kappa_range": {"min": 0.1, "max": 8.0, "points": 21},
+    }
+    cfg = write_cfg(tmp_path, "cfg.json", doc)
+    with pytest.warns(UserWarning, match="no member reaches threshold 0.9"):
+        assert main(["optimize", cfg]) == 0
+    assert capsys.readouterr().out == json_text({"threshold": 0.9, "kappa_star": 0.1, "max_width": 0.0}) + "\n"
+
+
 def test_eliminate_defaults(capsys):
     assert main(["eliminate"]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
-from modeconv.errors import DuplicateLabelError, NegativeDampingError, NoPortsError, NotHermitianError
-from modeconv.network import network_from_dict, network_from_json, network_to_json, new_network
+from modeconv.errors import (
+    DuplicateLabelError,
+    ModeconvError,
+    NegativeDampingError,
+    NoPortsError,
+    NotHermitianError,
+)
+from modeconv.network import network_from_dict, network_from_json, network_to_json, new_network, new_networks
 
 
 def simple_net():
@@ -140,3 +146,84 @@ class TestPortPair:
             net.port_pair(label, "b")
         with pytest.raises(ValueError, match="out_port " + named):
             net.port_pair(out_port=label)
+
+
+def chain_stack(m):
+    """m copies of the three-mode chain's coupling and damping, as stacks."""
+    a = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]], dtype=complex)
+    return np.repeat(a[None], m, axis=0), np.tile([2.0, 0.0, 2.0], (m, 1))
+
+
+def spoil_nan_coupling(coupling, damping):
+    coupling[1, 1] = np.nan
+
+
+def spoil_hermiticity(coupling, damping):
+    coupling[0, 1] = 2.0
+
+
+def spoil_negative_damping(coupling, damping):
+    damping[2] = -0.5
+
+
+def spoil_nan_damping(coupling, damping):
+    damping[0] = np.nan
+
+
+SPOILERS = [spoil_nan_coupling, spoil_hermiticity, spoil_negative_damping, spoil_nan_damping]
+
+
+class TestNewNetworks:
+    @pytest.mark.parametrize("spoil", SPOILERS)
+    def test_a_stack_of_one_raises_new_networks_exact_error(self, spoil):
+        coupling, damping = chain_stack(1)
+        spoil(coupling[0], damping[0])
+        with pytest.raises((ValueError, ModeconvError)) as single:
+            new_network(("a", "c", "b"), coupling[0], damping[0])
+        with pytest.raises((ValueError, ModeconvError)) as stacked:
+            new_networks(("a", "c", "b"), coupling, damping)
+        assert type(stacked.value) is type(single.value)
+        assert str(stacked.value) == str(single.value)
+
+    def test_a_stack_of_one_raises_new_networks_exact_shape_errors(self):
+        for coupling, damping in [(np.zeros((3, 3)), (1.0, 1.0)), (np.zeros((2, 2)), (1.0, 1.0, 1.0))]:
+            with pytest.raises(ValueError) as single:
+                new_network(("a", "b"), coupling, damping)
+            with pytest.raises(ValueError) as stacked:
+                new_networks(("a", "b"), [coupling], [damping])
+            assert str(stacked.value) == str(single.value)
+
+    @pytest.mark.parametrize("spoil", SPOILERS)
+    def test_a_longer_stack_names_its_first_bad_member(self, spoil):
+        coupling, damping = chain_stack(5)
+        for i in (1, 3):
+            spoil(coupling[i], damping[i])
+        with pytest.raises((ValueError, ModeconvError)) as single:
+            new_network(("a", "c", "b"), coupling[1], damping[1])
+        with pytest.raises((ValueError, ModeconvError)) as stacked:
+            new_networks(("a", "c", "b"), coupling, damping)
+        assert type(stacked.value) is type(single.value)
+        assert str(stacked.value) == "member 1: " + str(single.value)
+
+    def test_a_longer_stack_with_the_wrong_shape(self):
+        coupling, damping = chain_stack(4)
+        with pytest.raises(ValueError, match=r"^member 0: coupling shape \(3, 3\) does not match 2 labels$"):
+            new_networks(("a", "b"), coupling, damping[:, :2])
+        with pytest.raises(ValueError, match=r"^member 0: damping shape \(2,\) does not match 3 labels$"):
+            new_networks(("a", "c", "b"), coupling, damping[:, :2])
+        with pytest.raises(ValueError, match="damping stack of 3 members does not match coupling stack of 4"):
+            new_networks(("a", "c", "b"), coupling, damping[:3])
+
+    def test_members_are_read_only_views_of_one_symmetrized_stack(self):
+        coupling, damping = chain_stack(3)
+        coupling[:, 0, 1] += 1e-15 * np.arange(3)  # rounding-level asymmetry
+        nets = new_networks(("a", "c", "b"), coupling, damping)
+        for i, net in enumerate(nets):
+            single = new_network(("a", "c", "b"), coupling[i], damping[i])
+            assert net.labels == single.labels
+            assert net.coupling.tobytes() == single.coupling.tobytes()
+            assert net.damping.tobytes() == single.damping.tobytes()
+            assert not net.coupling.flags.writeable and not net.damping.flags.writeable
+            assert net.coupling.base is nets[0].coupling.base is not None
+            assert net.damping.base is nets[0].damping.base is not None
+        assert new_networks(("a",), np.zeros((0, 1, 1)), np.zeros((0, 1))) == []
