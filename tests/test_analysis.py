@@ -103,7 +103,6 @@ class TestConverterFamily:
         for kind in ("resonant", "two_mode"):
             with pytest.raises(ValueError, match=f"delta_mu applies only to kind 'detuned', got 3.0 for '{kind}'"):
                 ConverterFamily(kind, delta_mu=3.0)
-        assert ConverterFamily("detuned", delta_mu=3.0).build(1.0).coupling[1, 1] == 3.0
 
     def test_a_bad_kappa_names_its_member(self):
         with pytest.raises(ValueError, match="^member 2: damping must be finite$"):
