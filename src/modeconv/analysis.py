@@ -17,11 +17,12 @@ interval, and an interval touching a window end is clipped there.  An edge
 whose eta misses the threshold by more than ETA_REFINE_TOL (a root the
 eigensolver got only roughly) is polished by regula falsi inside the gaps'
 midpoints.  Several networks (the optimizer's coarse kappa grid) go through
-the same path as one batch, per mode count should a callable family's members
-differ in size: one ``eigvals`` call on the stack of their L, one pair solve
-for every gap midpoint and one for every edge.  Crossings and poles come back
-padded with +inf, so each other step is one array operation on (member x cut)
-arrays, with no loop over members.
+the same path as one batch with one port pair (:func:`_groups`: stacked once
+per mode count, grouped by the modes the coupling graph links to the pair):
+one ``eigvals`` call on the stack of each group's L, one pair solve for every
+gap midpoint and one for every edge.  Crossings and poles come back padded
+with +inf, so each other step is one array operation on (member x cut)
+arrays, with no loop over members; a map reads its rows from the same stacks.
 
 A real eigenvalue of H is a pole: its mode is undamped, so no port sees it and
 it cancels from S_out,in.  eta is continuous through it, but the network is
@@ -66,7 +67,7 @@ from .converter import (
 )
 from .linalg import eigenvalues_hermitian
 from .network import CoupledModeNetwork, new_networks
-from .scattering import _member_stack, _pair_transmission, _port_modes, transmission_grid
+from .scattering import _member_stack, _pair_transmission, transmission_grid
 
 # Scan spacing of the merge-dip allowance in bench/oracles.py, its only reader.
 DEFAULT_SCAN_POINTS = 4001
@@ -196,10 +197,6 @@ def default_omega_window(net: CoupledModeNetwork) -> tuple[float, float]:
     return float(eigs.min() - margin), float(eigs.max() + margin)
 
 
-def _eta_grid(net, omegas, in_port, out_port, on_singular="raise") -> np.ndarray:
-    return np.abs(transmission_grid(net, omegas, in_port, out_port, on_singular)) ** 2
-
-
 def _ascending_grid(name: str, values) -> np.ndarray:
     grid = np.asarray(values, dtype=float)
     if grid.ndim != 1 or len(grid) == 0:
@@ -217,7 +214,7 @@ def efficiency_curve(net: CoupledModeNetwork, in_port: str, out_port: str, omega
     a warning, so ``omegas`` may come back shorter than the request.
     """
     omega_grid = _ascending_grid("omega_grid", omega_grid)
-    etas = _eta_grid(net, omega_grid, in_port, out_port, on_singular="nan")
+    etas = np.abs(transmission_grid(net, omega_grid, in_port, out_port, on_singular="nan")) ** 2
     keep = np.isfinite(etas)
     if not keep.all():
         dropped = omega_grid[~keep]
@@ -233,31 +230,55 @@ def efficiency_curve(net: CoupledModeNetwork, in_port: str, out_port: str, omega
     return EfficiencyCurve(omegas=omegas, etas=kept, in_port=in_port, out_port=out_port)
 
 
-def _real_eigenvalues(groups, w_lo: float, w_hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted real eigenvalues in (w_lo, w_hi) of each member's matrix, and how many there are.
+def _groups(nets, in_port, out_port):
+    """The members of one batch, each between its ``port_pair(in_port, out_port)``, in groups.
 
-    ``groups`` lists (members, stack) pairs that together cover members
-    0..m-1, one stacked ``eigvals`` call each.  Real means within
-    REAL_AXIS_RTOL * ||matrix||_F of the real axis; the real part is kept.
-    The values come back as one (m, width) array, each row ascending and
-    padded with +inf, beside the (m,) array of counts.
+    A group's members have one mode count and keep the same modes: those
+    their coupling graph links to the pair.  Each mode count is stacked once
+    (:func:`_member_stack`), and one whose members all keep every mode is one
+    group, handed over without a copy.  Yields (rows, stack, level): the
+    group's indices in ``nets``, its pair-solve stack, and the arguments of
+    :func:`_level_set_matrices` but gamma.
     """
-    parts = []
-    for members, stack in groups:
-        lam = np.linalg.eigvals(stack)
-        real = np.abs(lam.imag) <= REAL_AXIS_RTOL * np.linalg.norm(stack, axis=(1, 2))[:, None]
-        parts.append((members, np.where(real & (lam.real > w_lo) & (lam.real < w_hi), lam.real, np.inf)))
-    values = parts[0][1]  # a single group holds every member in order
-    if len(parts) > 1:
-        values = np.full((sum(len(members) for members, _ in parts), max(v.shape[1] for _, v in parts)), np.inf)
-        for members, part in parts:
-            values[members, : part.shape[1]] = part
+    sizes = [net.n_modes for net in nets]
+    for n in sorted(set(sizes)):
+        rows = np.array([j for j, size in enumerate(sizes) if size == n])
+        stack, coupling, damping, modes = _member_stack([nets[j] for j in rows], in_port, out_port)
+        linked = coupling != 0.0
+        # the pair and its neighbors, then every mode linked to them
+        reach = (linked | np.eye(n, dtype=bool))[np.arange(len(rows))[:, None], modes].any(axis=1)
+        full = reach.all()
+        while not full:
+            grown = reach | (reach[:, None, :] @ linked)[:, 0]
+            if (grown == reach).all():
+                break
+            reach, full = grown, grown.all()
+        if full:
+            yield rows, stack, (coupling, damping, modes, None)
+            continue
+        keeps, group = np.unique(reach, axis=0, return_inverse=True)
+        for g, keep in enumerate(keeps):
+            sel = np.flatnonzero(group.reshape(-1) == g)
+            yield rows[sel], tuple(a[sel] for a in stack), (coupling[sel], damping[sel], modes[sel], keep)
+
+
+def _real_eigenvalues(stack, w_lo: float, w_hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted real eigenvalues in (w_lo, w_hi) of each matrix of ``stack``, and how many there are.
+
+    One stacked ``eigvals`` call.  Real means within REAL_AXIS_RTOL *
+    ||matrix||_F of the real axis; the real part is kept.  The values come
+    back as one (m, n) array, each row ascending and padded with +inf,
+    beside the (m,) array of counts.
+    """
+    lam = np.linalg.eigvals(stack)
+    real = np.abs(lam.imag) <= REAL_AXIS_RTOL * np.linalg.norm(stack, axis=(1, 2))[:, None]
+    values = np.where(real & (lam.real > w_lo) & (lam.real < w_hi), lam.real, np.inf)
     values.sort(axis=1)
     return values, (values < np.inf).sum(axis=1)
 
 
-def _level_set_matrices(nets, modes, gamma: float) -> tuple[np.ndarray, list]:
-    """H = A - iK/2 of networks of one mode count, as a stack, and their L_gamma in groups.
+def _level_set_matrices(coupling, damping, modes, keep, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """H = A - iK/2 of a group of networks, and their L_gamma on the modes ``keep`` (None: all).
 
     With (i, o) = ``modes[j]``, S_oi(omega) = D + C (omega - H)^-1 B for
     B = sqrt(k_i) e_i, C = i sqrt(k_o) e_o^T and feedthrough D = -1 when a
@@ -268,61 +289,31 @@ def _level_set_matrices(nets, modes, gamma: float) -> tuple[np.ndarray, list]:
 
     are the frequencies where |S_oi| = gamma (Boyd, Balakrishnan & Kabamba,
     MCSS 1989).  The four entries of the second term go in by fancy indexing
-    for the whole batch, the two off-diagonal-block ones as L_gamma's only
-    entries in those blocks.  L_gamma keeps only the modes the coupling
-    graph links to a port: leaving the others out keeps the crossings of a
-    network with a decoupled dark mode bit for bit.  Members that keep the
-    same modes form one (members, stack) group.  H is the whole network's, so
-    its real eigenvalues are every pole.
+    for the whole stack, the two off-diagonal-block ones as L_gamma's only
+    entries in those blocks.  L_gamma keeps only the modes ``keep``, which
+    :func:`_groups` takes as those the coupling graph links to a port:
+    leaving the others out keeps the crossings of a network with a decoupled
+    dark mode bit for bit.  H is the whole network's, so its real
+    eigenvalues are every pole.
     """
-    n = nets[0].n_modes
-    coupling = np.array([net.coupling for net in nets])
-    damping = np.array([net.damping for net in nets])
-    eye = np.eye(n)
-    h = coupling - 0.5j * (damping[:, None, :] * eye)
-    member, i, o = np.arange(len(nets)), modes[:, 0], modes[:, 1]
-    linked = coupling != 0.0
-    step = linked | eye.astype(bool)
-    reach = step[member, i] | step[member, o]  # the ports and their neighbors
-    full = reach.all()
-    while not full:
-        grown = reach | (reach[:, None, :] @ linked)[:, 0]
-        if (grown == reach).all():
-            break
-        reach, full = grown, grown.all()
+    h = coupling - 0.5j * (damping[:, None, :] * np.eye(coupling.shape[-1]))
+    sub, at = h, modes  # H on the kept modes, and the pair's places among them
+    if keep is not None:
+        sub, at = h[:, keep][:, :, keep], np.cumsum(keep)[modes] - 1
+    i, o = at.T
+    n, member = sub.shape[-1], np.arange(len(h))
     d = 0.0 - (i == o)  # D: -1.0 or +0.0
     r = d * d - gamma * gamma
     k = damping[member[:, None], modes]
     feed = 1j * (np.sqrt(k[:, 0] * k[:, 1]) * d / r)
     n_i, n_o = i + n, o + n
-    mats = np.zeros((len(nets), 2 * n, 2 * n), dtype=complex)
+    mats = np.zeros((len(h), 2 * n, 2 * n), dtype=complex)
     mats[member, i, o], mats[member, n_o, n_i] = feed, -feed  # E's entries in the diagonal blocks
-    np.subtract(h, mats[:, :n, :n], out=mats[:, :n, :n])
-    np.subtract(h.conj().transpose(0, 2, 1), mats[:, n:, n:], out=mats[:, n:, n:])
+    np.subtract(sub, mats[:, :n, :n], out=mats[:, :n, :n])
+    np.subtract(sub.conj().transpose(0, 2, 1), mats[:, n:, n:], out=mats[:, n:, n:])
     side = -gamma * k / r[:, None]
     mats[member, i, n_i], mats[member, n_o, o] = side[:, 0], side[:, 1]
-    if full:
-        return h, [(member, mats)]
-    groups = []
-    reach = np.concatenate((reach, reach), axis=1)
-    while member.size:
-        keep = reach[member[0]]
-        same = (reach[member] == keep).all(axis=1)
-        rows, member = member[same], member[~same]
-        keep = np.flatnonzero(keep)
-        groups.append((rows, mats[rows[:, None, None], keep[:, None], keep]))
-    return h, groups
-
-
-def _per_mode_count(nets, ports, solve) -> list:
-    """``solve(nets, ports)`` on each group of one mode count, results in the order of ``nets``."""
-    out = [None] * len(nets)
-    sizes = [net.n_modes for net in nets]
-    for n in sorted(set(sizes)):
-        group = [i for i, size in enumerate(sizes) if size == n]
-        for i, result in zip(group, solve([nets[i] for i in group], [ports[i] for i in group])):
-            out[i] = result
-    return out
+    return h, mats
 
 
 def _polish(stack, member, threshold, x, lo, g_lo, hi, g_hi) -> np.ndarray:
@@ -354,20 +345,18 @@ def _polish(stack, member, threshold, x, lo, g_lo, hi, g_hi) -> np.ndarray:
     return x
 
 
-def _group_ends(nets, ports, threshold: float, w_lo: float, w_hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """The interval edges of networks of one mode count, and each one's interval count.
+def _group_ends(stack, level, threshold: float, w_lo: float, w_hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """The interval edges of one group of :func:`_groups`, and each member's interval count.
 
     The edges come as one (intervals, 2) array in member order.  Cuts, gap
     midpoints and gap classes are (member x cut) arrays padded past each
     member's last cut, so finding the runs of gaps above the threshold and
     writing back the polished edges take one array operation each.
     """
-    m = len(nets)
-    modes = _port_modes(nets, ports)
-    stack = _member_stack(nets, modes)
-    h, groups = _level_set_matrices(nets, modes, math.sqrt(threshold))
-    crossings, n_crossings = _real_eigenvalues(groups, w_lo, w_hi)
-    poles, n_poles = _real_eigenvalues([(np.arange(m), h)], w_lo, w_hi)
+    h, mats = _level_set_matrices(*level, math.sqrt(threshold))
+    crossings, n_crossings = _real_eigenvalues(mats, w_lo, w_hi)
+    poles, n_poles = _real_eigenvalues(h, w_lo, w_hi)
+    m = len(h)
     cuts = np.concatenate((np.full((m, 1), w_lo), crossings, poles, np.full((m, 1), w_hi)), axis=1)
     cuts.sort(axis=1)
     last = 1 + n_crossings + n_poles  # the column of w_hi
@@ -399,11 +388,11 @@ def _group_ends(nets, ports, threshold: float, w_lo: float, w_hi: float) -> tupl
     return ends, np.bincount(member, minlength=m)
 
 
-def _bandwidth_reports(nets, ports, threshold: float, omega_range) -> list[BandwidthReport]:
-    """One :class:`BandwidthReport` per network, ``ports[i]`` = (in, out) of ``nets[i]``.
+def _bandwidth_reports(nets, in_port, out_port, threshold: float, omega_range) -> list[BandwidthReport]:
+    """One :class:`BandwidthReport` per network, each between its ``port_pair(in_port, out_port)``.
 
-    Networks are handled one mode count at a time: one ``eigvals`` call on the
-    stack of their level-set matrices (per group of kept modes) gives every
+    Networks are handled one group of :func:`_groups` at a time: one
+    ``eigvals`` call on the stack of their level-set matrices gives every
     crossing, one pair solve classifies the gaps between them, and one more
     polishes every edge.
     """
@@ -412,14 +401,14 @@ def _bandwidth_reports(nets, ports, threshold: float, omega_range) -> list[Bandw
     w_lo, w_hi = float(omega_range[0]), float(omega_range[1])
     if not (math.isfinite(w_lo) and math.isfinite(w_hi)) or w_hi < w_lo:
         raise ValueError(f"omega_range must be finite with min <= max, got {omega_range}")
-
-    def reports(group, pairs) -> list[BandwidthReport]:
-        ends, counts = _group_ends(group, pairs, threshold, w_lo, w_hi)
+    reports = [None] * len(nets)
+    for rows, stack, level in _groups(nets, in_port, out_port):
+        ends, counts = _group_ends(stack, level, threshold, w_lo, w_hi)
         edges = iter([Interval(lo=lo, hi=hi) for lo, hi in ends.tolist()])
-        parts = [tuple(itertools.islice(edges, count)) for count in counts.tolist()]
-        return [BandwidthReport(float(threshold), part, max((iv.width for iv in part), default=0.0)) for part in parts]
-
-    return _per_mode_count(nets, ports, reports)
+        for row, count in zip(rows.tolist(), counts.tolist()):
+            part = tuple(itertools.islice(edges, count))
+            reports[row] = BandwidthReport(float(threshold), part, max((iv.width for iv in part), default=0.0))
+    return reports
 
 
 def high_efficiency_intervals(
@@ -435,7 +424,7 @@ def high_efficiency_intervals(
     to ``ETA_REFINE_TOL``; edges on the range boundary stay clipped there.  The
     report is empty (max_width 0) when eta stays below the threshold.
     """
-    return _bandwidth_reports([net], [(in_port, out_port)], threshold, omega_range)[0]
+    return _bandwidth_reports([net], in_port, out_port, threshold, omega_range)[0]
 
 
 def max_bandwidth(
@@ -468,38 +457,37 @@ def efficiency_map(family, kappa_grid, omega_grid) -> EfficiencyMap:
     points (possible only for undamped members) are recorded as NaN gaps with
     a warning, as in :func:`efficiency_curve`.
 
-    The members come as one stack from a :class:`ConverterFamily`, but each
-    row is its own solve over omega.  Solving the whole map as one
-    (member, omega) stack gives the same bytes at a far higher memory peak:
-    ``reproduce --preset fig3`` then peaks at 67 MB of RSS, against 38 MB.
+    The members go through the batches of :func:`optimize_kappa`, stacked
+    once per mode count, and each row is one pair solve of one member over
+    omega, so the solve holds one row's systems at a time: a row is byte for
+    byte that member's :func:`transmission_grid` between its default ports.
     """
     kappas = _ascending_grid("kappa_grid", kappa_grid)
     omegas = _ascending_grid("omega_grid", omega_grid)
-    rows = np.empty((len(kappas), len(omegas)))
-    gap_count = 0
-    for i, net in enumerate(_members(family, kappas)):
-        rows[i] = _eta_grid(net, omegas, *net.port_pair(), on_singular="nan")
-        gap_count += int(np.count_nonzero(~np.isfinite(rows[i])))
+    etas = np.empty((len(kappas), len(omegas)))
+    for rows, stack, _ in _groups(_members(family, kappas), None, None):
+        for i, row in enumerate(rows.tolist()):
+            etas[row] = np.abs(_pair_transmission(stack, i, omegas, "nan")) ** 2
+    gap_count = int(np.count_nonzero(~np.isfinite(etas)))
     if gap_count:
         warnings.warn(f"map contains {gap_count} singular grid points recorded as NaN", stacklevel=2)
-    rows.setflags(write=False)
-    return EfficiencyMap(kappas=kappas.copy(), omegas=omegas.copy(), etas=rows)
+    etas.setflags(write=False)
+    return EfficiencyMap(kappas=kappas.copy(), omegas=omegas.copy(), etas=etas)
 
 
-def _crossing_counts(nets, ports, threshold: float, omega_range) -> list:
+def _crossing_counts(nets, in_port, out_port, threshold: float, omega_range) -> np.ndarray:
     """Each network's number of threshold crossings in the window, as one batch.
 
     A crossing is a real eigenvalue of the network's level-set matrix
     L_gamma, gamma = sqrt(threshold), inside ``omega_range``; one stacked
-    ``eigvals`` call per mode count (and group of kept modes) counts them
-    all, with no pole solve and no pair solve.
+    ``eigvals`` call per group of :func:`_groups` counts them all, with no
+    pole solve and no pair solve.
     """
     gamma, w_lo, w_hi = math.sqrt(threshold), float(omega_range[0]), float(omega_range[1])
-
-    def count(group, pairs):
-        return _real_eigenvalues(_level_set_matrices(group, _port_modes(group, pairs), gamma)[1], w_lo, w_hi)[1]
-
-    return _per_mode_count(nets, ports, count)
+    counts = np.empty(len(nets), dtype=int)
+    for rows, _, level in _groups(nets, in_port, out_port):
+        counts[rows] = _real_eigenvalues(_level_set_matrices(*level, gamma)[1], w_lo, w_hi)[1]
+    return counts
 
 
 def optimize_kappa(
@@ -548,11 +536,8 @@ def optimize_kappa(
         omega_range = default_omega_window(family((k_lo + k_hi) / 2.0))
     seen = []  # (kappa, width) of every member measured, in evaluation order
 
-    def members(kappas):
-        return _members(family, kappas), [(None, None)] * len(kappas)
-
     def widths_at(kappas) -> list[float]:
-        reports = _bandwidth_reports(*members(kappas), threshold, omega_range)
+        reports = _bandwidth_reports(_members(family, kappas), None, None, threshold, omega_range)
         seen.extend((float(k), report.max_width) for k, report in zip(kappas, reports))
         return [report.max_width for report in reports]
 
@@ -574,7 +559,7 @@ def optimize_kappa(
     widths = widths_at(ks)
     best_i = int(np.argmax(widths))
     near = sorted({max(best_i - 1, 0), best_i, min(best_i + 1, len(ks) - 1)})
-    counts = dict(zip(near, _crossing_counts(*members(ks[near]), threshold, omega_range)))
+    counts = dict(zip(near, _crossing_counts(_members(family, ks[near]), None, None, threshold, omega_range)))
     tol = 1e-12 * max(1.0, k_hi - k_lo)
 
     def midpoint(a, b):
@@ -591,7 +576,7 @@ def optimize_kappa(
         mid = midpoint(a, b)
         while mid is not None:
             batch = [k for k in (mid, midpoint(a, mid), midpoint(mid, b)) if k is not None]
-            counted = dict(zip(batch, _crossing_counts(*members(batch), threshold, omega_range)))
+            counted = dict(zip(batch, _crossing_counts(_members(family, batch), None, None, threshold, omega_range)))
             while mid in counted:  # popped: a step that could not move the bracket asks for a new batch
                 if counted.pop(mid) == counts[i]:
                     a = mid

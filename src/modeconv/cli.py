@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from functools import partial
 from pathlib import Path
 
@@ -316,7 +317,10 @@ def _cmd_map(cfg: dict) -> str:
     for name, grid in (("kappa_range", kappas), ("window", omegas)):
         if np.any(np.diff(grid) <= 0.0):
             raise ConfigError(f"field '{name}' is too narrow for {len(grid)} distinct points")
-    emap = efficiency_map(family, kappas, omegas)
+    with warnings.catch_warnings():
+        # A singular point fails the command, so the library's warning about it would only repeat that.
+        warnings.filterwarnings("ignore", "map contains", UserWarning)
+        emap = efficiency_map(family, kappas, omegas)
     singular = np.argwhere(~np.isfinite(emap.etas))
     if len(singular):
         raise SingularAtFrequencyError(float(emap.omegas[singular[0][1]]))

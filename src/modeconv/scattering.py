@@ -33,9 +33,10 @@ pairs, each chunk one :func:`modeconv.linalg.solve_batched` call on at most
 ``_PAIR_STACK_BYTES`` of systems, so memory stays bounded on networks of
 hundreds of modes and the result is the same, bit for bit, as one stack.  A
 chunk of one member broadcasts that member's H instead of gathering copies.
-:func:`transmission_grid` is the stack of one network, :func:`transmission`
-the grid of one frequency, and bandwidth extraction in
-:mod:`modeconv.analysis` solves many members at once.
+:func:`_member_stack` stacks a batch of networks of one mode count and one
+port pair: :func:`transmission_grid` solves the stack of one network,
+:func:`transmission` its grid of one frequency, and :mod:`modeconv.analysis`
+whole batches (bandwidth reports, crossing counts, map rows).
 Whole columns at one frequency go through the point solve (:func:`_solve_at`,
 via :func:`modeconv.linalg.solve_with_condition`, which also reports the pivot
 ratio as a conditioning estimate): :func:`scattering_matrix` drives every port,
@@ -153,7 +154,7 @@ def transmission_grid(
     omegas = np.asarray(omegas, dtype=float)
     if omegas.ndim != 1:
         raise ValueError(f"omegas must be a 1-D frequency grid, got shape {omegas.shape}")
-    return _pair_transmission(_member_stack([net], _port_modes([net], [(in_port, out_port)])), 0, omegas, on_singular)
+    return _pair_transmission(_member_stack([net], in_port, out_port)[0], 0, omegas, on_singular)
 
 
 def _reduced(net: CoupledModeNetwork) -> tuple[np.ndarray, np.ndarray]:
@@ -219,37 +220,34 @@ def _read_out(rows, y) -> np.ndarray:
     return out
 
 
-def _port_modes(nets, ports) -> np.ndarray:
-    """The (m, 2) mode indices of each member's ``port_pair(*ports[j])``."""
-    return np.array([[net.index_of(label) for label in net.port_pair(*pair)] for net, pair in zip(nets, ports)])
+def _member_stack(nets, in_port, out_port) -> tuple:
+    """A batch of networks of one mode count as stacks, for the pair solve and the level-set matrices.
 
-
-def _member_stack(nets, modes) -> tuple:
-    """Per-member arrays that :func:`_pair_transmission` solves against.
-
-    ``modes`` holds each member's (in, out) mode indices (:func:`_port_modes`);
-    all networks have one mode count.  The stack K + 2iA is built at once, and
-    only a member with an entry below the subdiagonal is reduced
-    (:func:`_reduced`): the others keep Q = I.  Returns H as an (m, n, n)
-    stack, the reduced drive Q^H sqrt(K_in) e_in as an (m, n, 1) stack, the
-    readout rows Q[out, :], the readout factors 2 sqrt(K_out), and whether
-    each member's ports coincide.
+    Each member converts between its ``port_pair(in_port, out_port)``.  The
+    stack K + 2iA is built at once, and only a member with an entry below the
+    subdiagonal is reduced (:func:`_reduced`): the others keep Q = I.  Returns
+    the pair-solve arrays (H as an (m, n, n) stack, the reduced drive
+    Q^H sqrt(K_in) e_in as an (m, n, 1) stack, the readout rows Q[out, :], the
+    readout factors 2 sqrt(K_out), and whether each member's ports coincide),
+    then the coupling and damping stacks and the (m, 2) mode indices of each
+    member's (in, out) pair.
     """
-    m, n = len(nets), nets[0].n_modes
-    member, in_modes, out_modes = np.arange(m), modes[:, 0], modes[:, 1]
-    # Reduce first, so that no stack is held while a large network is reduced.
-    lower = np.array([net.coupling for net in nets])[:, np.tri(n, k=-2, dtype=bool)].any(axis=1)
-    reduced = [(j, *_reduced(nets[j])) for j in np.flatnonzero(lower)]
+    modes = np.array([[net.index_of(label) for label in net.port_pair(in_port, out_port)] for net in nets])
+    coupling = np.array([net.coupling for net in nets])
     damping = np.array([net.damping for net in nets])
+    m, n = damping.shape
+    member, in_modes, out_modes = np.arange(m), modes[:, 0], modes[:, 1]
+    lower = coupling[:, np.tri(n, k=-2, dtype=bool)].any(axis=1)
+    reduced = [(j, *_reduced(nets[j])) for j in np.flatnonzero(lower)]
     h = np.zeros((m, n, n), dtype=complex)
     h.reshape(m, -1)[:, :: n + 1] = damping
-    h += 2j * np.array([net.coupling for net in nets])
+    h += 2j * coupling
     roots = np.sqrt(damping[member[:, None], modes])
     drive, readout = np.zeros((2, m, n), dtype=complex)
     drive[member, in_modes], readout[member, out_modes] = roots[:, 0], 1.0
     for j, h_j, q in reduced:
         h[j], drive[j], readout[j] = h_j, q[in_modes[j]].conj() * roots[j, 0], q[out_modes[j]]
-    return h, drive[:, :, None], readout, 2.0 * roots[:, 1], in_modes == out_modes
+    return (h, drive[:, :, None], readout, 2.0 * roots[:, 1], in_modes == out_modes), coupling, damping, modes
 
 
 def _pair_transmission(stack, member, omegas, on_singular: str = "raise") -> np.ndarray:

@@ -14,8 +14,9 @@ from modeconv.analysis import (
     ConverterFamily,
     Interval,
     _bandwidth_reports,
+    _crossing_counts,
+    _groups,
     _level_set_matrices,
-    _per_mode_count,
     _polish,
     _real_eigenvalues,
     branch_count,
@@ -30,7 +31,7 @@ from modeconv.converter import ResonantParams, efficiency_closed_form, resonant_
 from modeconv.ensemble import default_validation_ensemble, microscopic_network
 from modeconv.errors import NoPortsError
 from modeconv.network import new_network
-from modeconv.scattering import _member_stack, _port_modes, dynamical_matrix, transmission_grid
+from modeconv.scattering import _member_stack, dynamical_matrix, transmission_grid
 
 
 def resonant(kappa):
@@ -301,7 +302,7 @@ def test_efficiency_map_matches_rows():
     emap = efficiency_map(fam, kappas, omegas)
     assert emap.etas.shape == (3, 21)
     row = np.abs(transmission_grid(fam.build(2.0), omegas, "a", "b")) ** 2
-    assert np.abs(emap.etas[1] - row).max() < 1e-14
+    assert emap.etas[1].tobytes() == row.tobytes()
 
 
 def test_map_of_a_three_port_family_is_the_first_to_last_port_efficiency():
@@ -315,6 +316,29 @@ def test_map_of_a_three_port_family_is_the_first_to_last_port_efficiency():
         net = lossy_chain(kappa)
         assert net.port_pair() == ("a", "b")
         assert row.tobytes() == (np.abs(transmission_grid(net, omegas, "a", "b")) ** 2).tobytes()
+
+
+def test_map_across_mode_counts_matches_each_members_grid():
+    # Members of two, three and four modes with different labels and port
+    # modes; kappa in [1, 2) adds an undamped mode coupled to nothing at
+    # omega = 0.5, a grid frequency, and kappa = 6 one coupled to the chain.
+    def family(kappa):
+        if 1.0 <= kappa < 2.0:
+            return with_dark_modes(resonant(kappa), [0.5])
+        if kappa >= 5.5:
+            return with_extra_modes(resonant(kappa), [(0.4, 0.3)])
+        return mixed_family(kappa)
+
+    kappas = [0.5, 1.2, 1.5, 2.2, 3.0, 5.2, 6.0]
+    omegas = np.linspace(-2.0, 2.0, 9)
+    assert [family(k).n_modes for k in kappas] == [2, 4, 4, 3, 3, 3, 4] and omegas[5] == 0.5
+    with pytest.warns(UserWarning, match="map contains 2 singular grid points"):
+        emap = efficiency_map(family, kappas, omegas)
+    assert np.argwhere(np.isnan(emap.etas)).tolist() == [[1, 5], [2, 5]]
+    for kappa, row in zip(kappas, emap.etas):
+        net = family(kappa)
+        grid = transmission_grid(net, omegas, *net.port_pair(), on_singular="nan")
+        assert row.tobytes() == (np.abs(grid) ** 2).tobytes()
 
 
 def test_member_without_ports_raises_no_ports_error():
@@ -417,7 +441,7 @@ def batch_and_single(build, kappas, threshold, omega_range):
     ports = [net.port_pair() for net in nets]
     with warnings.catch_warnings(record=True) as caught_batch:
         warnings.simplefilter("always")
-        batch = _bandwidth_reports(nets, ports, threshold, omega_range)
+        batch = _bandwidth_reports(nets, None, None, threshold, omega_range)
     with warnings.catch_warnings(record=True) as caught_single:
         warnings.simplefilter("always")
         single = [
@@ -431,9 +455,9 @@ def batch_and_single(build, kappas, threshold, omega_range):
     return batch, single, [str(w.message) for w in caught_batch], [str(w.message) for w in caught_single]
 
 
-def one_at_a_time(nets, ports, threshold, omega_range):
+def one_at_a_time(nets, in_port, out_port, threshold, omega_range):
     """The report of each member on its own."""
-    return [high_efficiency_intervals(net, *pair, threshold, omega_range) for net, pair in zip(nets, ports)]
+    return [high_efficiency_intervals(net, in_port, out_port, threshold, omega_range) for net in nets]
 
 
 # g = 1: the resonant family's exceptional point kappa = 4 sqrt(2) g sits in the
@@ -506,16 +530,15 @@ class TestBatchedReports:
             (0.5495275550110819, 0.33946159529902403), rel=1e-12
         )
 
-    def test_mixed_port_pairs_in_one_batch(self):
+    def test_one_batch_per_port_pair(self):
         # a -> a and b -> b drive a port into itself (feedthrough D = -1)
-        pairs = [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]
         for build in (resonant, ConverterFamily(kind="detuned", g=1.5, delta_mu=1.0).build):
             nets = [build(float(k)) for k in np.linspace(0.3, 6.0, 12)]
-            ports = [pairs[j % len(pairs)] for j in range(len(nets))]
-            for threshold in (0.5, 0.99):
-                batch = _bandwidth_reports(nets, ports, threshold, (-3.0, 3.0))
-                assert batch == one_at_a_time(nets, ports, threshold, (-3.0, 3.0))
-                assert any(report.intervals for report, (i, o) in zip(batch, ports) if i == o)
+            for pair in (("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")):
+                for threshold in (0.5, 0.99):
+                    batch = _bandwidth_reports(nets, *pair, threshold, (-3.0, 3.0))
+                    assert batch == one_at_a_time(nets, *pair, threshold, (-3.0, 3.0))
+                    assert pair[0] != pair[1] or any(report.intervals for report in batch)
 
     def test_members_with_and_without_dark_modes(self):
         # Four-mode members whose extra mode is decoupled (a dark mode) or
@@ -529,10 +552,9 @@ class TestBatchedReports:
 
         nets = [member(j) for j in range(15)]
         assert sorted({net.n_modes for net in nets}) == [3, 4, 5]
-        ports = [("a", "b")] * len(nets)
-        batch = _bandwidth_reports(nets, ports, 0.99, (-3.0, 3.0))
-        assert batch == one_at_a_time(nets, ports, 0.99, (-3.0, 3.0))
-        plain = one_at_a_time([resonant(1.5 + 0.25 * j) for j in range(15)], ports, 0.99, (-3.0, 3.0))
+        batch = _bandwidth_reports(nets, "a", "b", 0.99, (-3.0, 3.0))
+        assert batch == one_at_a_time(nets, "a", "b", 0.99, (-3.0, 3.0))
+        plain = one_at_a_time([resonant(1.5 + 0.25 * j) for j in range(15)], "a", "b", 0.99, (-3.0, 3.0))
         for j, (report, reference) in enumerate(zip(batch, plain)):
             if j % 5 in (0, 2):  # only dark extra modes: the plain report, bit for bit
                 assert report == reference
@@ -542,10 +564,9 @@ class TestBatchedReports:
         # on the narrow window the kappa = 2.6 flat top covers it whole.
         mismatched = resonant_network(ResonantParams(1.0, 1.0, 0.2, 5.0))
         nets = [resonant(2.0), mismatched, resonant(2.6), resonant(1.0)]
-        ports = [("a", "b")] * len(nets)
         for window in ((-3.0, 3.0), (-0.5, 0.5)):
-            batch = _bandwidth_reports(nets, ports, 0.99, window)
-            assert batch == one_at_a_time(nets, ports, 0.99, window)
+            batch = _bandwidth_reports(nets, "a", "b", 0.99, window)
+            assert batch == one_at_a_time(nets, "a", "b", 0.99, window)
             inner = [sum(e not in window for iv in report.intervals for e in (iv.lo, iv.hi)) for report in batch]
             assert inner[1] == 0 and max(inner) >= 2
         assert batch[1].intervals == ()
@@ -561,13 +582,12 @@ class TestBatchedReports:
         assert np.isnan(transmission_grid(with_dark_modes(resonant(2.6), pair), [np.mean(pair)], "a", "b", "nan"))
         kappas = [2.6, 2.2, 3.0, 2.6, 2.4]
         nets = [with_dark_modes(resonant(k), pair if j % 2 == 0 else [1.7, 2.9]) for j, k in enumerate(kappas)]
-        ports = [("a", "b")] * len(nets)
         for window in ((-3.0, 3.0), (pole, 3.0)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                batch = _bandwidth_reports(nets, ports, 0.99, window)
-            assert batch == one_at_a_time(nets, ports, 0.99, window)
-            assert batch == one_at_a_time([resonant(k) for k in kappas], ports, 0.99, window)
+                batch = _bandwidth_reports(nets, "a", "b", 0.99, window)
+            assert batch == one_at_a_time(nets, "a", "b", 0.99, window)
+            assert batch == one_at_a_time([resonant(k) for k in kappas], "a", "b", 0.99, window)
 
     @pytest.mark.parametrize(
         "build",
@@ -578,14 +598,18 @@ class TestBatchedReports:
         # The count the merge bisection compares, batched as for the coarse grid.
         kappas = np.sort(np.append(np.linspace(0.1, 8.0, 40), EXCEPTIONAL_KAPPA))
         nets = [build(float(k)) for k in kappas]
-        pairs = [(None, None)] * len(nets)
         gamma = math.sqrt(0.99)
 
-        def crossings(group, group_pairs):
-            return _real_eigenvalues(_level_set_matrices(group, _port_modes(group, group_pairs), gamma)[1], -3.0, 3.0)
+        def crossings(group):
+            out = [None] * len(group)
+            for rows, _, level in _groups(group, None, None):
+                for row, *values in zip(rows, *_real_eigenvalues(_level_set_matrices(*level, gamma)[1], -3.0, 3.0)):
+                    out[row] = values
+            return out
 
-        batch = _per_mode_count(nets, pairs, lambda group, group_pairs: zip(*crossings(group, group_pairs)))
-        single = [next(zip(*crossings([net], [(None, None)]))) for net in nets]
+        batch = crossings(nets)
+        single = [crossings([net])[0] for net in nets]
+        assert _crossing_counts(nets, None, None, 0.99, (-3.0, 3.0)).tolist() == [count for _, count in batch]
         for (values, count), (one_values, one_count) in zip(batch, single):
             assert count == one_count == np.count_nonzero(np.isfinite(values))
             assert values[:count].tobytes() == one_values[:one_count].tobytes()
@@ -732,7 +756,7 @@ class TestLevelSetEdges:
         (edge,) = high_efficiency_intervals(net, "a", "b", 0.99, (-3.0, 3.0)).intervals
         lo, hi = np.array([-1.0, 0.5]), np.array([-0.5, 1.0])
         g_lo, g_hi = (eta_by_solve(net, "a", "b", ends) - 0.99 for ends in (lo, hi))
-        stack = _member_stack([net], _port_modes([net], [("a", "b")]))
+        stack = _member_stack([net], "a", "b")[0]
         x = _polish(stack, np.array([0, 0]), 0.99, (lo + hi) / 2.0, lo, g_lo, hi, g_hi)
         assert np.all(np.abs(efficiency_closed_form(x, 1.0, 2.6) - 0.99) <= ETA_REFINE_TOL)
         assert x == pytest.approx([edge.lo, edge.hi], abs=1e-9)
@@ -746,8 +770,8 @@ def record_reports(monkeypatch):
     calls = []
     batch = analysis._bandwidth_reports
 
-    def recorded(nets, ports, threshold, omega_range):
-        reports = batch(nets, ports, threshold, omega_range)
+    def recorded(nets, in_port, out_port, threshold, omega_range):
+        reports = batch(nets, in_port, out_port, threshold, omega_range)
         calls.append(([float(net.damping[0]) for net in nets], reports))
         return reports
 
@@ -764,9 +788,9 @@ def record_count_batches(monkeypatch):
     calls = []
     batch = analysis._crossing_counts
 
-    def recorded(nets, ports, threshold, omega_range):
+    def recorded(nets, in_port, out_port, threshold, omega_range):
         assert len(calls) < 200, "the merge bisection did not stop"
-        counts = batch(nets, ports, threshold, omega_range)
+        counts = batch(nets, in_port, out_port, threshold, omega_range)
         calls.append(([float(net.damping[0]) for net in nets], counts))
         return counts
 
@@ -898,7 +922,7 @@ class TestCountBatches:
         while b - a > tol and (a + b) / 2.0 not in (a, b):
             mid = (a + b) / 2.0
             walked += 1
-            if count([family.build(mid)], [(None, None)], 0.99, window)[0] == count_a:
+            if count([family.build(mid)], None, None, 0.99, window)[0] == count_a:
                 a = mid
             else:
                 b = mid

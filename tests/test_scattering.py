@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from modeconv import scattering
-from modeconv.analysis import _group_ends, high_efficiency_intervals
+from modeconv.analysis import _bandwidth_reports, high_efficiency_intervals
 from modeconv.converter import (
     DetunedParams,
     ResonantParams,
@@ -326,10 +326,10 @@ class TestChunkedPairSolve:
 
     def test_gap_and_edge_stacks_mixing_members_are_bit_identical(self, monkeypatch):
         nets = [microscopic_network(spread_ensemble(4, seed), 2.6, 2.6) for seed in range(4)]
-        ports = [("a", "b")] * len(nets)
 
         def compute():
-            return _group_ends(nets, ports, 0.9, -3.0, 3.0)
+            reports = _bandwidth_reports(nets, "a", "b", 0.9, (-3.0, 3.0))
+            return [np.array([(iv.lo, iv.hi) for iv in report.intervals]).tobytes() for report in reports]
 
         gathered = []
         shifted = scattering._shifted
@@ -342,7 +342,7 @@ class TestChunkedPairSolve:
         monkeypatch.setattr(scattering, "_shifted", spy)
         for pairs in (1, 3, 5):
             chunked = with_budget(monkeypatch, pairs * pair_bytes(nets[0].n_modes), compute)
-            assert [e.tobytes() for e in chunked] == [e.tobytes() for e in whole]
+            assert chunked == whole
         # Single-pair chunks never gather; the larger ones straddle members.
         assert any(gathered) and not all(gathered)
 
@@ -391,7 +391,7 @@ class TestChunkedPairSolve:
         monkeypatch.setattr(scattering, "solve_batched", spy)
         monkeypatch.setattr(scattering, "_PAIR_STACK_BYTES", budget)
         nets = [microscopic_network(spread_ensemble(16, seed), 2.6, 2.6) for seed in range(3)]
-        _group_ends(nets, [("a", "b")] * len(nets), 0.9, -3.0, 3.0)
+        _bandwidth_reports(nets, "a", "b", 0.9, (-3.0, 3.0))
         transmission_grid(nets[0], np.linspace(-1.5, 1.5, 300), "a", "b")
         assert stacks and sum(m for m, _, _ in stacks) >= 300
         for m, n, _ in stacks:
