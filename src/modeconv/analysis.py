@@ -22,7 +22,9 @@ per mode count, grouped by the modes the coupling graph links to the pair):
 one ``eigvals`` call on the stack of each group's L, one pair solve for every
 gap midpoint and one for every edge.  Crossings and poles come back padded
 with +inf, so each other step is one array operation on (member x cut)
-arrays, with no loop over members; a map reads its rows from the same stacks.
+arrays, with no loop over members; a map reads its rows from the same
+stacks.  Only reports and maps build the pair-solve arrays; crossing counts
+read the coupling and damping stacks alone.
 
 A real eigenvalue of H is a pole: its mode is undamped, so no port sees it and
 it cancels from S_out,in.  eta is continuous through it, but the network is
@@ -67,7 +69,7 @@ from .converter import (
 )
 from .linalg import eigenvalues_hermitian
 from .network import CoupledModeNetwork, new_networks
-from .scattering import _member_stack, _pair_transmission, transmission_grid
+from .scattering import _member_stack, _pair_stack, _pair_transmission, transmission_grid
 
 # Scan spacing of the merge-dip allowance in bench/oracles.py, its only reader.
 DEFAULT_SCAN_POINTS = 4001
@@ -236,14 +238,15 @@ def _groups(nets, in_port, out_port):
     A group's members have one mode count and keep the same modes: those
     their coupling graph links to the pair.  Each mode count is stacked once
     (:func:`_member_stack`), and one whose members all keep every mode is one
-    group, handed over without a copy.  Yields (rows, stack, level): the
-    group's indices in ``nets``, its pair-solve stack, and the arguments of
-    :func:`_level_set_matrices` but gamma.
+    group, handed over without a copy.  Yields (rows, level): the group's
+    indices in ``nets`` and the arguments of :func:`_level_set_matrices` but
+    gamma, whose first three are those of :func:`_pair_stack` too; only a
+    caller that solves builds that stack.
     """
     sizes = [net.n_modes for net in nets]
     for n in sorted(set(sizes)):
         rows = np.array([j for j, size in enumerate(sizes) if size == n])
-        stack, coupling, damping, modes = _member_stack([nets[j] for j in rows], in_port, out_port)
+        coupling, damping, modes = _member_stack([nets[j] for j in rows], in_port, out_port)
         linked = coupling != 0.0
         # the pair and its neighbors, then every mode linked to them
         reach = (linked | np.eye(n, dtype=bool))[np.arange(len(rows))[:, None], modes].any(axis=1)
@@ -254,12 +257,12 @@ def _groups(nets, in_port, out_port):
                 break
             reach, full = grown, grown.all()
         if full:
-            yield rows, stack, (coupling, damping, modes, None)
+            yield rows, (coupling, damping, modes, None)
             continue
         keeps, group = np.unique(reach, axis=0, return_inverse=True)
         for g, keep in enumerate(keeps):
             sel = np.flatnonzero(group.reshape(-1) == g)
-            yield rows[sel], tuple(a[sel] for a in stack), (coupling[sel], damping[sel], modes[sel], keep)
+            yield rows[sel], (coupling[sel], damping[sel], modes[sel], keep)
 
 
 def _real_eigenvalues(stack, w_lo: float, w_hi: float) -> tuple[np.ndarray, np.ndarray]:
@@ -345,7 +348,7 @@ def _polish(stack, member, threshold, x, lo, g_lo, hi, g_hi) -> np.ndarray:
     return x
 
 
-def _group_ends(stack, level, threshold: float, w_lo: float, w_hi: float) -> tuple[np.ndarray, np.ndarray]:
+def _group_ends(level, threshold: float, w_lo: float, w_hi: float) -> tuple[np.ndarray, np.ndarray]:
     """The interval edges of one group of :func:`_groups`, and each member's interval count.
 
     The edges come as one (intervals, 2) array in member order.  Cuts, gap
@@ -354,6 +357,7 @@ def _group_ends(stack, level, threshold: float, w_lo: float, w_hi: float) -> tup
     writing back the polished edges take one array operation each.
     """
     h, mats = _level_set_matrices(*level, math.sqrt(threshold))
+    stack = _pair_stack(*level[:3])
     crossings, n_crossings = _real_eigenvalues(mats, w_lo, w_hi)
     poles, n_poles = _real_eigenvalues(h, w_lo, w_hi)
     m = len(h)
@@ -402,8 +406,8 @@ def _bandwidth_reports(nets, in_port, out_port, threshold: float, omega_range) -
     if not (math.isfinite(w_lo) and math.isfinite(w_hi)) or w_hi < w_lo:
         raise ValueError(f"omega_range must be finite with min <= max, got {omega_range}")
     reports = [None] * len(nets)
-    for rows, stack, level in _groups(nets, in_port, out_port):
-        ends, counts = _group_ends(stack, level, threshold, w_lo, w_hi)
+    for rows, level in _groups(nets, in_port, out_port):
+        ends, counts = _group_ends(level, threshold, w_lo, w_hi)
         edges = iter([Interval(lo=lo, hi=hi) for lo, hi in ends.tolist()])
         for row, count in zip(rows.tolist(), counts.tolist()):
             part = tuple(itertools.islice(edges, count))
@@ -465,7 +469,8 @@ def efficiency_map(family, kappa_grid, omega_grid) -> EfficiencyMap:
     kappas = _ascending_grid("kappa_grid", kappa_grid)
     omegas = _ascending_grid("omega_grid", omega_grid)
     etas = np.empty((len(kappas), len(omegas)))
-    for rows, stack, _ in _groups(_members(family, kappas), None, None):
+    for rows, level in _groups(_members(family, kappas), None, None):
+        stack = _pair_stack(*level[:3])
         for i, row in enumerate(rows.tolist()):
             etas[row] = np.abs(_pair_transmission(stack, i, omegas, "nan")) ** 2
     gap_count = int(np.count_nonzero(~np.isfinite(etas)))
@@ -485,7 +490,7 @@ def _crossing_counts(nets, in_port, out_port, threshold: float, omega_range) -> 
     """
     gamma, w_lo, w_hi = math.sqrt(threshold), float(omega_range[0]), float(omega_range[1])
     counts = np.empty(len(nets), dtype=int)
-    for rows, _, level in _groups(nets, in_port, out_port):
+    for rows, level in _groups(nets, in_port, out_port):
         counts[rows] = _real_eigenvalues(_level_set_matrices(*level, gamma)[1], w_lo, w_hi)[1]
     return counts
 

@@ -4,10 +4,11 @@ The solver is partial-pivot Gaussian elimination written out by hand rather than
 LAPACK call: the contract of this package is that a system whose best available
 pivot falls below ``PIVOT_RTOL`` times the Frobenius norm of the matrix *as
 supplied* fails loudly with :class:`SingularMatrixError` instead of returning
-noise, and library solvers do not expose the pivots needed to enforce that.  The
-Frobenius norm is unchanged by a unitary similarity, so a system solved in a
-reduced basis (as :mod:`modeconv.scattering` does) meets the same threshold as
-the unreduced one.  The pivot ratio (largest over smallest pivot magnitude)
+noise, and library solvers do not expose the pivots needed to enforce that.
+:mod:`modeconv.scattering` hands it M(omega) itself, or for a network with many
+undamped modes a small bordered port-space system, which is exactly singular
+at the same frequencies; the threshold follows the norm of whichever it is
+handed.  The pivot ratio (largest over smallest pivot magnitude)
 doubles as a cheap conditioning estimate for downstream diagnostics.  A system
 with a NaN pivot or a non-finite solution is singular too: a NaN fails every
 comparison, so the test asks that the pivot pass, not that it fail.

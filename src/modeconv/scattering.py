@@ -16,37 +16,41 @@ off-resonant, S is unitary; a drive hitting an undamped resonance makes
 M singular, which surfaces as :class:`SingularAtFrequencyError` — the physical
 statement that no steady state exists there.
 
-Every route first reduces the network once, with Householder reflections
-(Laub, IEEE TAC 1981): K + 2iA = Q H Q^H with Q unitary and H upper
-Hessenberg, so M(omega) = Q (H - 2i omega I) Q^H.  Each frequency is then one
-Hessenberg system, which the package's one elimination kernel solves in O(n^2)
-rather than O(n^3); the drive enters as Q^H sqrt(K) e_in and the answer is read
-out through the rows Q[out, :], one term-by-term sum in real arithmetic
-(:func:`_read_out`) for every network.  A network that is already Hessenberg
-(a chain, or modes coupled to nothing) needs no reflector and keeps Q = I
-exactly, so its readout selects entries exactly, up to the sign of a zero.
+A network with at most |P| + 2 undamped modes for |P| ports (every built-in
+converter, and small networks with dark modes) solves M(omega) itself, in
+mode order.  A larger one is solved in port space, the exact form of the
+adiabatic elimination that :func:`modeconv.ensemble.effective_network`
+approximates.  Its undamped block is Hermitian: one ``eigh`` per network,
+A_UU = V diag(lam) V^H with W = A_PU V, leaves one bordered system per
+frequency, whose unknowns are the ports, carrying
 
-There are two solves, each written once.  Transmissions of one port pair go
-through the pair solve (:func:`_pair_transmission`): the (member, omega)
-pairs of a stack of reduced networks are solved in chunks of consecutive
-pairs, each chunk one :func:`modeconv.linalg.solve_batched` call on at most
-``_PAIR_STACK_BYTES`` of systems, so memory stays bounded on networks of
-hundreds of modes and the result is the same, bit for bit, as one stack.  A
-chunk of one member broadcasts that member's H instead of gathering copies.
-:func:`_member_stack` stacks a batch of networks of one mode count and one
-port pair: :func:`transmission_grid` solves the stack of one network,
-:func:`transmission` its grid of one frequency, and :mod:`modeconv.analysis`
-whole batches (bandwidth reports, crossing counts, map rows).
+    K_PP + 2i (A_PP - omega) - 2i sum_far w_j w_j^H / (lam_j - omega),
+
+and the |P| + 2 eigen-directions nearest omega, so a mode on omega never
+enters as 1/0.  Inside a cluster of equal eigenvalues the basis is rotated by
+an SVD of W, which puts the cluster's bright part in its first directions, and
+those come first among equally near ones; a dark combination on omega then
+keeps its zero pivot, so the singular frequencies stay the real eigenvalues of
+H = A - iK/2.  The eigendecomposition is only normwise backward stable, so the
+port-space solution is refined once: a residual against M(omega) itself, then
+the same solve.  Every product over modes is taken one frequency at a time
+(stacked matrix-vector products, not one matrix product across frequencies,
+whose rounding depends on how many columns it has), so a single frequency and
+a grid round alike.
+
+There are two solves, each written once, and both run the package's one
+elimination kernel on the same systems, so a point and a grid trip the same
+pivot test and a singular frequency can never slip through disguised as a
+plausible number.  Transmissions of one port pair go through the pair solve
+(:func:`_pair_transmission`, via :func:`modeconv.linalg.solve_batched`) on a
+stack from :func:`_pair_stack`: :func:`transmission_grid` solves the stack of
+one network, :func:`transmission` its grid of one frequency, and
+:mod:`modeconv.analysis` whole batches (bandwidth reports and map rows).
 Whole columns at one frequency go through the point solve (:func:`_solve_at`,
 via :func:`modeconv.linalg.solve_with_condition`, which also reports the pivot
 ratio as a conditioning estimate): :func:`scattering_matrix` drives every port,
-:func:`internal_amplitudes` the given inputs.  Both solves run the same kernel
-on the same reduced systems, so a point and a grid trip the same pivot test
-and a singular frequency can never slip through disguised as a plausible
-number.  The pivot threshold is relative to the Frobenius norm, which the
-reduction preserves.  The reduction is normwise backward stable: S carries an
-error of order n eps cond(M(omega)).  A non-finite drive frequency is a
-``ValueError``, not a singular system.
+:func:`internal_amplitudes` the given inputs.  A non-finite drive frequency is
+a ``ValueError``, not a singular system.
 """
 
 from __future__ import annotations
@@ -59,9 +63,9 @@ from .errors import SingularAtFrequencyError, SingularMatrixError
 from .linalg import solve_batched, solve_with_condition
 from .network import CoupledModeNetwork
 
-# Bytes of complex (pairs, n, n) stack that one chunk of the pair solve may
-# hold; a chunk takes max(1, _PAIR_STACK_BYTES // (16 n^2)) pairs.
-_PAIR_STACK_BYTES = 2**25
+# Eigenvalues of an undamped block closer than this times its largest
+# magnitude form one cluster: one degenerate level split by rounding.
+_CLUSTER_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -71,6 +75,23 @@ class ScatteringResult:
     omega: float
     s: np.ndarray
     condition_estimate: float
+
+
+@dataclass(frozen=True)
+class _PortSpace:
+    """One network seen from its ports: A_UU = V diag(lam) V^H, W = A_PU V.
+
+    ``lam`` ascends and is equal within a cluster, whose directions are
+    ordered brightest first; ``outer[j]`` holds w_j w_j^H, flattened.
+    """
+
+    ports: np.ndarray
+    inner: np.ndarray
+    lam: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+    outer: np.ndarray
+    h: np.ndarray  # K + 2iA, for the residual
 
 
 def dynamical_matrix(net: CoupledModeNetwork, omega: float) -> np.ndarray:
@@ -83,20 +104,37 @@ def dynamical_matrix(net: CoupledModeNetwork, omega: float) -> np.ndarray:
     )
 
 
+def _frequencies(omegas) -> np.ndarray:
+    omegas = np.asarray(omegas, dtype=float)
+    if not np.isfinite(omegas).all():
+        raise ValueError(f"drive frequency must be finite, got {omegas[~np.isfinite(omegas)][0]}")
+    return omegas
+
+
 def _solve_at(net: CoupledModeNetwork, omega: float, rhs) -> tuple[np.ndarray, float]:
     """M(omega)^-1 rhs in mode space, and the pivot ratio of the solve.
 
-    The one single-frequency solve: it reduces the network, carries ``rhs``
-    into the reduced basis and back, and turns a singular system into
+    The one single-frequency solve: it solves the network's system of the pair
+    solve at ``omega`` and turns a singular system into
     :class:`SingularAtFrequencyError`.
     """
-    net.port_pair()  # NoPortsError for a network with no damped mode
-    h, q = _reduced(net)
+    omegas = _frequencies([omega])
+    system = _pair_stack(*_member_stack([net], None, None))[0][0]  # NoPortsError without a damped mode
+    ratios = []
+
+    def solve(mats, b):
+        x, ratio = solve_with_condition(mats[0], b[0])
+        ratios.append(ratio)
+        return x[None], np.zeros(1, dtype=bool)
+
     try:
-        y, condition = solve_with_condition(_shifted(h, [omega])[0], _read_out(q.conj().T, rhs))
+        if isinstance(system, _PortSpace):
+            x = _port_solve(system, omegas, rhs.T[None], solve, inner=True)[0][0].T
+        else:
+            x = solve(_shifted(system, omegas), rhs[None])[0][0]
     except SingularMatrixError as exc:
         raise SingularAtFrequencyError(omega) from exc
-    return _read_out(q, y), condition
+    return x, ratios[0]
 
 
 def internal_amplitudes(net: CoupledModeNetwork, omega: float, a_in) -> np.ndarray:
@@ -154,43 +192,15 @@ def transmission_grid(
     omegas = np.asarray(omegas, dtype=float)
     if omegas.ndim != 1:
         raise ValueError(f"omegas must be a 1-D frequency grid, got shape {omegas.shape}")
-    return _pair_transmission(_member_stack([net], in_port, out_port)[0], 0, omegas, on_singular)
-
-
-def _reduced(net: CoupledModeNetwork) -> tuple[np.ndarray, np.ndarray]:
-    """Householder reduction K + 2iA = Q H Q^H, with H upper Hessenberg and Q unitary.
-
-    A column already zero below its subdiagonal gets no reflector, so a network
-    that is already Hessenberg (a chain, or uncoupled modes) keeps Q = I and
-    H = K + 2iA exactly.
-    """
-    h = np.diag(net.damping).astype(complex) + 2j * net.coupling
-    n = len(h)
-    q = np.eye(n, dtype=complex)
-    for k in range(n - 2):
-        x = h[k + 1 :, k]
-        if not x[1:].any():
-            continue
-        v = x.copy()
-        v[0] += np.exp(1j * np.angle(x[0])) * np.linalg.norm(x)
-        v /= np.linalg.norm(v)
-        h[k + 1 :, k:] -= 2.0 * np.outer(v, v.conj() @ h[k + 1 :, k:])
-        h[:, k + 1 :] -= 2.0 * np.outer(h[:, k + 1 :] @ v, v.conj())
-        q[:, k + 1 :] -= 2.0 * np.outer(q[:, k + 1 :] @ v, v.conj())
-        h[k + 2 :, k] = 0.0
-    return h, q
+    return _pair_transmission(_pair_stack(*_member_stack([net], in_port, out_port)), 0, omegas, on_singular)
 
 
 def _shifted(h, omegas) -> np.ndarray:
-    """The stack H - 2i omega I over ``omegas``: M(omega) in the reduced basis.
+    """The stack H - 2i omega I over ``omegas``, laid out batch-last as the kernel works.
 
-    ``h`` is one (n, n) matrix or one per frequency.  The result is an
-    (m, n, n) view of memory laid out (n, n, m), batch-last, which is the
-    layout the elimination kernel works in, so its one copy is a straight one.
+    ``h`` is one (n, n) matrix or one per frequency; the result is an
+    (m, n, n) view of (n, n, m) memory, so the kernel's copy is a straight one.
     """
-    omegas = np.asarray(omegas, dtype=float)
-    if not np.isfinite(omegas).all():
-        raise ValueError(f"drive frequency must be finite, got {omegas[~np.isfinite(omegas)][0]}")
     n = h.shape[-1]
     work = np.empty((n, n, len(omegas)), dtype=complex)
     stack = work.transpose(2, 0, 1)
@@ -201,82 +211,176 @@ def _shifted(h, omegas) -> np.ndarray:
     return stack
 
 
-def _read_out(rows, y) -> np.ndarray:
-    """``rows @ y`` for rows (..., n) and y (..., n, k), taken in mode order.
+def _port_space(coupling, damping, h) -> _PortSpace:
+    """The port-space form of one network: one ``eigh`` of its undamped block.
 
-    The sum runs term by term in real arithmetic: numpy's complex multiply may
-    fuse its products or not depending on the array layout, and a single
-    frequency and a grid, laid out differently, must round their readout
-    alike.  Unit rows (modes no reflector touched) give the selected entries
-    exactly, up to the sign of a zero.
+    Within each cluster of eigenvalues (one level split by rounding) the
+    directions are rotated by the right singular vectors of W on the cluster,
+    so the bright part sits in its first directions and the rest are dark to
+    rounding, and the cluster's eigenvalues are replaced by their mean.
+    ``h`` is the network's K + 2iA, kept for the residual.
     """
-    re = im = 0.0
-    for j in range(rows.shape[-1]):
-        w, v = rows[..., j : j + 1], y[..., j, :]
-        re = re + (w.real * v.real - w.imag * v.imag)
-        im = im + (w.real * v.imag + w.imag * v.real)
-    out = np.empty(np.shape(re), dtype=complex)
-    out.real, out.imag = re, im
-    return out
+    ports, inner = np.flatnonzero(damping > 0.0), np.flatnonzero(damping == 0.0)
+    lam, v = np.linalg.eigh(coupling[np.ix_(inner, inner)])
+    w = coupling[np.ix_(ports, inner)] @ v
+    bounds = np.flatnonzero(np.diff(lam, prepend=-np.inf, append=np.inf) > _CLUSTER_RTOL * np.abs(lam).max(initial=0.0))
+    for s, e in zip(bounds[:-1], bounds[1:]):
+        if e - s > 1:
+            rotation = np.linalg.svd(w[:, s:e])[2].conj().T
+            v[:, s:e], w[:, s:e], lam[s:e] = v[:, s:e] @ rotation, w[:, s:e] @ rotation, lam[s:e].mean()
+    outer = (w[:, None, :] * w.conj()[None, :, :]).reshape(-1, len(inner)).T
+    return _PortSpace(ports, inner, lam, v, w, outer, h)
+
+
+def _port_system(space: _PortSpace, omegas) -> tuple:
+    """The bordered matrices at ``omegas``, one per row, and what their unknowns mean.
+
+    Returns the (m, q, q) stack, the (m, r) indices of the eigen-directions
+    each row keeps as unknowns (the nearest, brightest first within a
+    cluster), and the (m, u) weights 1/(lam - omega) of the far ones (0 on
+    the near ones).
+    """
+    p, m = len(space.ports), len(omegas)
+    r = p + 2
+    d = space.lam - omegas[:, None]
+    near = np.argsort(np.abs(d), axis=1, kind="stable")[:, :r]
+    far = np.ones(d.shape, dtype=bool)
+    np.put_along_axis(far, near, False, axis=1)
+    # A far level on omega belongs to a cluster wider than r > |P|, so with a
+    # dark direction among the near ones: it is left out, and the pivot of
+    # that direction flags omega.
+    rf = np.divide(1.0, d, out=np.zeros(d.shape), where=far & (d != 0.0))
+    w_near = space.w[:, near].transpose(1, 0, 2)
+    mats = np.zeros((m, p + r, p + r), dtype=complex)
+    mats[:, :p, :p] = space.h[np.ix_(space.ports, space.ports)] - 2j * (rf[:, None, :] @ space.outer).reshape(m, p, p)
+    mats[:, :p, p:], mats[:, p:, :p] = 2j * w_near, 2j * w_near.conj().transpose(0, 2, 1)
+    diagonal = np.concatenate((np.broadcast_to(-omegas[:, None], (m, p)), np.take_along_axis(d, near, axis=1)), axis=1)
+    mats.reshape(m, -1)[:, :: p + r + 1] += 2j * diagonal
+    return mats, near, rf
+
+
+def _port_pass(space: _PortSpace, system, b_p, c, solve, inner: bool):
+    """One bordered solve for drives b_p (m, k, p) on the ports and c (m, k, u) on the eigen-directions.
+
+    ``solve`` maps the stack and its (m, q, k) right-hand sides to the
+    solutions and the mask of systems flagged singular.  Returns the
+    amplitudes on the ports, or on every mode when ``inner``, and that mask.
+    """
+    mats, near, rf = system
+    p = len(space.ports)
+    cf = c * rf[:, None, :]  # far: c_j / (lam_j - omega)
+    top, bottom = b_p - (cf[..., None, :] @ space.w.T)[..., 0, :], np.take_along_axis(c, near[:, None, :], axis=2)
+    z, singular = solve(mats, np.concatenate((top, bottom), axis=2).transpose(0, 2, 1))
+    # Contiguous, as every other operand: numpy multiplies strided vectors without BLAS.
+    z = np.ascontiguousarray(z.transpose(0, 2, 1))
+    if not inner:
+        return z[..., :p], singular
+    y = cf / 2j - (z[..., None, :p] @ space.w.conj())[..., 0, :] * rf[:, None, :]
+    np.put_along_axis(y, near[:, None, :], z[..., p:], axis=2)
+    x = np.empty(z.shape[:2] + (len(space.h),), dtype=complex)
+    x[..., space.ports] = z[..., :p]
+    x[..., space.inner] = (y[..., None, :] @ space.v.T)[..., 0, :]
+    return x, singular
+
+
+def _port_solve(space: _PortSpace, omegas, b, solve, inner: bool = False):
+    """M(omega) x = b for drives b (m, k, n) on the ports, refined once by the residual against M(omega).
+
+    Returns x on the ports, or on every mode when ``inner``, and the mask
+    of frequencies flagged singular.
+    """
+    system = _port_system(space, omegas)
+    no_inner_drive = np.zeros(b.shape[:2] + space.inner.shape, dtype=complex)
+    x, singular = _port_pass(space, system, b[..., space.ports], no_inner_drive, solve, True)
+    x[singular] = 0.0  # a flagged system's solution is meaningless, and may overflow the residual
+    residual = b - (x[..., None, :] @ space.h.T)[..., 0, :] + 2j * omegas[:, None, None] * x
+    c = (residual[..., None, space.inner] @ space.v.conj())[..., 0, :]  # V^H r_U
+    step = _port_pass(space, system, residual[..., space.ports], c, solve, inner)[0]
+    return (x if inner else x[..., space.ports]) + step, singular
 
 
 def _member_stack(nets, in_port, out_port) -> tuple:
-    """A batch of networks of one mode count as stacks, for the pair solve and the level-set matrices.
+    """A batch of networks of one mode count as coupling and damping stacks, and each pair's modes.
 
-    Each member converts between its ``port_pair(in_port, out_port)``.  The
-    stack K + 2iA is built at once, and only a member with an entry below the
-    subdiagonal is reduced (:func:`_reduced`): the others keep Q = I.  Returns
-    the pair-solve arrays (H as an (m, n, n) stack, the reduced drive
-    Q^H sqrt(K_in) e_in as an (m, n, 1) stack, the readout rows Q[out, :], the
-    readout factors 2 sqrt(K_out), and whether each member's ports coincide),
-    then the coupling and damping stacks and the (m, 2) mode indices of each
-    member's (in, out) pair.
+    Each member converts between its ``port_pair(in_port, out_port)``, resolved
+    once for the batch when every member shares the first one's labels and
+    damped modes (as the members of one ``new_networks`` stack do).  Returns
+    the (m, n, n) coupling and (m, n) damping stacks and the (m, 2) mode
+    indices of each member's (in, out) pair.
     """
-    modes = np.array([[net.index_of(label) for label in net.port_pair(in_port, out_port)] for net in nets])
     coupling = np.array([net.coupling for net in nets])
     damping = np.array([net.damping for net in nets])
+    first = nets[0]
+    damped = damping > 0.0
+    if all(net.labels is first.labels or net.labels == first.labels for net in nets) and (damped == damped[0]).all():
+        pairs = [first.port_pair(in_port, out_port)]
+    else:
+        pairs = [net.port_pair(in_port, out_port) for net in nets]
+    modes = np.array([[net.index_of(label) for label in pair] for net, pair in zip(nets, pairs)])
+    return coupling, damping, np.broadcast_to(modes, (len(nets), 2))
+
+
+def _pair_stack(coupling, damping, modes) -> tuple:
+    """The pair-solve arrays of a batch from :func:`_member_stack`.
+
+    Returns the systems, the drives sqrt(K_in) e_in as an (m, n, 1) stack,
+    the out modes, the readout factors 2 sqrt(K_out), and whether each
+    member's ports coincide.  The systems are the stack K + 2iA when no
+    member has more than |P| + 2 undamped modes, and otherwise a list with
+    each member's K + 2iA or, past that count, its :class:`_PortSpace`.
+    """
     m, n = damping.shape
     member, in_modes, out_modes = np.arange(m), modes[:, 0], modes[:, 1]
-    lower = coupling[:, np.tri(n, k=-2, dtype=bool)].any(axis=1)
-    reduced = [(j, *_reduced(nets[j])) for j in np.flatnonzero(lower)]
-    h = np.zeros((m, n, n), dtype=complex)
-    h.reshape(m, -1)[:, :: n + 1] = damping
-    h += 2j * coupling
+    systems = np.zeros((m, n, n), dtype=complex)
+    systems.reshape(m, -1)[:, :: n + 1] = damping
+    systems += 2j * coupling
+    undamped = (damping == 0.0).sum(axis=1)
+    small = undamped <= n - undamped + 2
+    if not small.all():
+        systems = [h if s else _port_space(c, d, h) for h, s, c, d in zip(systems, small, coupling, damping)]
     roots = np.sqrt(damping[member[:, None], modes])
-    drive, readout = np.zeros((2, m, n), dtype=complex)
-    drive[member, in_modes], readout[member, out_modes] = roots[:, 0], 1.0
-    for j, h_j, q in reduced:
-        h[j], drive[j], readout[j] = h_j, q[in_modes[j]].conj() * roots[j, 0], q[out_modes[j]]
-    return (h, drive[:, :, None], readout, 2.0 * roots[:, 1], in_modes == out_modes), coupling, damping, modes
+    drive = np.zeros((m, n, 1), dtype=complex)
+    drive[member, in_modes, 0] = roots[:, 0]
+    return systems, drive, out_modes, 2.0 * roots[:, 1], in_modes == out_modes
+
+
+def _solved(system, drive, out, omegas) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitude of mode ``out`` for ``drive`` at each of ``omegas``, and the singular mask.
+
+    ``system`` is one K + 2iA, a stack of one per frequency, or a
+    :class:`_PortSpace`; ``drive`` and ``out`` are one, or one per frequency.
+    """
+    if isinstance(system, _PortSpace):
+        b = np.broadcast_to(drive.T, (len(omegas),) + drive.T.shape)
+        x, singular = _port_solve(system, omegas, b, solve_batched)
+        return x[:, 0, np.searchsorted(system.ports, out)], singular
+    x, singular = solve_batched(_shifted(system, omegas), drive)
+    return x[np.arange(len(omegas)), out, 0], singular
 
 
 def _pair_transmission(stack, member, omegas, on_singular: str = "raise") -> np.ndarray:
     """Transmission of member ``member[j]`` of ``stack`` at ``omegas[j]``, for every pair j.
 
-    ``member`` may also be one index for every pair (a frequency grid).  The
-    pairs are solved in chunks of consecutive pairs, each one
-    :func:`solve_batched` call on a stack of at most ``_PAIR_STACK_BYTES``
-    (or of one pair, if a single system is larger), so memory stays bounded
-    however many pairs there are.  A chunk whose pairs all belong to one
-    member passes that member's arrays to broadcast over its pairs; only a
-    chunk that mixes members gathers them.  Elimination is elementwise per
-    system, so the chunking does not change a bit of the result.  A pair
-    flagged singular raises :class:`SingularAtFrequencyError` at the first
-    such omega (``on_singular="raise"``) or reads NaN (``"nan"``).
+    ``member`` may also be one index for every pair (a frequency grid).
+    Pairs of a stack of K + 2iA are one :func:`solve_batched` call; a list of
+    systems solves each member's pairs as one grid.  A pair flagged singular
+    raises :class:`SingularAtFrequencyError` at the first such omega
+    (``on_singular="raise"``) or reads NaN (``"nan"``).
     """
-    h, drive, readout, scale, same = stack
+    systems, drive, out_modes, scale, same = stack
+    omegas = _frequencies(omegas)
     members = np.broadcast_to(member, (len(omegas),))
-    out = np.empty(len(members), dtype=complex)
-    singular = np.empty(len(members), dtype=bool)
-    size = max(1, _PAIR_STACK_BYTES // (16 * h.shape[-1] ** 2))
-    for start in range(0, len(members), size):
-        part = slice(start, start + size)
-        k = members[part]
-        if (k == k[0]).all():
-            k = k[0]
-        x, singular[part] = solve_batched(_shifted(h[k], omegas[part]), drive[k])
-        np.multiply(scale[k], _read_out(readout[k], x)[:, 0], out=out[part])
-        out[part] -= same[k]  # the feedthrough D = -1 where the ports coincide (x - 0 is x, bit for bit)
+    x = np.empty(len(members), dtype=complex)
+    singular = np.zeros(len(members), dtype=bool)
+    if isinstance(systems, list):
+        for k in np.unique(members).tolist():
+            at = np.flatnonzero(members == k)
+            x[at], singular[at] = _solved(systems[k], drive[k], out_modes[k], omegas[at])
+    elif len(members):
+        k = members[0] if (members == members[0]).all() else members
+        x, singular = _solved(systems[k], drive[k], out_modes[members], omegas)
+    out = scale[members] * x
+    out -= same[members]  # the feedthrough D = -1 where the ports coincide (x - 0 is x, bit for bit)
     if singular.any():
         if on_singular == "raise":
             raise SingularAtFrequencyError(float(omegas[np.argmax(singular)]))

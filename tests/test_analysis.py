@@ -31,7 +31,7 @@ from modeconv.converter import ResonantParams, efficiency_closed_form, resonant_
 from modeconv.ensemble import default_validation_ensemble, microscopic_network
 from modeconv.errors import NoPortsError
 from modeconv.network import new_network
-from modeconv.scattering import _member_stack, dynamical_matrix, transmission_grid
+from modeconv.scattering import _member_stack, _pair_stack, dynamical_matrix, transmission_grid
 
 
 def resonant(kappa):
@@ -602,7 +602,7 @@ class TestBatchedReports:
 
         def crossings(group):
             out = [None] * len(group)
-            for rows, _, level in _groups(group, None, None):
+            for rows, level in _groups(group, None, None):
                 for row, *values in zip(rows, *_real_eigenvalues(_level_set_matrices(*level, gamma)[1], -3.0, 3.0)):
                     out[row] = values
             return out
@@ -756,7 +756,7 @@ class TestLevelSetEdges:
         (edge,) = high_efficiency_intervals(net, "a", "b", 0.99, (-3.0, 3.0)).intervals
         lo, hi = np.array([-1.0, 0.5]), np.array([-0.5, 1.0])
         g_lo, g_hi = (eta_by_solve(net, "a", "b", ends) - 0.99 for ends in (lo, hi))
-        stack = _member_stack([net], "a", "b")[0]
+        stack = _pair_stack(*_member_stack([net], "a", "b"))
         x = _polish(stack, np.array([0, 0]), 0.99, (lo + hi) / 2.0, lo, g_lo, hi, g_hi)
         assert np.all(np.abs(efficiency_closed_form(x, 1.0, 2.6) - 0.99) <= ETA_REFINE_TOL)
         assert x == pytest.approx([edge.lo, edge.hi], abs=1e-9)

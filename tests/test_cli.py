@@ -13,7 +13,7 @@ from modeconv.cli import _PRESETS, _build_parser, main
 from modeconv.ensemble import AtomEnsemble, AtomParams, ensemble_to_dict, microscopic_network
 from modeconv.formatting import csv_text, json_text
 from modeconv.network import network_from_dict
-from modeconv.scattering import _reduced, dynamical_matrix, transmission_grid
+from modeconv.scattering import _member_stack, _pair_stack, _PortSpace, dynamical_matrix, transmission_grid
 
 
 def write_cfg(tmp_path, name, doc):
@@ -606,8 +606,8 @@ def test_microscopic_bandwidth_report_matches_the_library(tmp_path, capsys):
     }
     assert main(["bandwidth", write_cfg(tmp_path, "cfg.json", doc)]) == 0
     net = microscopic_network(ens, 2.6, 2.6)
-    # Spread detunings need reflectors: the edges are refined in a reduced basis.
-    assert not np.array_equal(_reduced(net)[1], np.eye(net.n_modes))
+    # 32 undamped modes behind two ports: the edges are refined in port space.
+    assert isinstance(_pair_stack(*_member_stack([net], "a", "b"))[0][0], _PortSpace)
     report = high_efficiency_intervals(net, "a", "b", 0.9, (-3.0, 3.0))
     intervals = [{"lo": iv.lo, "hi": iv.hi, "width": iv.width} for iv in report.intervals]
     expected = {"threshold": 0.9, "intervals": intervals, "max_width": report.max_width}

@@ -24,7 +24,9 @@ from modeconv.ensemble import AtomEnsemble, AtomParams, default_validation_ensem
 from modeconv.errors import NoPortsError, SingularAtFrequencyError
 from modeconv.network import new_network
 from modeconv.scattering import (
-    _PAIR_STACK_BYTES,
+    _member_stack,
+    _pair_stack,
+    _pair_transmission,
     dynamical_matrix,
     internal_amplitudes,
     scattering_matrix,
@@ -242,6 +244,16 @@ def spread_ensemble(n_atoms, seed):
     )
 
 
+def with_decoupled_modes(net, omegas):
+    """``net`` plus one decoupled undamped mode at each frequency in ``omegas``."""
+    n, m = net.n_modes, net.n_modes + len(omegas)
+    coupling = np.zeros((m, m), dtype=complex)
+    coupling[:n, :n] = net.coupling
+    coupling[range(n, m), range(n, m)] = omegas
+    labels = net.labels + tuple(f"d{k}" for k in range(len(omegas)))
+    return new_network(labels, coupling, np.concatenate([net.damping, np.zeros(len(omegas))]))
+
+
 def jittered_n16():
     return microscopic_network(spread_ensemble(16, 4), 2.6, 2.6)
 
@@ -300,87 +312,87 @@ def test_non_finite_drive_frequency_is_rejected_on_every_route(bad):
 # ---------------------------------------------------------------- chunked pair solve
 
 
-def pair_bytes(n):
-    """Budget for exactly one (n, n) complex system per chunk."""
-    return 16 * n * n
-
-
-def with_budget(monkeypatch, budget, compute):
-    monkeypatch.setattr(scattering, "_PAIR_STACK_BYTES", budget)
-    return compute()
-
-
 class TestChunkedPairSolve:
-    def test_n64_grid_is_bit_identical_in_any_chunking(self, monkeypatch):
+    """The pair solve gives the same bits however its pairs are split.
+
+    A port-space grid takes every product over modes one frequency at a time,
+    so a grid solved in pieces, a single frequency, and a member solved in a
+    batch of others or alone all round alike.
+    """
+
+    def test_n64_grid_is_bit_identical_in_any_chunking(self):
         net = microscopic_network(spread_ensemble(64, 5), 2.6, 2.6)
         assert net.n_modes == 130
         grid = np.linspace(-1.5, 1.5, 300)
+        whole = transmission_grid(net, grid, "a", "b")
+        for size in (7, 299):
+            pieces = [transmission_grid(net, grid[i : i + size], "a", "b") for i in range(0, len(grid), size)]
+            assert np.concatenate(pieces).tobytes() == whole.tobytes()
+        points = [transmission(net, w, "a", "b") for w in grid[::23]]
+        assert np.array(points).tobytes() == whole[::23].tobytes()
 
-        def compute():
-            return transmission_grid(net, grid, "a", "b")
-
-        whole = compute()
-        for pairs in (1, 7, 299):
-            chunked = with_budget(monkeypatch, pairs * pair_bytes(130), compute)
-            assert chunked.tobytes() == whole.tobytes()
-
-    def test_gap_and_edge_stacks_mixing_members_are_bit_identical(self, monkeypatch):
+    def test_gap_and_edge_stacks_mixing_members_are_bit_identical(self):
         nets = [microscopic_network(spread_ensemble(4, seed), 2.6, 2.6) for seed in range(4)]
 
-        def compute():
-            reports = _bandwidth_reports(nets, "a", "b", 0.9, (-3.0, 3.0))
+        def edges(reports):
             return [np.array([(iv.lo, iv.hi) for iv in report.intervals]).tobytes() for report in reports]
 
-        gathered = []
-        shifted = scattering._shifted
+        batch = _bandwidth_reports(nets, "a", "b", 0.9, (-3.0, 3.0))
+        alone = [high_efficiency_intervals(net, "a", "b", 0.9, (-3.0, 3.0)) for net in nets]
+        assert edges(batch) == edges(alone)
 
-        def spy(h, omegas):
-            gathered.append(h.ndim == 3)
-            return shifted(h, omegas)
-
-        whole = compute()
-        monkeypatch.setattr(scattering, "_shifted", spy)
-        for pairs in (1, 3, 5):
-            chunked = with_budget(monkeypatch, pairs * pair_bytes(nets[0].n_modes), compute)
-            assert chunked == whole
-        # Single-pair chunks never gather; the larger ones straddle members.
-        assert any(gathered) and not all(gathered)
-
-    def test_pinned_16_atom_report_is_bit_identical(self, monkeypatch):
+    def test_pinned_16_atom_report_is_bit_identical(self):
         rng = np.random.default_rng(3)
         atoms = [
             AtomParams(2.5, 0.25, 5.0, delta_o=50.0 + 2.0 * rng.normal(), delta_mu=0.05 * rng.normal())
             for _ in range(16)
         ]
         net = microscopic_network(AtomEnsemble(tuple(atoms)), 2.6, 2.6)
+        others = [microscopic_network(spread_ensemble(16, seed), 2.6, 2.6) for seed in range(2)]
 
-        def compute():
-            report = high_efficiency_intervals(net, "a", "b", 0.9, (-3.0, 3.0))
+        def edges(report):
             return np.array([(iv.lo, iv.hi) for iv in report.intervals]).tobytes()
 
-        whole = compute()
-        assert len(whole) == 16 * 2 * 8
-        for pairs in (1, 4):
-            assert with_budget(monkeypatch, pairs * pair_bytes(34), compute) == whole
+        alone = edges(high_efficiency_intervals(net, "a", "b", 0.9, (-3.0, 3.0)))
+        assert len(alone) == 16 * 2 * 8
+        batch = _bandwidth_reports([others[0], net, others[1]], "a", "b", 0.9, (-3.0, 3.0))
+        assert edges(batch[1]) == alone
 
-    def test_singular_pair_in_a_later_chunk(self, monkeypatch):
-        # Undamped uncoupled modes at detunings 5 and 3 make omega = 5 and 3
-        # singular; in pair order 5 comes first, in a later chunk than 0..2.
-        net = new_network(
-            ("a", "d", "e"), np.diag([0.0, 5.0, 3.0]).astype(complex), (1.0, 0.0, 0.0)
-        )
-        grid = np.array([0.0, 1.0, 2.0, 4.0, 5.0, 6.0, 3.0, 7.0])
+    def test_singular_pair_in_a_later_chunk(self):
+        # Two decoupled undamped modes at 5 and 3 make those frequencies
+        # singular beside a port-space ensemble; in pair order 5 comes first,
+        # and a grid solved from position 3 on keeps the same gaps.
+        net = with_decoupled_modes(jittered_n16(), [5.0, 3.0])
+        grid = np.array([0.1, 1.0, 2.0, 4.0, 5.0, 6.0, 3.0, 7.0])
         whole = transmission_grid(net, grid, "a", "a", on_singular="nan")
-        monkeypatch.setattr(scattering, "_PAIR_STACK_BYTES", 3 * pair_bytes(3))
+        assert np.flatnonzero(np.isnan(whole)).tolist() == [4, 6]
         with pytest.raises(SingularAtFrequencyError) as info:
             transmission_grid(net, grid, "a", "a")
         assert info.value.omega == 5.0
-        chunked = transmission_grid(net, grid, "a", "a", on_singular="nan")
-        assert np.flatnonzero(np.isnan(chunked)).tolist() == [4, 6]
-        assert chunked.tobytes() == whole.tobytes()
+        later = transmission_grid(net, grid[3:], "a", "a", on_singular="nan")
+        assert later.tobytes() == whole[3:].tobytes()
+        plain = transmission_grid(jittered_n16(), grid[[0, 1, 2, 3, 5, 7]], "a", "a")
+        assert np.abs(whole[[0, 1, 2, 3, 5, 7]] - plain).max() <= 1e-12
 
-    @pytest.mark.parametrize("budget", [_PAIR_STACK_BYTES, 5 * pair_bytes(34) + 7, pair_bytes(34) - 1])
-    def test_no_stack_exceeds_the_budget_unless_it_holds_one_pair(self, monkeypatch, budget):
+    def test_members_of_one_size_keep_their_own_solve_in_a_batch(self):
+        # Six undamped modes behind two ports go to port space, four behind
+        # four ports solve M(omega) itself; side by side in one batch, each
+        # member keeps the bits of its own grid.
+        rng = np.random.default_rng(12)
+        raw = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        coupling = (raw + raw.conj().T) / 2.0
+        nets = [
+            new_network(tuple("abcdefgh"), coupling, [1.0, 0.7] + [0.0] * 6),
+            new_network(tuple("abcdefgh"), coupling, [1.0, 0.7, 0.4, 0.9] + [0.0] * 4),
+        ]
+        stack = _pair_stack(*_member_stack(nets, "a", "b"))
+        assert [type(system).__name__ for system in stack[0]] == ["_PortSpace", "ndarray"]
+        omegas = np.linspace(-2.0, 2.0, 41)
+        both = _pair_transmission(stack, np.repeat([0, 1], 41), np.tile(omegas, 2))
+        for j, net in enumerate(nets):
+            assert both[41 * j : 41 * (j + 1)].tobytes() == transmission_grid(net, omegas, "a", "b").tobytes()
+
+    def test_port_space_stacks_hold_ports_and_nearest_directions(self, monkeypatch):
         stacks = []
         solve = scattering.solve_batched
 
@@ -389,10 +401,9 @@ class TestChunkedPairSolve:
             return solve(mats, rhs)
 
         monkeypatch.setattr(scattering, "solve_batched", spy)
-        monkeypatch.setattr(scattering, "_PAIR_STACK_BYTES", budget)
         nets = [microscopic_network(spread_ensemble(16, seed), 2.6, 2.6) for seed in range(3)]
         _bandwidth_reports(nets, "a", "b", 0.9, (-3.0, 3.0))
         transmission_grid(nets[0], np.linspace(-1.5, 1.5, 300), "a", "b")
-        assert stacks and sum(m for m, _, _ in stacks) >= 300
-        for m, n, _ in stacks:
-            assert 16 * m * n * n <= budget or m == 1
+        assert stacks and sum(m for m, _, _ in stacks) >= 2 * 300
+        # two ports and the four eigen-directions nearest each frequency
+        assert {(n, k) for _, n, k in stacks} == {(6, 6)}
