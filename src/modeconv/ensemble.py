@@ -221,6 +221,8 @@ def elimination_error(ens: AtomEnsemble, kappa_o: float, kappa_mu: float, omega_
     ensembles are singular at exactly omega = 0 — see the module docstring).
     """
     omega_grid = np.asarray(omega_grid, dtype=float)
+    if omega_grid.size == 0:
+        raise ValueError("omega_grid must hold at least one frequency")
     micro = microscopic_network(ens, kappa_o, kappa_mu, compensate_stark=True)
     effective = effective_network(ens, kappa_o, kappa_mu)
     eta_micro = np.abs(transmission_grid(micro, omega_grid, "a", "b")) ** 2

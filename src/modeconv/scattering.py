@@ -38,19 +38,21 @@ the same solve.  Every product over modes is taken one frequency at a time
 whose rounding depends on how many columns it has), so a single frequency and
 a grid round alike.
 
-There are two solves, each written once, and both run the package's one
-elimination kernel on the same systems, so a point and a grid trip the same
-pivot test and a singular frequency can never slip through disguised as a
-plausible number.  Transmissions of one port pair go through the pair solve
-(:func:`_pair_transmission`, via :func:`modeconv.linalg.solve_batched`) on a
-stack from :func:`_pair_stack`: :func:`transmission_grid` solves the stack of
-one network, :func:`transmission` its grid of one frequency, and
-:mod:`modeconv.analysis` whole batches (bandwidth reports and map rows).
-Whole columns at one frequency go through the point solve (:func:`_solve_at`,
-via :func:`modeconv.linalg.solve_with_condition`, which also reports the pivot
-ratio as a conditioning estimate): :func:`scattering_matrix` drives every port,
-:func:`internal_amplitudes` the given inputs.  A non-finite drive frequency is
-a ``ValueError``, not a singular system.
+One function, :func:`_solve`, knows both kinds of system: it solves a K + 2iA
+as M(omega) itself and a :class:`_PortSpace` by the bordered pass and its
+refinement, which rebuilds the undamped modes only when the caller reads one.
+So a point and a grid run the package's one elimination kernel on the same
+systems and trip the same pivot test, and a singular frequency can never slip
+through disguised as a plausible number.  The pair solve,
+:func:`_pair_transmission` with :func:`modeconv.linalg.solve_batched`, gives
+the transmissions of one port pair from a stack of :func:`_pair_stack`:
+:func:`transmission_grid` solves the stack of one network, :func:`transmission`
+its grid of one frequency, and :mod:`modeconv.analysis` whole batches.  The
+point solve, :func:`_solve_at` with :func:`modeconv.linalg.solve_with_condition`
+(which also reports the pivot ratio), gives whole columns at one frequency:
+:func:`scattering_matrix` drives every port, :func:`internal_amplitudes` the
+given inputs.  A non-finite drive frequency or input amplitude is a
+``ValueError``, not a singular system.
 """
 
 from __future__ import annotations
@@ -96,12 +98,7 @@ class _PortSpace:
 
 def dynamical_matrix(net: CoupledModeNetwork, omega: float) -> np.ndarray:
     """M(omega) = K - 2i omega I + 2i A."""
-    n = net.n_modes
-    return (
-        np.diag(net.damping).astype(complex)
-        - 2j * omega * np.eye(n)
-        + 2j * net.coupling
-    )
+    return _shifted(_h(net.coupling[None], net.damping[None]), np.array([omega]))[0]
 
 
 def _frequencies(omegas) -> np.ndarray:
@@ -111,15 +108,10 @@ def _frequencies(omegas) -> np.ndarray:
     return omegas
 
 
-def _solve_at(net: CoupledModeNetwork, omega: float, rhs) -> tuple[np.ndarray, float]:
-    """M(omega)^-1 rhs in mode space, and the pivot ratio of the solve.
-
-    The one single-frequency solve: it solves the network's system of the pair
-    solve at ``omega`` and turns a singular system into
-    :class:`SingularAtFrequencyError`.
-    """
+def _solve_at(net: CoupledModeNetwork, omega: float, rhs, rows) -> tuple[np.ndarray, float]:
+    """Rows ``rows`` of M(omega)^-1 rhs and the pivot ratio; a singular system is :class:`SingularAtFrequencyError`."""
     omegas = _frequencies([omega])
-    system = _pair_stack(*_member_stack([net], None, None))[0][0]  # NoPortsError without a damped mode
+    net.port_pair()  # NoPortsError without a damped mode
     ratios = []
 
     def solve(mats, b):
@@ -128,10 +120,7 @@ def _solve_at(net: CoupledModeNetwork, omega: float, rhs) -> tuple[np.ndarray, f
         return x[None], np.zeros(1, dtype=bool)
 
     try:
-        if isinstance(system, _PortSpace):
-            x = _port_solve(system, omegas, rhs.T[None], solve, inner=True)[0][0].T
-        else:
-            x = solve(_shifted(system, omegas), rhs[None])[0][0]
+        x = _solve(_systems(net.coupling[None], net.damping[None])[0], omegas, rhs[None], rows, solve)[0][0]
     except SingularMatrixError as exc:
         raise SingularAtFrequencyError(omega) from exc
     return x, ratios[0]
@@ -146,9 +135,11 @@ def internal_amplitudes(net: CoupledModeNetwork, omega: float, a_in) -> np.ndarr
     a_in = np.asarray(a_in, dtype=complex)
     if a_in.shape != (len(ports),):
         raise ValueError(f"expected {len(ports)} port inputs, got shape {a_in.shape}")
+    if not np.isfinite(a_in).all():
+        raise ValueError(f"port inputs a_in must be finite, got {a_in[~np.isfinite(a_in)][0]}")
     drive = np.zeros(net.n_modes, dtype=complex)
     drive[ports] = np.sqrt(net.damping[ports]) * a_in
-    return _solve_at(net, omega, -2.0 * drive[:, None])[0][:, 0]
+    return _solve_at(net, omega, -2.0 * drive[:, None], np.arange(net.n_modes))[0][:, 0]
 
 
 def scattering_matrix(net: CoupledModeNetwork, omega: float) -> ScatteringResult:
@@ -162,8 +153,8 @@ def scattering_matrix(net: CoupledModeNetwork, omega: float) -> ScatteringResult
     roots = np.sqrt(net.damping[ports])
     columns = np.zeros((net.n_modes, len(ports)), dtype=complex)
     columns[ports, range(len(ports))] = roots
-    x, condition = _solve_at(net, omega, columns)
-    s = 2.0 * (roots[:, None] * x[ports]) - np.eye(len(ports))
+    x, condition = _solve_at(net, omega, columns, ports)
+    s = 2.0 * (roots[:, None] * x) - np.eye(len(ports))
     return ScatteringResult(omega=float(omega), s=s, condition_estimate=condition)
 
 
@@ -283,20 +274,29 @@ def _port_pass(space: _PortSpace, system, b_p, c, solve, inner: bool):
     return x, singular
 
 
-def _port_solve(space: _PortSpace, omegas, b, solve, inner: bool = False):
-    """M(omega) x = b for drives b (m, k, n) on the ports, refined once by the residual against M(omega).
+def _solve(system, omegas, b, rows, solve) -> tuple[np.ndarray, np.ndarray]:
+    """The (m, r, k) stack x[j, rows[j]] of x = M(omega)^-1 b at each of ``omegas``, and the singular mask.
 
-    Returns x on the ports, or on every mode when ``inner``, and the mask
-    of frequencies flagged singular.
+    ``system`` is one K + 2iA, a stack of one per frequency, or a
+    :class:`_PortSpace`; ``b`` and ``rows`` (mode indices) are one (n, k)
+    block and one row, or one per frequency; ``solve`` is the kernel.  A port
+    space's refinement step rebuilds the undamped modes only if ``rows`` reads one.
     """
-    system = _port_system(space, omegas)
-    no_inner_drive = np.zeros(b.shape[:2] + space.inner.shape, dtype=complex)
-    x, singular = _port_pass(space, system, b[..., space.ports], no_inner_drive, solve, True)
-    x[singular] = 0.0  # a flagged system's solution is meaningless, and may overflow the residual
-    residual = b - (x[..., None, :] @ space.h.T)[..., 0, :] + 2j * omegas[:, None, None] * x
-    c = (residual[..., None, space.inner] @ space.v.conj())[..., 0, :]  # V^H r_U
-    step = _port_pass(space, system, residual[..., space.ports], c, solve, inner)[0]
-    return (x if inner else x[..., space.ports]) + step, singular
+    if isinstance(system, _PortSpace):
+        space, system = system, _port_system(system, omegas)
+        inner = not np.isin(rows, space.ports).all()
+        b = np.broadcast_to(b, (len(omegas),) + b.shape[-2:]).transpose(0, 2, 1)  # (m, k, n)
+        no_inner_drive = np.zeros(b.shape[:2] + space.inner.shape, dtype=complex)
+        x, singular = _port_pass(space, system, b[..., space.ports], no_inner_drive, solve, True)
+        x[singular] = 0.0  # a flagged system's solution is meaningless, and may overflow the residual
+        residual = b - (x[..., None, :] @ space.h.T)[..., 0, :] + 2j * omegas[:, None, None] * x
+        c = (residual[..., None, space.inner] @ space.v.conj())[..., 0, :]  # V^H r_U
+        step = _port_pass(space, system, residual[..., space.ports], c, solve, inner)[0]
+        x = ((x if inner else x[..., space.ports]) + step).transpose(0, 2, 1)
+        rows = rows if inner else np.searchsorted(space.ports, rows)
+    else:
+        x, singular = solve(_shifted(system, omegas), b)
+    return x[np.arange(len(omegas))[:, None], rows], singular
 
 
 def _member_stack(nets, in_port, out_port) -> tuple:
@@ -320,42 +320,37 @@ def _member_stack(nets, in_port, out_port) -> tuple:
     return coupling, damping, np.broadcast_to(modes, (len(nets), 2))
 
 
+def _h(coupling, damping) -> np.ndarray:
+    """The stack K + 2iA of (m, n, n) coupling and (m, n) damping stacks."""
+    return 2j * coupling + damping[..., None] * np.eye(damping.shape[-1])
+
+
+def _systems(coupling, damping):
+    """What :func:`_solve` works on: the stack :func:`_h`, or a list when a member needs its port space.
+
+    A member with more than |P| + 2 undamped modes is its :class:`_PortSpace`.
+    """
+    h = _h(coupling, damping)
+    undamped = (damping == 0.0).sum(axis=1)
+    small = undamped <= damping.shape[1] - undamped + 2
+    if small.all():
+        return h
+    return [x if s else _port_space(c, d, x) for x, s, c, d in zip(h, small, coupling, damping)]
+
+
 def _pair_stack(coupling, damping, modes) -> tuple:
     """The pair-solve arrays of a batch from :func:`_member_stack`.
 
-    Returns the systems, the drives sqrt(K_in) e_in as an (m, n, 1) stack,
-    the out modes, the readout factors 2 sqrt(K_out), and whether each
-    member's ports coincide.  The systems are the stack K + 2iA when no
-    member has more than |P| + 2 undamped modes, and otherwise a list with
-    each member's K + 2iA or, past that count, its :class:`_PortSpace`.
+    Returns the :func:`_systems`, the drives sqrt(K_in) e_in as an (m, n, 1)
+    stack, the out modes, the readout factors 2 sqrt(K_out), and whether each
+    member's ports coincide.
     """
     m, n = damping.shape
     member, in_modes, out_modes = np.arange(m), modes[:, 0], modes[:, 1]
-    systems = np.zeros((m, n, n), dtype=complex)
-    systems.reshape(m, -1)[:, :: n + 1] = damping
-    systems += 2j * coupling
-    undamped = (damping == 0.0).sum(axis=1)
-    small = undamped <= n - undamped + 2
-    if not small.all():
-        systems = [h if s else _port_space(c, d, h) for h, s, c, d in zip(systems, small, coupling, damping)]
     roots = np.sqrt(damping[member[:, None], modes])
     drive = np.zeros((m, n, 1), dtype=complex)
     drive[member, in_modes, 0] = roots[:, 0]
-    return systems, drive, out_modes, 2.0 * roots[:, 1], in_modes == out_modes
-
-
-def _solved(system, drive, out, omegas) -> tuple[np.ndarray, np.ndarray]:
-    """Amplitude of mode ``out`` for ``drive`` at each of ``omegas``, and the singular mask.
-
-    ``system`` is one K + 2iA, a stack of one per frequency, or a
-    :class:`_PortSpace`; ``drive`` and ``out`` are one, or one per frequency.
-    """
-    if isinstance(system, _PortSpace):
-        b = np.broadcast_to(drive.T, (len(omegas),) + drive.T.shape)
-        x, singular = _port_solve(system, omegas, b, solve_batched)
-        return x[:, 0, np.searchsorted(system.ports, out)], singular
-    x, singular = solve_batched(_shifted(system, omegas), drive)
-    return x[np.arange(len(omegas)), out, 0], singular
+    return _systems(coupling, damping), drive, out_modes, 2.0 * roots[:, 1], in_modes == out_modes
 
 
 def _pair_transmission(stack, member, omegas, on_singular: str = "raise") -> np.ndarray:
@@ -370,16 +365,16 @@ def _pair_transmission(stack, member, omegas, on_singular: str = "raise") -> np.
     systems, drive, out_modes, scale, same = stack
     omegas = _frequencies(omegas)
     members = np.broadcast_to(member, (len(omegas),))
-    x = np.empty(len(members), dtype=complex)
+    x = np.empty((len(members), 1, 1), dtype=complex)
     singular = np.zeros(len(members), dtype=bool)
     if isinstance(systems, list):
         for k in np.unique(members).tolist():
             at = np.flatnonzero(members == k)
-            x[at], singular[at] = _solved(systems[k], drive[k], out_modes[k], omegas[at])
+            x[at], singular[at] = _solve(systems[k], omegas[at], drive[k], [[out_modes[k]]], solve_batched)
     elif len(members):
         k = members[0] if (members == members[0]).all() else members
-        x, singular = _solved(systems[k], drive[k], out_modes[members], omegas)
-    out = scale[members] * x
+        x, singular = _solve(systems[k], omegas, drive[k], out_modes[members, None], solve_batched)
+    out = scale[members] * x[:, 0, 0]
     out -= same[members]  # the feedthrough D = -1 where the ports coincide (x - 0 is x, bit for bit)
     if singular.any():
         if on_singular == "raise":

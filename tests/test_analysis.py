@@ -289,6 +289,49 @@ class TestButterworth:
         assert (1.0 / eta - 1.0) / omegas**4 == pytest.approx(1.0 / (4.0 * s**4), rel=1e-12, abs=0.0)
 
 
+class TestClosedFormOptima:
+    """optimize_kappa against the optima in closed form, with eps = (1 - theta) / theta.
+
+    The chain has 1/eta - 1 = x (x + 2u)^2 / k^2 (x = omega^2/g^2, k = kappa/g,
+    u = k^2/8 - 1), a third-order Chebyshev response: its widest band puts the
+    dip between its unity points on theta, where 4u^3 + 27 eps (1 + u) = 0.
+    The two-mode network has 1/eta - 1 = (x - x0)^2 / k^2 (x = omega^2/s^2,
+    k = kappa/s, x0 = 1 - k^2/4): from theta = 3/4 up its optimum is the
+    merge where eta(0) = theta, below it the smooth maximum k = 2 sqrt(eps) of
+    the single band's width 2s sqrt(x0 + k sqrt(eps)).
+    """
+
+    @pytest.mark.parametrize("g", [1.0, 0.7])
+    @pytest.mark.parametrize("e", [1, 2, 3, 4, 5])
+    def test_chain(self, e, g):
+        threshold = 1.0 - 10.0**-e
+        eps = (1.0 - threshold) / threshold
+        # 4u^3 + 27 eps (1 + u) rises monotonically: one real root, in (-1, 0)
+        (u,) = [r.real for r in np.roots([4.0, 0.0, 27.0 * eps, 27.0 * eps]) if abs(r.imag) < 1e-9]
+        kappa, width = optimize_kappa(ConverterFamily("resonant", g), threshold, (0.1, 8.0))
+        assert kappa == pytest.approx(g * math.sqrt(8.0 * (1.0 + u)), rel=1e-10)
+        assert width == pytest.approx(2.0 * g * math.sqrt(-8.0 * u / 3.0), rel=1e-10)
+
+    @pytest.mark.parametrize("s", [1.0, 0.5])
+    @pytest.mark.parametrize("threshold", [0.76, 0.8, 0.9, 0.99, 0.9999])
+    def test_two_mode_merge(self, threshold, s):
+        eps = (1.0 - threshold) / threshold
+        kappa, width = optimize_kappa(ConverterFamily("two_mode", s), threshold, (0.1, 8.0))
+        expected = 2.0 * s * (math.sqrt(1.0 + eps) - math.sqrt(eps))
+        assert kappa == pytest.approx(expected, rel=1e-10)
+        assert width == pytest.approx(2.0 * s * math.sqrt(2.0 * (1.0 - (expected / s) ** 2 / 4.0)), rel=1e-9)
+
+    @pytest.mark.parametrize("s", [1.0, 0.5])
+    @pytest.mark.parametrize("threshold", [0.3, 0.5, 0.6, 0.74])
+    def test_two_mode_smooth_maximum(self, threshold, s):
+        # Golden section stops on a bracket of 1e-8 times the range's width;
+        # the width is flat at its maximum, so only kappa carries that error.
+        eps = (1.0 - threshold) / threshold
+        kappa, width = optimize_kappa(ConverterFamily("two_mode", s), threshold, (0.1, 8.0))
+        assert kappa == pytest.approx(2.0 * s * math.sqrt(eps), rel=0.0, abs=1e-8 * (8.0 - 0.1))
+        assert width == pytest.approx(2.0 * s * math.sqrt(1.0 + eps), rel=1e-14)
+
+
 def test_branch_count_transition():
     fam = ConverterFamily(kind="resonant")
     assert branch_count(fam.build(2.0), "a", "b", 0.99, (-3.0, 3.0)) == 3

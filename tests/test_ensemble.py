@@ -133,6 +133,12 @@ def test_elimination_error_small_for_far_detuned_ensemble():
     assert err_strong < err / 3.0
 
 
+@pytest.mark.parametrize("grid", [[], np.zeros((0, 3))], ids=["list", "2d"])
+def test_elimination_error_rejects_an_empty_grid(grid):
+    with pytest.raises(ValueError, match="omega_grid must hold at least one frequency"):
+        elimination_error(default_validation_ensemble(), 2.6, 2.6, grid)
+
+
 def test_serialization_round_trip():
     atoms = (
         AtomParams(1.0 + 0.5j, 0.25, 5.0, 50.0, 1.0),

@@ -110,6 +110,15 @@ def test_no_ports_raises():
         transmission(net, 0.0, "x", "x")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_non_finite_port_input_is_a_value_error(bad):
+    # omega = 0.3 is a regular frequency, so a bad input must not be blamed on it
+    net = resonant_network(ResonantParams(1.0, 1.0, 2.6, 2.6))
+    with pytest.raises(ValueError, match=r"a_in must be finite, got"):
+        internal_amplitudes(net, 0.3, [bad, 0.0])
+    assert np.isfinite(internal_amplitudes(net, 0.3, [1.0, 0.0])).all()
+
+
 # ---------------------------------------------------------------- scattering matrix
 
 
