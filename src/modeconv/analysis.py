@@ -535,7 +535,7 @@ def optimize_kappa(
         raise ValueError(f"coarse_points must be an integer >= 2, got {coarse_points!r}")
     k_lo, k_hi = float(kappa_range[0]), float(kappa_range[1])
     if not (0.0 < k_lo <= k_hi) or not math.isfinite(k_hi):
-        raise ValueError(f"kappa_range must be positive and finite, got {kappa_range}")
+        raise ValueError(f"kappa_range must be finite with 0 < min <= max, got {kappa_range}")
 
     if omega_range is None:
         omega_range = default_omega_window(family((k_lo + k_hi) / 2.0))

@@ -27,8 +27,7 @@ are unimodular there with opposite phase: r_plus(0) = -1, r_minus(0) = +1).
 These closed forms are the independent check on the generic scattering engine.
 
 Also provided: the two-mode contrast network (a and b coupled directly with
-strength s, both damped) and the residual direct coupling strength left when
-both intermediate transitions of an atomic ensemble are far detuned.
+strength s, both damped).
 
 Each model's coupling and damping formula is written once, as stacks that
 broadcast over kappa: a scalar constructor builds its stack of one through
@@ -39,15 +38,11 @@ kappas at once through :func:`modeconv.network.new_networks`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DegenerateParametersError, EmptyEnsembleError, ZeroDetuningError
+from .errors import DegenerateParametersError
 from .network import CoupledModeNetwork, new_network
-
-if TYPE_CHECKING:  # the ensemble module builds on this one; keep the cycle static-only
-    from .ensemble import AtomEnsemble
 
 
 @dataclass(frozen=True)
@@ -147,21 +142,3 @@ def efficiency_closed_form(omega, g: float, kappa: float):
     r_minus, r_plus = reflection_coefficients(omega, g, kappa)
     eta = np.abs(np.asarray(r_minus) - np.asarray(r_plus)) ** 2 / 4.0
     return float(eta) if eta.ndim == 0 else eta
-
-
-def direct_coupling_strength(ens: AtomEnsemble) -> complex:
-    """Residual a-b coupling when both transitions of every atom are far detuned.
-
-    Eliminating both internal levels of each atom dispersively leaves the
-    second-order exchange sum(Omega_k g_mu_k conj(g_o_k) / (delta_mu_k delta_o_k)).
-    Raises :class:`ZeroDetuningError` for any atom with a zero detuning on
-    either transition and :class:`EmptyEnsembleError` for an empty ensemble.
-    """
-    if not ens.atoms:
-        raise EmptyEnsembleError("cannot reduce an ensemble with no atoms")
-    total = 0.0 + 0.0j
-    for k, atom in enumerate(ens.atoms):
-        if atom.delta_o == 0.0 or atom.delta_mu == 0.0:
-            raise ZeroDetuningError(k)
-        total += atom.omega_rabi * atom.g_mu * np.conj(atom.g_o) / (atom.delta_mu * atom.delta_o)
-    return complex(total)

@@ -22,6 +22,10 @@ elimination also produces Stark shifts -sum_k |g_o_k|^2/delta_o_k on a and
 pre-tuning the bare frequencies up by the same amounts, which recenters the
 conversion peak at omega = 0.
 
+``direct_coupling_strength`` is the residual a - b coupling left when both
+transitions of every atom are far detuned.  This is the only module that reads
+an atom's fields; each builder or reduction reads them once, as arrays.
+
 ``mode_mismatch`` measures how far the optical coupling pattern points away from
 the microwave one; the single-intermediate-mode reduction is only trustworthy
 when it is small.  ``elimination_error`` quantifies the whole reduction by
@@ -38,6 +42,7 @@ omega = 0.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -65,6 +70,9 @@ class AtomParams:
     def __post_init__(self):
         for name in ("g_o", "g_mu", "omega_rabi", "delta_o", "delta_mu"):
             value = getattr(self, name)
+            kind, what = (numbers.Complex, "a number") if name.startswith("g_") else (numbers.Real, "real")
+            if not isinstance(value, kind):
+                raise ValueError(f"atom parameter {name} must be {what}, got {value!r}")
             if not (math.isfinite(abs(complex(value)))):
                 raise ValueError(f"atom parameter {name} must be finite, got {value!r}")
 
@@ -113,6 +121,28 @@ def default_validation_ensemble() -> AtomEnsemble:
     return uniform_ensemble(16, g_o=2.5, g_mu=0.25, omega_rabi=5.0, delta_o=50.0)
 
 
+def _columns(ens: AtomEnsemble):
+    """The atoms as arrays: g_o and g_mu complex; omega_rabi, delta_o and delta_mu real."""
+    if not ens.atoms:
+        raise EmptyEnsembleError("the ensemble has no atoms")
+    rows = [(atom.g_o, atom.g_mu, atom.omega_rabi, atom.delta_o, atom.delta_mu) for atom in ens.atoms]
+    # One contiguous array per field: BLAS sums a strided vector in another order.
+    g_o, g_mu, omega_rabi, delta_o, delta_mu = np.array(rows, dtype=complex).T.copy()
+    return g_o, g_mu, omega_rabi.real, delta_o.real, delta_mu.real
+
+
+def _require_nonzero(**detunings) -> None:
+    """Raise :class:`ZeroDetuningError` at the first atom with any of these detunings zero."""
+    zero = np.flatnonzero((np.array(list(detunings.values())) == 0.0).any(axis=0))
+    if zero.size:
+        raise ZeroDetuningError(int(zero[0]), f"atom {zero[0]}: elimination divides by {' or '.join(detunings)} = 0")
+
+
+def _over(numerator, detuning):
+    """Complex numerator over a real detuning, each part divided by it (complex division rounds through 1/d)."""
+    return numerator.real / detuning + 1j * (numerator.imag / detuning)
+
+
 def microscopic_network(
     ens: AtomEnsemble,
     kappa_o: float,
@@ -127,36 +157,25 @@ def microscopic_network(
     cancelling the (negative, for positive delta_o) shifts the coupling to the
     far-detuned s13 amplitudes induces; this requires delta_o_k != 0.
     """
-    if not ens.atoms:
-        raise EmptyEnsembleError("cannot build a network from an empty ensemble")
-    atoms = ens.atoms
-    n_at = len(atoms)
-    n = 2 * n_at + 2
-    a = np.zeros((n, n), dtype=complex)
-    for k, atom in enumerate(atoms):
-        s13 = 2 + k
-        s12 = 2 + n_at + k
-        a[0, s13] = atom.g_o
-        a[s13, 0] = np.conj(atom.g_o)
-        a[1, s12] = atom.g_mu
-        a[s12, 1] = np.conj(atom.g_mu)
-        a[s13, s12] = atom.omega_rabi
-        a[s12, s13] = atom.omega_rabi
-        a[s13, s13] = atom.delta_o
-        a[s12, s12] = atom.delta_mu
-        if compensate_stark:
-            if atom.delta_o == 0.0:
-                raise ZeroDetuningError(k, f"atom {k}: Stark compensation divides by delta_o = 0")
-            a[0, 0] += abs(atom.g_o) ** 2 / atom.delta_o
-            a[s12, s12] += atom.omega_rabi**2 / atom.delta_o
-    labels = (
-        ("a", "b")
-        + tuple(f"s13_{k + 1}" for k in range(n_at))
-        + tuple(f"s12_{k + 1}" for k in range(n_at))
-    )
-    damping = np.zeros(n)
-    damping[0] = kappa_o
-    damping[1] = kappa_mu
+    g_o, g_mu, omega_rabi, delta_o, delta_mu = _columns(ens)
+    n_at = g_o.size
+    s13 = 2 + np.arange(n_at)
+    s12 = s13 + n_at
+    a = np.zeros((2 * n_at + 2, 2 * n_at + 2), dtype=complex)
+    a[0, s13] = g_o
+    a[1, s12] = g_mu
+    a[s13, s12] = omega_rabi
+    # Mirror onto the zero lower triangle: 0 + (-0) leaves a real coupling's conjugate at +0j.
+    a += a.conj().T
+    a[s13, s13] = delta_o
+    a[s12, s12] = delta_mu
+    if compensate_stark:
+        _require_nonzero(delta_o=delta_o)
+        a[0, 0] += np.cumsum(np.abs(g_o) ** 2 / delta_o)[-1]  # in atom order, as np.sum would not
+        a[s12, s12] += omega_rabi**2 / delta_o
+    labels = ("a", "b", *(f"s13_{k + 1}" for k in range(n_at)), *(f"s12_{k + 1}" for k in range(n_at)))
+    damping = np.zeros(a.shape[0])
+    damping[:2] = kappa_o, kappa_mu
     return new_network(labels, a, damping)
 
 
@@ -167,28 +186,33 @@ def collective_couplings(ens: AtomEnsemble) -> CollectiveCouplings:
     When either coupling pattern vanishes identically, s_o and mode_mismatch are
     reported as 0 (there is no optical excitation to mismatch).
     """
-    if not ens.atoms:
-        raise EmptyEnsembleError("cannot reduce an empty ensemble")
-    for k, atom in enumerate(ens.atoms):
-        if atom.delta_o == 0.0:
-            raise ZeroDetuningError(k, f"atom {k}: elimination divides by delta_o = 0")
-    v_o = np.array([atom.g_o * atom.omega_rabi / atom.delta_o for atom in ens.atoms])
-    v_mu = np.array([atom.g_mu for atom in ens.atoms], dtype=complex)
+    g_o, v_mu, omega_rabi, delta_o, _ = _columns(ens)
+    _require_nonzero(delta_o=delta_o)
+    v_o = _over(g_o * omega_rabi, delta_o)
     s_mu = float(np.linalg.norm(v_mu))
     norm_o = float(np.linalg.norm(v_o))
     overlap = complex(np.vdot(v_o, v_mu))
     if s_mu == 0.0 or norm_o == 0.0:
-        s_o = 0.0
-        mismatch = 0.0
+        s_o = mismatch = 0.0
     else:
         s_o = abs(overlap) / s_mu
-        mismatch = 1.0 - abs(overlap) ** 2 / (norm_o**2 * s_mu**2)
-        mismatch = min(max(mismatch, 0.0), 1.0)
-    stark_a = float(sum(abs(atom.g_o) ** 2 / atom.delta_o for atom in ens.atoms))
-    stark_c = float(sum(atom.omega_rabi**2 / atom.delta_o for atom in ens.atoms))
-    return CollectiveCouplings(
-        s_o=s_o, s_mu=s_mu, mode_mismatch=mismatch, stark_a=stark_a, stark_c=stark_c
-    )
+        mismatch = min(max(1.0 - abs(overlap) ** 2 / (norm_o**2 * s_mu**2), 0.0), 1.0)
+    stark_a = float(np.cumsum(np.abs(g_o) ** 2 / delta_o)[-1])
+    stark_c = float(np.cumsum(omega_rabi**2 / delta_o)[-1])
+    return CollectiveCouplings(s_o=s_o, s_mu=s_mu, mode_mismatch=mismatch, stark_a=stark_a, stark_c=stark_c)
+
+
+def direct_coupling_strength(ens: AtomEnsemble) -> complex:
+    """Residual a-b coupling when both transitions of every atom are far detuned.
+
+    Eliminating both internal levels of each atom dispersively leaves the
+    second-order exchange sum(Omega_k g_mu_k conj(g_o_k) / (delta_mu_k delta_o_k)).
+    Raises :class:`ZeroDetuningError` for any atom with a zero detuning on
+    either transition and :class:`EmptyEnsembleError` for an empty ensemble.
+    """
+    g_o, g_mu, omega_rabi, delta_o, delta_mu = _columns(ens)
+    _require_nonzero(delta_o=delta_o, delta_mu=delta_mu)
+    return complex(np.cumsum(_over(omega_rabi * g_mu * np.conj(g_o), delta_mu * delta_o))[-1])
 
 
 def effective_network(ens: AtomEnsemble, kappa_o: float, kappa_mu: float) -> CoupledModeNetwork:
@@ -207,9 +231,7 @@ def effective_network(ens: AtomEnsemble, kappa_o: float, kappa_mu: float) -> Cou
             ),
             stacklevel=2,
         )
-    return resonant_network(
-        ResonantParams(s_o=cc.s_o, s_mu=cc.s_mu, kappa_o=kappa_o, kappa_mu=kappa_mu)
-    )
+    return resonant_network(ResonantParams(s_o=cc.s_o, s_mu=cc.s_mu, kappa_o=kappa_o, kappa_mu=kappa_mu))
 
 
 def elimination_error(ens: AtomEnsemble, kappa_o: float, kappa_mu: float, omega_grid) -> float:

@@ -1,6 +1,7 @@
 """Tests for bandwidth extraction and damping optimization."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -227,10 +228,10 @@ class TestIntervals:
         for bad in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(ValueError):
                 high_efficiency_intervals(net, "a", "b", bad, (-1.0, 1.0))
-        with pytest.raises(ValueError):
-            high_efficiency_intervals(net, "a", "b", 0.9, (1.0, -1.0))
-        with pytest.raises(ValueError):
-            high_efficiency_intervals(net, "a", "b", 0.9, (-np.inf, 1.0))
+        for omega_range in ((1.0, -1.0), (-np.inf, 1.0), (-1.0, np.nan)):
+            message = re.escape(f"omega_range must be finite with min <= max, got {omega_range}")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                high_efficiency_intervals(net, "a", "b", 0.9, omega_range)
 
 
 class TestButterworth:
@@ -420,10 +421,11 @@ class TestOptimizeKappa:
 
     def test_range_validation(self):
         fam = ConverterFamily(kind="resonant")
-        with pytest.raises(ValueError):
-            optimize_kappa(fam, 0.99, (2.0, 1.0))
-        with pytest.raises(ValueError):
-            optimize_kappa(fam, 0.99, (0.0, 1.0))
+        # The message names the condition a reversed, non-positive or non-finite range breaks.
+        for kappa_range in ((2.0, 1.0), (8.0, 0.1), (0.0, 1.0), (-1.0, 1.0), (0.1, np.inf), (np.nan, 1.0)):
+            message = re.escape(f"kappa_range must be finite with 0 < min <= max, got {kappa_range}")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                optimize_kappa(fam, 0.99, kappa_range)
         with pytest.raises(ValueError):
             optimize_kappa(fam, 1.5, (0.1, 1.0))
 

@@ -16,13 +16,12 @@ from modeconv.converter import (
     DetunedParams,
     ResonantParams,
     detuned_network,
-    direct_coupling_strength,
     efficiency_closed_form,
     reflection_coefficients,
     resonant_network,
     two_mode_network,
 )
-from modeconv.ensemble import AtomEnsemble, AtomParams, uniform_ensemble
+from modeconv.ensemble import AtomEnsemble, AtomParams, direct_coupling_strength, uniform_ensemble
 from modeconv.errors import DegenerateParametersError, EmptyEnsembleError, ZeroDetuningError
 from modeconv.scattering import transmission, transmission_grid
 

@@ -1,13 +1,17 @@
 """Tests for the microscopic ensemble model and its reduction."""
 
+import re
+
 import numpy as np
 import pytest
 
+from modeconv.analysis import high_efficiency_intervals
 from modeconv.ensemble import (
     AtomEnsemble,
     AtomParams,
     collective_couplings,
     default_validation_ensemble,
+    direct_coupling_strength,
     effective_network,
     elimination_error,
     ensemble_from_dict,
@@ -16,7 +20,7 @@ from modeconv.ensemble import (
     uniform_ensemble,
 )
 from modeconv.errors import EmptyEnsembleError, HighMismatchWarning, ZeroDetuningError
-from modeconv.scattering import transmission_grid
+from modeconv.scattering import dynamical_matrix, transmission_grid
 
 
 def test_default_ensemble_collective_values():
@@ -94,11 +98,109 @@ def test_zero_detuning_rejected_when_compensating():
         collective_couplings(AtomEnsemble(atoms))
 
 
+def test_zero_detuning_names_the_first_offending_atom():
+    atoms = [AtomParams(1.0, 1.0, 1.0, 10.0, 10.0) for _ in range(5)]
+    atoms[3] = AtomParams(1.0, 1.0, 1.0, 0.0, 10.0)
+    atoms[1] = AtomParams(1.0, 1.0, 1.0, 10.0, 0.0)
+    ens = AtomEnsemble(atoms)
+    for reduce, index in ((collective_couplings, 3), (direct_coupling_strength, 1)):
+        with pytest.raises(ZeroDetuningError) as info:
+            reduce(ens)
+        assert info.value.atom_index == index
+    with pytest.raises(ZeroDetuningError, match="atom 3: .* delta_o = 0$") as info:
+        microscopic_network(ens, 1.0, 1.0)
+    assert info.value.atom_index == 3
+    # Without compensation nothing divides by a detuning.
+    assert microscopic_network(ens, 1.0, 1.0, compensate_stark=False).coupling[5, 5] == 0.0
+
+
 def test_empty_ensemble_rejected():
     with pytest.raises(EmptyEnsembleError):
         microscopic_network(AtomEnsemble(()), 1.0, 1.0)
     with pytest.raises(EmptyEnsembleError):
         collective_couplings(AtomEnsemble(()))
+
+
+def test_microscopic_network_places_each_atom():
+    atoms = (
+        AtomParams(1.0 + 0.5j, 0.2, 3.0, 40.0, 0.1),
+        AtomParams(2.0, 0.3 - 0.1j, 4.0, 50.0, -0.2),
+        AtomParams(-1.5, 0.4, 5.0, 60.0, 0.3),
+    )
+    a = microscopic_network(AtomEnsemble(atoms), 1.0, 1.0).coupling
+    stark_a = 0.0
+    for k, atom in enumerate(atoms):
+        s13, s12 = 2 + k, 5 + k
+        assert a[0, s13] == atom.g_o and a[s13, 0] == np.conj(atom.g_o)
+        assert a[1, s12] == atom.g_mu and a[s12, 1] == np.conj(atom.g_mu)
+        assert a[s13, s12] == a[s12, s13] == atom.omega_rabi
+        assert a[s13, s13] == atom.delta_o
+        assert a[s12, s12] == atom.delta_mu + atom.omega_rabi**2 / atom.delta_o
+        stark_a += abs(atom.g_o) ** 2 / atom.delta_o
+    assert abs(a[0, 0] - stark_a) < 1e-15
+    assert np.count_nonzero(a) == 1 + 6 * len(atoms) + 2 * len(atoms)
+    # A real coupling mirrors to a conjugate with +0 imaginary part.
+    assert not np.signbit(a[4, 0].imag) and not np.signbit(a[5, 1].imag)
+
+
+@pytest.mark.parametrize(
+    "field, value, kind",
+    [
+        ("omega_rabi", 5.0 + 0.5j, "real"),
+        ("delta_o", 50.0 + 1j, "real"),
+        ("delta_mu", 0.1j, "real"),
+        ("g_o", "1", "a number"),  # complex("1") parses; a coupling may be complex, not a string
+        ("g_mu", None, "a number"),
+    ],
+)
+def test_parameter_of_the_wrong_kind_rejected(field, value, kind):
+    params = {"g_o": 2.5j, "g_mu": 0.25 - 0.1j, "omega_rabi": 5.0, "delta_o": 50.0, "delta_mu": 0.0}
+    AtomParams(**params)
+    with pytest.raises(ValueError, match=re.escape(f"atom parameter {field} must be {kind}, got {value!r}")):
+        AtomParams(**{**params, field: value})
+
+
+def _jittered_ensemble(n, spread):
+    """The CI memory gate's ensemble: couplings (2.5, 0.25) 4/sqrt(N), Delta_o = 50 + 2 N(0, 1), delta_mu = spread N(0, 1)."""
+    rng = np.random.default_rng(3)
+    scale = 4.0 / np.sqrt(n)
+    return AtomEnsemble(
+        tuple(
+            AtomParams(2.5 * scale, 0.25 * scale, 5.0, delta_o=50.0 + 2.0 * rng.normal(), delta_mu=spread * rng.normal())
+            for _ in range(n)
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "n_atoms, spread, count, widest, covered",
+    [
+        (16, 0.0, 2, 1.068782, 2.096095),
+        (16, 0.05, 16, 0.917140, 2.088251),
+        (64, 0.0, 2, 1.071273, 2.101015),
+        (64, 0.05, 64, 0.912857, 2.094820),
+    ],
+)
+def test_holes_in_the_atom_band(n_atoms, spread, count, widest, covered):
+    # The effective three-mode network reports one interval of 2.122867; the
+    # microscopic one has a hole beside each weakly damped dark spin mode,
+    # one per atom once the delta_mu spread lifts their degeneracy.
+    net = microscopic_network(_jittered_ensemble(n_atoms, spread), 2.6, 2.6)
+    report = high_efficiency_intervals(net, "a", "b", 0.9, (-3.0, 3.0))
+    assert len(report.intervals) == count
+    assert abs(report.max_width - widest) < 1e-6
+    assert abs(sum(iv.width for iv in report.intervals) - covered) < 1e-6
+    drive = np.zeros(net.n_modes, dtype=complex)
+    drive[0] = np.sqrt(2.6)
+
+    def eta(omega):
+        return abs(2.0 * np.sqrt(2.6) * np.linalg.solve(dynamical_matrix(net, omega), drive)[1]) ** 2
+
+    for iv in report.intervals:
+        for edge in (iv.lo, iv.hi):
+            assert abs(eta(edge) - 0.9) <= 2e-9
+    for left, right in zip(report.intervals, report.intervals[1:]):
+        assert eta((left.hi + right.lo) / 2.0) < 0.9
 
 
 def test_effective_network_matches_collective_couplings():
