@@ -45,8 +45,10 @@ of at most three members takes two steps, with no pair solve; one batched
 report measures the bracket ends.  Where no merge beats the best grid point
 (a smooth maximum), golden section around it refines instead.  Either way
 the optimizer returns the best evaluation it has seen.  A
-:class:`ConverterFamily` hands over each batch of members as one validated
-stack; any other family is called once per kappa.
+:class:`modeconv.converter.ConverterFamily` hands over each batch of members
+as one validated stack; any other family is called once per kappa.  Which
+kind builds which network is decided in :mod:`modeconv.converter` alone: this
+module takes networks in and gives reports out.
 """
 
 from __future__ import annotations
@@ -58,17 +60,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .converter import (
-    DetunedParams,
-    ResonantParams,
-    _chain,
-    _two_mode,
-    detuned_network,
-    resonant_network,
-    two_mode_network,
-)
+from .converter import ConverterFamily
+# Not called here: bench/tracing.py WRAP_POINTS wraps these two where this
+# module looks them up, and tests/test_bench_names.py fails without them.
+from .converter import detuned_network, resonant_network  # noqa: F401
 from .linalg import eigenvalues_hermitian
-from .network import CoupledModeNetwork, new_networks
+from .network import CoupledModeNetwork
 from .scattering import _member_stack, _pair_stack, _pair_transmission, transmission_grid
 
 # Scan spacing of the merge-dip allowance in bench/oracles.py, its only reader.
@@ -125,56 +122,6 @@ class EfficiencyMap:
     etas: np.ndarray
 
 
-@dataclass(frozen=True)
-class ConverterFamily:
-    """One-parameter converter family: kappa_o = kappa_mu = kappa, rest fixed.
-
-    kind "resonant" builds the symmetric three-mode chain with coupling ``g``;
-    "detuned" adds intermediate-mode detuning ``delta_mu``; "two_mode" couples
-    the resonators directly with strength ``g``.  Any other kind, or a nonzero
-    ``delta_mu`` on a kind that has no intermediate detuning, is a
-    ``ValueError`` naming the field.  Calling the family builds its member at
-    kappa, so it is one of the callables kappa -> network that
-    :func:`efficiency_map` and :func:`optimize_kappa` take as a family;
-    :meth:`members` builds many kappas as one validated stack.
-    """
-
-    kind: str
-    g: float = 1.0
-    delta_mu: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("resonant", "detuned", "two_mode"):
-            raise ValueError(f"kind must be 'resonant', 'detuned' or 'two_mode', got {self.kind!r}")
-        if self.kind != "detuned" and self.delta_mu != 0.0:
-            raise ValueError(f"delta_mu applies only to kind 'detuned', got {self.delta_mu!r} for {self.kind!r}")
-
-    def build(self, kappa: float) -> CoupledModeNetwork:
-        if self.kind == "resonant":
-            return resonant_network(ResonantParams(self.g, self.g, kappa, kappa))
-        if self.kind == "detuned":
-            return detuned_network(
-                DetunedParams(self.g, self.g, kappa, kappa, delta_mu=self.delta_mu)
-            )
-        return two_mode_network(self.g, kappa, kappa)
-
-    __call__ = build
-
-    def members(self, kappas) -> list[CoupledModeNetwork]:
-        """The member at each kappa of the 1-D ``kappas``, byte for byte ``[self.build(k) for k in kappas]``.
-
-        The members come from one coupling and one damping stack, written by
-        the same formula as :meth:`build` and validated at once by
-        :func:`modeconv.network.new_networks`.
-        """
-        kappas = np.asarray(kappas, dtype=float)
-        if self.kind == "two_mode":
-            return new_networks(*_two_mode(self.g, kappas, kappas))
-        # +0.0 for a resonant member, as resonant_network writes it, even for delta_mu = -0.0
-        delta_mu = self.delta_mu if self.kind == "detuned" else 0.0
-        return new_networks(*_chain(self.g, self.g, kappas, kappas, delta_mu))
-
-
 def _members(family, kappas) -> list[CoupledModeNetwork]:
     """The members of ``family`` at ``kappas``.
 
@@ -197,6 +144,15 @@ def default_omega_window(net: CoupledModeNetwork) -> tuple[float, float]:
     off = net.coupling - np.diag(np.diag(net.coupling))
     margin = 4.0 * max(1.0, float(np.abs(off).max()) if off.size else 0.0)
     return float(eigs.min() - margin), float(eigs.max() + margin)
+
+
+def _bounds(name: str, values) -> tuple[float, float]:
+    """The ends of the range ``values``, which must be a (min, max) pair."""
+    try:
+        lo, hi = values
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a (min, max) pair, got {values}") from None
+    return float(lo), float(hi)
 
 
 def _ascending_grid(name: str, values) -> np.ndarray:
@@ -402,7 +358,7 @@ def _bandwidth_reports(nets, in_port, out_port, threshold: float, omega_range) -
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
-    w_lo, w_hi = float(omega_range[0]), float(omega_range[1])
+    w_lo, w_hi = _bounds("omega_range", omega_range)
     if not (math.isfinite(w_lo) and math.isfinite(w_hi)) or w_hi < w_lo:
         raise ValueError(f"omega_range must be finite with min <= max, got {omega_range}")
     reports = [None] * len(nets)
@@ -533,7 +489,7 @@ def optimize_kappa(
     whole = isinstance(coarse_points, (int, np.integer)) and not isinstance(coarse_points, bool)
     if not whole or coarse_points < 2:
         raise ValueError(f"coarse_points must be an integer >= 2, got {coarse_points!r}")
-    k_lo, k_hi = float(kappa_range[0]), float(kappa_range[1])
+    k_lo, k_hi = _bounds("kappa_range", kappa_range)
     if not (0.0 < k_lo <= k_hi) or not math.isfinite(k_hi):
         raise ValueError(f"kappa_range must be finite with 0 < min <= max, got {kappa_range}")
 

@@ -24,13 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (
-    COARSE_KAPPA_POINTS,
-    ConverterFamily,
-    efficiency_map,
-    high_efficiency_intervals,
-    optimize_kappa,
-)
+from .analysis import COARSE_KAPPA_POINTS, efficiency_map, high_efficiency_intervals, optimize_kappa
+from .converter import FAMILY_KINDS, ConverterFamily
 # Not called here: the benchmark's set-up probe builds a network through
 # ``cli.resonant_network`` and ``cli.ResonantParams``, and its tracer wraps the
 # three constructors where this module looks them up.
@@ -53,8 +48,8 @@ from .network import network_from_dict
 from .scattering import transmission, transmission_grid
 from .timedomain import steady_state_response, trace_csv_text
 
-SETUPS = ("resonant", "detuned", "two_mode", "microscopic", "custom")
-FAMILY_SETUPS = ("resonant", "detuned", "two_mode")
+SETUPS = FAMILY_KINDS + ("microscopic", "custom")
+FAMILY_SETUPS = FAMILY_KINDS
 # Fields every kappa-family command (map, optimize) accepts besides g and delta_mu.
 FAMILY_FIELDS = frozenset({"setup", "kappa_range", "window", "output"})
 

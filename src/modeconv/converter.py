@@ -31,18 +31,23 @@ strength s, both damped).
 
 Each model's coupling and damping formula is written once, as stacks that
 broadcast over kappa: a scalar constructor builds its stack of one through
-:func:`modeconv.network.new_network`, and a converter family builds many
-kappas at once through :func:`modeconv.network.new_networks`.
+:func:`modeconv.network.new_network`, and :class:`ConverterFamily`, the one
+map from a kind to its formula, builds its members through ``new_networks``.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateParametersError
-from .network import CoupledModeNetwork, new_network
+from .network import CoupledModeNetwork, new_network, new_networks
+
+# The kinds of ConverterFamily, each one model's formula.
+FAMILY_KINDS = ("resonant", "detuned", "two_mode")
 
 
 @dataclass(frozen=True)
@@ -108,16 +113,67 @@ def two_mode_network(s: float, kappa_o: float, kappa_mu: float) -> CoupledModeNe
     return new_network(labels, coupling[0], damping[0])
 
 
+@dataclass(frozen=True)
+class ConverterFamily:
+    """One-parameter converter family: kappa_o = kappa_mu = kappa, rest fixed.
+
+    kind "resonant" builds the symmetric three-mode chain with coupling ``g``;
+    "detuned" adds intermediate-mode detuning ``delta_mu``; "two_mode" couples
+    the resonators directly with strength ``g``.  Any other kind, a ``g`` or
+    ``delta_mu`` that is not a finite real number, or a nonzero ``delta_mu``
+    on a kind that has no intermediate detuning, is a ``ValueError`` naming
+    the field.  Calling the family builds its member at kappa, so it is a
+    family kappa -> network for ``efficiency_map`` and ``optimize_kappa``;
+    :meth:`members` builds many kappas as one validated stack.
+    """
+
+    kind: str
+    g: float = 1.0
+    delta_mu: float = 0.0
+
+    def __post_init__(self):
+        if self.kind not in FAMILY_KINDS:
+            *head, last = map(repr, FAMILY_KINDS)
+            raise ValueError(f"kind must be {', '.join(head)} or {last}, got {self.kind!r}")
+        for name, value in (("g", self.g), ("delta_mu", self.delta_mu)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ValueError(f"family parameter {name} must be a finite real number, got {value!r}")
+        if self.kind != "detuned" and self.delta_mu != 0.0:
+            raise ValueError(f"delta_mu applies only to kind 'detuned', got {self.delta_mu!r} for {self.kind!r}")
+
+    def build(self, kappa: float) -> CoupledModeNetwork:
+        return self.members([kappa])[0]
+
+    __call__ = build
+
+    def members(self, kappas) -> list[CoupledModeNetwork]:
+        """The member at each kappa of the 1-D ``kappas``, as one validated stack.
+
+        Each is byte for byte the scalar constructor's network, written by the
+        same formula: ``resonant_network(ResonantParams(g, g, k, k))``,
+        ``detuned_network(DetunedParams(g, g, k, k, delta_mu))`` or
+        ``two_mode_network(g, k, k)``.
+        """
+        kappas = np.asarray(kappas, dtype=float)
+        if self.kind == "two_mode":
+            return new_networks(*_two_mode(self.g, kappas, kappas))
+        # +0.0 for a resonant member, as resonant_network writes it, even for delta_mu = -0.0
+        delta_mu = self.delta_mu if self.kind == "detuned" else 0.0
+        return new_networks(*_chain(self.g, self.g, kappas, kappas, delta_mu))
+
+
 def reflection_coefficients(omega, g: float, kappa: float):
     """Dark- and bright-mode reflection coefficients (r_minus, r_plus).
 
     Valid for the symmetric resonant converter (s_o = s_mu = g, both dampings
-    kappa).  ``omega`` may be a scalar or an array.  Requires kappa > 0; the
-    combination g = 0 with omega = 0 leaves r_plus as 0/0 and raises
-    :class:`DegenerateParametersError`.
+    kappa).  ``omega`` may be a scalar or an array.  Requires a finite g and
+    a finite kappa > 0; the combination g = 0 with omega = 0 leaves r_plus as
+    0/0 and raises :class:`DegenerateParametersError`.
     """
-    if kappa <= 0.0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    if not 0.0 < kappa < math.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
+    if not math.isfinite(g):
+        raise ValueError(f"g must be finite, got {g}")
     omega = np.asarray(omega, dtype=float)
     if g == 0.0 and np.any(omega == 0.0):
         raise DegenerateParametersError(
@@ -135,10 +191,10 @@ def reflection_coefficients(omega, g: float, kappa: float):
 def efficiency_closed_form(omega, g: float, kappa: float):
     """Conversion efficiency |r_minus - r_plus|^2 / 4 of the symmetric resonant converter.
 
-    Requires g > 0 and kappa > 0.  ``omega`` may be a scalar or an array.
+    Requires finite g > 0 and kappa > 0.  ``omega`` may be a scalar or an array.
     """
-    if g <= 0.0:
-        raise ValueError(f"g must be positive, got {g}")
+    if not 0.0 < g < math.inf:
+        raise ValueError(f"g must be positive and finite, got {g}")
     r_minus, r_plus = reflection_coefficients(omega, g, kappa)
     eta = np.abs(np.asarray(r_minus) - np.asarray(r_plus)) ** 2 / 4.0
     return float(eta) if eta.ndim == 0 else eta

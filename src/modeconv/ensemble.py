@@ -79,12 +79,15 @@ class AtomParams:
 
 @dataclass(frozen=True)
 class AtomEnsemble:
-    """Ordered collection of atoms."""
+    """Ordered collection of atoms; anything but an :class:`AtomParams` is a ``ValueError`` naming its index."""
 
     atoms: tuple[AtomParams, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "atoms", tuple(self.atoms))
+        for k, atom in enumerate(self.atoms):
+            if not isinstance(atom, AtomParams):
+                raise ValueError(f"atom {k} must be an AtomParams, got {atom!r}")
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,14 @@ from modeconv.analysis import (
     max_bandwidth,
     optimize_kappa,
 )
-from modeconv.converter import ResonantParams, efficiency_closed_form, resonant_network, two_mode_network
+from modeconv.converter import (
+    DetunedParams,
+    ResonantParams,
+    detuned_network,
+    efficiency_closed_form,
+    resonant_network,
+    two_mode_network,
+)
 from modeconv.ensemble import default_validation_ensemble, microscopic_network
 from modeconv.errors import NoPortsError
 from modeconv.network import new_network
@@ -82,17 +89,22 @@ def test_family_builders():
 
 class TestConverterFamily:
     @pytest.mark.parametrize(
-        "family",
+        "family, construct",
         [
-            ConverterFamily("resonant", g=1.3),
-            ConverterFamily("detuned", g=0.8, delta_mu=-3.0),
-            ConverterFamily("two_mode", g=0.5),
+            (ConverterFamily("resonant", g=1.3), lambda k: resonant_network(ResonantParams(1.3, 1.3, k, k))),
+            (
+                ConverterFamily("detuned", g=0.8, delta_mu=-3.0),
+                lambda k: detuned_network(DetunedParams(0.8, 0.8, k, k, -3.0)),
+            ),
+            (ConverterFamily("two_mode", g=0.5), lambda k: two_mode_network(0.5, k, k)),
         ],
         ids=["resonant", "detuned", "two_mode"],
     )
-    def test_members_are_the_built_networks_byte_for_byte(self, family):
+    def test_members_are_the_built_networks_byte_for_byte(self, family, construct):
         kappas = np.append(np.linspace(0.1, 8.0, 201), [8.0, 0.1, EXCEPTIONAL_KAPPA])
-        for net, built in zip(family.members(kappas), [family.build(float(k)) for k in kappas], strict=True):
+        # Both the stack and a member built alone (as the CLI builds one) are the constructor's network.
+        nets = family.members(kappas) + [family(float(k)) for k in kappas]
+        for net, built in zip(nets, 2 * [construct(float(k)) for k in kappas], strict=True):
             assert net.labels == built.labels
             for stacked, single in ((net.coupling, built.coupling), (net.damping, built.damping)):
                 assert stacked.dtype == single.dtype and stacked.shape == single.shape
@@ -105,6 +117,19 @@ class TestConverterFamily:
         for kind in ("resonant", "two_mode"):
             with pytest.raises(ValueError, match=f"delta_mu applies only to kind 'detuned', got 3.0 for '{kind}'"):
                 ConverterFamily(kind, delta_mu=3.0)
+
+    @pytest.mark.parametrize("bad", ["2", True, np.nan, np.inf, 1j, None], ids=repr)
+    def test_a_coupling_or_detuning_that_is_not_a_finite_real_is_refused(self, bad):
+        for field in ("g", "delta_mu"):
+            message = re.escape(f"family parameter {field} must be a finite real number, got {bad!r}")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                ConverterFamily("detuned", **{field: bad})
+        with pytest.raises(ValueError, match="^family parameter g "):
+            ConverterFamily("resonant", g=bad)
+
+    def test_numpy_reals_are_accepted(self):
+        family = ConverterFamily("detuned", g=np.float32(0.5), delta_mu=np.int64(2))
+        assert family.build(1.0).coupling.tobytes() == ConverterFamily("detuned", 0.5, 2.0).build(1.0).coupling.tobytes()
 
     def test_a_bad_kappa_names_its_member(self):
         with pytest.raises(ValueError, match="^member 2: damping must be finite$"):
@@ -232,6 +257,14 @@ class TestIntervals:
             message = re.escape(f"omega_range must be finite with min <= max, got {omega_range}")
             with pytest.raises(ValueError, match=f"^{message}$"):
                 high_efficiency_intervals(net, "a", "b", 0.9, omega_range)
+
+    @pytest.mark.parametrize("omega_range", [(3.0,), (-3.0, 0.0, 3.0), (), 3.0], ids=repr)
+    def test_a_range_that_is_not_a_pair_is_named(self, omega_range):
+        message = re.escape(f"omega_range must be a (min, max) pair, got {omega_range}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            high_efficiency_intervals(resonant(2.0), "a", "b", 0.9, omega_range)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            optimize_kappa(ConverterFamily("resonant"), 0.9, (0.1, 8.0), 5, omega_range=omega_range)
 
 
 class TestButterworth:
@@ -428,6 +461,11 @@ class TestOptimizeKappa:
                 optimize_kappa(fam, 0.99, kappa_range)
         with pytest.raises(ValueError):
             optimize_kappa(fam, 1.5, (0.1, 1.0))
+        # A range is a pair: a third value is an error, not ignored.
+        for kappa_range in ((0.1, 8.0, 3.0), (2.6,), 2.6):
+            message = re.escape(f"kappa_range must be a (min, max) pair, got {kappa_range}")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                optimize_kappa(fam, 0.9, kappa_range)
 
     @pytest.mark.parametrize("omega_range", [None, (-3.0, 3.0)], ids=["default_window", "given_window"])
     def test_no_member_reaching_the_threshold_is_named(self, omega_range):
@@ -976,7 +1014,7 @@ class TestCountBatches:
 
     def test_coarse_grid_is_one_stack_without_single_builds(self, monkeypatch):
         singles, stacks = [], []
-        new_network, new_networks = network_module.new_network, analysis.new_networks
+        new_network, new_networks = network_module.new_network, converter_module.new_networks
 
         def single(*args):
             singles.append(args)
@@ -988,6 +1026,11 @@ class TestCountBatches:
 
         monkeypatch.setattr(converter_module, "new_network", single)
         monkeypatch.setattr(network_module, "new_network", single)
-        monkeypatch.setattr(analysis, "new_networks", stack)
-        optimize_kappa(ConverterFamily("detuned", delta_mu=3.0), 0.99, (0.1, 8.0), omega_range=(-4.0, 7.0))
+        monkeypatch.setattr(converter_module, "new_networks", stack)
+        family = ConverterFamily("detuned", delta_mu=3.0)
+        optimize_kappa(family, 0.99, (0.1, 8.0), omega_range=(-4.0, 7.0))
         assert singles == [] and stacks[0] == 201 and max(stacks[1:]) <= 3
+        # The default window's member is a stack of one too.
+        stacks.clear()
+        optimize_kappa(family, 0.99, (0.1, 8.0))
+        assert singles == [] and stacks[:2] == [1, 201] and max(stacks[2:]) <= 3

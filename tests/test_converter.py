@@ -9,6 +9,8 @@ and eta = |r_minus - r_plus|^2 / 4.  These are exact for the symmetric
 three-mode converter and serve as the oracle for the matrix engine.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,21 @@ def test_parameter_validation():
         efficiency_closed_form(0.0, 0.0, 2.0)
     with pytest.raises(DegenerateParametersError):
         reflection_coefficients(0.0, 0.0, 2.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=repr)
+def test_a_nonfinite_coupling_or_damping_yields_no_number(bad):
+    # The closed forms are the reference oracle: a wrong input must raise, not return nan.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^kappa must be positive and finite, got {bad}$"):
+            reflection_coefficients(0.5, 1.0, bad)
+        with pytest.raises(ValueError, match=f"^g must be finite, got {bad}$"):
+            reflection_coefficients(0.5, bad, 1.0)
+        with pytest.raises(ValueError, match=f"^kappa must be positive and finite, got {bad}$"):
+            efficiency_closed_form(0.0, 1.0, bad)
+        with pytest.raises(ValueError, match=f"^g must be positive and finite, got {bad}$"):
+            efficiency_closed_form(0.0, bad, 1.0)
 
 
 class TestDirectCoupling:

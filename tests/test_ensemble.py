@@ -114,6 +114,16 @@ def test_zero_detuning_names_the_first_offending_atom():
     assert microscopic_network(ens, 1.0, 1.0, compensate_stark=False).coupling[5, 5] == 0.0
 
 
+@pytest.mark.parametrize(
+    "atoms, index, bad",
+    [((1, 2), 0, 1), ([AtomParams(1.0, 1.0, 1.0, 10.0, 0.0), {"g_o": 1}], 1, {"g_o": 1})],
+    ids=["ints", "dict"],
+)
+def test_an_atom_that_is_not_atom_params_is_named(atoms, index, bad):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'atom {index} must be an AtomParams, got {bad!r}')}$"):
+        AtomEnsemble(atoms)
+
+
 def test_empty_ensemble_rejected():
     with pytest.raises(EmptyEnsembleError):
         microscopic_network(AtomEnsemble(()), 1.0, 1.0)
