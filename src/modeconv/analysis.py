@@ -18,21 +18,25 @@ whose eta misses the threshold by more than ETA_REFINE_TOL (a root the
 eigensolver got only roughly) is polished by regula falsi inside the gaps'
 midpoints.  Several networks (the optimizer's coarse kappa grid) go through
 the same path as one batch with one port pair (:func:`_groups`: stacked once
-per mode count, grouped by the modes the coupling graph links to the pair):
-one ``eigvals`` call on the stack of each group's L, one pair solve for every
-gap midpoint and one for every edge.  Crossings and poles come back padded
-with +inf, so each other step is one array operation on (member x cut)
-arrays, with no loop over members; a map reads its rows from the same
-stacks.  Only reports and maps build the pair-solve arrays; crossing counts
-read the coupling and damping stacks alone.
+per mode count, cut down to the modes the coupling graph links to the pair
+and grouped by them): one ``eigvals`` call on the stack of each group's L,
+one pair solve for every gap midpoint and one for every edge.  Crossings come
+back padded with +inf, so each other step is one array operation on (member
+x cut) arrays, with no loop over members; a map reads its rows from the same
+stacks of whole networks (:func:`_stacks`).  Only reports and maps build the
+pair-solve arrays; crossing counts read the coupling and damping stacks
+alone.
 
-A real eigenvalue of H is a pole: its mode is undamped, so no port sees it and
-it cancels from S_out,in.  eta is continuous through it, but the network is
-singular there.  Poles in the window (eigenvalues within REAL_AXIS_RTOL of the
-real axis, so weakly damped modes too) are cuts as well, so no gap midpoint
-sits on one.  A midpoint the pair solve still flags singular lies between
-near-coincident cuts; its gap takes the class of the gap before it (the first
-gap that of the next classified gap).
+The crossings and the window ends are the only cuts.  A real eigenvalue of H
+is a pole: its mode x is undamped (Kx = 0), so it cancels from S_out,in and
+eta is continuous through it, but the network is singular there.  A pole on
+a kept mode is already a double real eigenvalue of L ([x; 0] and [0; x] are
+both its eigenvectors); a mode the pair is not linked to is not solved at
+all (a map keeps whole networks, so it reads NaN on such a pole).  A weakly
+damped mode needs no cut either: eta is analytic through it.  A midpoint
+the pair solve still flags singular lies between near-coincident cuts; its
+gap takes the class of the gap before it (the first gap that of the next
+classified gap).
 
 The width-versus-kappa curve is discontinuous where separate branches merge into
 one (the merged interval is suddenly much wider).  A merge is where the number
@@ -74,8 +78,8 @@ DEFAULT_SCAN_POINTS = 4001
 ETA_REFINE_TOL = 1e-9
 POLISH_STEPS = 60
 
-# An eigenvalue within REAL_AXIS_RTOL * ||matrix||_F of the real axis counts as
-# real: a threshold crossing of the level-set matrix, or a pole of H.
+# An eigenvalue of the level-set matrix within REAL_AXIS_RTOL * ||matrix||_F of
+# the real axis counts as real: a threshold crossing (a pole counts twice).
 REAL_AXIS_RTOL = 1e-8
 
 # Coarse kappa-grid density for optimize_kappa before it refines around the best point.
@@ -188,24 +192,31 @@ def efficiency_curve(net: CoupledModeNetwork, in_port: str, out_port: str, omega
     return EfficiencyCurve(omegas=omegas, etas=kept, in_port=in_port, out_port=out_port)
 
 
-def _groups(nets, in_port, out_port):
-    """The members of one batch, each between its ``port_pair(in_port, out_port)``, in groups.
+def _stacks(nets, in_port, out_port):
+    """A batch, each member between its ``port_pair(in_port, out_port)``, stacked once per mode count.
 
-    A group's members have one mode count and keep the same modes: those
-    their coupling graph links to the pair.  Each mode count is stacked once
-    (:func:`_member_stack`), and one whose members all keep every mode is one
-    group, handed over without a copy.  Yields (rows, level): the group's
-    indices in ``nets`` and the arguments of :func:`_level_set_matrices` but
-    gamma, whose first three are those of :func:`_pair_stack` too; only a
-    caller that solves builds that stack.
+    Yields (rows, coupling, damping, modes): the members' indices in ``nets``
+    and their :func:`_member_stack`, the arguments of :func:`_pair_stack`.
     """
     sizes = [net.n_modes for net in nets]
     for n in sorted(set(sizes)):
         rows = np.array([j for j, size in enumerate(sizes) if size == n])
-        coupling, damping, modes = _member_stack([nets[j] for j in rows], in_port, out_port)
+        yield rows, *_member_stack([nets[j] for j in rows], in_port, out_port)
+
+
+def _groups(nets, in_port, out_port):
+    """The stacks of :func:`_stacks` on the modes the port pair sees, in groups.
+
+    A member keeps the modes its coupling graph links to the pair; no other
+    mode takes part in S_out,in.  A group's members keep the same modes, and a
+    stack whose members all keep every mode is one group, without a copy.
+    Yields what :func:`_stacks` does, with ``modes`` the pair's places among
+    the kept modes.
+    """
+    for rows, coupling, damping, modes in _stacks(nets, in_port, out_port):
         linked = coupling != 0.0
         # the pair and its neighbors, then every mode linked to them
-        reach = (linked | np.eye(n, dtype=bool))[np.arange(len(rows))[:, None], modes].any(axis=1)
+        reach = (linked | np.eye(damping.shape[1], dtype=bool))[np.arange(len(rows))[:, None], modes].any(axis=1)
         full = reach.all()
         while not full:
             grown = reach | (reach[:, None, :] @ linked)[:, 0]
@@ -213,12 +224,13 @@ def _groups(nets, in_port, out_port):
                 break
             reach, full = grown, grown.all()
         if full:
-            yield rows, (coupling, damping, modes, None)
+            yield rows, coupling, damping, modes
             continue
         keeps, group = np.unique(reach, axis=0, return_inverse=True)
         for g, keep in enumerate(keeps):
             sel = np.flatnonzero(group.reshape(-1) == g)
-            yield rows[sel], (coupling[sel], damping[sel], modes[sel], keep)
+            at = np.cumsum(keep)[modes[sel]] - 1
+            yield rows[sel], coupling[sel][:, keep][:, :, keep], damping[sel][:, keep], at
 
 
 def _real_eigenvalues(stack, w_lo: float, w_hi: float) -> tuple[np.ndarray, np.ndarray]:
@@ -236,31 +248,24 @@ def _real_eigenvalues(stack, w_lo: float, w_hi: float) -> tuple[np.ndarray, np.n
     return values, (values < np.inf).sum(axis=1)
 
 
-def _level_set_matrices(coupling, damping, modes, keep, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """H = A - iK/2 of a group of networks, and their L_gamma on the modes ``keep`` (None: all).
+def _level_set_matrices(coupling, damping, modes, gamma: float) -> np.ndarray:
+    """L_gamma of each member of a group of :func:`_groups`.
 
-    With (i, o) = ``modes[j]``, S_oi(omega) = D + C (omega - H)^-1 B for
-    B = sqrt(k_i) e_i, C = i sqrt(k_o) e_o^T and feedthrough D = -1 when a
-    port is driven into itself (0 otherwise).  For R = D^2 - gamma^2, nonzero
-    when gamma < 1, the real eigenvalues of
+    With H = A - iK/2 and (i, o) = ``modes[j]``, S_oi(omega) = D + C (omega -
+    H)^-1 B for B = sqrt(k_i) e_i, C = i sqrt(k_o) e_o^T and feedthrough D =
+    -1 when a port is driven into itself (0 otherwise).  For R = D^2 -
+    gamma^2, nonzero when gamma < 1, the real eigenvalues of
 
         L_gamma = diag(H, H^H) - [[B D C, gamma B B^H], [gamma C^H C, C^H D B^H]] / R
 
     are the frequencies where |S_oi| = gamma (Boyd, Balakrishnan & Kabamba,
     MCSS 1989).  The four entries of the second term go in by fancy indexing
     for the whole stack, the two off-diagonal-block ones as L_gamma's only
-    entries in those blocks.  L_gamma keeps only the modes ``keep``, which
-    :func:`_groups` takes as those the coupling graph links to a port:
-    leaving the others out keeps the crossings of a network with a decoupled
-    dark mode bit for bit.  H is the whole network's, so its real
-    eigenvalues are every pole.
+    entries in those blocks.
     """
     h = coupling - 0.5j * (damping[:, None, :] * np.eye(coupling.shape[-1]))
-    sub, at = h, modes  # H on the kept modes, and the pair's places among them
-    if keep is not None:
-        sub, at = h[:, keep][:, :, keep], np.cumsum(keep)[modes] - 1
-    i, o = at.T
-    n, member = sub.shape[-1], np.arange(len(h))
+    i, o = modes.T
+    n, member = h.shape[-1], np.arange(len(h))
     d = 0.0 - (i == o)  # D: -1.0 or +0.0
     r = d * d - gamma * gamma
     k = damping[member[:, None], modes]
@@ -268,11 +273,11 @@ def _level_set_matrices(coupling, damping, modes, keep, gamma: float) -> tuple[n
     n_i, n_o = i + n, o + n
     mats = np.zeros((len(h), 2 * n, 2 * n), dtype=complex)
     mats[member, i, o], mats[member, n_o, n_i] = feed, -feed  # E's entries in the diagonal blocks
-    np.subtract(sub, mats[:, :n, :n], out=mats[:, :n, :n])
-    np.subtract(sub.conj().transpose(0, 2, 1), mats[:, n:, n:], out=mats[:, n:, n:])
+    np.subtract(h, mats[:, :n, :n], out=mats[:, :n, :n])
+    np.subtract(h.conj().transpose(0, 2, 1), mats[:, n:, n:], out=mats[:, n:, n:])
     side = -gamma * k / r[:, None]
     mats[member, i, n_i], mats[member, n_o, o] = side[:, 0], side[:, 1]
-    return h, mats
+    return mats
 
 
 def _polish(stack, member, threshold, x, lo, g_lo, hi, g_hi) -> np.ndarray:
@@ -304,7 +309,7 @@ def _polish(stack, member, threshold, x, lo, g_lo, hi, g_hi) -> np.ndarray:
     return x
 
 
-def _group_ends(level, threshold: float, w_lo: float, w_hi: float) -> tuple[np.ndarray, np.ndarray]:
+def _group_ends(coupling, damping, modes, threshold: float, w_lo: float, w_hi: float) -> tuple[np.ndarray, np.ndarray]:
     """The interval edges of one group of :func:`_groups`, and each member's interval count.
 
     The edges come as one (intervals, 2) array in member order.  Cuts, gap
@@ -312,17 +317,16 @@ def _group_ends(level, threshold: float, w_lo: float, w_hi: float) -> tuple[np.n
     member's last cut, so finding the runs of gaps above the threshold and
     writing back the polished edges take one array operation each.
     """
-    h, mats = _level_set_matrices(*level, math.sqrt(threshold))
-    stack = _pair_stack(*level[:3])
+    mats = _level_set_matrices(coupling, damping, modes, math.sqrt(threshold))
     crossings, n_crossings = _real_eigenvalues(mats, w_lo, w_hi)
-    poles, n_poles = _real_eigenvalues(h, w_lo, w_hi)
-    m = len(h)
-    cuts = np.concatenate((np.full((m, 1), w_lo), crossings, poles, np.full((m, 1), w_hi)), axis=1)
+    stack = _pair_stack(coupling, damping, modes)
+    m = len(crossings)
+    cuts = np.concatenate((np.full((m, 1), w_lo), crossings, np.full((m, 1), w_hi)), axis=1)
     cuts.sort(axis=1)
-    last = 1 + n_crossings + n_poles  # the column of w_hi
-    # Between consecutive cuts (crossings, poles and window ends) eta -
-    # threshold keeps its sign, so the midpoint classifies the gap: one pair
-    # solve covers every gap of every member.
+    last = 1 + n_crossings  # the column of w_hi
+    # Between consecutive cuts (crossings and window ends) eta - threshold
+    # keeps its sign, so the midpoint classifies the gap: one pair solve
+    # covers every gap of every member.
     mids = (cuts[:, :-1] + cuts[:, 1:]) / 2.0
     gap = np.arange(mids.shape[1]) < last[:, None]
     g = np.full(mids.shape, np.nan)
@@ -353,8 +357,8 @@ def _bandwidth_reports(nets, in_port, out_port, threshold: float, omega_range) -
 
     Networks are handled one group of :func:`_groups` at a time: one
     ``eigvals`` call on the stack of their level-set matrices gives every
-    crossing, one pair solve classifies the gaps between them, and one more
-    polishes every edge.
+    crossing, one pair solve classifies the gaps between them and the window
+    ends, and one more polishes every edge.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
@@ -362,8 +366,8 @@ def _bandwidth_reports(nets, in_port, out_port, threshold: float, omega_range) -
     if not (math.isfinite(w_lo) and math.isfinite(w_hi)) or w_hi < w_lo:
         raise ValueError(f"omega_range must be finite with min <= max, got {omega_range}")
     reports = [None] * len(nets)
-    for rows, level in _groups(nets, in_port, out_port):
-        ends, counts = _group_ends(level, threshold, w_lo, w_hi)
+    for rows, *group in _groups(nets, in_port, out_port):
+        ends, counts = _group_ends(*group, threshold, w_lo, w_hi)
         edges = iter([Interval(lo=lo, hi=hi) for lo, hi in ends.tolist()])
         for row, count in zip(rows.tolist(), counts.tolist()):
             part = tuple(itertools.islice(edges, count))
@@ -425,8 +429,8 @@ def efficiency_map(family, kappa_grid, omega_grid) -> EfficiencyMap:
     kappas = _ascending_grid("kappa_grid", kappa_grid)
     omegas = _ascending_grid("omega_grid", omega_grid)
     etas = np.empty((len(kappas), len(omegas)))
-    for rows, level in _groups(_members(family, kappas), None, None):
-        stack = _pair_stack(*level[:3])
+    for rows, *members in _stacks(_members(family, kappas), None, None):
+        stack = _pair_stack(*members)
         for i, row in enumerate(rows.tolist()):
             etas[row] = np.abs(_pair_transmission(stack, i, omegas, "nan")) ** 2
     gap_count = int(np.count_nonzero(~np.isfinite(etas)))
@@ -442,12 +446,12 @@ def _crossing_counts(nets, in_port, out_port, threshold: float, omega_range) -> 
     A crossing is a real eigenvalue of the network's level-set matrix
     L_gamma, gamma = sqrt(threshold), inside ``omega_range``; one stacked
     ``eigvals`` call per group of :func:`_groups` counts them all, with no
-    pole solve and no pair solve.
+    pair solve.
     """
     gamma, w_lo, w_hi = math.sqrt(threshold), float(omega_range[0]), float(omega_range[1])
     counts = np.empty(len(nets), dtype=int)
-    for rows, level in _groups(nets, in_port, out_port):
-        counts[rows] = _real_eigenvalues(_level_set_matrices(*level, gamma)[1], w_lo, w_hi)[1]
+    for rows, *group in _groups(nets, in_port, out_port):
+        counts[rows] = _real_eigenvalues(_level_set_matrices(*group, gamma), w_lo, w_hi)[1]
     return counts
 
 

@@ -49,7 +49,6 @@ from .scattering import transmission, transmission_grid
 from .timedomain import steady_state_response, trace_csv_text
 
 SETUPS = FAMILY_KINDS + ("microscopic", "custom")
-FAMILY_SETUPS = FAMILY_KINDS
 # Fields every kappa-family command (map, optimize) accepts besides g and delta_mu.
 FAMILY_FIELDS = frozenset({"setup", "kappa_range", "window", "output"})
 
@@ -239,7 +238,7 @@ def _build_single_network(cfg: dict, command: str, fields: set):
     """
     setup = _setup(cfg)
     common = {"setup", "output"} | fields
-    if setup in FAMILY_SETUPS:
+    if setup in FAMILY_KINDS:
         family = _family(cfg, command, common | {"kappa"})
         net = family(_positive(cfg, "kappa", required=True))
     elif setup == "microscopic":
@@ -263,10 +262,10 @@ def _build_single_network(cfg: dict, command: str, fields: set):
 def _family(cfg: dict, command: str, allowed: set) -> ConverterFamily:
     """The converter family of a family setup; ``allowed`` lists the fields besides g and delta_mu."""
     setup = _setup(cfg)
-    if setup not in FAMILY_SETUPS:
+    if setup not in FAMILY_KINDS:
         raise ConfigError(
             f"setup '{setup}' does not define a kappa family; "
-            f"'{command}' accepts {', '.join(FAMILY_SETUPS)}"
+            f"'{command}' accepts {', '.join(FAMILY_KINDS)}"
         )
     if setup == "detuned":
         allowed = allowed | {"delta_mu"}

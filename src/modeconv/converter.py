@@ -166,15 +166,17 @@ def reflection_coefficients(omega, g: float, kappa: float):
     """Dark- and bright-mode reflection coefficients (r_minus, r_plus).
 
     Valid for the symmetric resonant converter (s_o = s_mu = g, both dampings
-    kappa).  ``omega`` may be a scalar or an array.  Requires a finite g and
-    a finite kappa > 0; the combination g = 0 with omega = 0 leaves r_plus as
-    0/0 and raises :class:`DegenerateParametersError`.
+    kappa).  ``omega`` may be a scalar or an array.  Requires a finite g, a
+    finite kappa > 0 and finite omega; the combination g = 0 with omega = 0
+    leaves r_plus as 0/0 and raises :class:`DegenerateParametersError`.
     """
     if not 0.0 < kappa < math.inf:
         raise ValueError(f"kappa must be positive and finite, got {kappa}")
     if not math.isfinite(g):
         raise ValueError(f"g must be finite, got {g}")
     omega = np.asarray(omega, dtype=float)
+    if not np.isfinite(omega).all():
+        raise ValueError(f"omega must be finite, got {omega[~np.isfinite(omega)][0]}")
     if g == 0.0 and np.any(omega == 0.0):
         raise DegenerateParametersError(
             "r_plus is undefined at omega = 0 when the converter coupling g is 0"
@@ -191,7 +193,7 @@ def reflection_coefficients(omega, g: float, kappa: float):
 def efficiency_closed_form(omega, g: float, kappa: float):
     """Conversion efficiency |r_minus - r_plus|^2 / 4 of the symmetric resonant converter.
 
-    Requires finite g > 0 and kappa > 0.  ``omega`` may be a scalar or an array.
+    Requires finite g > 0, kappa > 0 and omega.  ``omega`` may be a scalar or an array.
     """
     if not 0.0 < g < math.inf:
         raise ValueError(f"g must be positive and finite, got {g}")

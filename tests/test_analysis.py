@@ -41,29 +41,11 @@ from modeconv.errors import NoPortsError
 from modeconv.network import new_network
 from modeconv.scattering import _member_stack, _pair_stack, dynamical_matrix, transmission_grid
 
+from dark_modes import with_dark_modes, with_extra_modes
+
 
 def resonant(kappa):
     return resonant_network(ResonantParams(1.0, 1.0, kappa, kappa))
-
-
-def with_extra_modes(net, extra):
-    """``net`` plus one undamped mode per (detuning, coupling to mode 1) pair in ``extra``."""
-    n, m = net.n_modes, net.n_modes + len(extra)
-    coupling = np.zeros((m, m), dtype=complex)
-    coupling[:n, :n] = net.coupling
-    for k, (omega, g) in enumerate(extra, start=n):
-        coupling[k, k], coupling[1, k], coupling[k, 1] = omega, g, g
-    labels = net.labels + tuple(f"d{k}" for k in range(len(extra)))
-    return new_network(labels, coupling, np.concatenate([net.damping, np.zeros(len(extra))]))
-
-
-def with_dark_modes(net, omegas):
-    """``net`` plus one decoupled undamped mode at each frequency in ``omegas``.
-
-    The extra modes leave the a -> b efficiency unchanged everywhere except at
-    their own frequencies, where the whole network is singular.
-    """
-    return with_extra_modes(net, [(omega, 0.0) for omega in omegas])
 
 
 def dark_mode_report(omegas, omega_range=(-3.0, 3.0)):
@@ -194,8 +176,9 @@ class TestIntervals:
         assert report.intervals == ()
         assert report.max_width == 0.0
 
-    # A dark mode is a real-axis pole that cancels from S_ab: each report
-    # below is the plain report, bit for bit and without a warning.
+    # A dark mode is a real-axis pole that cancels from S_ab.  No port is
+    # linked to it, so no report solves it: each report below is the plain
+    # report, bit for bit and without a warning.
 
     def test_one_point_singular_gap_is_bridged(self):
         # omega = 0 lies inside the passband
@@ -229,12 +212,15 @@ class TestIntervals:
     )
     def test_pole_at_each_gap_midpoint_and_each_edge(self, net, threshold):
         # The gap midpoints are where a report classifies its gaps, and the
-        # edges are its cuts: a pole on either must not move the answer.
+        # edges are its cuts: a pole on either, or one ulp either side of an
+        # edge, must not move the answer.
         window = (-3.0, 3.0)
         plain = high_efficiency_intervals(net, "a", "b", threshold, window)
         assert len(plain.intervals) >= 2
         cuts = np.array([window[0], *(e for iv in plain.intervals for e in (iv.lo, iv.hi)), window[1]])
-        for omega in np.concatenate([cuts[1:-1], (cuts[:-1] + cuts[1:]) / 2.0]):
+        edges = cuts[1:-1]
+        beside = [np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)]
+        for omega in np.concatenate([edges, (cuts[:-1] + cuts[1:]) / 2.0, *beside]):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 report = high_efficiency_intervals(with_dark_modes(net, [omega]), "a", "b", threshold, window)
@@ -656,10 +642,10 @@ class TestBatchedReports:
         assert batch[2].intervals == (Interval(lo=-0.5, hi=0.5),)
 
     def test_singular_gap_midpoint_inside_a_batch(self):
-        # Two dark modes one ulp apart are two poles whose gap midpoint is
-        # one of them, so the pair solve flags it singular.  The gap takes the
-        # class of the gap before it, or with the window starting on the
-        # first pole, that of the first classified gap.
+        # Two dark modes one ulp apart are two poles whose midpoint is one of
+        # them, so the whole network is singular there.  No port is linked to
+        # them, so a batch mixing them with other dark modes reports what the
+        # plain members do, with the window starting on the first pole too.
         pole = 0.3
         pair = [pole, np.nextafter(pole, 1.0)]
         assert np.isnan(transmission_grid(with_dark_modes(resonant(2.6), pair), [np.mean(pair)], "a", "b", "nan"))
@@ -685,8 +671,8 @@ class TestBatchedReports:
 
         def crossings(group):
             out = [None] * len(group)
-            for rows, level in _groups(group, None, None):
-                for row, *values in zip(rows, *_real_eigenvalues(_level_set_matrices(*level, gamma)[1], -3.0, 3.0)):
+            for rows, *members in _groups(group, None, None):
+                for row, *values in zip(rows, *_real_eigenvalues(_level_set_matrices(*members, gamma), -3.0, 3.0)):
                     out[row] = values
             return out
 
@@ -818,9 +804,10 @@ class TestLevelSetEdges:
         ids=["resonant", "two_mode"],
     )
     def test_weakly_damped_passbands(self, net, threshold, count):
-        # Every eigenvalue of H lies within 1e-8 ||H||_F of the real axis, so
-        # these poles are cuts too, inside passbands ~1e-8 wide: the side
-        # bands of the resonant chain sit at +/- sqrt(2).
+        # Every eigenvalue of H lies within 1e-8 ||H||_F of the real axis.
+        # eta is analytic through these weakly damped modes, so the level-set
+        # crossings alone bound their passbands, ~1e-8 wide: the side bands
+        # of the resonant chain sit at +/- sqrt(2).
         window = (-3.0, 3.0)
         report = high_efficiency_intervals(net, "a", "b", threshold, window)
         assert len(report.intervals) == count

@@ -118,7 +118,8 @@ def test_parameter_validation():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=repr)
 def test_a_nonfinite_coupling_or_damping_yields_no_number(bad):
-    # The closed forms are the reference oracle: a wrong input must raise, not return nan.
+    # The closed forms are the reference oracle: a wrong input, the frequency
+    # included, must raise, not return nan.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"^kappa must be positive and finite, got {bad}$"):
@@ -129,6 +130,10 @@ def test_a_nonfinite_coupling_or_damping_yields_no_number(bad):
             efficiency_closed_form(0.0, 1.0, bad)
         with pytest.raises(ValueError, match=f"^g must be positive and finite, got {bad}$"):
             efficiency_closed_form(0.0, bad, 1.0)
+        with pytest.raises(ValueError, match=f"^omega must be finite, got {bad}$"):
+            reflection_coefficients(bad, 1.0, 1.0)
+        with pytest.raises(ValueError, match=f"^omega must be finite, got {bad}$"):
+            efficiency_closed_form(np.array([0.5, bad]), 1.0, 1.0)
 
 
 class TestDirectCoupling:

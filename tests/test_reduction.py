@@ -41,6 +41,8 @@ from modeconv.scattering import (
     transmission_grid,
 )
 
+from dark_modes import with_dark_modes
+
 KAPPA = 2.6
 # An even point count straddles omega = 0, where compensated ensembles with
 # delta_mu = 0 are exactly singular.
@@ -169,24 +171,14 @@ def test_port_space_scattering_matrix_equals_the_full_one(n_atoms):
         assert np.abs(amps + 2.0 * x[:, 0]).max() <= 1e-11 * np.abs(x[:, 0]).max()
 
 
-def with_decoupled_modes(net, omegas):
-    """``net`` plus one decoupled undamped mode at each frequency in ``omegas``."""
-    n, m = net.n_modes, net.n_modes + len(omegas)
-    coupling = np.zeros((m, m), dtype=complex)
-    coupling[:n, :n] = net.coupling
-    coupling[range(n, m), range(n, m)] = omegas
-    labels = net.labels + tuple(f"d{k}" for k in range(len(omegas)))
-    return new_network(labels, coupling, np.concatenate([net.damping, np.zeros(len(omegas))]))
-
-
 @pytest.mark.parametrize(
     "net",
     [
         ConverterFamily("resonant", 1.3).build(2.6),
         ConverterFamily("detuned", 0.8, delta_mu=3.0).build(0.2),
         ConverterFamily("two_mode", 0.5).build(1.0),
-        with_decoupled_modes(ConverterFamily("resonant", 1.0).build(2.6), [0.0]),
-        with_decoupled_modes(ConverterFamily("resonant", 1.0).build(2.6), [-0.7, 0.0015, 0.003]),
+        with_dark_modes(ConverterFamily("resonant", 1.0).build(2.6), [0.0]),
+        with_dark_modes(ConverterFamily("resonant", 1.0).build(2.6), [-0.7, 0.0015, 0.003]),
     ],
     ids=["resonant", "detuned", "two_mode", "one_dark_mode", "three_dark_modes"],
 )

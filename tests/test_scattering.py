@@ -34,6 +34,8 @@ from modeconv.scattering import (
     transmission_grid,
 )
 
+from dark_modes import with_dark_modes
+
 
 def one_mode(kappa=2.0):
     return new_network(("a",), np.zeros((1, 1)), (kappa,))
@@ -253,16 +255,6 @@ def spread_ensemble(n_atoms, seed):
     )
 
 
-def with_decoupled_modes(net, omegas):
-    """``net`` plus one decoupled undamped mode at each frequency in ``omegas``."""
-    n, m = net.n_modes, net.n_modes + len(omegas)
-    coupling = np.zeros((m, m), dtype=complex)
-    coupling[:n, :n] = net.coupling
-    coupling[range(n, m), range(n, m)] = omegas
-    labels = net.labels + tuple(f"d{k}" for k in range(len(omegas)))
-    return new_network(labels, coupling, np.concatenate([net.damping, np.zeros(len(omegas))]))
-
-
 def jittered_n16():
     return microscopic_network(spread_ensemble(16, 4), 2.6, 2.6)
 
@@ -371,7 +363,7 @@ class TestChunkedPairSolve:
         # Two decoupled undamped modes at 5 and 3 make those frequencies
         # singular beside a port-space ensemble; in pair order 5 comes first,
         # and a grid solved from position 3 on keeps the same gaps.
-        net = with_decoupled_modes(jittered_n16(), [5.0, 3.0])
+        net = with_dark_modes(jittered_n16(), [5.0, 3.0])
         grid = np.array([0.1, 1.0, 2.0, 4.0, 5.0, 6.0, 3.0, 7.0])
         whole = transmission_grid(net, grid, "a", "a", on_singular="nan")
         assert np.flatnonzero(np.isnan(whole)).tolist() == [4, 6]
