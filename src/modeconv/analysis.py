@@ -42,13 +42,16 @@ The width-versus-kappa curve is discontinuous where separate branches merge into
 one (the merged interval is suddenly much wider).  A merge is where the number
 of crossings changes, so the optimizer evaluates a coarse grid as one batch,
 then bisects on the crossing count between the best grid point and each
-neighbor whose count differs, to a bracket of 1e-12 * max(1, range width).
-Each level-set eigen-solve batch counts the midpoint and the midpoints of
-both its halves, the kappas the next two binary steps can visit, so a batch
-of at most three members takes two steps, with no pair solve; one batched
-report measures the bracket ends.  Where no merge beats the best grid point
-(a smooth maximum), golden section around it refines instead.  Either way
-the optimizer returns the best evaluation it has seen.  A
+neighbor whose count differs, to a bracket of 1e-12 times the kappa range's
+width.  Each level-set eigen-solve batch counts the midpoint and the
+midpoints of both its halves, the kappas the next two binary steps can visit,
+so a batch of at most three members takes two steps, with no pair solve; one
+batched report measures the bracket ends.  Where no merge beats the best grid
+point (a smooth maximum), golden section around it refines instead, to 1e-8
+times the range's width.  Either way the optimizer returns the best
+evaluation it has seen.  Both tolerances are relative to the range, so
+multiplying every rate by a power of two multiplies kappa* and the width by
+it exactly.  A
 :class:`modeconv.converter.ConverterFamily` hands over each batch of members
 as one validated stack; any other family is called once per kappa.  Which
 kind builds which network is decided in :mod:`modeconv.converter` alone: this
@@ -472,7 +475,7 @@ def optimize_kappa(
     merge, which is where the number of crossings (real eigenvalues of the
     level-set matrix in the window) changes.  For each neighbor of the best
     grid point whose crossing count differs from its own, the pair is
-    bisected on the count to a bracket of 1e-12 * max(1, range width), or
+    bisected on the count to a bracket of 1e-12 times the range's width, or
     until its ends are adjacent floats.  Each eigen-solve batch counts the
     midpoint and both midpoints the step after it can visit, so one batch
     of at most three members takes two binary steps; the bracket is the one
@@ -480,13 +483,14 @@ def optimize_kappa(
     of every bracket.  When no bracket end is wider than the best grid point
     (no neighbor differs in count, or the merge is narrower: a smooth
     interior maximum), golden section between the neighbors refines instead,
-    one batch of one member per step.  Every width is measured the same way,
-    and the optimizer returns the first widest (kappa, width) pair it
-    evaluated anywhere, in evaluation order, never a merely-converged-to
-    point.  A single-point range returns that kappa with its width.  When
-    every width it evaluated is 0 (no member reaches the threshold in the
-    window), it returns ``(kappa_range[0], 0.0)`` with a ``UserWarning``.
-    ``coarse_points`` must be an integer >= 2.
+    to 1e-8 times the range's width, one batch of one member per step.
+    Every width is measured the same way, and the optimizer returns the
+    first widest (kappa, width) pair it evaluated anywhere, in evaluation
+    order, never a merely-converged-to point.  A single-point range returns
+    that kappa with its width.  When every width it evaluated is 0 (no
+    member reaches the threshold in the window), it returns
+    ``(kappa_range[0], 0.0)`` with a ``UserWarning``.  ``coarse_points``
+    must be an integer >= 2.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
@@ -525,7 +529,7 @@ def optimize_kappa(
     best_i = int(np.argmax(widths))
     near = sorted({max(best_i - 1, 0), best_i, min(best_i + 1, len(ks) - 1)})
     counts = dict(zip(near, _crossing_counts(_members(family, ks[near]), None, None, threshold, omega_range)))
-    tol = 1e-12 * max(1.0, k_hi - k_lo)
+    tol = 1e-12 * (k_hi - k_lo)
 
     def midpoint(a, b):
         """The bisection's next kappa in [a, b], or None where it stops."""
@@ -559,7 +563,7 @@ def optimize_kappa(
     d = a + invphi * (b - a)
     (fc,) = widths_at([c])
     (fd,) = widths_at([d])
-    tol = 1e-8 * max(1.0, k_hi - k_lo)
+    tol = 1e-8 * (k_hi - k_lo)
     for _ in range(200):
         if b - a <= tol:
             break

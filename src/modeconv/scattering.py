@@ -17,12 +17,13 @@ M singular, which surfaces as :class:`SingularAtFrequencyError` — the physical
 statement that no steady state exists there.
 
 A network with at most |P| + 2 undamped modes for |P| ports (every built-in
-converter, and small networks with dark modes) solves M(omega) itself, in
-mode order.  A larger one is solved in port space, the exact form of the
-adiabatic elimination that :func:`modeconv.ensemble.effective_network`
-approximates.  Its undamped block is Hermitian: one ``eigh`` per network,
-A_UU = V diag(lam) V^H with W = A_PU V, leaves one bordered system per
-frequency, whose unknowns are the ports, carrying
+converter, and small networks with dark modes; :func:`_near_directions` sets
+the 2) solves M(omega) itself, in mode order.  A larger one is solved in port
+space, the exact form of the adiabatic elimination that
+:func:`modeconv.ensemble.effective_network` approximates.  Its undamped
+block is Hermitian: one ``eigh`` per network, A_UU = V diag(lam) V^H with
+W = A_PU V, leaves one bordered system per frequency, whose unknowns are the
+ports, carrying
 
     K_PP + 2i (A_PP - omega) - 2i sum_far w_j w_j^H / (lam_j - omega),
 
@@ -223,6 +224,15 @@ def _port_space(coupling, damping, h) -> _PortSpace:
     return _PortSpace(ports, inner, lam, v, w, outer, h)
 
 
+def _near_directions(ports: int) -> int:
+    """How many eigen-directions nearest omega a port space keeps as unknowns: |P| + 2.
+
+    A network with no more undamped modes than this would keep every one, so
+    :func:`_systems` solves it as M(omega) itself instead.
+    """
+    return ports + 2
+
+
 def _port_system(space: _PortSpace, omegas) -> tuple:
     """The bordered matrices at ``omegas``, one per row, and what their unknowns mean.
 
@@ -232,7 +242,7 @@ def _port_system(space: _PortSpace, omegas) -> tuple:
     the near ones).
     """
     p, m = len(space.ports), len(omegas)
-    r = p + 2
+    r = _near_directions(p)
     d = space.lam - omegas[:, None]
     near = np.argsort(np.abs(d), axis=1, kind="stable")[:, :r]
     far = np.ones(d.shape, dtype=bool)
@@ -328,11 +338,12 @@ def _h(coupling, damping) -> np.ndarray:
 def _systems(coupling, damping):
     """What :func:`_solve` works on: the stack :func:`_h`, or a list when a member needs its port space.
 
-    A member with more than |P| + 2 undamped modes is its :class:`_PortSpace`.
+    A member with more undamped modes than :func:`_near_directions` keeps is
+    its :class:`_PortSpace`.
     """
     h = _h(coupling, damping)
     undamped = (damping == 0.0).sum(axis=1)
-    small = undamped <= damping.shape[1] - undamped + 2
+    small = undamped <= _near_directions(damping.shape[1] - undamped)
     if small.all():
         return h
     return [x if s else _port_space(c, d, x) for x, s, c, d in zip(h, small, coupling, damping)]

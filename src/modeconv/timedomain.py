@@ -22,7 +22,9 @@ The integrator builds P and every k_i with a few matrix products before it
 steps, so the time loop does one matrix-vector product per step; the result
 is the four-stage RK4 result up to rounding.
 
-Outputs follow the input-output relation a_out = -sqrt(K) a - a_in at each port.
+Drives enter and outputs leave at the ports (damped modes) alone, with
+a_out = -sqrt(K) a - a_in, so drive, forcing and output arrays hold one row
+per port; the amplitudes of every mode are stored once, in the record returned.
 """
 
 from __future__ import annotations
@@ -77,13 +79,6 @@ def _max_rate(net: CoupledModeNetwork) -> float:
     return rate
 
 
-def _positive_step(dt: float) -> float:
-    dt = float(dt)
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    return dt
-
-
 def integrate(
     net: CoupledModeNetwork,
     drives,
@@ -97,13 +92,16 @@ def integrate(
     docstring), which is 4th-order RK4 on the half-step drive samples.
 
     ``drives`` is a list of :class:`DriveSignal`, at most one per port, each
-    carrying 2*n_steps + 1 half-step samples covering [0, t_max].  Raises
+    carrying 2*n_steps + 1 half-step samples covering [0, t_max]; drives and
+    outputs are rows in port order, the amplitudes rows in label order.  Raises
     :class:`StepTooLargeError` when dt exceeds MAX_STEP_FACTOR over the fastest
     rate in the network (largest coupling entry or damping rate).  A
     non-finite ``t_max`` or initial amplitude, or a ``dt`` that is not
     positive and finite, is a ``ValueError`` naming it.
     """
-    dt = _positive_step(dt)
+    dt = float(dt)
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     if not math.isfinite(t_max):
         raise ValueError(f"t_max must be finite, got {t_max}")
     n_steps = int(round(t_max / dt))
@@ -119,7 +117,7 @@ def integrate(
     ports = net.ports()
     n_half = 2 * n_steps + 1
 
-    drive_samples = np.zeros((n, n_half), dtype=complex)
+    drive_samples = np.zeros((len(ports), n_half), dtype=complex)
     seen: set[int] = set()
     for drive in drives:
         idx = net.index_of(drive.port)
@@ -136,15 +134,15 @@ def integrate(
             )
         if not np.all(np.isfinite(samples)):
             raise ValueError(f"drive for port {drive.port!r} contains non-finite samples")
-        drive_samples[idx] = samples
+        drive_samples[ports.index(idx)] = samples
 
-    sqrt_k = np.sqrt(net.damping)
+    sqrt_k = np.sqrt(net.damping[ports])
     forcing = -sqrt_k[:, None] * drive_samples
     m_op = -1j * net.coupling - np.diag(net.damping) / 2.0
 
     a = np.zeros(n, dtype=complex)
     if initial_amplitudes is not None:
-        a = np.asarray(initial_amplitudes, dtype=complex).copy()
+        a = np.asarray(initial_amplitudes, dtype=complex)
         if a.shape != (n,):
             raise ValueError(f"initial amplitudes must have shape ({n},), got {a.shape}")
         if not np.isfinite(a).all():
@@ -153,28 +151,26 @@ def integrate(
     # One RK4 step of da/dt = M a + f(t) is the affine map a -> P a + k_i with
     # H = dt M, P = I + H + H^2/2 + H^3/6 + H^4/24 and
     # k_i = dt/6 [(I + H + H^2/2 + H^3/4) f_2i + (4I + 2H + H^2/2) f_2i+1 + f_2i+2],
-    # where f_j is the forcing at half-step sample j.  Rows here are time steps.
+    # where f_j is the forcing at half-step sample j.  f is zero off the ports,
+    # so only the weights' port columns enter.  Rows here are time steps.
     eye = np.eye(n)
     h = dt * m_op
     h2 = h @ h
     h3 = h2 @ h
     propagator = eye + h + h2 / 2.0 + h3 / 6.0 + h3 @ h / 24.0
-    f_start, f_mid, f_end = forcing[:, 0:-1:2].T, forcing[:, 1::2].T, forcing[:, 2::2].T
-    start_weight = eye + h + h2 / 2.0 + h3 / 4.0
-    mid_weight = 4.0 * eye + 2.0 * h + h2 / 2.0
-    kicks = (dt / 6.0) * (f_start @ start_weight.T + f_mid @ mid_weight.T + f_end)
+    kicks = forcing[:, 0:-1:2].T @ (eye + h + h2 / 2.0 + h3 / 4.0)[:, ports].T
+    kicks += forcing[:, 1::2].T @ (4.0 * eye + 2.0 * h + h2 / 2.0)[:, ports].T
+    kicks[:, ports] += forcing[:, 2::2].T
+    kicks *= dt / 6.0
 
-    trajectory = np.empty((n_steps + 1, n), dtype=complex)
-    trajectory[0] = a
+    amplitudes = np.empty((n, n_steps + 1), dtype=complex)
+    amplitudes[:, 0] = a
     for i in range(n_steps):
         a = propagator @ a + kicks[i]
-        trajectory[i + 1] = a
-    amplitudes = np.ascontiguousarray(trajectory.T)
+        amplitudes[:, i + 1] = a
 
     times = np.arange(n_steps + 1) * dt
-    outputs = np.empty((len(ports), n_steps + 1), dtype=complex)
-    for row, p in enumerate(ports):
-        outputs[row] = -sqrt_k[p] * amplitudes[p] - drive_samples[p, ::2]
+    outputs = -sqrt_k[:, None] * amplitudes[ports] - drive_samples[:, ::2]
     return SimResult(times=times, mode_amplitudes=amplitudes, outputs=outputs)
 
 
@@ -184,20 +180,20 @@ def steady_state_response(
     in_port: str,
     out_port: str,
     amplitude: complex = 1.0,
-    dt: float | None = None,
 ) -> tuple[complex, SimResult]:
     """Drive ``in_port`` at frequency omega and demodulate the ``out_port`` output.
 
     The drive amplitude ramps on over 20/kappa_min with a half-Gaussian envelope
     (sigma = ramp/4) to avoid exciting off-resonant transients, then holds until
-    t = ramp + 40/kappa_min.  The returned ratio is the mean of
+    t = ramp + 40/kappa_min.  The step is DEFAULT_STEP_FACTOR over the larger of
+    the fastest rate and |omega|; :func:`integrate` takes any other step.  The
+    returned ratio, read from ``out_port``'s output row, is the mean of
     output * e^{+i omega t} over the last quarter of the run, divided by the
     drive amplitude; a zero amplitude returns ratio 0.  Raises
     :class:`NonConvergentError` when the demodulated ratio still drifts by more
-    than 1e-4 across the last tenth of the run.  A non-finite ``omega``, a
-    ``dt`` that is not positive and finite, or a port that
-    :meth:`~modeconv.network.CoupledModeNetwork.port_pair` rejects is an
-    error naming it, raised before any integration.
+    than 1e-4 across the last tenth of the run.  A non-finite ``omega``, or a
+    port that :meth:`~modeconv.network.CoupledModeNetwork.port_pair` rejects,
+    is an error naming it, raised before any integration.
     """
     omega = float(omega)
     if not math.isfinite(omega):
@@ -209,7 +205,7 @@ def steady_state_response(
     t_ramp = 20.0 / kappa_min
     t_total = t_ramp + 40.0 / kappa_min
     rate = max(_max_rate(net), abs(omega))
-    dt = DEFAULT_STEP_FACTOR / rate if dt is None else _positive_step(dt)
+    dt = DEFAULT_STEP_FACTOR / rate
     n_steps = int(math.ceil(t_total / dt))
     t_max = n_steps * dt
 

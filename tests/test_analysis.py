@@ -970,6 +970,17 @@ class TestMergeBisection:
         assert width_star == pytest.approx(1.9412335, abs=1e-6)
 
 
+@pytest.mark.parametrize("k", [-60, -20, -4, 4, 20])
+def test_optimum_scales_with_the_unit_of_frequency(k):
+    # Multiplying every rate by s = 2^k is exact in floating point, so kappa*
+    # and the width must be s times their s = 1 values, bit for bit: the
+    # optimizer's tolerances are relative to the kappa range.
+    s = 2.0**k
+    kappa_1, width_1 = optimize_kappa(ConverterFamily("detuned", g=1.0, delta_mu=3.0), 0.99, (0.1, 8.0))
+    kappa_s, width_s = optimize_kappa(ConverterFamily("detuned", g=s, delta_mu=3.0 * s), 0.99, (0.1 * s, 8.0 * s))
+    assert (kappa_s, width_s) == (kappa_1 * s, width_1 * s)
+
+
 class TestCountBatches:
     """The merge bisection takes two binary steps per crossing-count batch."""
 
@@ -988,7 +999,7 @@ class TestCountBatches:
         ((a, b),) = [(lo, hi) for lo, hi in zip(near, near[1:]) if count_of[lo] != count_of[hi]]
         count_a = count_of[a]
         window = default_omega_window(family.build((0.1 + 8.0) / 2.0))
-        tol, walked = 1e-12 * max(1.0, 8.0 - 0.1), 0
+        tol, walked = 1e-12 * (8.0 - 0.1), 0
         while b - a > tol and (a + b) / 2.0 not in (a, b):
             mid = (a + b) / 2.0
             walked += 1

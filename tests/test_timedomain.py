@@ -1,10 +1,13 @@
 """Tests for the RK4 integrator and the time/frequency cross-check."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from modeconv import timedomain
 from modeconv.converter import ResonantParams, resonant_network
+from modeconv.ensemble import default_validation_ensemble, microscopic_network
 from modeconv.errors import NonConvergentError, StepTooLargeError
 from modeconv.network import new_network
 from modeconv.timedomain import (
@@ -63,39 +66,68 @@ def test_driven_single_mode_is_fourth_order():
 
 
 def test_matches_a_four_stage_rk4_loop():
+    # "b" is mode 2 but port row 1: a drive landing in the wrong row fails here
     net = resonant_network(ResonantParams(1.0, 1.0, 2.6, 2.6))
     dt, t_max = 0.003, 3.0
     n_steps = int(round(t_max / dt))
     t_half = np.arange(2 * n_steps + 1) * (dt / 2.0)
-    samples = np.tanh(t_half) * np.exp(-0.5j * t_half)
+    signals = {"a": np.tanh(t_half) * np.exp(-0.5j * t_half), "b": np.sin(0.7 * t_half) + 0.3j}
     a0 = np.array([0.3, -0.2j, 0.1 + 0.1j])
-    result = integrate(net, [DriveSignal("a", samples)], t_max, dt, initial_amplitudes=a0)
-
     m_op = -1j * net.coupling - np.diag(net.damping) / 2.0
-    forcing = np.zeros((3, len(t_half)), dtype=complex)
-    forcing[net.index_of("a")] = -np.sqrt(net.damping[net.index_of("a")]) * samples
-    a = a0.astype(complex)
-    expected = [a]
-    for i in range(n_steps):
-        f0, f1, f2 = forcing[:, 2 * i], forcing[:, 2 * i + 1], forcing[:, 2 * i + 2]
-        k1 = m_op @ a + f0
-        k2 = m_op @ (a + dt / 2.0 * k1) + f1
-        k3 = m_op @ (a + dt / 2.0 * k2) + f1
-        k4 = m_op @ (a + dt * k3) + f2
-        a = a + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        expected.append(a)
-    expected = np.array(expected).T
-    scale = np.abs(expected).max()
-    assert np.abs(result.mode_amplitudes - expected).max() <= 1e-12 * scale
+    for driven in (("a",), ("b",), ("a", "b")):
+        drives = [DriveSignal(port, signals[port]) for port in driven]
+        result = integrate(net, drives, t_max, dt, initial_amplitudes=a0)
+
+        forcing = np.zeros((3, len(t_half)), dtype=complex)
+        for port in driven:
+            forcing[net.index_of(port)] = -np.sqrt(net.damping[net.index_of(port)]) * signals[port]
+        a = a0.astype(complex)
+        expected = [a]
+        for i in range(n_steps):
+            f0, f1, f2 = forcing[:, 2 * i], forcing[:, 2 * i + 1], forcing[:, 2 * i + 2]
+            k1 = m_op @ a + f0
+            k2 = m_op @ (a + dt / 2.0 * k1) + f1
+            k3 = m_op @ (a + dt / 2.0 * k2) + f1
+            k4 = m_op @ (a + dt * k3) + f2
+            a = a + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            expected.append(a)
+        expected = np.array(expected).T
+        scale = np.abs(expected).max()
+        assert np.abs(result.mode_amplitudes - expected).max() <= 1e-12 * scale, driven
 
 
 def test_output_record_is_input_output_consistent():
-    net = one_mode(1.0)
+    # two ports, a (mode 0) and b (mode 2), with an undamped mode between them
+    coupling = np.array([[0.0, 0.6, 0.0], [0.6, 0.0, 0.8], [0.0, 0.8, 0.0]])
+    net = new_network(("a", "c", "b"), coupling, (1.0, 0.0, 0.5))
     samples = np.ones(2 * 100 + 1, dtype=complex)
-    result = integrate(net, [DriveSignal("a", samples)], t_max=1.0, dt=0.01)
-    # a_out = -sqrt(kappa) a - a_in at every stored step
-    expect = -1.0 * result.mode_amplitudes[0] - samples[::2]
-    assert np.abs(result.outputs[0] - expect).max() < 1e-14
+    result = integrate(net, [DriveSignal("b", samples)], t_max=1.0, dt=0.01)
+    assert result.outputs.shape == (2, 101)
+    # a_out = -sqrt(kappa) a - a_in at every stored step, on every port
+    for row, (port, a_in) in enumerate((("a", 0.0), ("b", samples[::2]))):
+        mode = net.index_of(port)
+        expect = -np.sqrt(net.damping[mode]) * result.mode_amplitudes[mode] - a_in
+        assert np.abs(result.outputs[row] - expect).max() < 1e-14
+    assert np.abs(result.outputs[0]).max() > 0.0  # the drive on b reaches a's output
+
+
+def test_integrate_holds_at_most_three_amplitude_records():
+    # Drives, forcing and outputs have a row per port, not per mode, and the
+    # amplitudes are written once: the 34-mode network's peak is the record,
+    # the kicks and one product temporary, at most.
+    net = microscopic_network(default_validation_ensemble(), 2.6, 2.6)
+    n_steps = 20000
+    dt = timedomain.DEFAULT_STEP_FACTOR / timedomain._max_rate(net)
+    samples = np.exp(-0.3j * np.arange(2 * n_steps + 1) * (dt / 2.0))
+    tracemalloc.start()
+    try:
+        result = integrate(net, [DriveSignal("a", samples)], n_steps * dt, dt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    record = (n_steps + 1) * net.n_modes * 16
+    assert result.mode_amplitudes.nbytes == record
+    assert peak <= 3 * record
 
 
 def test_step_size_guard():
@@ -195,8 +227,6 @@ def test_non_finite_omega_is_named(omega):
 @pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, -0.01])
 def test_bad_step_is_named(dt):
     net = one_mode(1.0)
-    with pytest.raises(ValueError, match="dt must be positive and finite"):
-        steady_state_response(net, 0.3, "a", "a", dt=dt)
     with pytest.raises(ValueError, match="dt must be positive and finite"):
         integrate(net, [], t_max=1.0, dt=dt, initial_amplitudes=[1.0])
 
