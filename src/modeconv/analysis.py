@@ -16,16 +16,24 @@ midpoint classifies the gap; adjacent gaps above the threshold merge into one
 interval, and an interval touching a window end is clipped there.  An edge
 whose eta misses the threshold by more than ETA_REFINE_TOL (a root the
 eigensolver got only roughly) is polished by regula falsi inside the gaps'
-midpoints.  Several networks (the optimizer's coarse kappa grid) go through
-the same path as one batch with one port pair (:func:`_groups`: stacked once
-per mode count, cut down to the modes the coupling graph links to the pair
-and grouped by them): one ``eigvals`` call on the stack of each group's L,
-one pair solve for every gap midpoint and one for every edge.  Crossings come
-back padded with +inf, so each other step is one array operation on (member
-x cut) arrays, with no loop over members; a map reads its rows from the same
-stacks of whole networks (:func:`_stacks`).  Only reports and maps build the
-pair-solve arrays; crossing counts read the coupling and damping stacks
-alone.
+midpoints.  Several members (the optimizer's coarse kappa grid) go through
+the same path as one batch with one port pair: one ``eigvals`` call on the
+stack of each group's L (:func:`_groups`: cut down to the modes the coupling
+graph links to the pair and grouped by them), one pair solve for every gap
+midpoint and one for every edge.  Crossings come back padded with +inf, so
+each other step is one array operation on (member x cut) arrays, with no
+loop over members.
+
+A batch is a (rows, coupling, damping, modes) stack of one mode count, and
+:func:`_members` is the only place a family becomes batches: a
+:class:`modeconv.converter.ConverterFamily` hands over its validated stack,
+with no network built, and any other family is called once per kappa and
+its networks stacked once per mode count (:func:`_stacks`).  Past that point
+everything works on stacks: groups, edges, crossing counts, pair solves and
+map rows.  Network objects appear only at the edges, where the public report
+functions take one and a callable family gives them; only reports and maps
+build the pair-solve arrays, and crossing counts read the coupling and
+damping stacks alone.
 
 The crossings and the window ends are the only cuts.  A real eigenvalue of H
 is a pole: its mode x is undamped (Kx = 0), so it cancels from S_out,in and
@@ -43,19 +51,19 @@ one (the merged interval is suddenly much wider).  A merge is where the number
 of crossings changes, so the optimizer evaluates a coarse grid as one batch,
 then bisects on the crossing count between the best grid point and each
 neighbor whose count differs, to a bracket of 1e-12 times the kappa range's
-width.  Each level-set eigen-solve batch counts the midpoint and the
-midpoints of both its halves, the kappas the next two binary steps can visit,
-so a batch of at most three members takes two steps, with no pair solve; one
-batched report measures the bracket ends.  Where no merge beats the best grid
-point (a smooth maximum), golden section around it refines instead, to 1e-8
-times the range's width.  Either way the optimizer returns the best
+width.  The counts of the grid points come from the grid's own eigen-solve.
+Each level-set eigen-solve batch counts the midpoint and the midpoints of
+both its halves, the kappas the next two binary steps can visit, so a batch
+of at most three members takes two steps, with no pair solve; one batch
+measures the bracket ends.  The optimizer reads each member's widest width
+from the edge arrays (:func:`_widths`) and builds no report.  Where no merge
+beats the best grid point (a smooth maximum), golden section around it
+refines instead, to 1e-8 times the range's width.  Either way the optimizer returns the best
 evaluation it has seen.  Both tolerances are relative to the range, so
 multiplying every rate by a power of two multiplies kappa* and the width by
-it exactly.  A
-:class:`modeconv.converter.ConverterFamily` hands over each batch of members
-as one validated stack; any other family is called once per kappa.  Which
-kind builds which network is decided in :mod:`modeconv.converter` alone: this
-module takes networks in and gives reports out.
+it exactly.  Which kind builds which network is decided in
+:mod:`modeconv.converter` alone: this module takes families and networks in
+and gives reports, maps and optima out.
 """
 
 from __future__ import annotations
@@ -73,7 +81,7 @@ from .converter import ConverterFamily
 from .converter import detuned_network, resonant_network  # noqa: F401
 from .linalg import eigenvalues_hermitian
 from .network import CoupledModeNetwork
-from .scattering import _member_stack, _pair_stack, _pair_transmission, transmission_grid
+from .scattering import _member_stack, _pair_modes, _pair_stack, _pair_transmission, transmission_grid
 
 # Scan spacing of the merge-dip allowance in bench/oracles.py, its only reader.
 DEFAULT_SCAN_POINTS = 4001
@@ -129,15 +137,21 @@ class EfficiencyMap:
     etas: np.ndarray
 
 
-def _members(family, kappas) -> list[CoupledModeNetwork]:
-    """The members of ``family`` at ``kappas``.
+def _members(family, kappas, in_port, out_port):
+    """The members of ``family`` at ``kappas`` as batches, each member between its ``port_pair(in_port, out_port)``.
 
-    A :class:`ConverterFamily` builds them as one validated stack; any other
-    callable kappa -> network is called once per kappa.
+    The one place a family becomes batches.  A :class:`ConverterFamily`
+    hands over its members as one validated stack, with every check and
+    message of :meth:`ConverterFamily.members` and no network built; any
+    other callable kappa -> network is called once per kappa and its
+    networks stacked once per mode count by :func:`_stacks`.  Yields what
+    :func:`_stacks` does, with ``rows`` the members' indices in ``kappas``.
     """
     if isinstance(family, ConverterFamily):
-        return family.members(kappas)
-    return [family(float(k)) for k in kappas]
+        labels, coupling, damping = family.stack(kappas)
+        yield np.arange(len(damping)), coupling, damping, _pair_modes(labels, damping, in_port, out_port)
+    else:
+        yield from _stacks([family(float(k)) for k in kappas], in_port, out_port)
 
 
 def default_omega_window(net: CoupledModeNetwork) -> tuple[float, float]:
@@ -207,8 +221,8 @@ def _stacks(nets, in_port, out_port):
         yield rows, *_member_stack([nets[j] for j in rows], in_port, out_port)
 
 
-def _groups(nets, in_port, out_port):
-    """The stacks of :func:`_stacks` on the modes the port pair sees, in groups.
+def _groups(batches):
+    """The ``batches`` of :func:`_members` or :func:`_stacks` on the modes the port pair sees, in groups.
 
     A member keeps the modes its coupling graph links to the pair; no other
     mode takes part in S_out,in.  A group's members keep the same modes, and a
@@ -216,7 +230,7 @@ def _groups(nets, in_port, out_port):
     Yields what :func:`_stacks` does, with ``modes`` the pair's places among
     the kept modes.
     """
-    for rows, coupling, damping, modes in _stacks(nets, in_port, out_port):
+    for rows, coupling, damping, modes in batches:
         linked = coupling != 0.0
         # the pair and its neighbors, then every mode linked to them
         reach = (linked | np.eye(damping.shape[1], dtype=bool))[np.arange(len(rows))[:, None], modes].any(axis=1)
@@ -312,13 +326,15 @@ def _polish(stack, member, threshold, x, lo, g_lo, hi, g_hi) -> np.ndarray:
     return x
 
 
-def _group_ends(coupling, damping, modes, threshold: float, w_lo: float, w_hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """The interval edges of one group of :func:`_groups`, and each member's interval count.
+def _group_ends(coupling, damping, modes, threshold: float, w_lo: float, w_hi: float) -> tuple:
+    """The interval edges of one group of :func:`_groups`, each member's interval count and its crossing count.
 
-    The edges come as one (intervals, 2) array in member order.  Cuts, gap
-    midpoints and gap classes are (member x cut) arrays padded past each
-    member's last cut, so finding the runs of gaps above the threshold and
-    writing back the polished edges take one array operation each.
+    The edges come as one (intervals, 2) array in member order; the crossings
+    are the real eigenvalues of L_gamma in the window, as
+    :func:`_crossing_counts` counts them.  Cuts, gap midpoints and gap
+    classes are (member x cut) arrays padded past each member's last cut, so
+    finding the runs of gaps above the threshold and writing back the
+    polished edges take one array operation each.
     """
     mats = _level_set_matrices(coupling, damping, modes, math.sqrt(threshold))
     crossings, n_crossings = _real_eigenvalues(mats, w_lo, w_hi)
@@ -352,30 +368,52 @@ def _group_ends(coupling, damping, modes, threshold: float, w_lo: float, w_hi: f
     ends[inner] = _polish(
         stack, edge, threshold, cuts[edge, cut], mids[edge, cut - 1], g[edge, cut - 1], mids[edge, cut], g[edge, cut]
     )
-    return ends, np.bincount(member, minlength=m)
+    return ends, np.bincount(member, minlength=m), n_crossings
 
 
-def _bandwidth_reports(nets, in_port, out_port, threshold: float, omega_range) -> list[BandwidthReport]:
-    """One :class:`BandwidthReport` per network, each between its ``port_pair(in_port, out_port)``.
+def _edges(batches, threshold: float, omega_range):
+    """:func:`_group_ends` of each group of ``batches``, after the group's rows.
 
-    Networks are handled one group of :func:`_groups` at a time: one
-    ``eigvals`` call on the stack of their level-set matrices gives every
-    crossing, one pair solve classifies the gaps between them and the window
-    ends, and one more polishes every edge.
+    Each group is one ``eigvals`` call on the stack of its level-set
+    matrices, which gives every crossing, one pair solve that classifies the
+    gaps between them and the window ends, and one more that polishes every
+    edge.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
     w_lo, w_hi = _bounds("omega_range", omega_range)
     if not (math.isfinite(w_lo) and math.isfinite(w_hi)) or w_hi < w_lo:
         raise ValueError(f"omega_range must be finite with min <= max, got {omega_range}")
+    for rows, *group in _groups(batches):
+        yield rows, *_group_ends(*group, threshold, w_lo, w_hi)
+
+
+def _bandwidth_reports(nets, in_port, out_port, threshold: float, omega_range) -> list[BandwidthReport]:
+    """One :class:`BandwidthReport` per network, each between its ``port_pair(in_port, out_port)``.
+
+    The networks are stacked by :func:`_stacks` and measured by :func:`_edges`.
+    """
     reports = [None] * len(nets)
-    for rows, *group in _groups(nets, in_port, out_port):
-        ends, counts = _group_ends(*group, threshold, w_lo, w_hi)
+    for rows, ends, counts, _ in _edges(_stacks(nets, in_port, out_port), threshold, omega_range):
         edges = iter([Interval(lo=lo, hi=hi) for lo, hi in ends.tolist()])
         for row, count in zip(rows.tolist(), counts.tolist()):
             part = tuple(itertools.islice(edges, count))
             reports[row] = BandwidthReport(float(threshold), part, max((iv.width for iv in part), default=0.0))
     return reports
+
+
+def _widths(family, kappas, threshold: float, omega_range) -> tuple[np.ndarray, np.ndarray]:
+    """The widest interval's width of each member of ``family`` at ``kappas``, and its crossing count.
+
+    Each member is between its default ``port_pair()``.  The widths are
+    :func:`_bandwidth_reports`' ``max_width`` (0 where there is no interval),
+    read from the edge arrays of :func:`_edges` with no report built.
+    """
+    widths, crossings = np.zeros(len(kappas)), np.empty(len(kappas), dtype=int)
+    for rows, ends, counts, n_crossings in _edges(_members(family, kappas, None, None), threshold, omega_range):
+        np.maximum.at(widths, np.repeat(rows, counts), ends[:, 1] - ends[:, 0])
+        crossings[rows] = n_crossings
+    return widths, crossings
 
 
 def high_efficiency_intervals(
@@ -424,15 +462,17 @@ def efficiency_map(family, kappa_grid, omega_grid) -> EfficiencyMap:
     points (possible only for undamped members) are recorded as NaN gaps with
     a warning, as in :func:`efficiency_curve`.
 
-    The members go through the batches of :func:`optimize_kappa`, stacked
-    once per mode count, and each row is one pair solve of one member over
-    omega, so the solve holds one row's systems at a time: a row is byte for
-    byte that member's :func:`transmission_grid` between its default ports.
+    The members are the batches of :func:`_members`, as for
+    :func:`optimize_kappa`: a :class:`ConverterFamily` hands over one
+    validated stack, any other family is stacked once per mode count.  Each
+    row is one pair solve of one member over omega, so the solve holds one
+    row's systems at a time: a row is byte for byte that member's
+    :func:`transmission_grid` between its default ports.
     """
     kappas = _ascending_grid("kappa_grid", kappa_grid)
     omegas = _ascending_grid("omega_grid", omega_grid)
     etas = np.empty((len(kappas), len(omegas)))
-    for rows, *members in _stacks(_members(family, kappas), None, None):
+    for rows, *members in _members(family, kappas, None, None):
         stack = _pair_stack(*members)
         for i, row in enumerate(rows.tolist()):
             etas[row] = np.abs(_pair_transmission(stack, i, omegas, "nan")) ** 2
@@ -443,17 +483,17 @@ def efficiency_map(family, kappa_grid, omega_grid) -> EfficiencyMap:
     return EfficiencyMap(kappas=kappas.copy(), omegas=omegas.copy(), etas=etas)
 
 
-def _crossing_counts(nets, in_port, out_port, threshold: float, omega_range) -> np.ndarray:
-    """Each network's number of threshold crossings in the window, as one batch.
+def _crossing_counts(family, kappas, threshold: float, omega_range) -> np.ndarray:
+    """Each member's number of threshold crossings in the window, as one batch.
 
-    A crossing is a real eigenvalue of the network's level-set matrix
+    A crossing is a real eigenvalue of the member's level-set matrix
     L_gamma, gamma = sqrt(threshold), inside ``omega_range``; one stacked
-    ``eigvals`` call per group of :func:`_groups` counts them all, with no
-    pair solve.
+    ``eigvals`` call per group of :func:`_groups` of the :func:`_members` at
+    ``kappas`` counts them all, with no pair solve.
     """
     gamma, w_lo, w_hi = math.sqrt(threshold), float(omega_range[0]), float(omega_range[1])
-    counts = np.empty(len(nets), dtype=int)
-    for rows, *group in _groups(nets, in_port, out_port):
+    counts = np.empty(len(kappas), dtype=int)
+    for rows, *group in _groups(_members(family, kappas, None, None)):
         counts[rows] = _real_eigenvalues(_level_set_matrices(*group, gamma), w_lo, w_hi)[1]
     return counts
 
@@ -467,24 +507,28 @@ def optimize_kappa(
 ) -> tuple[float, float]:
     """Damping that maximizes the widest above-threshold interval.
 
-    ``family`` is any callable kappa -> network (a :class:`ConverterFamily`
-    is one, and builds each batch of members as one validated stack); each
-    member converts between its default ``port_pair()``.  The coarse grid
-    over ``kappa_range`` (default 201 points) is one batch: one eigen-solve
-    stack for all its members.  The width is discontinuous where branches
-    merge, which is where the number of crossings (real eigenvalues of the
-    level-set matrix in the window) changes.  For each neighbor of the best
-    grid point whose crossing count differs from its own, the pair is
-    bisected on the count to a bracket of 1e-12 times the range's width, or
-    until its ends are adjacent floats.  Each eigen-solve batch counts the
-    midpoint and both midpoints the step after it can visit, so one batch
-    of at most three members takes two binary steps; the bracket is the one
-    a step at a time would reach.  One batched report then measures both ends
-    of every bracket.  When no bracket end is wider than the best grid point
-    (no neighbor differs in count, or the merge is narrower: a smooth
-    interior maximum), golden section between the neighbors refines instead,
-    to 1e-8 times the range's width, one batch of one member per step.
-    Every width is measured the same way, and the optimizer returns the
+    ``family`` is any callable kappa -> network; each member converts
+    between its default ``port_pair()``.  Every batch of members comes from
+    :func:`_members`: a :class:`ConverterFamily` hands over one validated
+    stack and builds no network (but the one its default omega window comes
+    from), any other family is called once per kappa.  The coarse grid over
+    ``kappa_range`` (default 201 points) is one batch: one eigen-solve stack
+    for all its members, which gives each member's widest width and its
+    crossing count.  The width is discontinuous where branches merge, which
+    is where the number of crossings (real eigenvalues of the level-set
+    matrix in the window) changes.  For each neighbor of the best grid point
+    whose crossing count differs from its own, the pair is bisected on the
+    count to a bracket of 1e-12 times the range's width, or until its ends
+    are adjacent floats.  Each eigen-solve batch counts the midpoint and both
+    midpoints the step after it can visit, so one batch of at most three
+    members takes two binary steps; the bracket is the one a step at a time
+    would reach.  One batch then measures both ends of every bracket.  When
+    no bracket end is wider than the best grid point (no neighbor differs in
+    count, or the merge is narrower: a smooth interior maximum), golden
+    section between the neighbors refines instead, to 1e-8 times the range's
+    width, one batch of one member per step.  Every width is read from the
+    same edge arrays a report's would be, with no report built, and the
+    optimizer returns the
     first widest (kappa, width) pair it evaluated anywhere, in evaluation
     order, never a merely-converged-to point.  A single-point range returns
     that kappa with its width.  When every width it evaluated is 0 (no
@@ -505,10 +549,11 @@ def optimize_kappa(
         omega_range = default_omega_window(family((k_lo + k_hi) / 2.0))
     seen = []  # (kappa, width) of every member measured, in evaluation order
 
-    def widths_at(kappas) -> list[float]:
-        reports = _bandwidth_reports(_members(family, kappas), None, None, threshold, omega_range)
-        seen.extend((float(k), report.max_width) for k, report in zip(kappas, reports))
-        return [report.max_width for report in reports]
+    def widths_at(kappas) -> tuple[list[float], np.ndarray]:
+        widths, crossings = _widths(family, kappas, threshold, omega_range)
+        widths = widths.tolist()
+        seen.extend(zip(map(float, kappas), widths))
+        return widths, crossings
 
     def best() -> tuple[float, float]:
         kappa, width = max(seen, key=lambda entry: entry[1])  # the first of the widest
@@ -525,10 +570,10 @@ def optimize_kappa(
         return best()
 
     ks = np.linspace(k_lo, k_hi, int(coarse_points))
-    widths = widths_at(ks)
+    widths, crossings = widths_at(ks)
     best_i = int(np.argmax(widths))
     near = sorted({max(best_i - 1, 0), best_i, min(best_i + 1, len(ks) - 1)})
-    counts = dict(zip(near, _crossing_counts(_members(family, ks[near]), None, None, threshold, omega_range)))
+    counts = {i: crossings[i] for i in near}
     tol = 1e-12 * (k_hi - k_lo)
 
     def midpoint(a, b):
@@ -545,7 +590,7 @@ def optimize_kappa(
         mid = midpoint(a, b)
         while mid is not None:
             batch = [k for k in (mid, midpoint(a, mid), midpoint(mid, b)) if k is not None]
-            counted = dict(zip(batch, _crossing_counts(_members(family, batch), None, None, threshold, omega_range)))
+            counted = dict(zip(batch, _crossing_counts(family, batch, threshold, omega_range)))
             while mid in counted:  # popped: a step that could not move the bracket asks for a new batch
                 if counted.pop(mid) == counts[i]:
                     a = mid
@@ -553,7 +598,7 @@ def optimize_kappa(
                     b = mid
                 mid = midpoint(a, b)
         brackets += [a, b]
-    if brackets and max(widths_at(brackets)) > widths[best_i]:
+    if brackets and max(widths_at(brackets)[0]) > widths[best_i]:
         return best()
 
     a = float(ks[near[0]])
@@ -561,8 +606,8 @@ def optimize_kappa(
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    (fc,) = widths_at([c])
-    (fd,) = widths_at([d])
+    (fc,), _ = widths_at([c])
+    (fd,), _ = widths_at([d])
     tol = 1e-8 * (k_hi - k_lo)
     for _ in range(200):
         if b - a <= tol:
@@ -570,9 +615,9 @@ def optimize_kappa(
         if fc < fd:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            (fd,) = widths_at([d])
+            (fd,), _ = widths_at([d])
         else:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            (fc,) = widths_at([c])
+            (fc,), _ = widths_at([c])
     return best()

@@ -43,7 +43,7 @@ from .errors import (
     SingularAtFrequencyError,
     StepTooLargeError,
 )
-from .formatting import csv_text, json_text
+from .formatting import csv_text, grid_csv_text, json_text
 from .network import network_from_dict
 from .scattering import transmission, transmission_grid
 from .timedomain import steady_state_response, trace_csv_text
@@ -318,11 +318,7 @@ def _cmd_map(cfg: dict) -> str:
     singular = np.argwhere(~np.isfinite(emap.etas))
     if len(singular):
         raise SingularAtFrequencyError(float(emap.omegas[singular[0][1]]))
-    n_kappa, n_omega = emap.etas.shape
-    rows = np.column_stack(
-        [np.repeat(emap.kappas, n_omega), np.tile(emap.omegas, n_kappa), emap.etas.ravel()]
-    )
-    return csv_text("kappa,omega,eta", rows)
+    return grid_csv_text("kappa,omega,eta", emap.kappas, emap.omegas, emap.etas)
 
 
 def _cmd_optimize(cfg: dict) -> str:

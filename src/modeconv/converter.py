@@ -32,7 +32,8 @@ strength s, both damped).
 Each model's coupling and damping formula is written once, as stacks that
 broadcast over kappa: a scalar constructor builds its stack of one through
 :func:`modeconv.network.new_network`, and :class:`ConverterFamily`, the one
-map from a kind to its formula, builds its members through ``new_networks``.
+map from a kind to its formula, builds its members through ``new_networks``
+or hands over their checked stack from ``validated_stack``.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateParametersError
-from .network import CoupledModeNetwork, new_network, new_networks
+from .network import CoupledModeNetwork, new_network, new_networks, validated_stack
 
 # The kinds of ConverterFamily, each one model's formula.
 FAMILY_KINDS = ("resonant", "detuned", "two_mode")
@@ -74,23 +75,24 @@ def _chain(s_o, s_mu, kappa_o, kappa_mu, delta_mu):
     scalar builder gets a stack of one and a family one member per kappa
     from the same formula.
     """
-    params = np.broadcast_arrays(*np.atleast_1d(s_o, s_mu, kappa_o, kappa_mu, delta_mu))
-    s_o, s_mu, kappa_o, kappa_mu, delta_mu = params
-    coupling = np.zeros(s_o.shape + (3, 3), dtype=complex)
+    shape = np.broadcast(*np.atleast_1d(s_o, s_mu, kappa_o, kappa_mu, delta_mu)).shape
+    coupling = np.zeros(shape + (3, 3), dtype=complex)
     coupling[:, 0, 1] = coupling[:, 1, 0] = s_o
     coupling[:, 1, 1] = delta_mu
     coupling[:, 1, 2] = coupling[:, 2, 1] = s_mu
-    damping = np.zeros(s_o.shape + (3,))
+    damping = np.zeros(shape + (3,))
     damping[:, 0], damping[:, 2] = kappa_o, kappa_mu
     return ("a", "c", "b"), coupling, damping
 
 
 def _two_mode(s, kappa_o, kappa_mu):
     """Labels, coupling stack and damping stack of the two-mode network, as :func:`_chain` gives them."""
-    s, kappa_o, kappa_mu = np.broadcast_arrays(*np.atleast_1d(s, kappa_o, kappa_mu))
-    coupling = np.zeros(s.shape + (2, 2), dtype=complex)
+    shape = np.broadcast(*np.atleast_1d(s, kappa_o, kappa_mu)).shape
+    coupling = np.zeros(shape + (2, 2), dtype=complex)
     coupling[:, 0, 1] = coupling[:, 1, 0] = s
-    return ("a", "b"), coupling, np.stack([kappa_o, kappa_mu], axis=1)
+    damping = np.zeros(shape + (2,))
+    damping[:, 0], damping[:, 1] = kappa_o, kappa_mu
+    return ("a", "b"), coupling, damping
 
 
 def resonant_network(p: ResonantParams) -> CoupledModeNetwork:
@@ -124,7 +126,8 @@ class ConverterFamily:
     on a kind that has no intermediate detuning, is a ``ValueError`` naming
     the field.  Calling the family builds its member at kappa, so it is a
     family kappa -> network for ``efficiency_map`` and ``optimize_kappa``;
-    :meth:`members` builds many kappas as one validated stack.
+    :meth:`members` builds many kappas as one validated stack, and
+    :meth:`stack` hands over that stack as arrays.
     """
 
     kind: str
@@ -154,12 +157,23 @@ class ConverterFamily:
         ``detuned_network(DetunedParams(g, g, k, k, delta_mu))`` or
         ``two_mode_network(g, k, k)``.
         """
+        return new_networks(*self._formula(kappas))
+
+    def stack(self, kappas) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+        """The labels and the coupling and damping stacks of :meth:`members`, with no network built.
+
+        The stack is :func:`modeconv.network.validated_stack`'s, with every
+        check and message of :meth:`members`.
+        """
+        return validated_stack(*self._formula(kappas))
+
+    def _formula(self, kappas):
         kappas = np.asarray(kappas, dtype=float)
         if self.kind == "two_mode":
-            return new_networks(*_two_mode(self.g, kappas, kappas))
+            return _two_mode(self.g, kappas, kappas)
         # +0.0 for a resonant member, as resonant_network writes it, even for delta_mu = -0.0
         delta_mu = self.delta_mu if self.kind == "detuned" else 0.0
-        return new_networks(*_chain(self.g, self.g, kappas, kappas, delta_mu))
+        return _chain(self.g, self.g, kappas, kappas, delta_mu)
 
 
 def reflection_coefficients(omega, g: float, kappa: float):

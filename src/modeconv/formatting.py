@@ -11,8 +11,10 @@ writes a sign and at least two exponent digits, and three string replacements
 turn that into ``int(exponent)``.  :func:`format_float` applies it to one value;
 :func:`csv_text` formats a table in blocks of rows, each block with a single
 ``%`` operation and one pass of the same rule, so no Python code runs per value
-and the memory held at once stays bounded by the block.  NaN and infinities
-have no place in the emitted files and raise ``ValueError`` naming the value.
+and the memory held at once stays bounded by the block.  :func:`grid_csv_text`
+writes the same lines for a table over a grid of two axes, formatting each
+axis value once instead of once per line.  NaN and infinities have no place in
+the emitted files and raise ``ValueError`` naming the value.
 """
 
 from __future__ import annotations
@@ -89,4 +91,27 @@ def csv_text(header: str, rows) -> str:
         if not finite.all():
             raise _non_finite(float(block[~finite][0]))
         parts.append(_minimal_exponents((line * len(block)) % tuple(block.ravel().tolist())))
+    return "".join(parts)
+
+
+def grid_csv_text(header: str, rows, columns, values) -> str:
+    """:func:`csv_text` of the table with one line (row, column, value) per grid point, row-major.
+
+    ``values`` is the (len(rows), len(columns)) grid.  The column strings make
+    one line template, which each row fills with one ``%`` over its values,
+    so each row and column value is formatted once; the exponent rule runs
+    once per row.  A non-finite entry raises the ``ValueError`` that
+    :func:`csv_text` raises for the first one in its line order.
+    """
+    rows, columns, values = (np.asarray(a, dtype=float) for a in (rows, columns, values))
+    if values.size == 0:
+        return header + "\n"
+    finite = np.isfinite(values) & np.isfinite(rows)[:, None] & np.isfinite(columns)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise _non_finite(next(float(x) for x in (rows[i], columns[j], values[i, j]) if not math.isfinite(x)))
+    pieces = ["," + column + ",%.12e\n" for column in ("%.12e" % x for x in columns.tolist())]
+    parts = [header + "\n"]
+    for row, line in zip(("%.12e" % x for x in rows.tolist()), values.tolist()):
+        parts.append(_minimal_exponents((row + row.join(pieces)) % tuple(line)))
     return "".join(parts)

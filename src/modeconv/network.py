@@ -9,6 +9,8 @@ entries coherent couplings) and K the diagonal matrix of non-negative damping
 rates.  Every damped mode is an input-output port; undamped modes are internal.
 Instances are immutable and validated on construction via :func:`new_network`,
 or :func:`new_networks` for a stack of members that share their labels.
+:func:`validated_stack` is that validation alone: it gives the checked stack
+as arrays, for callers that compute on the stack and need no network objects.
 """
 
 from __future__ import annotations
@@ -48,20 +50,25 @@ class CoupledModeNetwork:
         last.  Raises :class:`NoPortsError` when the network has no damped mode
         and a ``ValueError`` naming a given label that is not one.
         """
-        ports = self.port_labels()
-        if not ports:
-            raise NoPortsError("network has no damped modes, so no scattering ports")
-        pair = (ports[0] if in_port is None else in_port, ports[-1] if out_port is None else out_port)
-        for name, label in zip(("in_port", "out_port"), pair):
-            if label not in ports:
-                raise ValueError(f"{name} {label!r} is not a damped mode; ports are {ports}")
-        return pair
+        return _port_pair(self.labels, self.damping, in_port, out_port)
 
     def index_of(self, label: str) -> int:
         try:
             return self.labels.index(label)
         except ValueError:
             raise ValueError(f"no mode labeled {label!r} in network") from None
+
+
+def _port_pair(labels, damping, in_port, out_port) -> tuple[str, str]:
+    """:meth:`CoupledModeNetwork.port_pair` of the network with ``labels`` and the (n,) ``damping``."""
+    ports = [label for label, rate in zip(labels, damping.tolist()) if rate > 0.0]
+    if not ports:
+        raise NoPortsError("network has no damped modes, so no scattering ports")
+    pair = (ports[0] if in_port is None else in_port, ports[-1] if out_port is None else out_port)
+    for name, label in zip(("in_port", "out_port"), pair):
+        if label not in ports:
+            raise ValueError(f"{name} {label!r} is not a damped mode; ports are {ports}")
+    return pair
 
 
 def new_network(labels, coupling, damping) -> CoupledModeNetwork:
@@ -82,10 +89,20 @@ def new_network(labels, coupling, damping) -> CoupledModeNetwork:
 def new_networks(labels, couplings, dampings) -> list[CoupledModeNetwork]:
     """Validate and build one network per member of an (m, n, n) coupling and an (m, n) damping stack.
 
+    The members of :func:`validated_stack`: each shares ``labels``, and its
+    read-only coupling and damping are views of the one symmetrized stack.
+    """
+    labels, coupling, damping = validated_stack(labels, couplings, dampings)
+    return [CoupledModeNetwork(labels=labels, coupling=c, damping=d) for c, d in zip(coupling, damping)]
+
+
+def validated_stack(labels, couplings, dampings) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """The labels, coupling stack and damping stack of :func:`new_networks`, checked, without the networks.
+
     Every member shares ``labels`` and gets :func:`new_network`'s checks and
     messages; in a stack of more than one, an error names the first member
-    that fails its check, as ``member i: ...``.  The stack is symmetrized
-    once, and each member's read-only coupling and damping are views of it.
+    that fails its check, as ``member i: ...``.  The coupling stack is
+    symmetrized once; both stacks come back read-only.
     """
     labels = tuple(str(lbl) for lbl in labels)
     if len(set(labels)) != len(labels):
@@ -121,7 +138,7 @@ def new_networks(labels, couplings, dampings) -> list[CoupledModeNetwork]:
         raise NegativeDampingError(f"{member(i)}mode {labels[bad]!r} has damping {k[i, bad]} < 0")
     a.setflags(write=False)
     k.setflags(write=False)
-    return [CoupledModeNetwork(labels=labels, coupling=c, damping=d) for c, d in zip(a, k)]
+    return labels, a, k
 
 
 def network_to_json(net: CoupledModeNetwork) -> str:

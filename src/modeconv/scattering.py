@@ -64,7 +64,7 @@ import numpy as np
 
 from .errors import SingularAtFrequencyError, SingularMatrixError
 from .linalg import solve_batched, solve_with_condition
-from .network import CoupledModeNetwork
+from .network import CoupledModeNetwork, _port_pair
 
 # Eigenvalues of an undamped block closer than this times its largest
 # magnitude form one cluster: one degenerate level split by rounding.
@@ -312,22 +312,30 @@ def _solve(system, omegas, b, rows, solve) -> tuple[np.ndarray, np.ndarray]:
 def _member_stack(nets, in_port, out_port) -> tuple:
     """A batch of networks of one mode count as coupling and damping stacks, and each pair's modes.
 
-    Each member converts between its ``port_pair(in_port, out_port)``, resolved
-    once for the batch when every member shares the first one's labels and
-    damped modes (as the members of one ``new_networks`` stack do).  Returns
-    the (m, n, n) coupling and (m, n) damping stacks and the (m, 2) mode
-    indices of each member's (in, out) pair.
+    Each member converts between its ``port_pair(in_port, out_port)``,
+    resolved by :func:`_pair_modes` when every member shares the first one's
+    labels.  Returns the (m, n, n) coupling and (m, n) damping stacks and the
+    (m, 2) mode indices of each member's (in, out) pair.
     """
     coupling = np.array([net.coupling for net in nets])
     damping = np.array([net.damping for net in nets])
     first = nets[0]
+    if all(net.labels is first.labels or net.labels == first.labels for net in nets):
+        return coupling, damping, _pair_modes(first.labels, damping, in_port, out_port)
+    modes = np.array([[net.index_of(label) for label in net.port_pair(in_port, out_port)] for net in nets])
+    return coupling, damping, modes
+
+
+def _pair_modes(labels, damping, in_port, out_port) -> np.ndarray:
+    """The (m, 2) mode indices of each member's ``port_pair(in_port, out_port)``, for members sharing ``labels``.
+
+    ``damping`` is the (m, n) stack; the pair is resolved once for the batch
+    when every member damps the same modes.
+    """
     damped = damping > 0.0
-    if all(net.labels is first.labels or net.labels == first.labels for net in nets) and (damped == damped[0]).all():
-        pairs = [first.port_pair(in_port, out_port)]
-    else:
-        pairs = [net.port_pair(in_port, out_port) for net in nets]
-    modes = np.array([[net.index_of(label) for label in pair] for net, pair in zip(nets, pairs)])
-    return coupling, damping, np.broadcast_to(modes, (len(nets), 2))
+    rows = damping[:1] if (damped == damped[0]).all() else damping
+    modes = np.array([[labels.index(label) for label in _port_pair(labels, row, in_port, out_port)] for row in rows])
+    return modes.repeat(len(damping) // len(rows), axis=0)
 
 
 def _h(coupling, damping) -> np.ndarray:

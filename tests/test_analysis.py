@@ -20,6 +20,7 @@ from modeconv.analysis import (
     _level_set_matrices,
     _polish,
     _real_eigenvalues,
+    _stacks,
     branch_count,
     default_omega_window,
     efficiency_curve,
@@ -491,6 +492,22 @@ def test_fig4_optima(delta_mu, optimum):
     assert optimize_kappa(family, 0.99, (0.1, 8.0)) == pytest.approx(optimum, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "family",
+    [ConverterFamily("resonant"), ConverterFamily("detuned", g=1.0, delta_mu=3.0), ConverterFamily("two_mode", g=0.5)],
+    ids=["resonant", "detuned", "two_mode"],
+)
+def test_a_family_and_its_plain_callable_agree_bit_for_bit(family):
+    # The two ways into the batches: the family's validated stack, and one
+    # network per kappa stacked by mode count.
+    def plain(kappa):
+        return family.build(kappa)
+
+    assert repr(optimize_kappa(plain, 0.9, (0.1, 8.0))) == repr(optimize_kappa(family, 0.9, (0.1, 8.0)))
+    kappas, omegas = np.linspace(0.1, 5.0, 25), np.linspace(-3.0, 3.0, 61)
+    assert efficiency_map(plain, kappas, omegas).etas.tobytes() == efficiency_map(family, kappas, omegas).etas.tobytes()
+
+
 def mixed_family(kappa):
     """Members that differ in size, labels and port modes across the kappa range."""
     net = resonant(kappa)
@@ -671,14 +688,14 @@ class TestBatchedReports:
 
         def crossings(group):
             out = [None] * len(group)
-            for rows, *members in _groups(group, None, None):
+            for rows, *members in _groups(_stacks(group, None, None)):
                 for row, *values in zip(rows, *_real_eigenvalues(_level_set_matrices(*members, gamma), -3.0, 3.0)):
                     out[row] = values
             return out
 
         batch = crossings(nets)
         single = [crossings([net])[0] for net in nets]
-        assert _crossing_counts(nets, None, None, 0.99, (-3.0, 3.0)).tolist() == [count for _, count in batch]
+        assert _crossing_counts(build, kappas, 0.99, (-3.0, 3.0)).tolist() == [count for _, count in batch]
         for (values, count), (one_values, one_count) in zip(batch, single):
             assert count == one_count == np.count_nonzero(np.isfinite(values))
             assert values[:count].tobytes() == one_values[:one_count].tobytes()
@@ -832,36 +849,32 @@ class TestLevelSetEdges:
         assert x == pytest.approx([edge.lo, edge.hi], abs=1e-9)
 
 
-def record_reports(monkeypatch):
-    """Each ``_bandwidth_reports`` call optimize_kappa makes, as (member kappas, reports).
-
-    Every family used with it damps its first mode with kappa.
-    """
+def record_widths(monkeypatch):
+    """Each ``_widths`` call optimize_kappa makes, as (member kappas, widths, crossing counts)."""
     calls = []
-    batch = analysis._bandwidth_reports
+    widths_of = analysis._widths
 
-    def recorded(nets, in_port, out_port, threshold, omega_range):
-        reports = batch(nets, in_port, out_port, threshold, omega_range)
-        calls.append(([float(net.damping[0]) for net in nets], reports))
-        return reports
+    def recorded(family, kappas, threshold, omega_range):
+        widths, crossings = widths_of(family, kappas, threshold, omega_range)
+        calls.append(([float(k) for k in kappas], widths.tolist(), crossings.tolist()))
+        return widths, crossings
 
-    monkeypatch.setattr(analysis, "_bandwidth_reports", recorded)
+    monkeypatch.setattr(analysis, "_widths", recorded)
     return calls
 
 
 def record_count_batches(monkeypatch):
     """Each crossing-count batch optimize_kappa makes, as (member kappas, counts).
 
-    Every family used with it damps its first mode with kappa.  More than
-    200 batches fail the test, so a walk that does not stop ends it.
+    More than 200 batches fail the test, so a walk that does not stop ends it.
     """
     calls = []
     batch = analysis._crossing_counts
 
-    def recorded(nets, in_port, out_port, threshold, omega_range):
+    def recorded(family, kappas, threshold, omega_range):
         assert len(calls) < 200, "the merge bisection did not stop"
-        counts = batch(nets, in_port, out_port, threshold, omega_range)
-        calls.append(([float(net.damping[0]) for net in nets], counts))
+        counts = batch(family, kappas, threshold, omega_range)
+        calls.append(([float(k) for k in kappas], counts))
         return counts
 
     monkeypatch.setattr(analysis, "_crossing_counts", recorded)
@@ -885,17 +898,21 @@ class TestMergeBisection:
     @pytest.mark.parametrize("delta_mu", [0.0, 3.0, 10.0], ids=["resonant", "detuned3", "detuned10"])
     def test_optimum_sits_on_the_merge(self, monkeypatch, delta_mu):
         family = ConverterFamily(kind="detuned" if delta_mu else "resonant", delta_mu=delta_mu)
-        calls = record_reports(monkeypatch)
+        calls = record_widths(monkeypatch)
         kappa_star, width_star = optimize_kappa(family, 0.99, (0.1, 8.0))
-        (_, coarse), (bracket, ends) = calls
+        (_, coarse, _), (bracket, ends, _) = calls
         lo, hi = bracket
         assert 0.0 < hi - lo <= 1e-12 * 7.9
-        # one end is split into more intervals, the other merged and far wider
-        assert len(ends[0].intervals) != len(ends[1].intervals)
-        narrow, wide = sorted(report.max_width for report in ends)
+        # The widths are the reports' max_width at the bracket ends, one of
+        # them split into more intervals, the other merged and far wider.
+        window = default_omega_window(family.build((0.1 + 8.0) / 2.0))
+        reports = [high_efficiency_intervals(family.build(k), "a", "b", 0.99, window) for k in bracket]
+        assert [report.max_width for report in reports] == ends
+        assert len(reports[0].intervals) != len(reports[1].intervals)
+        narrow, wide = sorted(ends)
         assert wide > 1.5 * narrow
-        assert (kappa_star, width_star) in zip(bracket, (report.max_width for report in ends))
-        assert width_star == wide > max(report.max_width for report in coarse)
+        assert (kappa_star, width_star) in zip(bracket, ends)
+        assert width_star == wide > max(coarse)
         assert_optimum_on_theta(family, 0.99, (0.1, 8.0), kappa_star, width_star)
 
     def test_two_coarse_points_find_the_merge(self):
@@ -939,14 +956,14 @@ class TestMergeBisection:
         # on a grid point in the first case and on the best one in the second.
         # The optimum is pinned bit for bit: no reference bundle reaches this path.
         family = ConverterFamily(kind=kind)
-        calls = record_reports(monkeypatch)
+        calls = record_widths(monkeypatch)
         kappa_star, width_star = optimize_kappa(family, threshold, kappa_range, 21)
         assert (kappa_star, width_star) == optimum
-        (_, coarse), *rest = calls
-        # a bracket pair, if any, and then golden section's one-member reports
-        assert [len(kappas) for kappas, _ in rest[:1]] == [2 if bracketed else 1]
-        assert len(rest) > 20 and all(len(kappas) == 1 for kappas, _ in rest[1:])
-        assert width_star >= max(report.max_width for report in coarse)
+        (_, coarse, _), *rest = calls
+        # a bracket pair, if any, and then golden section's one-member batches
+        assert [len(kappas) for kappas, _, _ in rest[:1]] == [2 if bracketed else 1]
+        assert len(rest) > 20 and all(len(kappas) == 1 for kappas, _, _ in rest[1:])
+        assert width_star >= max(coarse)
         assert_optimum_on_theta(family, threshold, kappa_range, kappa_star, width_star)
 
     @pytest.mark.parametrize("omega_range", [None, (-3.0, 3.0)], ids=["default_window", "given_window"])
@@ -988,22 +1005,26 @@ class TestCountBatches:
     def test_two_steps_per_batch_reach_the_one_step_bracket(self, monkeypatch, delta_mu):
         family = ConverterFamily(kind="detuned" if delta_mu else "resonant", delta_mu=delta_mu)
         count = analysis._crossing_counts
-        batches = record_count_batches(monkeypatch)
-        reports = record_reports(monkeypatch)
+        steps = record_count_batches(monkeypatch)
+        widths = record_widths(monkeypatch)
         optimize_kappa(family, 0.99, (0.1, 8.0))
-        (near, near_counts), *steps = batches
-        (_, _), (bracket, _) = reports
-        assert len(near) == 3 and all(0 < len(kappas) <= 3 for kappas, _ in steps)
+        (ks, coarse, coarse_counts), (bracket, _, _) = widths
+        best = int(np.argmax(coarse))
+        assert 0 < best < len(ks) - 1 and all(0 < len(kappas) <= 3 for kappas, _ in steps)
+        # The neighbors' counts come from the coarse grid's eigen-solve, and
+        # equal those of a count batch of their own.
+        near = ks[best - 1 : best + 2]
+        window = default_omega_window(family.build((0.1 + 8.0) / 2.0))
+        count_of = dict(zip(near, coarse_counts[best - 1 : best + 2]))
+        assert count(family.build, near, 0.99, window).tolist() == list(count_of.values())
         # The same walk one count per step, from the neighbor pair whose counts differ.
-        count_of = dict(zip(near, near_counts))
         ((a, b),) = [(lo, hi) for lo, hi in zip(near, near[1:]) if count_of[lo] != count_of[hi]]
         count_a = count_of[a]
-        window = default_omega_window(family.build((0.1 + 8.0) / 2.0))
         tol, walked = 1e-12 * (8.0 - 0.1), 0
         while b - a > tol and (a + b) / 2.0 not in (a, b):
             mid = (a + b) / 2.0
             walked += 1
-            if count([family.build(mid)], None, None, 0.99, window)[0] == count_a:
+            if count(family.build, [mid], 0.99, window)[0] == count_a:
                 a = mid
             else:
                 b = mid
@@ -1011,24 +1032,30 @@ class TestCountBatches:
         assert walked > 30 and len(steps) == math.ceil(walked / 2)
 
     def test_coarse_grid_is_one_stack_without_single_builds(self, monkeypatch):
-        singles, stacks = [], []
-        new_network, new_networks = network_module.new_network, converter_module.new_networks
+        singles, built, stacks = [], [], []
+        new_network = network_module.new_network
+        new_networks, validated_stack = converter_module.new_networks, converter_module.validated_stack
 
         def single(*args):
             singles.append(args)
             return new_network(*args)
 
+        def networks(labels, couplings, dampings):
+            built.append(len(couplings))
+            return new_networks(labels, couplings, dampings)
+
         def stack(labels, couplings, dampings):
             stacks.append(len(couplings))
-            return new_networks(labels, couplings, dampings)
+            return validated_stack(labels, couplings, dampings)
 
         monkeypatch.setattr(converter_module, "new_network", single)
         monkeypatch.setattr(network_module, "new_network", single)
-        monkeypatch.setattr(converter_module, "new_networks", stack)
+        monkeypatch.setattr(converter_module, "new_networks", networks)
+        monkeypatch.setattr(converter_module, "validated_stack", stack)
         family = ConverterFamily("detuned", delta_mu=3.0)
         optimize_kappa(family, 0.99, (0.1, 8.0), omega_range=(-4.0, 7.0))
-        assert singles == [] and stacks[0] == 201 and max(stacks[1:]) <= 3
-        # The default window's member is a stack of one too.
+        assert singles == [] and built == [] and stacks[0] == 201 and max(stacks[1:]) <= 3
+        # The default window's member is the one network built, a stack of one.
         stacks.clear()
         optimize_kappa(family, 0.99, (0.1, 8.0))
-        assert singles == [] and stacks[:2] == [1, 201] and max(stacks[2:]) <= 3
+        assert singles == [] and built == [1] and stacks[0] == 201 and max(stacks[1:]) <= 3

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from modeconv import formatting
-from modeconv.formatting import csv_text, format_float, json_text
+from modeconv.formatting import csv_text, format_float, grid_csv_text, json_text
 
 
 def test_format_examples():
@@ -116,3 +116,47 @@ def test_non_finite_values_are_named(bad):
         csv_text("a,b", table)
     with pytest.raises(ValueError, match=message):
         csv_text("a,b", [(0.0, 1.0), (bad, 2.0)])
+
+
+def grid_table(rows, columns, values):
+    """The column-stacked (row, column, value) table of a grid, row-major."""
+    return np.column_stack([np.repeat(rows, len(columns)), np.tile(columns, len(rows)), np.ravel(values)])
+
+
+def test_grid_text_is_csv_text_of_the_stacked_table():
+    special = [0.0, -0.0, 1e-300, 1e300, 1.0 - 2.0**-53, -2.5e-7, 3.0]
+    rows = np.array(special)
+    columns = np.array(special[::-1] + [1e-5, -1e5])
+    values = np.random.default_rng(5).uniform(-1.0, 1.0, (len(rows), len(columns)))
+    values[:, : len(special)] = special
+    values[::2] = values[::2, ::-1]
+    text = grid_csv_text("kappa,omega,eta", rows, columns, values)
+    assert text == csv_text("kappa,omega,eta", grid_table(rows, columns, values))
+    assert all(x in text for x in ("-0.000000000000e0", "1.000000000000e-300", "1.000000000000e300"))
+    assert grid_csv_text("kappa,omega,eta", [], [1.0], np.zeros((0, 1))) == "kappa,omega,eta\n"
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        {"values": [(2, 3, np.nan)]},
+        {"columns": [(4, np.inf)], "values": [(0, 1, np.nan)]},
+        {"rows": [(3, -np.inf)], "values": [(3, 0, np.nan)]},
+        {"columns": [(2, -np.inf)], "values": [(1, 2, np.nan)]},
+    ],
+    ids=["value", "first_in_line_order", "row_before_value", "column_before_value"],
+)
+def test_grid_text_names_the_non_finite_value_csv_text_names(spoil):
+    rows, columns = np.linspace(0.1, 5.0, 5), np.linspace(-3.0, 3.0, 6)
+    values = np.full((5, 6), 0.5)
+    for i, x in spoil.get("rows", []):
+        rows[i] = x
+    for j, x in spoil.get("columns", []):
+        columns[j] = x
+    for i, j, x in spoil.get("values", []):
+        values[i, j] = x
+    with pytest.raises(ValueError, match="^cannot format non-finite value") as grid_error:
+        grid_csv_text("k,w,eta", rows, columns, values)
+    with pytest.raises(ValueError) as csv_error:
+        csv_text("k,w,eta", grid_table(rows, columns, values))
+    assert str(grid_error.value) == str(csv_error.value)
