@@ -24,11 +24,13 @@ midpoint and one for every edge.  Crossings come back padded with +inf, so
 each other step is one array operation on (member x cut) arrays, with no
 loop over members.
 
-A batch is a (rows, coupling, damping, modes) stack of one mode count, and
-:func:`_members` is the only place a family becomes batches: a
-:class:`modeconv.converter.ConverterFamily` hands over its validated stack,
-with no network built, and any other family is called once per kappa and
-its networks stacked once per mode count (:func:`_stacks`).  Past that point
+A batch is a (rows, coupling, damping, modes) stack of members that share
+their labels, and :func:`modeconv.scattering._stacks` is the only place
+networks become batches: one per label tuple, with each pair resolved once
+by ``_pair_modes``.  :func:`_members` is the only place a family becomes
+batches: a :class:`modeconv.converter.ConverterFamily` hands over its
+validated stack, with no network built, and any other family is called once
+per kappa and its networks go through ``_stacks``.  Past that point
 everything works on stacks: groups, edges, crossing counts, pair solves and
 map rows.  Network objects appear only at the edges, where the public report
 functions take one and a callable family gives them; only reports and maps
@@ -81,7 +83,7 @@ from .converter import ConverterFamily
 from .converter import detuned_network, resonant_network  # noqa: F401
 from .linalg import eigenvalues_hermitian
 from .network import CoupledModeNetwork
-from .scattering import _member_stack, _pair_modes, _pair_stack, _pair_transmission, transmission_grid
+from .scattering import _pair_modes, _pair_stack, _pair_transmission, _stacks, transmission_grid
 
 # Scan spacing of the merge-dip allowance in bench/oracles.py, its only reader.
 DEFAULT_SCAN_POINTS = 4001
@@ -137,21 +139,21 @@ class EfficiencyMap:
     etas: np.ndarray
 
 
-def _members(family, kappas, in_port, out_port):
-    """The members of ``family`` at ``kappas`` as batches, each member between its ``port_pair(in_port, out_port)``.
+def _members(family, kappas):
+    """The members of ``family`` at ``kappas`` as batches, each member between its default ``port_pair()``.
 
     The one place a family becomes batches.  A :class:`ConverterFamily`
     hands over its members as one validated stack, with every check and
     message of :meth:`ConverterFamily.members` and no network built; any
     other callable kappa -> network is called once per kappa and its
-    networks stacked once per mode count by :func:`_stacks`.  Yields what
-    :func:`_stacks` does, with ``rows`` the members' indices in ``kappas``.
+    networks stacked by :func:`modeconv.scattering._stacks`.  Yields what
+    ``_stacks`` does, with ``rows`` the members' indices in ``kappas``.
     """
     if isinstance(family, ConverterFamily):
         labels, coupling, damping = family.stack(kappas)
-        yield np.arange(len(damping)), coupling, damping, _pair_modes(labels, damping, in_port, out_port)
+        yield np.arange(len(damping)), coupling, damping, _pair_modes(labels, damping, None, None)
     else:
-        yield from _stacks([family(float(k)) for k in kappas], in_port, out_port)
+        yield from _stacks([family(float(k)) for k in kappas], None, None)
 
 
 def default_omega_window(net: CoupledModeNetwork) -> tuple[float, float]:
@@ -209,25 +211,13 @@ def efficiency_curve(net: CoupledModeNetwork, in_port: str, out_port: str, omega
     return EfficiencyCurve(omegas=omegas, etas=kept, in_port=in_port, out_port=out_port)
 
 
-def _stacks(nets, in_port, out_port):
-    """A batch, each member between its ``port_pair(in_port, out_port)``, stacked once per mode count.
-
-    Yields (rows, coupling, damping, modes): the members' indices in ``nets``
-    and their :func:`_member_stack`, the arguments of :func:`_pair_stack`.
-    """
-    sizes = [net.n_modes for net in nets]
-    for n in sorted(set(sizes)):
-        rows = np.array([j for j, size in enumerate(sizes) if size == n])
-        yield rows, *_member_stack([nets[j] for j in rows], in_port, out_port)
-
-
 def _groups(batches):
-    """The ``batches`` of :func:`_members` or :func:`_stacks` on the modes the port pair sees, in groups.
+    """The ``batches`` of :func:`_members` or ``_stacks`` on the modes the port pair sees, in groups.
 
     A member keeps the modes its coupling graph links to the pair; no other
     mode takes part in S_out,in.  A group's members keep the same modes, and a
     stack whose members all keep every mode is one group, without a copy.
-    Yields what :func:`_stacks` does, with ``modes`` the pair's places among
+    Yields what ``_stacks`` does, with ``modes`` the pair's places among
     the kept modes.
     """
     for rows, coupling, damping, modes in batches:
@@ -391,7 +381,7 @@ def _edges(batches, threshold: float, omega_range):
 def _bandwidth_reports(nets, in_port, out_port, threshold: float, omega_range) -> list[BandwidthReport]:
     """One :class:`BandwidthReport` per network, each between its ``port_pair(in_port, out_port)``.
 
-    The networks are stacked by :func:`_stacks` and measured by :func:`_edges`.
+    The networks are stacked by ``_stacks`` and measured by :func:`_edges`.
     """
     reports = [None] * len(nets)
     for rows, ends, counts, _ in _edges(_stacks(nets, in_port, out_port), threshold, omega_range):
@@ -410,7 +400,7 @@ def _widths(family, kappas, threshold: float, omega_range) -> tuple[np.ndarray, 
     read from the edge arrays of :func:`_edges` with no report built.
     """
     widths, crossings = np.zeros(len(kappas)), np.empty(len(kappas), dtype=int)
-    for rows, ends, counts, n_crossings in _edges(_members(family, kappas, None, None), threshold, omega_range):
+    for rows, ends, counts, n_crossings in _edges(_members(family, kappas), threshold, omega_range):
         np.maximum.at(widths, np.repeat(rows, counts), ends[:, 1] - ends[:, 0])
         crossings[rows] = n_crossings
     return widths, crossings
@@ -464,7 +454,7 @@ def efficiency_map(family, kappa_grid, omega_grid) -> EfficiencyMap:
 
     The members are the batches of :func:`_members`, as for
     :func:`optimize_kappa`: a :class:`ConverterFamily` hands over one
-    validated stack, any other family is stacked once per mode count.  Each
+    validated stack, any other family is stacked once per label tuple.  Each
     row is one pair solve of one member over omega, so the solve holds one
     row's systems at a time: a row is byte for byte that member's
     :func:`transmission_grid` between its default ports.
@@ -472,7 +462,7 @@ def efficiency_map(family, kappa_grid, omega_grid) -> EfficiencyMap:
     kappas = _ascending_grid("kappa_grid", kappa_grid)
     omegas = _ascending_grid("omega_grid", omega_grid)
     etas = np.empty((len(kappas), len(omegas)))
-    for rows, *members in _members(family, kappas, None, None):
+    for rows, *members in _members(family, kappas):
         stack = _pair_stack(*members)
         for i, row in enumerate(rows.tolist()):
             etas[row] = np.abs(_pair_transmission(stack, i, omegas, "nan")) ** 2
@@ -493,7 +483,7 @@ def _crossing_counts(family, kappas, threshold: float, omega_range) -> np.ndarra
     """
     gamma, w_lo, w_hi = math.sqrt(threshold), float(omega_range[0]), float(omega_range[1])
     counts = np.empty(len(kappas), dtype=int)
-    for rows, *group in _groups(_members(family, kappas, None, None)):
+    for rows, *group in _groups(_members(family, kappas)):
         counts[rows] = _real_eigenvalues(_level_set_matrices(*group, gamma), w_lo, w_hi)[1]
     return counts
 

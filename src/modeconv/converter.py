@@ -32,8 +32,8 @@ strength s, both damped).
 Each model's coupling and damping formula is written once, as stacks that
 broadcast over kappa: a scalar constructor builds its stack of one through
 :func:`modeconv.network.new_network`, and :class:`ConverterFamily`, the one
-map from a kind to its formula, builds its members through ``new_networks``
-or hands over their checked stack from ``validated_stack``.
+map from a kind to its formula, hands over its members' checked stack from
+``validated_stack`` and builds its networks from that stack.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateParametersError
-from .network import CoupledModeNetwork, new_network, new_networks, validated_stack
+from .network import CoupledModeNetwork, new_network, validated_stack
 
 # The kinds of ConverterFamily, each one model's formula.
 FAMILY_KINDS = ("resonant", "detuned", "two_mode")
@@ -157,23 +157,24 @@ class ConverterFamily:
         ``detuned_network(DetunedParams(g, g, k, k, delta_mu))`` or
         ``two_mode_network(g, k, k)``.
         """
-        return new_networks(*self._formula(kappas))
+        labels, coupling, damping = self.stack(kappas)
+        return [CoupledModeNetwork(labels=labels, coupling=c, damping=d) for c, d in zip(coupling, damping)]
 
     def stack(self, kappas) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
         """The labels and the coupling and damping stacks of :meth:`members`, with no network built.
 
-        The stack is :func:`modeconv.network.validated_stack`'s, with every
-        check and message of :meth:`members`.
+        The stack is :func:`modeconv.network.validated_stack`'s, with its
+        read-only arrays and every check and message.  ``kappas`` of more than
+        one dimension is a ``ValueError`` naming its shape.
         """
-        return validated_stack(*self._formula(kappas))
-
-    def _formula(self, kappas):
         kappas = np.asarray(kappas, dtype=float)
+        if kappas.ndim > 1:
+            raise ValueError(f"kappas must be a 1-D array, got shape {kappas.shape}")
         if self.kind == "two_mode":
-            return _two_mode(self.g, kappas, kappas)
+            return validated_stack(*_two_mode(self.g, kappas, kappas))
         # +0.0 for a resonant member, as resonant_network writes it, even for delta_mu = -0.0
         delta_mu = self.delta_mu if self.kind == "detuned" else 0.0
-        return _chain(self.g, self.g, kappas, kappas, delta_mu)
+        return validated_stack(*_chain(self.g, self.g, kappas, kappas, delta_mu))
 
 
 def reflection_coefficients(omega, g: float, kappa: float):

@@ -50,7 +50,7 @@ import numpy as np
 
 from .converter import ResonantParams, resonant_network
 from .errors import EmptyEnsembleError, HighMismatchWarning, ZeroDetuningError
-from .network import CoupledModeNetwork, new_network
+from .network import CoupledModeNetwork, _number, new_network
 from .scattering import transmission_grid
 
 # Above this mode mismatch the three-mode reduction is flagged as unreliable.
@@ -59,7 +59,11 @@ MISMATCH_WARN_LEVEL = 0.01
 
 @dataclass(frozen=True)
 class AtomParams:
-    """Couplings and detunings of one atom (all rates in units of the collective g)."""
+    """Couplings and detunings of one atom (all rates in units of the collective g).
+
+    Each field must be a finite number (the couplings may be complex); a bool
+    or anything else is a ``ValueError`` naming the field.
+    """
 
     g_o: complex
     g_mu: complex
@@ -71,7 +75,7 @@ class AtomParams:
         for name in ("g_o", "g_mu", "omega_rabi", "delta_o", "delta_mu"):
             value = getattr(self, name)
             kind, what = (numbers.Complex, "a number") if name.startswith("g_") else (numbers.Real, "real")
-            if not isinstance(value, kind):
+            if isinstance(value, bool) or not isinstance(value, kind):
                 raise ValueError(f"atom parameter {name} must be {what}, got {value!r}")
             if not (math.isfinite(abs(complex(value)))):
                 raise ValueError(f"atom parameter {name} must be finite, got {value!r}")
@@ -272,7 +276,7 @@ def ensemble_to_dict(ens: AtomEnsemble) -> dict:
 
 
 def ensemble_from_dict(doc: dict) -> AtomEnsemble:
-    """Inverse of :func:`ensemble_to_dict`; validates shape and finiteness."""
+    """Inverse of :func:`ensemble_to_dict`; validates shape and finiteness, and takes numbers only."""
     try:
         raw_atoms = doc["atoms"]
     except (TypeError, KeyError):
@@ -286,11 +290,11 @@ def ensemble_from_dict(doc: dict) -> AtomEnsemble:
             g_mu_re, g_mu_im = raw["g_mu"]
             atoms.append(
                 AtomParams(
-                    g_o=complex(float(g_o_re), float(g_o_im)),
-                    g_mu=complex(float(g_mu_re), float(g_mu_im)),
-                    omega_rabi=float(raw["omega_rabi"]),
-                    delta_o=float(raw["delta_o"]),
-                    delta_mu=float(raw["delta_mu"]),
+                    g_o=complex(_number("g_o", g_o_re), _number("g_o", g_o_im)),
+                    g_mu=complex(_number("g_mu", g_mu_re), _number("g_mu", g_mu_im)),
+                    omega_rabi=_number("omega_rabi", raw["omega_rabi"]),
+                    delta_o=_number("delta_o", raw["delta_o"]),
+                    delta_mu=_number("delta_mu", raw["delta_mu"]),
                 )
             )
         except (TypeError, KeyError, ValueError) as exc:

@@ -8,9 +8,9 @@ with A the Hermitian coupling matrix (diagonal entries are detunings, off-diagon
 entries coherent couplings) and K the diagonal matrix of non-negative damping
 rates.  Every damped mode is an input-output port; undamped modes are internal.
 Instances are immutable and validated on construction via :func:`new_network`,
-or :func:`new_networks` for a stack of members that share their labels.
-:func:`validated_stack` is that validation alone: it gives the checked stack
-as arrays, for callers that compute on the stack and need no network objects.
+which checks a stack of one with :func:`validated_stack`.  That check takes a
+stack of members that share their labels and gives it back as arrays, for
+callers that compute on the stack and need no network objects.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ def _port_pair(labels, damping, in_port, out_port) -> tuple[str, str]:
 
 
 def new_network(labels, coupling, damping) -> CoupledModeNetwork:
-    """Validate and build a network: :func:`new_networks` on a stack of one.
+    """Validate and build a network: :func:`validated_stack` on a stack of one.
 
     The coupling matrix must pass :func:`modeconv.linalg.check_hermitian`
     (:class:`NotHermitianError` otherwise) and is symmetrized to (A + A^dagger)/2
@@ -82,22 +82,12 @@ def new_network(labels, coupling, damping) -> CoupledModeNetwork:
     finite (``ValueError`` naming the field): a NaN would pass the Hermiticity
     test and an infinite rate would silently become a port.
     """
-    (net,) = new_networks(labels, [coupling], [damping])
-    return net
-
-
-def new_networks(labels, couplings, dampings) -> list[CoupledModeNetwork]:
-    """Validate and build one network per member of an (m, n, n) coupling and an (m, n) damping stack.
-
-    The members of :func:`validated_stack`: each shares ``labels``, and its
-    read-only coupling and damping are views of the one symmetrized stack.
-    """
-    labels, coupling, damping = validated_stack(labels, couplings, dampings)
-    return [CoupledModeNetwork(labels=labels, coupling=c, damping=d) for c, d in zip(coupling, damping)]
+    labels, couplings, dampings = validated_stack(labels, [coupling], [damping])
+    return CoupledModeNetwork(labels=labels, coupling=couplings[0], damping=dampings[0])
 
 
 def validated_stack(labels, couplings, dampings) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-    """The labels, coupling stack and damping stack of :func:`new_networks`, checked, without the networks.
+    """The labels, (m, n, n) coupling stack and (m, n) damping stack of m networks, checked.
 
     Every member shares ``labels`` and gets :func:`new_network`'s checks and
     messages; in a stack of more than one, an error names the first member
@@ -159,7 +149,28 @@ def network_from_json(text: str) -> CoupledModeNetwork:
 
 
 def network_from_dict(doc: dict) -> CoupledModeNetwork:
-    coupling = np.asarray(doc["coupling_re"], dtype=float) + 1j * np.asarray(
-        doc["coupling_im"], dtype=float
-    )
-    return new_network(doc["labels"], coupling, doc["damping"])
+    """The network of a JSON document; ``labels`` must be a list of strings and the rest numbers."""
+    labels = doc["labels"]
+    if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
+        raise ValueError(f"labels must be a list of strings, got {labels!r}")
+    coupling = _numbers("coupling_re", doc["coupling_re"]) + 1j * _numbers("coupling_im", doc["coupling_im"])
+    return new_network(labels, coupling, _numbers("damping", doc["damping"]))
+
+
+def _number(name: str, value) -> float:
+    """A number of a JSON document as a float; a string, a bool or anything else is a ``ValueError`` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(name: str, value) -> np.ndarray:
+    """Nested lists of numbers of a JSON document as a float array, each entry checked by :func:`_number`."""
+    items = [value]
+    while items:
+        item = items.pop()
+        if isinstance(item, list):
+            items.extend(reversed(item))
+        else:
+            _number(f"{name} entry", item)
+    return np.asarray(value, dtype=float)

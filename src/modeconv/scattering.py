@@ -46,8 +46,10 @@ So a point and a grid run the package's one elimination kernel on the same
 systems and trip the same pivot test, and a singular frequency can never slip
 through disguised as a plausible number.  The pair solve,
 :func:`_pair_transmission` with :func:`modeconv.linalg.solve_batched`, gives
-the transmissions of one port pair from a stack of :func:`_pair_stack`:
-:func:`transmission_grid` solves the stack of one network, :func:`transmission`
+the transmissions of one port pair from a stack of :func:`_pair_stack`.
+Networks become such batches in one way, :func:`_stacks`: one batch per label
+tuple, whose pairs :func:`_pair_modes` resolves to mode indices.
+:func:`transmission_grid` solves the batch of one network, :func:`transmission`
 its grid of one frequency, and :mod:`modeconv.analysis` whole batches.  The
 point solve, :func:`_solve_at` with :func:`modeconv.linalg.solve_with_condition`
 (which also reports the pivot ratio), gives whole columns at one frequency:
@@ -184,7 +186,7 @@ def transmission_grid(
     omegas = np.asarray(omegas, dtype=float)
     if omegas.ndim != 1:
         raise ValueError(f"omegas must be a 1-D frequency grid, got shape {omegas.shape}")
-    return _pair_transmission(_pair_stack(*_member_stack([net], in_port, out_port)), 0, omegas, on_singular)
+    return _pair_transmission(_pair_stack(*next(_stacks([net], in_port, out_port))[1:]), 0, omegas, on_singular)
 
 
 def _shifted(h, omegas) -> np.ndarray:
@@ -309,28 +311,29 @@ def _solve(system, omegas, b, rows, solve) -> tuple[np.ndarray, np.ndarray]:
     return x[np.arange(len(omegas))[:, None], rows], singular
 
 
-def _member_stack(nets, in_port, out_port) -> tuple:
-    """A batch of networks of one mode count as coupling and damping stacks, and each pair's modes.
+def _stacks(nets, in_port, out_port):
+    """The networks ``nets`` as batches, one per label tuple, each member between its ``port_pair(in_port, out_port)``.
 
-    Each member converts between its ``port_pair(in_port, out_port)``,
-    resolved by :func:`_pair_modes` when every member shares the first one's
-    labels.  Returns the (m, n, n) coupling and (m, n) damping stacks and the
-    (m, 2) mode indices of each member's (in, out) pair.
+    Yields (rows, coupling, damping, modes): the members' indices in
+    ``nets``, their (m, n, n) coupling and (m, n) damping stacks and the
+    (m, 2) mode indices of each member's (in, out) pair from
+    :func:`_pair_modes`, the arguments of :func:`_pair_stack`.
     """
-    coupling = np.array([net.coupling for net in nets])
-    damping = np.array([net.damping for net in nets])
-    first = nets[0]
-    if all(net.labels is first.labels or net.labels == first.labels for net in nets):
-        return coupling, damping, _pair_modes(first.labels, damping, in_port, out_port)
-    modes = np.array([[net.index_of(label) for label in net.port_pair(in_port, out_port)] for net in nets])
-    return coupling, damping, modes
+    batches: dict[tuple[str, ...], list[int]] = {}
+    for j, net in enumerate(nets):
+        batches.setdefault(net.labels, []).append(j)
+    for labels, rows in batches.items():
+        coupling = np.array([nets[j].coupling for j in rows])
+        damping = np.array([nets[j].damping for j in rows])
+        yield np.array(rows), coupling, damping, _pair_modes(labels, damping, in_port, out_port)
 
 
 def _pair_modes(labels, damping, in_port, out_port) -> np.ndarray:
     """The (m, 2) mode indices of each member's ``port_pair(in_port, out_port)``, for members sharing ``labels``.
 
-    ``damping`` is the (m, n) stack; the pair is resolved once for the batch
-    when every member damps the same modes.
+    The only place a port pair becomes mode indices.  ``damping`` is the
+    (m, n) stack; the pair is resolved once for the batch when every member
+    damps the same modes.
     """
     damped = damping > 0.0
     rows = damping[:1] if (damped == damped[0]).all() else damping
@@ -358,7 +361,7 @@ def _systems(coupling, damping):
 
 
 def _pair_stack(coupling, damping, modes) -> tuple:
-    """The pair-solve arrays of a batch from :func:`_member_stack`.
+    """The pair-solve arrays of a (coupling, damping, modes) batch of :func:`_stacks`.
 
     Returns the :func:`_systems`, the drives sqrt(K_in) e_in as an (m, n, 1)
     stack, the out modes, the readout factors 2 sqrt(K_out), and whether each

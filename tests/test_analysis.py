@@ -20,7 +20,6 @@ from modeconv.analysis import (
     _level_set_matrices,
     _polish,
     _real_eigenvalues,
-    _stacks,
     branch_count,
     default_omega_window,
     efficiency_curve,
@@ -40,7 +39,7 @@ from modeconv.converter import (
 from modeconv.ensemble import default_validation_ensemble, microscopic_network
 from modeconv.errors import NoPortsError
 from modeconv.network import new_network
-from modeconv.scattering import _member_stack, _pair_stack, dynamical_matrix, transmission_grid
+from modeconv.scattering import _pair_stack, _stacks, dynamical_matrix, transmission_grid
 
 from dark_modes import with_dark_modes, with_extra_modes
 
@@ -117,6 +116,14 @@ class TestConverterFamily:
     def test_a_bad_kappa_names_its_member(self):
         with pytest.raises(ValueError, match="^member 2: damping must be finite$"):
             ConverterFamily("resonant").members([1.0, 2.0, np.nan, np.inf])
+
+    @pytest.mark.parametrize("kappas", [[[1.0, 2.0]], [[1.0], [2.0]]], ids=["row", "column"])
+    def test_kappas_of_more_than_one_dimension_are_refused(self, kappas):
+        message = re.escape(f"kappas must be a 1-D array, got shape {np.shape(kappas)}")
+        for kind in ("resonant", "two_mode"):
+            for make in (ConverterFamily(kind).stack, ConverterFamily(kind).members):
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    make(kappas)
 
 
 def test_efficiency_curve_values():
@@ -843,7 +850,7 @@ class TestLevelSetEdges:
         (edge,) = high_efficiency_intervals(net, "a", "b", 0.99, (-3.0, 3.0)).intervals
         lo, hi = np.array([-1.0, 0.5]), np.array([-0.5, 1.0])
         g_lo, g_hi = (eta_by_solve(net, "a", "b", ends) - 0.99 for ends in (lo, hi))
-        stack = _pair_stack(*_member_stack([net], "a", "b"))
+        stack = _pair_stack(*next(_stacks([net], "a", "b"))[1:])
         x = _polish(stack, np.array([0, 0]), 0.99, (lo + hi) / 2.0, lo, g_lo, hi, g_hi)
         assert np.all(np.abs(efficiency_closed_form(x, 1.0, 2.6) - 0.99) <= ETA_REFINE_TOL)
         assert x == pytest.approx([edge.lo, edge.hi], abs=1e-9)
@@ -998,6 +1005,33 @@ def test_optimum_scales_with_the_unit_of_frequency(k):
     assert (kappa_s, width_s) == (kappa_1 * s, width_1 * s)
 
 
+# fig2's three networks at s = 1: (kind, g, delta_mu, kappa)
+FIG2_NETWORKS = {
+    "resonant": ("resonant", 1.0, 0.0, 2.6),
+    "detuned": ("detuned", 1.0, 10.0, 0.2),
+    "two_mode": ("two_mode", 0.1, 0.0, 0.2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIG2_NETWORKS))
+@pytest.mark.parametrize("k", [-60, -20, -4, 4, 20, 60, 300])
+def test_reports_and_grids_scale_with_the_unit_of_frequency(k, name):
+    # Every rate and frequency times s = 2^k is exact in floating point, so
+    # each band edge is s times its s = 1 edge and each transmission, a ratio
+    # of rates, keeps its bits.
+    s = 2.0**k
+    kind, g, delta_mu, kappa = FIG2_NETWORKS[name]
+    net_1 = ConverterFamily(kind, g=g, delta_mu=delta_mu).build(kappa)
+    net_s = ConverterFamily(kind, g=g * s, delta_mu=delta_mu * s).build(kappa * s)
+    report_1 = high_efficiency_intervals(net_1, "a", "b", 0.9, (-12.0, 12.0))
+    report_s = high_efficiency_intervals(net_s, "a", "b", 0.9, (-12.0 * s, 12.0 * s))
+    assert report_1.intervals
+    assert [(iv.lo, iv.hi) for iv in report_s.intervals] == [(iv.lo * s, iv.hi * s) for iv in report_1.intervals]
+    omegas = np.linspace(-3.0, 3.0, 601)
+    grid_1 = transmission_grid(net_1, omegas, "a", "b")
+    assert transmission_grid(net_s, s * omegas, "a", "b").tobytes() == grid_1.tobytes()
+
+
 class TestCountBatches:
     """The merge bisection takes two binary steps per crossing-count batch."""
 
@@ -1032,17 +1066,12 @@ class TestCountBatches:
         assert walked > 30 and len(steps) == math.ceil(walked / 2)
 
     def test_coarse_grid_is_one_stack_without_single_builds(self, monkeypatch):
-        singles, built, stacks = [], [], []
-        new_network = network_module.new_network
-        new_networks, validated_stack = converter_module.new_networks, converter_module.validated_stack
+        singles, stacks = [], []
+        new_network, validated_stack = network_module.new_network, converter_module.validated_stack
 
         def single(*args):
             singles.append(args)
             return new_network(*args)
-
-        def networks(labels, couplings, dampings):
-            built.append(len(couplings))
-            return new_networks(labels, couplings, dampings)
 
         def stack(labels, couplings, dampings):
             stacks.append(len(couplings))
@@ -1050,12 +1079,11 @@ class TestCountBatches:
 
         monkeypatch.setattr(converter_module, "new_network", single)
         monkeypatch.setattr(network_module, "new_network", single)
-        monkeypatch.setattr(converter_module, "new_networks", networks)
         monkeypatch.setattr(converter_module, "validated_stack", stack)
         family = ConverterFamily("detuned", delta_mu=3.0)
         optimize_kappa(family, 0.99, (0.1, 8.0), omega_range=(-4.0, 7.0))
-        assert singles == [] and built == [] and stacks[0] == 201 and max(stacks[1:]) <= 3
-        # The default window's member is the one network built, a stack of one.
+        assert singles == [] and stacks[0] == 201 and max(stacks[1:]) <= 3
+        # The default window's member is a stack of one, built before the grid.
         stacks.clear()
         optimize_kappa(family, 0.99, (0.1, 8.0))
-        assert singles == [] and built == [1] and stacks[0] == 201 and max(stacks[1:]) <= 3
+        assert singles == [] and stacks[:2] == [1, 201] and max(stacks[2:]) <= 3

@@ -13,7 +13,7 @@ from modeconv.cli import _PRESETS, _build_parser, main
 from modeconv.ensemble import AtomEnsemble, AtomParams, ensemble_to_dict, microscopic_network
 from modeconv.formatting import csv_text, json_text
 from modeconv.network import network_from_dict
-from modeconv.scattering import _member_stack, _pair_stack, _PortSpace, dynamical_matrix, transmission_grid
+from modeconv.scattering import _pair_stack, _PortSpace, _stacks, dynamical_matrix, transmission_grid
 
 
 def write_cfg(tmp_path, name, doc):
@@ -590,6 +590,35 @@ def test_custom_network_with_nan_is_malformed(tmp_path, capsys, field):
     assert "field 'network' is malformed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, document, message",
+    [
+        ("ensemble", {"delta_o": "50"}, "atom 0 is malformed: delta_o must be a number, got '50'"),
+        ("ensemble", {"omega_rabi": True}, "atom 0 is malformed: omega_rabi must be a number, got True"),
+        ("ensemble", {"g_o": ["2.5", "0"]}, "atom 0 is malformed: g_o must be a number, got '2.5'"),
+        ("network", {"labels": "ab"}, "labels must be a list of strings, got 'ab'"),
+        ("network", {"labels": "opt"}, "labels must be a list of strings, got 'opt'"),
+        ("network", {"coupling_re": [[0.0, "0"], [0.3, 0.0]]}, "coupling_re entry must be a number, got '0'"),
+        ("network", {"damping": [0.6, True]}, "damping entry must be a number, got True"),
+    ],
+)
+def test_documents_take_numbers_only(tmp_path, capsys, field, document, message):
+    if field == "ensemble":
+        atom = {"g_o": [2.5, 0.0], "g_mu": [0.25, 0.0], "omega_rabi": 5.0, "delta_o": 50.0, "delta_mu": 0.0}
+        doc = {"setup": "microscopic", "kappa": 2.6, "ensemble": {"atoms": [{**atom, **document}]}}
+    else:
+        net_doc = {
+            "labels": ["p", "q"],
+            "coupling_re": [[0.0, 0.3], [0.3, 0.0]],
+            "coupling_im": [[0.0, 0.0], [0.0, 0.0]],
+            "damping": [0.6, 0.6],
+        }
+        doc = {"setup": "custom", "network": {**net_doc, **document}}
+    doc["window"] = {"min": -1.0, "max": 1.0, "points": 4}
+    assert main(["sweep", write_cfg(tmp_path, "cfg.json", doc)]) == 1
+    assert capsys.readouterr().err == f"config error: field '{field}' is malformed: {message}\n"
+
+
 def test_microscopic_bandwidth_report_matches_the_library(tmp_path, capsys):
     rng = np.random.default_rng(3)
     atoms = [
@@ -607,7 +636,7 @@ def test_microscopic_bandwidth_report_matches_the_library(tmp_path, capsys):
     assert main(["bandwidth", write_cfg(tmp_path, "cfg.json", doc)]) == 0
     net = microscopic_network(ens, 2.6, 2.6)
     # 32 undamped modes behind two ports: the edges are refined in port space.
-    assert isinstance(_pair_stack(*_member_stack([net], "a", "b"))[0][0], _PortSpace)
+    assert isinstance(_pair_stack(*next(_stacks([net], "a", "b"))[1:])[0][0], _PortSpace)
     report = high_efficiency_intervals(net, "a", "b", 0.9, (-3.0, 3.0))
     intervals = [{"lo": iv.lo, "hi": iv.hi, "width": iv.width} for iv in report.intervals]
     expected = {"threshold": 0.9, "intervals": intervals, "max_width": report.max_width}

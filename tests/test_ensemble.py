@@ -274,6 +274,38 @@ def test_malformed_document_names_atom():
         ensemble_from_dict(doc)
 
 
+@pytest.mark.parametrize("field", ["g_o", "g_mu", "omega_rabi", "delta_o", "delta_mu"])
+def test_atom_parameters_refuse_a_bool(field):
+    values = {"g_o": 2.5, "g_mu": 0.25, "omega_rabi": 5.0, "delta_o": 50.0, "delta_mu": 0.0, field: True}
+    with pytest.raises(ValueError, match=f"^atom parameter {field} must be "):
+        AtomParams(**values)
+    assert getattr(AtomParams(**{**values, field: 1}), field) == 1
+
+
+@pytest.mark.parametrize(
+    "field, value, named",
+    [
+        ("delta_o", "50", "delta_o must be a number, got '50'"),
+        ("omega_rabi", True, "omega_rabi must be a number, got True"),
+        ("delta_mu", None, "delta_mu must be a number, got None"),
+        ("g_o", ["2.5", "0"], "g_o must be a number, got '2.5'"),
+        ("g_mu", [0.25, False], "g_mu must be a number, got False"),
+    ],
+)
+def test_document_takes_numbers_only(field, value, named):
+    doc = ensemble_to_dict(default_validation_ensemble())
+    doc["atoms"][2] = {**doc["atoms"][2], field: value}
+    with pytest.raises(ValueError, match=f"^atom 2 is malformed: {re.escape(named)}$"):
+        ensemble_from_dict(doc)
+
+
+def test_document_accepts_integers():
+    doc = {"atoms": [{"g_o": [2, 0], "g_mu": [1, -1], "omega_rabi": 5, "delta_o": 50, "delta_mu": 0}]}
+    (atom,) = ensemble_from_dict(doc).atoms
+    assert atom == AtomParams(2.0 + 0.0j, 1.0 - 1.0j, 5.0, 50.0, 0.0)
+    assert [type(getattr(atom, name)) for name in ("g_o", "omega_rabi")] == [complex, float]
+
+
 def test_non_finite_atom_rejected():
     with pytest.raises(ValueError):
         AtomParams(np.inf, 1.0, 1.0, 10.0, 0.0)

@@ -1,5 +1,7 @@
 """Tests for network construction, validation, and serialization."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from modeconv.errors import (
     NoPortsError,
     NotHermitianError,
 )
-from modeconv.network import network_from_dict, network_from_json, network_to_json, new_network, new_networks
+from modeconv.converter import ConverterFamily, DetunedParams, detuned_network
+from modeconv.network import network_from_dict, network_from_json, network_to_json, new_network, validated_stack
 
 
 def simple_net():
@@ -97,6 +100,38 @@ def test_from_dict_rejects_malformed_documents():
             network_from_dict(broken)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("labels", "ab", "labels must be a list of strings, got 'ab'"),
+        ("labels", "opt", "labels must be a list of strings, got 'opt'"),
+        ("labels", ["a", 2], "labels must be a list of strings, got ['a', 2]"),
+        ("coupling_re", [[0.0, "0"], [1.0, 0.0]], "coupling_re entry must be a number, got '0'"),
+        ("coupling_im", [[0.0, 0.0], [True, 0.0]], "coupling_im entry must be a number, got True"),
+        ("damping", [1.0, "1"], "damping entry must be a number, got '1'"),
+        ("damping", [1.0, True], "damping entry must be a number, got True"),
+        ("damping", None, "damping entry must be a number, got None"),
+    ],
+)
+def test_from_dict_takes_numbers_and_label_lists_only(field, value, message):
+    doc = {
+        "labels": ["a", "b"],
+        "coupling_re": [[0.0, 1.0], [1.0, 0.0]],
+        "coupling_im": [[0.0, 0.0], [0.0, 0.0]],
+        "damping": [1.0, 1.0],
+    }
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        network_from_dict({**doc, field: value})
+
+
+def test_from_dict_accepts_integers():
+    doc = {"labels": ["a", "b"], "coupling_re": [[0, 1], [1, 0]], "coupling_im": [[0, 0], [0, 0]], "damping": [1, 2]}
+    net = network_from_dict(doc)
+    floats = new_network(("a", "b"), [[0.0, 1.0], [1.0, 0.0]], [1.0, 2.0])
+    assert net.labels == floats.labels
+    assert net.coupling.tobytes() == floats.coupling.tobytes() and net.damping.tobytes() == floats.damping.tobytes()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_coupling_rejected(bad):
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -174,6 +209,8 @@ SPOILERS = [spoil_nan_coupling, spoil_hermiticity, spoil_negative_damping, spoil
 
 
 class TestNewNetworks:
+    """Stacks of members: the checks of ``validated_stack`` and the networks of ``ConverterFamily.members``."""
+
     @pytest.mark.parametrize("spoil", SPOILERS)
     def test_a_stack_of_one_raises_new_networks_exact_error(self, spoil):
         coupling, damping = chain_stack(1)
@@ -181,7 +218,7 @@ class TestNewNetworks:
         with pytest.raises((ValueError, ModeconvError)) as single:
             new_network(("a", "c", "b"), coupling[0], damping[0])
         with pytest.raises((ValueError, ModeconvError)) as stacked:
-            new_networks(("a", "c", "b"), coupling, damping)
+            validated_stack(("a", "c", "b"), coupling, damping)
         assert type(stacked.value) is type(single.value)
         assert str(stacked.value) == str(single.value)
 
@@ -190,7 +227,7 @@ class TestNewNetworks:
             with pytest.raises(ValueError) as single:
                 new_network(("a", "b"), coupling, damping)
             with pytest.raises(ValueError) as stacked:
-                new_networks(("a", "b"), [coupling], [damping])
+                validated_stack(("a", "b"), [coupling], [damping])
             assert str(stacked.value) == str(single.value)
 
     @pytest.mark.parametrize("spoil", SPOILERS)
@@ -201,29 +238,40 @@ class TestNewNetworks:
         with pytest.raises((ValueError, ModeconvError)) as single:
             new_network(("a", "c", "b"), coupling[1], damping[1])
         with pytest.raises((ValueError, ModeconvError)) as stacked:
-            new_networks(("a", "c", "b"), coupling, damping)
+            validated_stack(("a", "c", "b"), coupling, damping)
         assert type(stacked.value) is type(single.value)
         assert str(stacked.value) == "member 1: " + str(single.value)
 
     def test_a_longer_stack_with_the_wrong_shape(self):
         coupling, damping = chain_stack(4)
         with pytest.raises(ValueError, match=r"^member 0: coupling shape \(3, 3\) does not match 2 labels$"):
-            new_networks(("a", "b"), coupling, damping[:, :2])
+            validated_stack(("a", "b"), coupling, damping[:, :2])
         with pytest.raises(ValueError, match=r"^member 0: damping shape \(2,\) does not match 3 labels$"):
-            new_networks(("a", "c", "b"), coupling, damping[:, :2])
+            validated_stack(("a", "c", "b"), coupling, damping[:, :2])
         with pytest.raises(ValueError, match="damping stack of 3 members does not match coupling stack of 4"):
-            new_networks(("a", "c", "b"), coupling, damping[:3])
+            validated_stack(("a", "c", "b"), coupling, damping[:3])
 
     def test_members_are_read_only_views_of_one_symmetrized_stack(self):
         coupling, damping = chain_stack(3)
         coupling[:, 0, 1] += 1e-15 * np.arange(3)  # rounding-level asymmetry
-        nets = new_networks(("a", "c", "b"), coupling, damping)
-        for i, net in enumerate(nets):
+        labels, couplings, dampings = validated_stack(("a", "c", "b"), coupling, damping)
+        assert not couplings.flags.writeable and not dampings.flags.writeable
+        for i in range(3):
             single = new_network(("a", "c", "b"), coupling[i], damping[i])
+            assert labels == single.labels
+            assert couplings[i].tobytes() == single.coupling.tobytes()
+            assert dampings[i].tobytes() == single.damping.tobytes()
+        kappas = [0.5, 1.0, 2.0]
+        family = ConverterFamily("detuned", g=0.8, delta_mu=3.0)
+        nets = family.members(kappas)
+        for kappa, net in zip(kappas, nets):
+            single = detuned_network(DetunedParams(0.8, 0.8, kappa, kappa, 3.0))
             assert net.labels == single.labels
             assert net.coupling.tobytes() == single.coupling.tobytes()
             assert net.damping.tobytes() == single.damping.tobytes()
             assert not net.coupling.flags.writeable and not net.damping.flags.writeable
             assert net.coupling.base is nets[0].coupling.base is not None
             assert net.damping.base is nets[0].damping.base is not None
-        assert new_networks(("a",), np.zeros((0, 1, 1)), np.zeros((0, 1))) == []
+        labels, couplings, dampings = validated_stack(("a",), np.zeros((0, 1, 1)), np.zeros((0, 1)))
+        assert labels == ("a",) and couplings.shape == (0, 1, 1) and dampings.shape == (0, 1)
+        assert family.members([]) == []

@@ -31,9 +31,9 @@ from modeconv.errors import SingularAtFrequencyError
 from modeconv.linalg import solve_batched
 from modeconv.network import new_network
 from modeconv.scattering import (
-    _member_stack,
     _pair_stack,
     _PortSpace,
+    _stacks,
     dynamical_matrix,
     internal_amplitudes,
     scattering_matrix,
@@ -138,7 +138,7 @@ MICRO_NETWORKS = {
 @pytest.mark.parametrize("name", sorted(MICRO_NETWORKS))
 def test_reduction_identities_on_microscopic_networks(name):
     net = MICRO_NETWORKS[name]()
-    space = _pair_stack(*_member_stack([net], "a", "b"))[0][0]
+    space = _pair_stack(*next(_stacks([net], "a", "b"))[1:])[0][0]
     ports, inner = space.ports, space.inner
     assert ports.tolist() == [0, 1] and inner.tolist() == list(range(2, net.n_modes))
     a_uu = net.coupling[np.ix_(inner, inner)]
@@ -159,7 +159,7 @@ def test_reduction_identities_on_microscopic_networks(name):
 @pytest.mark.parametrize("n_atoms", [16, 64])
 def test_port_space_scattering_matrix_equals_the_full_one(n_atoms):
     net = micro(detuning_spread_ensemble(n_atoms, seed=3))
-    assert isinstance(_pair_stack(*_member_stack([net], "a", "b"))[0][0], _PortSpace)
+    assert isinstance(_pair_stack(*next(_stacks([net], "a", "b"))[1:])[0][0], _PortSpace)
     roots = np.sqrt(net.damping[:2])
     columns = np.zeros((net.n_modes, 2), dtype=complex)
     columns[[0, 1], [0, 1]] = roots
@@ -184,7 +184,7 @@ def test_port_space_scattering_matrix_equals_the_full_one(n_atoms):
 )
 def test_networks_already_hessenberg_are_left_exactly_alone(net):
     # At most |P| + 2 undamped modes: the pair solve works on M(omega) itself.
-    systems = _pair_stack(*_member_stack([net], "a", None))[0]
+    systems = _pair_stack(*next(_stacks([net], "a", None))[1:])[0]
     assert isinstance(systems, np.ndarray)
     assert np.array_equal(systems[0], unreduced(net))
 

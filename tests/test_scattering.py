@@ -24,9 +24,9 @@ from modeconv.ensemble import AtomEnsemble, AtomParams, default_validation_ensem
 from modeconv.errors import NoPortsError, SingularAtFrequencyError
 from modeconv.network import new_network
 from modeconv.scattering import (
-    _member_stack,
     _pair_stack,
     _pair_transmission,
+    _stacks,
     dynamical_matrix,
     internal_amplitudes,
     scattering_matrix,
@@ -386,7 +386,7 @@ class TestChunkedPairSolve:
             new_network(tuple("abcdefgh"), coupling, [1.0, 0.7] + [0.0] * 6),
             new_network(tuple("abcdefgh"), coupling, [1.0, 0.7, 0.4, 0.9] + [0.0] * 4),
         ]
-        stack = _pair_stack(*_member_stack(nets, "a", "b"))
+        stack = _pair_stack(*next(_stacks(nets, "a", "b"))[1:])
         assert [type(system).__name__ for system in stack[0]] == ["_PortSpace", "ndarray"]
         omegas = np.linspace(-2.0, 2.0, 41)
         both = _pair_transmission(stack, np.repeat([0, 1], 41), np.tile(omegas, 2))
