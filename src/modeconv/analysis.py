@@ -82,7 +82,7 @@ from .converter import ConverterFamily
 # module looks them up, and tests/test_bench_names.py fails without them.
 from .converter import detuned_network, resonant_network  # noqa: F401
 from .linalg import eigenvalues_hermitian
-from .network import CoupledModeNetwork
+from .network import CoupledModeNetwork, effective_hamiltonian
 from .scattering import _pair_modes, _pair_stack, _pair_transmission, _stacks, transmission_grid
 
 # Scan spacing of the merge-dip allowance in bench/oracles.py, its only reader.
@@ -270,7 +270,7 @@ def _level_set_matrices(coupling, damping, modes, gamma: float) -> np.ndarray:
     for the whole stack, the two off-diagonal-block ones as L_gamma's only
     entries in those blocks.
     """
-    h = coupling - 0.5j * (damping[:, None, :] * np.eye(coupling.shape[-1]))
+    h = effective_hamiltonian(coupling, damping)
     i, o = modes.T
     n, member = h.shape[-1], np.arange(len(h))
     d = 0.0 - (i == o)  # D: -1.0 or +0.0

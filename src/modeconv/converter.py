@@ -29,11 +29,12 @@ These closed forms are the independent check on the generic scattering engine.
 Also provided: the two-mode contrast network (a and b coupled directly with
 strength s, both damped).
 
-Each model's coupling and damping formula is written once, as stacks that
-broadcast over kappa: a scalar constructor builds its stack of one through
+Each model's formula is written once, as one coupling matrix and a damping
+stack broadcast over kappa, since kappa sets only the damping of a and b: a
+scalar constructor builds its one damping row through
 :func:`modeconv.network.new_network`, and :class:`ConverterFamily`, the one
-map from a kind to its formula, hands over its members' checked stack from
-``validated_stack`` and builds its networks from that stack.
+map from a kind to its formula, has ``validated_stack`` check its coupling
+once and hands it over for all its members beside their damping stack.
 """
 
 from __future__ import annotations
@@ -69,28 +70,27 @@ class DetunedParams(ResonantParams):
 
 
 def _chain(s_o, s_mu, kappa_o, kappa_mu, delta_mu):
-    """Labels, coupling stack and damping stack of the three-mode chain, one member per kappa.
+    """Labels, coupling matrix and damping stack of the three-mode chain, one damping row per kappa.
 
-    The parameters broadcast against each other into one dimension, so a
-    scalar builder gets a stack of one and a family one member per kappa
-    from the same formula.
+    The couplings are numbers and make one (3, 3) matrix; ``kappa_o`` and
+    ``kappa_mu`` broadcast against each other into one dimension, so a scalar
+    builder gets one damping row and a family one row per kappa from the
+    same formula.
     """
-    shape = np.broadcast(*np.atleast_1d(s_o, s_mu, kappa_o, kappa_mu, delta_mu)).shape
-    coupling = np.zeros(shape + (3, 3), dtype=complex)
-    coupling[:, 0, 1] = coupling[:, 1, 0] = s_o
-    coupling[:, 1, 1] = delta_mu
-    coupling[:, 1, 2] = coupling[:, 2, 1] = s_mu
-    damping = np.zeros(shape + (3,))
+    coupling = np.zeros((3, 3), dtype=complex)
+    coupling[0, 1] = coupling[1, 0] = s_o
+    coupling[1, 1] = delta_mu
+    coupling[1, 2] = coupling[2, 1] = s_mu
+    damping = np.zeros(np.broadcast(*np.atleast_1d(kappa_o, kappa_mu)).shape + (3,))
     damping[:, 0], damping[:, 2] = kappa_o, kappa_mu
     return ("a", "c", "b"), coupling, damping
 
 
 def _two_mode(s, kappa_o, kappa_mu):
-    """Labels, coupling stack and damping stack of the two-mode network, as :func:`_chain` gives them."""
-    shape = np.broadcast(*np.atleast_1d(s, kappa_o, kappa_mu)).shape
-    coupling = np.zeros(shape + (2, 2), dtype=complex)
-    coupling[:, 0, 1] = coupling[:, 1, 0] = s
-    damping = np.zeros(shape + (2,))
+    """Labels, coupling matrix and damping stack of the two-mode network, as :func:`_chain` gives them."""
+    coupling = np.zeros((2, 2), dtype=complex)
+    coupling[0, 1] = coupling[1, 0] = s
+    damping = np.zeros(np.broadcast(*np.atleast_1d(kappa_o, kappa_mu)).shape + (2,))
     damping[:, 0], damping[:, 1] = kappa_o, kappa_mu
     return ("a", "b"), coupling, damping
 
@@ -106,13 +106,13 @@ def resonant_network(p: ResonantParams) -> CoupledModeNetwork:
 def detuned_network(p: DetunedParams) -> CoupledModeNetwork:
     """Three-mode converter network with intermediate-mode detuning ``delta_mu``."""
     labels, coupling, damping = _chain(p.s_o, p.s_mu, p.kappa_o, p.kappa_mu, p.delta_mu)
-    return new_network(labels, coupling[0], damping[0])
+    return new_network(labels, coupling, damping[0])
 
 
 def two_mode_network(s: float, kappa_o: float, kappa_mu: float) -> CoupledModeNetwork:
     """Two damped modes coupled directly with strength ``s`` (no intermediate mode)."""
     labels, coupling, damping = _two_mode(s, kappa_o, kappa_mu)
-    return new_network(labels, coupling[0], damping[0])
+    return new_network(labels, coupling, damping[0])
 
 
 @dataclass(frozen=True)
@@ -150,31 +150,36 @@ class ConverterFamily:
     __call__ = build
 
     def members(self, kappas) -> list[CoupledModeNetwork]:
-        """The member at each kappa of the 1-D ``kappas``, as one validated stack.
+        """The member at each kappa of the 1-D ``kappas``, from one validated coupling and damping stack.
 
         Each is byte for byte the scalar constructor's network, written by the
         same formula: ``resonant_network(ResonantParams(g, g, k, k))``,
         ``detuned_network(DetunedParams(g, g, k, k, delta_mu))`` or
-        ``two_mode_network(g, k, k)``.
+        ``two_mode_network(g, k, k)``.  Their couplings are read-only views
+        of one matrix, their dampings rows of one stack.
         """
         labels, coupling, damping = self.stack(kappas)
         return [CoupledModeNetwork(labels=labels, coupling=c, damping=d) for c, d in zip(coupling, damping)]
 
     def stack(self, kappas) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-        """The labels and the coupling and damping stacks of :meth:`members`, with no network built.
+        """The labels and the (m, n, n) coupling and (m, n) damping stacks of :meth:`members`, with no network built.
 
-        The stack is :func:`modeconv.network.validated_stack`'s, with its
-        read-only arrays and every check and message.  ``kappas`` of more than
-        one dimension is a ``ValueError`` naming its shape.
+        The arrays are :func:`modeconv.network.validated_stack`'s, read-only,
+        with every check and message: the family's one coupling is checked
+        once and comes back as an ``np.broadcast_to`` view with stride 0 on
+        the member axis, since kappa moves only the damping.  ``kappas`` of
+        more than one dimension is a ``ValueError`` naming its shape.
         """
         kappas = np.asarray(kappas, dtype=float)
         if kappas.ndim > 1:
             raise ValueError(f"kappas must be a 1-D array, got shape {kappas.shape}")
         if self.kind == "two_mode":
-            return validated_stack(*_two_mode(self.g, kappas, kappas))
-        # +0.0 for a resonant member, as resonant_network writes it, even for delta_mu = -0.0
-        delta_mu = self.delta_mu if self.kind == "detuned" else 0.0
-        return validated_stack(*_chain(self.g, self.g, kappas, kappas, delta_mu))
+            labels, coupling, damping = validated_stack(*_two_mode(self.g, kappas, kappas))
+        else:
+            # +0.0 for a resonant member, as resonant_network writes it, even for delta_mu = -0.0
+            delta_mu = self.delta_mu if self.kind == "detuned" else 0.0
+            labels, coupling, damping = validated_stack(*_chain(self.g, self.g, kappas, kappas, delta_mu))
+        return labels, np.broadcast_to(coupling, damping.shape[:1] + coupling.shape), damping
 
 
 def reflection_coefficients(omega, g: float, kappa: float):

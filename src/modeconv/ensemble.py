@@ -275,6 +275,13 @@ def ensemble_to_dict(ens: AtomEnsemble) -> dict:
     }
 
 
+def _pair(name: str, value) -> complex:
+    """An ``[re, im]`` pair of numbers as a complex; anything else is a ``ValueError`` naming ``name``."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f"{name} must be an [re, im] pair of numbers, got {value!r}")
+    return complex(_number(name, value[0]), _number(name, value[1]))
+
+
 def ensemble_from_dict(doc: dict) -> AtomEnsemble:
     """Inverse of :func:`ensemble_to_dict`; validates shape and finiteness, and takes numbers only."""
     try:
@@ -286,12 +293,10 @@ def ensemble_from_dict(doc: dict) -> AtomEnsemble:
     atoms = []
     for k, raw in enumerate(raw_atoms):
         try:
-            g_o_re, g_o_im = raw["g_o"]
-            g_mu_re, g_mu_im = raw["g_mu"]
             atoms.append(
                 AtomParams(
-                    g_o=complex(_number("g_o", g_o_re), _number("g_o", g_o_im)),
-                    g_mu=complex(_number("g_mu", g_mu_re), _number("g_mu", g_mu_im)),
+                    g_o=_pair("g_o", raw["g_o"]),
+                    g_mu=_pair("g_mu", raw["g_mu"]),
                     omega_rabi=_number("omega_rabi", raw["omega_rabi"]),
                     delta_o=_number("delta_o", raw["delta_o"]),
                     delta_mu=_number("delta_mu", raw["delta_mu"]),

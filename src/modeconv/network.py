@@ -2,15 +2,18 @@
 
 A network is the static description of a set of harmonic modes a_j evolving as
 
-    da/dt = -i A a - (K/2) a - sqrt(K) a_in,
+    da/dt = -i H a - sqrt(K) a_in,      H = A - iK/2,
 
 with A the Hermitian coupling matrix (diagonal entries are detunings, off-diagonal
 entries coherent couplings) and K the diagonal matrix of non-negative damping
 rates.  Every damped mode is an input-output port; undamped modes are internal.
+:func:`effective_hamiltonian` is the one place H is written: the scattering
+engine solves with 2iH, the level set reads H and the time domain steps -iH.
 Instances are immutable and validated on construction via :func:`new_network`,
-which checks a stack of one with :func:`validated_stack`.  That check takes a
-stack of members that share their labels and gives it back as arrays, for
-callers that compute on the stack and need no network objects.
+which is :func:`validated_stack` with one damping row.  That check takes the
+labels and coupling that members share and their stack of damping rows, and
+gives them back as arrays, for callers that compute on the stack and need no
+network objects.
 """
 
 from __future__ import annotations
@@ -52,11 +55,10 @@ class CoupledModeNetwork:
         """
         return _port_pair(self.labels, self.damping, in_port, out_port)
 
-    def index_of(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ValueError(f"no mode labeled {label!r} in network") from None
+
+def effective_hamiltonian(coupling, damping) -> np.ndarray:
+    """H = A - iK/2 of a (..., n, n) coupling and a (..., n) damping stack, broadcast against each other."""
+    return coupling - 0.5j * (damping[..., None, :] * np.eye(damping.shape[-1]))
 
 
 def _port_pair(labels, damping, in_port, out_port) -> tuple[str, str]:
@@ -72,7 +74,7 @@ def _port_pair(labels, damping, in_port, out_port) -> tuple[str, str]:
 
 
 def new_network(labels, coupling, damping) -> CoupledModeNetwork:
-    """Validate and build a network: :func:`validated_stack` on a stack of one.
+    """Validate and build a network: :func:`validated_stack` with one damping row.
 
     The coupling matrix must pass :func:`modeconv.linalg.check_hermitian`
     (:class:`NotHermitianError` otherwise) and is symmetrized to (A + A^dagger)/2
@@ -82,17 +84,18 @@ def new_network(labels, coupling, damping) -> CoupledModeNetwork:
     finite (``ValueError`` naming the field): a NaN would pass the Hermiticity
     test and an infinite rate would silently become a port.
     """
-    labels, couplings, dampings = validated_stack(labels, [coupling], [damping])
-    return CoupledModeNetwork(labels=labels, coupling=couplings[0], damping=dampings[0])
+    labels, coupling, dampings = validated_stack(labels, coupling, [damping])
+    return CoupledModeNetwork(labels=labels, coupling=coupling, damping=dampings[0])
 
 
-def validated_stack(labels, couplings, dampings) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-    """The labels, (m, n, n) coupling stack and (m, n) damping stack of m networks, checked.
+def validated_stack(labels, coupling, dampings) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """The labels, (n, n) coupling and (m, n) damping stack of m networks that share one coupling, checked.
 
-    Every member shares ``labels`` and gets :func:`new_network`'s checks and
-    messages; in a stack of more than one, an error names the first member
-    that fails its check, as ``member i: ...``.  The coupling stack is
-    symmetrized once; both stacks come back read-only.
+    Each member gets :func:`new_network`'s checks and messages, the shared
+    coupling checked and symmetrized once; any other coupling shape, a stack
+    of couplings included, is a ``ValueError`` naming it.  In a damping stack
+    of more than one row, an error names the first member that fails, as
+    ``member i: ...``.  Both arrays come back read-only.
     """
     labels = tuple(str(lbl) for lbl in labels)
     if len(set(labels)) != len(labels):
@@ -100,24 +103,21 @@ def validated_stack(labels, couplings, dampings) -> tuple[tuple[str, ...], np.nd
         dup = next(lbl for lbl in labels if lbl in seen or seen.add(lbl))
         raise DuplicateLabelError(f"duplicate mode label {dup!r}")
     n = len(labels)
-    a = np.array(couplings, dtype=complex)
-    stacked = a.ndim > 0 and len(a) > 1
+    a = np.array(coupling, dtype=complex)
+    if a.shape != (n, n):
+        raise ValueError(f"coupling shape {a.shape} does not match {n} labels")
+    if not np.isfinite(a).all():
+        raise ValueError("coupling must be finite")
+    check_hermitian(a, "coupling")
+    a = (a + a.conj().T) / 2.0
+    k = np.array(dampings, dtype=float)
+    stacked = k.ndim > 0 and len(k) > 1
 
     def member(i) -> str:
         return f"member {i}: " if stacked else ""
 
-    if a.shape[1:] != (n, n):
-        raise ValueError(f"{member(0)}coupling shape {a.shape[1:]} does not match {n} labels")
-    finite = np.isfinite(a).all(axis=(1, 2))
-    if not finite.all():
-        raise ValueError(f"{member(int(np.argmin(finite)))}coupling must be finite")
-    check_hermitian(a, "coupling")
-    a = (a + a.conj().transpose(0, 2, 1)) / 2.0
-    k = np.array(dampings, dtype=float)
     if k.shape[1:] != (n,):
         raise ValueError(f"{member(0)}damping shape {k.shape[1:]} does not match {n} labels")
-    if len(k) != len(a):
-        raise ValueError(f"damping stack of {len(k)} members does not match coupling stack of {len(a)}")
     finite = np.isfinite(k).all(axis=1)
     if not finite.all():
         raise ValueError(f"{member(int(np.argmin(finite)))}damping must be finite")
@@ -165,7 +165,7 @@ def _number(name: str, value) -> float:
 
 
 def _numbers(name: str, value) -> np.ndarray:
-    """Nested lists of numbers of a JSON document as a float array, each entry checked by :func:`_number`."""
+    """Rectangular nested lists of numbers of a JSON document as a float array, entries checked by :func:`_number`."""
     items = [value]
     while items:
         item = items.pop()
@@ -173,4 +173,7 @@ def _numbers(name: str, value) -> np.ndarray:
             items.extend(reversed(item))
         else:
             _number(f"{name} entry", item)
-    return np.asarray(value, dtype=float)
+    try:
+        return np.asarray(value, dtype=float)
+    except ValueError:
+        raise ValueError(f"{name} must be a rectangular list of numbers, got {value!r}") from None

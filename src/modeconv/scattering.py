@@ -66,7 +66,7 @@ import numpy as np
 
 from .errors import SingularAtFrequencyError, SingularMatrixError
 from .linalg import solve_batched, solve_with_condition
-from .network import CoupledModeNetwork, _port_pair
+from .network import CoupledModeNetwork, _port_pair, effective_hamiltonian
 
 # Eigenvalues of an undamped block closer than this times its largest
 # magnitude form one cluster: one degenerate level split by rounding.
@@ -101,7 +101,7 @@ class _PortSpace:
 
 def dynamical_matrix(net: CoupledModeNetwork, omega: float) -> np.ndarray:
     """M(omega) = K - 2i omega I + 2i A."""
-    return _shifted(_h(net.coupling[None], net.damping[None]), np.array([omega]))[0]
+    return _shifted(2j * effective_hamiltonian(net.coupling, net.damping), np.array([omega]))[0]
 
 
 def _frequencies(omegas) -> np.ndarray:
@@ -341,18 +341,13 @@ def _pair_modes(labels, damping, in_port, out_port) -> np.ndarray:
     return modes.repeat(len(damping) // len(rows), axis=0)
 
 
-def _h(coupling, damping) -> np.ndarray:
-    """The stack K + 2iA of (m, n, n) coupling and (m, n) damping stacks."""
-    return 2j * coupling + damping[..., None] * np.eye(damping.shape[-1])
-
-
 def _systems(coupling, damping):
-    """What :func:`_solve` works on: the stack :func:`_h`, or a list when a member needs its port space.
+    """What :func:`_solve` works on: the stack 2iH = K + 2iA, or a list when a member needs its port space.
 
     A member with more undamped modes than :func:`_near_directions` keeps is
     its :class:`_PortSpace`.
     """
-    h = _h(coupling, damping)
+    h = 2j * effective_hamiltonian(coupling, damping)
     undamped = (damping == 0.0).sum(axis=1)
     small = undamped <= _near_directions(damping.shape[1] - undamped)
     if small.all():

@@ -2,12 +2,13 @@
 
 The mean (classical coherent) amplitudes obey exactly
 
-    da/dt = -i A a - (K/2) a - sqrt(K) a_in(t),
+    da/dt = -i A a - (K/2) a - sqrt(K) a_in(t) = -i H a - sqrt(K) a_in(t),
 
-which this module integrates with fixed-step classical Runge-Kutta (RK4) as an
-independent cross-check of the frequency-domain scattering engine: driving one
-port with a slowly ramped monochromatic tone and demodulating the late-time
-output reproduces the corresponding S-matrix element.
+with H = A - iK/2 (:func:`modeconv.network.effective_hamiltonian`), which this
+module integrates with fixed-step classical Runge-Kutta (RK4) as an independent
+cross-check of the frequency-domain scattering engine: driving one port with a
+slowly ramped monochromatic tone and demodulating the late-time output
+reproduces the corresponding S-matrix element.
 
 Drive signals are sampled on the half-step grid t_j = j*dt/2 (2*n_steps + 1
 samples for n_steps integration steps), so the RK4 stages consume exact drive
@@ -36,7 +37,7 @@ import numpy as np
 
 from .errors import NonConvergentError, StepTooLargeError
 from .formatting import csv_text
-from .network import CoupledModeNetwork
+from .network import CoupledModeNetwork, effective_hamiltonian
 from .scattering import transmission
 
 # dt must satisfy dt <= MAX_STEP_FACTOR / (fastest rate); the default step is
@@ -114,18 +115,17 @@ def integrate(
             "the step cannot resolve the fastest dynamics"
         )
     n = net.n_modes
-    ports = net.ports()
+    ports, port_labels = net.ports(), net.port_labels()
     n_half = 2 * n_steps + 1
 
     drive_samples = np.zeros((len(ports), n_half), dtype=complex)
-    seen: set[int] = set()
+    seen: set[str] = set()
     for drive in drives:
-        idx = net.index_of(drive.port)
-        if idx not in ports:
+        if drive.port not in port_labels:
             raise ValueError(f"drive port {drive.port!r} is not a damped mode")
-        if idx in seen:
+        if drive.port in seen:
             raise ValueError(f"duplicate drive for port {drive.port!r}")
-        seen.add(idx)
+        seen.add(drive.port)
         samples = np.asarray(drive.samples, dtype=complex)
         if samples.shape != (n_half,):
             raise ValueError(
@@ -134,11 +134,11 @@ def integrate(
             )
         if not np.all(np.isfinite(samples)):
             raise ValueError(f"drive for port {drive.port!r} contains non-finite samples")
-        drive_samples[ports.index(idx)] = samples
+        drive_samples[port_labels.index(drive.port)] = samples
 
     sqrt_k = np.sqrt(net.damping[ports])
     forcing = -sqrt_k[:, None] * drive_samples
-    m_op = -1j * net.coupling - np.diag(net.damping) / 2.0
+    m_op = -1j * effective_hamiltonian(net.coupling, net.damping)
 
     a = np.zeros(n, dtype=complex)
     if initial_amplitudes is not None:
@@ -148,9 +148,9 @@ def integrate(
         if not np.isfinite(a).all():
             raise ValueError(f"initial amplitudes must be finite, got {a[~np.isfinite(a)][0]}")
 
-    # One RK4 step of da/dt = M a + f(t) is the affine map a -> P a + k_i with
-    # H = dt M, P = I + H + H^2/2 + H^3/6 + H^4/24 and
-    # k_i = dt/6 [(I + H + H^2/2 + H^3/4) f_2i + (4I + 2H + H^2/2) f_2i+1 + f_2i+2],
+    # One RK4 step of da/dt = M a + f(t), M = -iH, is the affine map a -> P a + k_i
+    # with h = dt M, P = I + h + h^2/2 + h^3/6 + h^4/24 and
+    # k_i = dt/6 [(I + h + h^2/2 + h^3/4) f_2i + (4I + 2h + h^2/2) f_2i+1 + f_2i+2],
     # where f_j is the forcing at half-step sample j.  f is zero off the ports,
     # so only the weights' port columns enter.  Rows here are time steps.
     eye = np.eye(n)
@@ -200,7 +200,7 @@ def steady_state_response(
         raise ValueError(f"omega must be finite, got {omega}")
     in_port, out_port = net.port_pair(in_port, out_port)
     ports = net.ports()
-    out_row = ports.index(net.index_of(out_port))
+    out_row = net.port_labels().index(out_port)
     kappa_min = float(net.damping[ports].min())
     t_ramp = 20.0 / kappa_min
     t_total = t_ramp + 40.0 / kappa_min

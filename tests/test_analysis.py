@@ -715,7 +715,7 @@ class TestBatchedReports:
 def eta_by_solve(net, in_port, out_port, omegas):
     """|S_out,in|^2 at each frequency from np.linalg.solve of the unreduced M(omega)."""
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    i, o = net.index_of(in_port), net.index_of(out_port)
+    i, o = net.labels.index(in_port), net.labels.index(out_port)
     drive = np.zeros((len(omegas), net.n_modes, 1), dtype=complex)
     drive[:, i, 0] = np.sqrt(net.damping[i])
     m = dynamical_matrix(net, 0.0) - 2j * omegas[:, None, None] * np.eye(net.n_modes)
@@ -1073,9 +1073,9 @@ class TestCountBatches:
             singles.append(args)
             return new_network(*args)
 
-        def stack(labels, couplings, dampings):
-            stacks.append(len(couplings))
-            return validated_stack(labels, couplings, dampings)
+        def stack(labels, coupling, dampings):
+            stacks.append(len(dampings))
+            return validated_stack(labels, coupling, dampings)
 
         monkeypatch.setattr(converter_module, "new_network", single)
         monkeypatch.setattr(network_module, "new_network", single)

@@ -600,6 +600,12 @@ def test_custom_network_with_nan_is_malformed(tmp_path, capsys, field):
         ("network", {"labels": "opt"}, "labels must be a list of strings, got 'opt'"),
         ("network", {"coupling_re": [[0.0, "0"], [0.3, 0.0]]}, "coupling_re entry must be a number, got '0'"),
         ("network", {"damping": [0.6, True]}, "damping entry must be a number, got True"),
+        ("network", {"damping": [[0.6], 0.6]}, "damping must be a rectangular list of numbers, got [[0.6], 0.6]"),
+        ("network", {"coupling_re": [[0.0, 0.3], [0.3]]},
+         "coupling_re must be a rectangular list of numbers, got [[0.0, 0.3], [0.3]]"),
+        ("ensemble", {"g_o": 2.5}, "atom 0 is malformed: g_o must be an [re, im] pair of numbers, got 2.5"),
+        ("ensemble", {"g_o": [2.5, 0, 1]},
+         "atom 0 is malformed: g_o must be an [re, im] pair of numbers, got [2.5, 0, 1]"),
     ],
 )
 def test_documents_take_numbers_only(tmp_path, capsys, field, document, message):
@@ -642,7 +648,7 @@ def test_microscopic_bandwidth_report_matches_the_library(tmp_path, capsys):
     expected = {"threshold": 0.9, "intervals": intervals, "max_width": report.max_width}
     assert capsys.readouterr().out == json_text(expected) + "\n"
     assert len(intervals) == 16
-    a, b = net.index_of("a"), net.index_of("b")
+    a, b = net.labels.index("a"), net.labels.index("b")
     drive = np.zeros(net.n_modes, dtype=complex)
     drive[a] = np.sqrt(net.damping[a])
 

@@ -290,6 +290,9 @@ def test_atom_parameters_refuse_a_bool(field):
         ("delta_mu", None, "delta_mu must be a number, got None"),
         ("g_o", ["2.5", "0"], "g_o must be a number, got '2.5'"),
         ("g_mu", [0.25, False], "g_mu must be a number, got False"),
+        ("g_o", 2.5, "g_o must be an [re, im] pair of numbers, got 2.5"),
+        ("g_o", [2.5, 0, 1], "g_o must be an [re, im] pair of numbers, got [2.5, 0, 1]"),
+        ("g_mu", [0.25], "g_mu must be an [re, im] pair of numbers, got [0.25]"),
     ],
 )
 def test_document_takes_numbers_only(field, value, named):

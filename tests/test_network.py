@@ -27,12 +27,6 @@ def test_basic_construction():
     assert net.labels == ("a", "c", "b")
     assert net.ports() == [0, 2]
     assert net.port_labels() == ["a", "b"]
-    assert net.index_of("c") == 1
-
-
-def test_unknown_label_rejected():
-    with pytest.raises(ValueError):
-        simple_net().index_of("z")
 
 
 def test_duplicate_labels_rejected():
@@ -111,6 +105,8 @@ def test_from_dict_rejects_malformed_documents():
         ("damping", [1.0, "1"], "damping entry must be a number, got '1'"),
         ("damping", [1.0, True], "damping entry must be a number, got True"),
         ("damping", None, "damping entry must be a number, got None"),
+        ("damping", [[1.0], 1.0], "damping must be a rectangular list of numbers, got [[1.0], 1.0]"),
+        ("coupling_re", [[0, 1], [1]], "coupling_re must be a rectangular list of numbers, got [[0, 1], [1]]"),
     ],
 )
 def test_from_dict_takes_numbers_and_label_lists_only(field, value, message):
@@ -184,7 +180,7 @@ class TestPortPair:
 
 
 def chain_stack(m):
-    """m copies of the three-mode chain's coupling and damping, as stacks."""
+    """m copies of the three-mode chain's coupling and damping, as stacks; a member is one of each."""
     a = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]], dtype=complex)
     return np.repeat(a[None], m, axis=0), np.tile([2.0, 0.0, 2.0], (m, 1))
 
@@ -206,10 +202,12 @@ def spoil_nan_damping(coupling, damping):
 
 
 SPOILERS = [spoil_nan_coupling, spoil_hermiticity, spoil_negative_damping, spoil_nan_damping]
+# The members share one coupling, so a coupling error names no member.
+COUPLING_SPOILERS = (spoil_nan_coupling, spoil_hermiticity)
 
 
 class TestNewNetworks:
-    """Stacks of members: the checks of ``validated_stack`` and the networks of ``ConverterFamily.members``."""
+    """Members sharing one coupling: the checks of ``validated_stack`` and the networks of ``ConverterFamily.members``."""
 
     @pytest.mark.parametrize("spoil", SPOILERS)
     def test_a_stack_of_one_raises_new_networks_exact_error(self, spoil):
@@ -218,7 +216,7 @@ class TestNewNetworks:
         with pytest.raises((ValueError, ModeconvError)) as single:
             new_network(("a", "c", "b"), coupling[0], damping[0])
         with pytest.raises((ValueError, ModeconvError)) as stacked:
-            validated_stack(("a", "c", "b"), coupling, damping)
+            validated_stack(("a", "c", "b"), coupling[0], damping)
         assert type(stacked.value) is type(single.value)
         assert str(stacked.value) == str(single.value)
 
@@ -227,7 +225,7 @@ class TestNewNetworks:
             with pytest.raises(ValueError) as single:
                 new_network(("a", "b"), coupling, damping)
             with pytest.raises(ValueError) as stacked:
-                validated_stack(("a", "b"), [coupling], [damping])
+                validated_stack(("a", "b"), coupling, [damping])
             assert str(stacked.value) == str(single.value)
 
     @pytest.mark.parametrize("spoil", SPOILERS)
@@ -238,28 +236,32 @@ class TestNewNetworks:
         with pytest.raises((ValueError, ModeconvError)) as single:
             new_network(("a", "c", "b"), coupling[1], damping[1])
         with pytest.raises((ValueError, ModeconvError)) as stacked:
-            validated_stack(("a", "c", "b"), coupling, damping)
+            validated_stack(("a", "c", "b"), coupling[1], damping)
         assert type(stacked.value) is type(single.value)
-        assert str(stacked.value) == "member 1: " + str(single.value)
+        member = "" if spoil in COUPLING_SPOILERS else "member 1: "
+        assert str(stacked.value) == member + str(single.value)
 
     def test_a_longer_stack_with_the_wrong_shape(self):
         coupling, damping = chain_stack(4)
-        with pytest.raises(ValueError, match=r"^member 0: coupling shape \(3, 3\) does not match 2 labels$"):
-            validated_stack(("a", "b"), coupling, damping[:, :2])
+        with pytest.raises(ValueError, match=r"^coupling shape \(3, 3\) does not match 2 labels$"):
+            validated_stack(("a", "b"), coupling[0], damping[:, :2])
         with pytest.raises(ValueError, match=r"^member 0: damping shape \(2,\) does not match 3 labels$"):
-            validated_stack(("a", "c", "b"), coupling, damping[:, :2])
-        with pytest.raises(ValueError, match="damping stack of 3 members does not match coupling stack of 4"):
-            validated_stack(("a", "c", "b"), coupling, damping[:3])
+            validated_stack(("a", "c", "b"), coupling[0], damping[:, :2])
+        # One coupling serves every member: a stack of them is a shape error.
+        with pytest.raises(ValueError, match=r"^coupling shape \(4, 3, 3\) does not match 3 labels$"):
+            validated_stack(("a", "c", "b"), coupling, damping)
 
     def test_members_are_read_only_views_of_one_symmetrized_stack(self):
         coupling, damping = chain_stack(3)
-        coupling[:, 0, 1] += 1e-15 * np.arange(3)  # rounding-level asymmetry
-        labels, couplings, dampings = validated_stack(("a", "c", "b"), coupling, damping)
-        assert not couplings.flags.writeable and not dampings.flags.writeable
+        coupling[0, 0, 1] += 1e-15  # rounding-level asymmetry
+        damping[:, 0] += np.arange(3)
+        labels, symmetrized, dampings = validated_stack(("a", "c", "b"), coupling[0], damping)
+        assert not symmetrized.flags.writeable and not dampings.flags.writeable
+        assert np.array_equal(symmetrized, symmetrized.conj().T)
         for i in range(3):
-            single = new_network(("a", "c", "b"), coupling[i], damping[i])
+            single = new_network(("a", "c", "b"), coupling[0], damping[i])
             assert labels == single.labels
-            assert couplings[i].tobytes() == single.coupling.tobytes()
+            assert symmetrized.tobytes() == single.coupling.tobytes()
             assert dampings[i].tobytes() == single.damping.tobytes()
         kappas = [0.5, 1.0, 2.0]
         family = ConverterFamily("detuned", g=0.8, delta_mu=3.0)
@@ -272,6 +274,9 @@ class TestNewNetworks:
             assert not net.coupling.flags.writeable and not net.damping.flags.writeable
             assert net.coupling.base is nets[0].coupling.base is not None
             assert net.damping.base is nets[0].damping.base is not None
-        labels, couplings, dampings = validated_stack(("a",), np.zeros((0, 1, 1)), np.zeros((0, 1)))
-        assert labels == ("a",) and couplings.shape == (0, 1, 1) and dampings.shape == (0, 1)
+        _, couplings, _ = family.stack(kappas)
+        assert couplings.shape == (3, 3, 3) and couplings.strides[0] == 0 and not couplings.flags.writeable
+        labels, symmetrized, dampings = validated_stack(("a",), np.zeros((1, 1)), np.zeros((0, 1)))
+        assert labels == ("a",) and symmetrized.shape == (1, 1) and dampings.shape == (0, 1)
         assert family.members([]) == []
+        assert family.stack([])[1].shape == (0, 3, 3)

@@ -80,7 +80,7 @@ def test_matches_a_four_stage_rk4_loop():
 
         forcing = np.zeros((3, len(t_half)), dtype=complex)
         for port in driven:
-            forcing[net.index_of(port)] = -np.sqrt(net.damping[net.index_of(port)]) * signals[port]
+            forcing[net.labels.index(port)] = -np.sqrt(net.damping[net.labels.index(port)]) * signals[port]
         a = a0.astype(complex)
         expected = [a]
         for i in range(n_steps):
@@ -105,7 +105,7 @@ def test_output_record_is_input_output_consistent():
     assert result.outputs.shape == (2, 101)
     # a_out = -sqrt(kappa) a - a_in at every stored step, on every port
     for row, (port, a_in) in enumerate((("a", 0.0), ("b", samples[::2]))):
-        mode = net.index_of(port)
+        mode = net.labels.index(port)
         expect = -np.sqrt(net.damping[mode]) * result.mode_amplitudes[mode] - a_in
         assert np.abs(result.outputs[row] - expect).max() < 1e-14
     assert np.abs(result.outputs[0]).max() > 0.0  # the drive on b reaches a's output
@@ -139,7 +139,7 @@ def test_step_size_guard():
 
 def test_drive_validation():
     net = one_mode(1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^drive port 'nope' is not a damped mode$"):
         integrate(net, [DriveSignal("nope", np.ones(201))], t_max=1.0, dt=0.01)
     with pytest.raises(ValueError):
         # samples must cover half-steps: 2*n_steps + 1 points
@@ -258,7 +258,7 @@ def test_bad_output_port_is_named_before_integrating(monkeypatch, in_port, out_p
 
     monkeypatch.setattr(timedomain, "integrate", no_integration)
     net = resonant_network(ResonantParams(1.0, 1.0, 2.6, 2.6))
-    assert net.damping[net.index_of("c")] == 0.0
+    assert net.damping[net.labels.index("c")] == 0.0
     with pytest.raises(ValueError, match=message):
         steady_state_response(net, 0.3, in_port, out_port)
     with pytest.raises(ValueError, match=message):
