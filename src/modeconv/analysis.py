@@ -27,15 +27,20 @@ loop over members.
 A batch is a (rows, coupling, damping, modes) stack of members that share
 their labels, and :func:`modeconv.scattering._stacks` is the only place
 networks become batches: one per label tuple, with each pair resolved once
-by ``_pair_modes``.  :func:`_members` is the only place a family becomes
+by ``_pair_modes``.  :func:`_batches` is the only place a family becomes
 batches: a :class:`modeconv.converter.ConverterFamily` hands over its
 validated stack, with no network built, and any other family is called once
-per kappa and its networks go through ``_stacks``.  Past that point
-everything works on stacks: groups, edges, crossing counts, pair solves and
-map rows.  Network objects appear only at the edges, where the public report
-functions take one and a callable family gives them; only reports and maps
-build the pair-solve arrays, and crossing counts read the coupling and
-damping stacks alone.
+per kappa and its networks go through ``_stacks``.  The kappa search resolves
+its family once, by :func:`_members`: a ConverterFamily is validated, its
+pair resolved and its groups found on the coarse grid alone, and every later
+batch is the same coupling and modes beside the damping kappa times the
+family's unit row, since kappa moves no link of the coupling graph; any
+other family goes through ``_batches`` and :func:`_groups` for every batch.
+Past that point everything works on stacks: groups, edges, crossing counts,
+pair solves and map rows.  Network objects appear only at the edges, where
+the public report functions take one and a callable family gives them; only
+reports and maps build the pair-solve arrays, and crossing counts read the
+coupling and damping stacks alone.
 
 The crossings and the window ends are the only cuts.  A real eigenvalue of H
 is a pole: its mode x is undamped (Kx = 0), so it cancels from S_out,in and
@@ -139,21 +144,49 @@ class EfficiencyMap:
     etas: np.ndarray
 
 
-def _members(family, kappas):
-    """The members of ``family`` at ``kappas`` as batches, each member between its default ``port_pair()``.
+def _batches(family, kappas):
+    """The members of ``family`` at ``kappas`` as whole batches, each member between its default ``port_pair()``.
 
-    The one place a family becomes batches.  A :class:`ConverterFamily`
-    hands over its members as one validated stack, with every check and
-    message of :meth:`ConverterFamily.members` and no network built; any
-    other callable kappa -> network is called once per kappa and its
-    networks stacked by :func:`modeconv.scattering._stacks`.  Yields what
-    ``_stacks`` does, with ``rows`` the members' indices in ``kappas``.
+    A :class:`ConverterFamily` hands over its members as one validated
+    stack, with every check and message of :meth:`ConverterFamily.members`
+    and no network built; any other callable kappa -> network is called once
+    per kappa and its networks stacked by
+    :func:`modeconv.scattering._stacks`.  Yields what ``_stacks`` does, with
+    ``rows`` the members' indices in ``kappas``.
     """
     if isinstance(family, ConverterFamily):
         labels, coupling, damping = family.stack(kappas)
         yield np.arange(len(damping)), coupling, damping, _pair_modes(labels, damping, None, None)
     else:
         yield from _stacks([family(float(k)) for k in kappas], None, None)
+
+
+def _members(family, kappas):
+    """``family`` resolved at ``kappas``: a function kappas -> the :func:`_groups` of its members there.
+
+    The one place a family is resolved for the kappa search.  A
+    :class:`ConverterFamily` is checked at ``kappas`` by :func:`_batches`,
+    with every message there, and its coupling, its pair modes and the
+    modes :func:`_groups` keeps are taken once, from those members: kappa
+    scales the damping row and changes no link of the coupling graph, so
+    each batch is only the damping ``np.multiply.outer(kappas, unit)``, with
+    ``unit`` the family's damping row at kappa = 1.  kappa * 1.0 is kappa and
+    kappa * 0.0 is +0.0, so that is the damping ``ConverterFamily.stack``
+    writes.  Any other family is called once per kappa of every batch and
+    grouped again.
+    """
+    if not isinstance(family, ConverterFamily):
+        return lambda ks: _groups(_batches(family, ks))
+    ((_, coupling, damping, modes),) = _groups(_batches(family, kappas))
+    # Every member passed the checks, so kappa > 0 and kappa / kappa is exactly 1.0.
+    coupling, unit, modes = coupling[0], damping[0] / kappas[0], modes[0]
+
+    def members(ks):
+        m = len(ks)
+        return [(np.arange(m), np.broadcast_to(coupling, (m, *coupling.shape)), np.multiply.outer(ks, unit),
+                 np.broadcast_to(modes, (m, 2)))]
+
+    return members
 
 
 def default_omega_window(net: CoupledModeNetwork) -> tuple[float, float]:
@@ -212,7 +245,7 @@ def efficiency_curve(net: CoupledModeNetwork, in_port: str, out_port: str, omega
 
 
 def _groups(batches):
-    """The ``batches`` of :func:`_members` or ``_stacks`` on the modes the port pair sees, in groups.
+    """The ``batches`` of :func:`_batches` or ``_stacks`` on the modes the port pair sees, in groups.
 
     A member keeps the modes its coupling graph links to the pair; no other
     mode takes part in S_out,in.  A group's members keep the same modes, and a
@@ -361,8 +394,8 @@ def _group_ends(coupling, damping, modes, threshold: float, w_lo: float, w_hi: f
     return ends, np.bincount(member, minlength=m), n_crossings
 
 
-def _edges(batches, threshold: float, omega_range):
-    """:func:`_group_ends` of each group of ``batches``, after the group's rows.
+def _edges(groups, threshold: float, omega_range):
+    """:func:`_group_ends` of each of the ``groups`` of :func:`_groups`, after the group's rows.
 
     Each group is one ``eigvals`` call on the stack of its level-set
     matrices, which gives every crossing, one pair solve that classifies the
@@ -374,17 +407,18 @@ def _edges(batches, threshold: float, omega_range):
     w_lo, w_hi = _bounds("omega_range", omega_range)
     if not (math.isfinite(w_lo) and math.isfinite(w_hi)) or w_hi < w_lo:
         raise ValueError(f"omega_range must be finite with min <= max, got {omega_range}")
-    for rows, *group in _groups(batches):
+    for rows, *group in groups:
         yield rows, *_group_ends(*group, threshold, w_lo, w_hi)
 
 
 def _bandwidth_reports(nets, in_port, out_port, threshold: float, omega_range) -> list[BandwidthReport]:
     """One :class:`BandwidthReport` per network, each between its ``port_pair(in_port, out_port)``.
 
-    The networks are stacked by ``_stacks`` and measured by :func:`_edges`.
+    The networks are stacked by ``_stacks``, grouped by :func:`_groups` and
+    measured by :func:`_edges`.
     """
     reports = [None] * len(nets)
-    for rows, ends, counts, _ in _edges(_stacks(nets, in_port, out_port), threshold, omega_range):
+    for rows, ends, counts, _ in _edges(_groups(_stacks(nets, in_port, out_port)), threshold, omega_range):
         edges = iter([Interval(lo=lo, hi=hi) for lo, hi in ends.tolist()])
         for row, count in zip(rows.tolist(), counts.tolist()):
             part = tuple(itertools.islice(edges, count))
@@ -392,15 +426,16 @@ def _bandwidth_reports(nets, in_port, out_port, threshold: float, omega_range) -
     return reports
 
 
-def _widths(family, kappas, threshold: float, omega_range) -> tuple[np.ndarray, np.ndarray]:
-    """The widest interval's width of each member of ``family`` at ``kappas``, and its crossing count.
+def _widths(members, kappas, threshold: float, omega_range) -> tuple[np.ndarray, np.ndarray]:
+    """The widest interval's width of each member at ``kappas`` of a family resolved by :func:`_members`, and its crossing count.
 
-    Each member is between its default ``port_pair()``.  The widths are
+    ``members`` is the function :func:`_members` returns, and each member is
+    between its default ``port_pair()``.  The widths are
     :func:`_bandwidth_reports`' ``max_width`` (0 where there is no interval),
     read from the edge arrays of :func:`_edges` with no report built.
     """
     widths, crossings = np.zeros(len(kappas)), np.empty(len(kappas), dtype=int)
-    for rows, ends, counts, n_crossings in _edges(_members(family, kappas), threshold, omega_range):
+    for rows, ends, counts, n_crossings in _edges(members(kappas), threshold, omega_range):
         np.maximum.at(widths, np.repeat(rows, counts), ends[:, 1] - ends[:, 0])
         crossings[rows] = n_crossings
     return widths, crossings
@@ -452,8 +487,8 @@ def efficiency_map(family, kappa_grid, omega_grid) -> EfficiencyMap:
     points (possible only for undamped members) are recorded as NaN gaps with
     a warning, as in :func:`efficiency_curve`.
 
-    The members are the batches of :func:`_members`, as for
-    :func:`optimize_kappa`: a :class:`ConverterFamily` hands over one
+    The members are the whole batches of :func:`_batches`, not cut down to
+    the modes the pair sees: a :class:`ConverterFamily` hands over one
     validated stack, any other family is stacked once per label tuple.  Each
     row is one pair solve of one member over omega, so the solve holds one
     row's systems at a time: a row is byte for byte that member's
@@ -462,7 +497,7 @@ def efficiency_map(family, kappa_grid, omega_grid) -> EfficiencyMap:
     kappas = _ascending_grid("kappa_grid", kappa_grid)
     omegas = _ascending_grid("omega_grid", omega_grid)
     etas = np.empty((len(kappas), len(omegas)))
-    for rows, *members in _members(family, kappas):
+    for rows, *members in _batches(family, kappas):
         stack = _pair_stack(*members)
         for i, row in enumerate(rows.tolist()):
             etas[row] = np.abs(_pair_transmission(stack, i, omegas, "nan")) ** 2
@@ -473,17 +508,17 @@ def efficiency_map(family, kappa_grid, omega_grid) -> EfficiencyMap:
     return EfficiencyMap(kappas=kappas.copy(), omegas=omegas.copy(), etas=etas)
 
 
-def _crossing_counts(family, kappas, threshold: float, omega_range) -> np.ndarray:
+def _crossing_counts(members, kappas, threshold: float, omega_range) -> np.ndarray:
     """Each member's number of threshold crossings in the window, as one batch.
 
-    A crossing is a real eigenvalue of the member's level-set matrix
-    L_gamma, gamma = sqrt(threshold), inside ``omega_range``; one stacked
-    ``eigvals`` call per group of :func:`_groups` of the :func:`_members` at
-    ``kappas`` counts them all, with no pair solve.
+    ``members`` is a family resolved by :func:`_members`.  A crossing is a
+    real eigenvalue of the member's level-set matrix L_gamma, gamma =
+    sqrt(threshold), inside ``omega_range``; one stacked ``eigvals`` call per
+    group of ``members(kappas)`` counts them all, with no pair solve.
     """
     gamma, w_lo, w_hi = math.sqrt(threshold), float(omega_range[0]), float(omega_range[1])
     counts = np.empty(len(kappas), dtype=int)
-    for rows, *group in _groups(_members(family, kappas)):
+    for rows, *group in members(kappas):
         counts[rows] = _real_eigenvalues(_level_set_matrices(*group, gamma), w_lo, w_hi)[1]
     return counts
 
@@ -498,10 +533,12 @@ def optimize_kappa(
     """Damping that maximizes the widest above-threshold interval.
 
     ``family`` is any callable kappa -> network; each member converts
-    between its default ``port_pair()``.  Every batch of members comes from
-    :func:`_members`: a :class:`ConverterFamily` hands over one validated
-    stack and builds no network (but the one its default omega window comes
-    from), any other family is called once per kappa.  The coarse grid over
+    between its default ``port_pair()``.  The family is resolved once per
+    call, by :func:`_members` on the coarse grid, and every batch of members
+    comes from that resolution: a :class:`ConverterFamily` is validated,
+    paired and grouped once and builds no network (but the one its default
+    omega window comes from), each later batch only scaling its damping row;
+    any other family is called once per kappa.  The coarse grid over
     ``kappa_range`` (default 201 points) is one batch: one eigen-solve stack
     for all its members, which gives each member's widest width and its
     crossing count.  The width is discontinuous where branches merge, which
@@ -537,10 +574,12 @@ def optimize_kappa(
 
     if omega_range is None:
         omega_range = default_omega_window(family((k_lo + k_hi) / 2.0))
+    ks = np.linspace(k_lo, k_hi, int(coarse_points)) if k_lo < k_hi else np.array([k_lo])
+    members = _members(family, ks)
     seen = []  # (kappa, width) of every member measured, in evaluation order
 
     def widths_at(kappas) -> tuple[list[float], np.ndarray]:
-        widths, crossings = _widths(family, kappas, threshold, omega_range)
+        widths, crossings = _widths(members, kappas, threshold, omega_range)
         widths = widths.tolist()
         seen.extend(zip(map(float, kappas), widths))
         return widths, crossings
@@ -555,12 +594,10 @@ def optimize_kappa(
             )
         return kappa, width
 
+    widths, crossings = widths_at(ks)
     if k_lo == k_hi:
-        widths_at([k_lo])
         return best()
 
-    ks = np.linspace(k_lo, k_hi, int(coarse_points))
-    widths, crossings = widths_at(ks)
     best_i = int(np.argmax(widths))
     near = sorted({max(best_i - 1, 0), best_i, min(best_i + 1, len(ks) - 1)})
     counts = {i: crossings[i] for i in near}
@@ -580,7 +617,7 @@ def optimize_kappa(
         mid = midpoint(a, b)
         while mid is not None:
             batch = [k for k in (mid, midpoint(a, mid), midpoint(mid, b)) if k is not None]
-            counted = dict(zip(batch, _crossing_counts(family, batch, threshold, omega_range)))
+            counted = dict(zip(batch, _crossing_counts(members, batch, threshold, omega_range)))
             while mid in counted:  # popped: a step that could not move the bracket asks for a new batch
                 if counted.pop(mid) == counts[i]:
                     a = mid

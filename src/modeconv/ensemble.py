@@ -292,6 +292,8 @@ def ensemble_from_dict(doc: dict) -> AtomEnsemble:
         raise ValueError("'atoms' must be a list")
     atoms = []
     for k, raw in enumerate(raw_atoms):
+        if not isinstance(raw, dict):
+            raise ValueError(f"atom {k} is malformed: an atom must be an object, got {raw!r}")
         try:
             atoms.append(
                 AtomParams(
@@ -302,6 +304,8 @@ def ensemble_from_dict(doc: dict) -> AtomEnsemble:
                     delta_mu=_number("delta_mu", raw["delta_mu"]),
                 )
             )
-        except (TypeError, KeyError, ValueError) as exc:
+        except KeyError as exc:
+            raise ValueError(f"atom {k} is malformed: missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"atom {k} is malformed: {exc}") from None
     return AtomEnsemble(atoms=tuple(atoms))

@@ -153,8 +153,10 @@ def network_from_dict(doc: dict) -> CoupledModeNetwork:
     labels = doc["labels"]
     if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
         raise ValueError(f"labels must be a list of strings, got {labels!r}")
-    coupling = _numbers("coupling_re", doc["coupling_re"]) + 1j * _numbers("coupling_im", doc["coupling_im"])
-    return new_network(labels, coupling, _numbers("damping", doc["damping"]))
+    real, imag = _numbers("coupling_re", doc["coupling_re"]), _numbers("coupling_im", doc["coupling_im"])
+    if real.shape != imag.shape:
+        raise ValueError(f"coupling_re shape {real.shape} does not match coupling_im shape {imag.shape}")
+    return new_network(labels, real + 1j * imag, _numbers("damping", doc["damping"]))
 
 
 def _number(name: str, value) -> float:

@@ -18,6 +18,7 @@ from modeconv.analysis import (
     _crossing_counts,
     _groups,
     _level_set_matrices,
+    _members,
     _polish,
     _real_eigenvalues,
     branch_count,
@@ -37,7 +38,7 @@ from modeconv.converter import (
     two_mode_network,
 )
 from modeconv.ensemble import default_validation_ensemble, microscopic_network
-from modeconv.errors import NoPortsError
+from modeconv.errors import NegativeDampingError, NoPortsError
 from modeconv.network import new_network
 from modeconv.scattering import _pair_stack, _stacks, dynamical_matrix, transmission_grid
 
@@ -702,7 +703,8 @@ class TestBatchedReports:
 
         batch = crossings(nets)
         single = [crossings([net])[0] for net in nets]
-        assert _crossing_counts(build, kappas, 0.99, (-3.0, 3.0)).tolist() == [count for _, count in batch]
+        counts = _crossing_counts(_members(build, kappas), kappas, 0.99, (-3.0, 3.0))
+        assert counts.tolist() == [count for _, count in batch]
         for (values, count), (one_values, one_count) in zip(batch, single):
             assert count == one_count == np.count_nonzero(np.isfinite(values))
             assert values[:count].tobytes() == one_values[:one_count].tobytes()
@@ -861,8 +863,8 @@ def record_widths(monkeypatch):
     calls = []
     widths_of = analysis._widths
 
-    def recorded(family, kappas, threshold, omega_range):
-        widths, crossings = widths_of(family, kappas, threshold, omega_range)
+    def recorded(members, kappas, threshold, omega_range):
+        widths, crossings = widths_of(members, kappas, threshold, omega_range)
         calls.append(([float(k) for k in kappas], widths.tolist(), crossings.tolist()))
         return widths, crossings
 
@@ -878,9 +880,9 @@ def record_count_batches(monkeypatch):
     calls = []
     batch = analysis._crossing_counts
 
-    def recorded(family, kappas, threshold, omega_range):
+    def recorded(members, kappas, threshold, omega_range):
         assert len(calls) < 200, "the merge bisection did not stop"
-        counts = batch(family, kappas, threshold, omega_range)
+        counts = batch(members, kappas, threshold, omega_range)
         calls.append(([float(k) for k in kappas], counts))
         return counts
 
@@ -1038,7 +1040,13 @@ class TestCountBatches:
     @pytest.mark.parametrize("delta_mu", [0.0, 1.0, 3.0, 10.0], ids=["dmu0", "dmu1", "dmu3", "dmu10"])
     def test_two_steps_per_batch_reach_the_one_step_bracket(self, monkeypatch, delta_mu):
         family = ConverterFamily(kind="detuned" if delta_mu else "resonant", delta_mu=delta_mu)
-        count = analysis._crossing_counts
+        window = default_omega_window(family.build((0.1 + 8.0) / 2.0))
+        crossing_counts = analysis._crossing_counts
+
+        def count(kappas):
+            # one count batch of the callable family, resolved on its own
+            return crossing_counts(_members(family.build, kappas), kappas, 0.99, window)
+
         steps = record_count_batches(monkeypatch)
         widths = record_widths(monkeypatch)
         optimize_kappa(family, 0.99, (0.1, 8.0))
@@ -1048,9 +1056,8 @@ class TestCountBatches:
         # The neighbors' counts come from the coarse grid's eigen-solve, and
         # equal those of a count batch of their own.
         near = ks[best - 1 : best + 2]
-        window = default_omega_window(family.build((0.1 + 8.0) / 2.0))
         count_of = dict(zip(near, coarse_counts[best - 1 : best + 2]))
-        assert count(family.build, near, 0.99, window).tolist() == list(count_of.values())
+        assert count(near).tolist() == list(count_of.values())
         # The same walk one count per step, from the neighbor pair whose counts differ.
         ((a, b),) = [(lo, hi) for lo, hi in zip(near, near[1:]) if count_of[lo] != count_of[hi]]
         count_a = count_of[a]
@@ -1058,7 +1065,7 @@ class TestCountBatches:
         while b - a > tol and (a + b) / 2.0 not in (a, b):
             mid = (a + b) / 2.0
             walked += 1
-            if count(family.build, [mid], 0.99, window)[0] == count_a:
+            if count([mid])[0] == count_a:
                 a = mid
             else:
                 b = mid
@@ -1082,8 +1089,73 @@ class TestCountBatches:
         monkeypatch.setattr(converter_module, "validated_stack", stack)
         family = ConverterFamily("detuned", delta_mu=3.0)
         optimize_kappa(family, 0.99, (0.1, 8.0), omega_range=(-4.0, 7.0))
-        assert singles == [] and stacks[0] == 201 and max(stacks[1:]) <= 3
+        assert singles == [] and stacks == [201]
         # The default window's member is a stack of one, built before the grid.
         stacks.clear()
         optimize_kappa(family, 0.99, (0.1, 8.0))
-        assert singles == [] and stacks[:2] == [1, 201] and max(stacks[2:]) <= 3
+        assert singles == [] and stacks == [1, 201]
+
+
+FAMILY_CASES = [
+    pytest.param(kind, delta_mu, id=name)
+    for kind, delta_mu, name in [
+        ("resonant", 0.0, "resonant"),
+        ("detuned", 1.0, "dmu1"),
+        ("detuned", 3.0, "dmu3"),
+        ("detuned", 10.0, "dmu10"),
+        ("two_mode", 0.0, "two_mode"),
+    ]
+]
+
+
+class TestResolvedFamily:
+    """A ConverterFamily is resolved once per optimize_kappa call; a callable family is built per batch.
+
+    Both routes must give the same optimum and the same map, bit for bit.
+    """
+
+    @pytest.mark.parametrize("g", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("kind, delta_mu", FAMILY_CASES)
+    def test_optimum_equals_the_callable_routes(self, kind, delta_mu, g):
+        family = ConverterFamily(kind, g=g, delta_mu=delta_mu)
+        kappa_range = (0.1 * g, 8.0 * g)  # spans the exceptional point 4 sqrt(2) g
+        assert kappa_range[0] < EXCEPTIONAL_KAPPA * g < kappa_range[1]
+        for threshold in (0.5, 0.9, 0.99, 1.0 - 1e-5):
+            # 51 grid points: the callable route builds every member, and the
+            # bisection and golden section run past the grid alike
+            resolved = optimize_kappa(family, threshold, kappa_range, 51)
+            assert repr(resolved) == repr(optimize_kappa(lambda k: family.build(k), threshold, kappa_range, 51))
+
+    def test_uncoupled_family_warns_alike_on_both_routes(self):
+        # With g = 0 the pair sees neither c nor the other resonator: no width anywhere.
+        family = ConverterFamily("resonant", g=0.0)
+        optima = []
+        for route in (family, lambda k: family.build(k)):
+            with pytest.warns(UserWarning, match="no member reaches threshold 0.9"):
+                optima.append(optimize_kappa(route, 0.9, (0.1, 8.0)))
+        assert repr(optima[0]) == repr(optima[1]) == repr((0.1, 0.0))
+
+    @pytest.mark.parametrize("kind, delta_mu", FAMILY_CASES)
+    @pytest.mark.parametrize("g", [0.0, 1.0])
+    def test_map_equals_the_callable_routes(self, kind, delta_mu, g):
+        family = ConverterFamily(kind, g=g, delta_mu=delta_mu)
+        kappas, omegas = np.linspace(0.1, 8.0, 17), np.linspace(-12.0, 12.0, 97)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # g = 0 leaves c undamped: NaN on its pole
+            resolved = efficiency_map(family, kappas, omegas)
+            called = efficiency_map(lambda k: family.build(k), kappas, omegas)
+        assert resolved.etas.tobytes() == called.etas.tobytes()
+
+    @pytest.mark.parametrize(
+        "kappa_grid, error, message",
+        [
+            ([0.0, 1.0], NoPortsError, "network has no damped modes, so no scattering ports"),
+            ([-1.0, 1.0], NegativeDampingError, "member 0: mode 'a' has damping -1.0 < 0"),
+            ([1.0, math.nan], ValueError, "member 1: damping must be finite"),
+        ],
+        ids=["zero", "negative", "nan"],
+    )
+    def test_map_keeps_the_member_checks(self, kappa_grid, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$") as raised:
+            efficiency_map(ConverterFamily("resonant"), kappa_grid, [0.0, 1.0])
+        assert type(raised.value) is error

@@ -606,6 +606,7 @@ def test_custom_network_with_nan_is_malformed(tmp_path, capsys, field):
         ("ensemble", {"g_o": 2.5}, "atom 0 is malformed: g_o must be an [re, im] pair of numbers, got 2.5"),
         ("ensemble", {"g_o": [2.5, 0, 1]},
          "atom 0 is malformed: g_o must be an [re, im] pair of numbers, got [2.5, 0, 1]"),
+        ("network", {"coupling_im": [[0.0] * 3] * 3}, "coupling_re shape (2, 2) does not match coupling_im shape (3, 3)"),
     ],
 )
 def test_documents_take_numbers_only(tmp_path, capsys, field, document, message):

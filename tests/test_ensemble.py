@@ -282,6 +282,9 @@ def test_atom_parameters_refuse_a_bool(field):
     assert getattr(AtomParams(**{**values, field: 1}), field) == 1
 
 
+MISSING = object()
+
+
 @pytest.mark.parametrize(
     "field, value, named",
     [
@@ -293,11 +296,17 @@ def test_atom_parameters_refuse_a_bool(field):
         ("g_o", 2.5, "g_o must be an [re, im] pair of numbers, got 2.5"),
         ("g_o", [2.5, 0, 1], "g_o must be an [re, im] pair of numbers, got [2.5, 0, 1]"),
         ("g_mu", [0.25], "g_mu must be an [re, im] pair of numbers, got [0.25]"),
+        (None, 2.5, "an atom must be an object, got 2.5"),
+        (None, [2.5, 0.25], "an atom must be an object, got [2.5, 0.25]"),
+        ("g_mu", MISSING, "missing field 'g_mu'"),
+        ("delta_mu", MISSING, "missing field 'delta_mu'"),
     ],
 )
 def test_document_takes_numbers_only(field, value, named):
+    # field None: the atom itself is the value; MISSING: the field is left out
     doc = ensemble_to_dict(default_validation_ensemble())
-    doc["atoms"][2] = {**doc["atoms"][2], field: value}
+    atom = {key: item for key, item in doc["atoms"][2].items() if key != field}
+    doc["atoms"][2] = value if field is None else atom if value is MISSING else {**atom, field: value}
     with pytest.raises(ValueError, match=f"^atom 2 is malformed: {re.escape(named)}$"):
         ensemble_from_dict(doc)
 

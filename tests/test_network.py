@@ -107,6 +107,7 @@ def test_from_dict_rejects_malformed_documents():
         ("damping", None, "damping entry must be a number, got None"),
         ("damping", [[1.0], 1.0], "damping must be a rectangular list of numbers, got [[1.0], 1.0]"),
         ("coupling_re", [[0, 1], [1]], "coupling_re must be a rectangular list of numbers, got [[0, 1], [1]]"),
+        ("coupling_im", [[0.0] * 3] * 3, "coupling_re shape (2, 2) does not match coupling_im shape (3, 3)"),
     ],
 )
 def test_from_dict_takes_numbers_and_label_lists_only(field, value, message):
