@@ -18,31 +18,32 @@ whose eta misses the threshold by more than ETA_REFINE_TOL (a root the
 eigensolver got only roughly) is polished by regula falsi inside the gaps'
 midpoints.  Several members (the optimizer's coarse kappa grid) go through
 the same path as one batch with one port pair: one ``eigvals`` call on the
-stack of each group's L (:func:`_groups`: cut down to the modes the coupling
-graph links to the pair and grouped by them), one pair solve for every gap
-midpoint and one for every edge.  Crossings come back padded with +inf, so
-each other step is one array operation on (member x cut) arrays, with no
-loop over members.
+stack of the batch's L (:func:`_groups`: cut down to the modes the coupling
+graph links to the pair), one pair solve for every gap midpoint and one for
+every edge.  Crossings come back padded with +inf, so each other step is one
+array operation on (member x cut) arrays, with no loop over members.
 
-A batch is (rows, coupling, damping, modes): members that share their labels
-and one (n, n) coupling, beside their (m, n) damping stack and (m, 2) pair
-modes.  :func:`modeconv.scattering._stacks` is the only place networks become
-batches: one per label tuple and coupling, with each pair resolved once by
-``_pair_modes``.  :func:`_batches` is the only place a family becomes
-batches: a :class:`modeconv.converter.ConverterFamily` hands over its
-validated stack, with no network built, and any other family is called once
-per kappa and its networks go through ``_stacks``.  The kappa search resolves
-its family once, by :func:`_members`: a ConverterFamily is validated, its
-pair resolved and its groups found on the coarse grid alone, and every later
-batch is the same coupling and modes beside the damping kappa times the
-family's unit row, since kappa moves no link of the coupling graph; any
-other family goes through ``_batches`` and :func:`_groups` for every batch,
-and ``_groups`` walks the coupling graph once per distinct pair of a batch.
-Past that point everything works on stacks: groups, edges, crossing counts,
-pair solves and map rows.  Network objects appear only at the edges, where
-the public report functions take one and a callable family gives them; only
-reports and maps build the pair-solve arrays, and crossing counts read the
-coupling and the damping stack alone.
+A batch is (rows, coupling, damping, pair): members that share their labels,
+one (n, n) coupling and the modes they damp, beside their (m, n) damping
+stack and the mode indices (in, out) of the one port pair they share.
+:func:`modeconv.scattering._stacks` is the only place networks become
+batches: one per label tuple, coupling and set of damped modes, with the
+pair resolved once by ``_pair_modes``.  :func:`_batches` is the only place a
+family becomes batches: a :class:`modeconv.converter.ConverterFamily` hands
+over its validated stack, with no network built, and any other family is
+called once per kappa and its networks go through ``_stacks``.  The kappa
+search resolves its family once, by :func:`_members`: a ConverterFamily is
+validated, its pair resolved and its kept modes found on the coarse grid
+alone, and every later batch is the same coupling and pair beside the
+damping kappa times the family's unit row, since kappa moves no link of the
+coupling graph; any other family goes through ``_batches`` and
+:func:`_groups` for every batch, and ``_groups`` walks the coupling graph
+once per batch, from its pair.  Past that point everything works on
+stacks: batches, edges, crossing counts, pair solves and map rows.  Network
+objects appear only at the edges, where the public report functions take
+one and a callable family gives them; only reports and maps build the
+pair-solve arrays, and crossing counts read the coupling and the damping
+stack alone.
 
 The crossings and the window ends are the only cuts.  A real eigenvalue of H
 is a pole: its mode x is undamped (Kx = 0), so it cancels from S_out,in and
@@ -168,21 +169,21 @@ def _members(family, kappas):
 
     The one place a family is resolved for the kappa search.  A
     :class:`ConverterFamily` is checked at ``kappas`` by :func:`_batches`,
-    with every message there, and its coupling, its pair modes and the
-    modes :func:`_groups` keeps are taken once, from those members: kappa
+    with every message there, and its coupling, its pair and the modes
+    :func:`_groups` keeps are taken once, from those members: kappa
     scales the damping row and changes no link of the coupling graph, so
     each batch is that one coupling beside the damping
     ``np.multiply.outer(kappas, unit)``, with ``unit`` the family's damping
     row at kappa = 1.  kappa * 1.0 is kappa and kappa * 0.0 is +0.0, so that
     is the damping ``ConverterFamily.stack`` writes.  Any other family is
-    called once per kappa of every batch and grouped again.
+    called once per kappa of every batch and cut again.
     """
     if not isinstance(family, ConverterFamily):
         return lambda ks: _groups(_batches(family, ks))
-    ((_, coupling, damping, modes),) = _groups(_batches(family, kappas))
+    ((_, coupling, damping, pair),) = _groups(_batches(family, kappas))
     # Every member passed the checks, so kappa > 0 and kappa / kappa is exactly 1.0.
-    unit, pair = damping[0] / kappas[0], modes[0]
-    return lambda ks: [(np.arange(len(ks)), coupling, np.multiply.outer(ks, unit), np.broadcast_to(pair, (len(ks), 2)))]
+    unit = damping[0] / kappas[0]
+    return lambda ks: [(np.arange(len(ks)), coupling, np.multiply.outer(ks, unit), pair)]
 
 
 def default_omega_window(net: CoupledModeNetwork) -> tuple[float, float]:
@@ -244,30 +245,24 @@ def efficiency_curve(net: CoupledModeNetwork, in_port: str, out_port: str, omega
 
 
 def _groups(batches):
-    """The ``batches`` of :func:`_batches` or ``_stacks`` on the modes the port pair sees, in groups.
+    """The ``batches`` of :func:`_batches` or ``_stacks`` on the modes the port pair sees.
 
-    A member keeps the modes the coupling graph links to its pair; no other
-    mode takes part in S_out,in.  The graph is walked once per distinct pair
-    of a batch, from that pair out.  A group's members keep the same modes,
-    and a batch whose pairs all reach every mode is one group, without a
-    copy.  Yields what ``_stacks`` does, with ``modes`` the pair's places
-    among the kept modes.
+    The batch keeps the modes the coupling graph links to its pair; no other
+    mode takes part in S_out,in.  The graph is walked once per batch, from
+    its pair out.  A batch whose pair reaches every mode comes whole,
+    without a copy, and any other as one cut.  Yields what ``_stacks`` does,
+    with ``pair`` the pair's places among the kept modes.
     """
-    for rows, coupling, damping, modes in batches:
+    for rows, coupling, damping, pair in batches:
         linked = coupling != 0.0
-        pairs, pair = np.unique(modes, axis=0, return_inverse=True)
-        # each pair and its neighbors, then every mode linked to them
-        reach = (linked | np.eye(len(linked), dtype=bool))[pairs].any(axis=1)
+        # the pair and its neighbors, then every mode linked to them
+        reach = (linked | np.eye(len(linked), dtype=bool))[pair].any(axis=0)
         while not reach.all() and ((grown := reach | reach @ linked) != reach).any():
             reach = grown
         if reach.all():
-            yield rows, coupling, damping, modes
-            continue
-        keeps, group = np.unique(reach[pair.reshape(-1)], axis=0, return_inverse=True)
-        for g, keep in enumerate(keeps):
-            sel = np.flatnonzero(group.reshape(-1) == g)
-            at = np.cumsum(keep)[modes[sel]] - 1
-            yield rows[sel], coupling[np.ix_(keep, keep)], damping[sel][:, keep], at
+            yield rows, coupling, damping, pair
+        else:
+            yield rows, coupling[np.ix_(reach, reach)], damping[:, reach], np.cumsum(reach)[pair] - 1
 
 
 def _real_eigenvalues(stack, w_lo: float, w_hi: float) -> tuple[np.ndarray, np.ndarray]:
@@ -285,10 +280,10 @@ def _real_eigenvalues(stack, w_lo: float, w_hi: float) -> tuple[np.ndarray, np.n
     return values, (values < np.inf).sum(axis=1)
 
 
-def _level_set_matrices(coupling, damping, modes, gamma: float) -> np.ndarray:
-    """L_gamma of each member of a group of :func:`_groups`.
+def _level_set_matrices(coupling, damping, pair, gamma: float) -> np.ndarray:
+    """L_gamma of each member of a batch of :func:`_groups`.
 
-    With H = A - iK/2 and (i, o) = ``modes[j]``, S_oi(omega) = D + C (omega -
+    With H = A - iK/2 and (i, o) = ``pair``, S_oi(omega) = D + C (omega -
     H)^-1 B for B = sqrt(k_i) e_i, C = i sqrt(k_o) e_o^T and feedthrough D =
     -1 when a port is driven into itself (0 otherwise).  For R = D^2 -
     gamma^2, nonzero when gamma < 1, the real eigenvalues of
@@ -301,19 +296,17 @@ def _level_set_matrices(coupling, damping, modes, gamma: float) -> np.ndarray:
     entries in those blocks.
     """
     h = effective_hamiltonian(coupling, damping)
-    i, o = modes.T
-    n, member = h.shape[-1], np.arange(len(h))
+    (i, o), n = pair, h.shape[-1]
     d = 0.0 - (i == o)  # D: -1.0 or +0.0
     r = d * d - gamma * gamma
-    k = damping[member[:, None], modes]
+    k = damping[:, pair]
     feed = 1j * (np.sqrt(k[:, 0] * k[:, 1]) * d / r)
-    n_i, n_o = i + n, o + n
     mats = np.zeros((len(h), 2 * n, 2 * n), dtype=complex)
-    mats[member, i, o], mats[member, n_o, n_i] = feed, -feed  # E's entries in the diagonal blocks
+    mats[:, i, o], mats[:, o + n, i + n] = feed, -feed  # E's entries in the diagonal blocks
     np.subtract(h, mats[:, :n, :n], out=mats[:, :n, :n])
     np.subtract(h.conj().transpose(0, 2, 1), mats[:, n:, n:], out=mats[:, n:, n:])
-    side = -gamma * k / r[:, None]
-    mats[member, i, n_i], mats[member, n_o, o] = side[:, 0], side[:, 1]
+    side = -gamma * k / r
+    mats[:, i, i + n], mats[:, o + n, o] = side[:, 0], side[:, 1]
     return mats
 
 
@@ -346,8 +339,8 @@ def _polish(stack, member, threshold, x, lo, g_lo, hi, g_hi) -> np.ndarray:
     return x
 
 
-def _group_ends(coupling, damping, modes, threshold: float, w_lo: float, w_hi: float) -> tuple:
-    """The interval edges of one group of :func:`_groups`, each member's interval count and its crossing count.
+def _group_ends(coupling, damping, pair, threshold: float, w_lo: float, w_hi: float) -> tuple:
+    """The interval edges of one batch of :func:`_groups`, each member's interval count and its crossing count.
 
     The edges come as one (intervals, 2) array in member order; the crossings
     are the real eigenvalues of L_gamma in the window, as
@@ -356,9 +349,9 @@ def _group_ends(coupling, damping, modes, threshold: float, w_lo: float, w_hi: f
     finding the runs of gaps above the threshold and writing back the
     polished edges take one array operation each.
     """
-    mats = _level_set_matrices(coupling, damping, modes, math.sqrt(threshold))
+    mats = _level_set_matrices(coupling, damping, pair, math.sqrt(threshold))
     crossings, n_crossings = _real_eigenvalues(mats, w_lo, w_hi)
-    stack = _pair_stack(coupling, damping, modes)
+    stack = _pair_stack(coupling, damping, pair)
     m = len(crossings)
     cuts = np.concatenate((np.full((m, 1), w_lo), crossings, np.full((m, 1), w_hi)), axis=1)
     cuts.sort(axis=1)
@@ -392,9 +385,9 @@ def _group_ends(coupling, damping, modes, threshold: float, w_lo: float, w_hi: f
 
 
 def _edges(groups, threshold: float, omega_range):
-    """:func:`_group_ends` of each of the ``groups`` of :func:`_groups`, after the group's rows.
+    """:func:`_group_ends` of each of the ``groups`` of :func:`_groups`, after the batch's rows.
 
-    Each group is one ``eigvals`` call on the stack of its level-set
+    Each batch is one ``eigvals`` call on the stack of its level-set
     matrices, which gives every crossing, one pair solve that classifies the
     gaps between them and the window ends, and one more that polishes every
     edge.
@@ -411,7 +404,7 @@ def _edges(groups, threshold: float, omega_range):
 def _bandwidth_reports(nets, in_port, out_port, threshold: float, omega_range) -> list[BandwidthReport]:
     """One :class:`BandwidthReport` per network, each between its ``port_pair(in_port, out_port)``.
 
-    The networks are stacked by ``_stacks``, grouped by :func:`_groups` and
+    The networks are stacked by ``_stacks``, cut by :func:`_groups` and
     measured by :func:`_edges`.
     """
     reports = [None] * len(nets)
@@ -487,10 +480,11 @@ def efficiency_map(family, kappa_grid, omega_grid) -> EfficiencyMap:
 
     The members are the whole batches of :func:`_batches`, not cut down to
     the modes the pair sees: a :class:`ConverterFamily` hands over one
-    validated stack, any other family is stacked once per label tuple and
-    coupling.  Each row is one pair solve of one member over omega, so the
-    solve holds one row's systems at a time: a row is byte for byte that
-    member's :func:`transmission_grid` between its default ports.
+    validated stack, any other family is stacked once per label tuple,
+    coupling and set of damped modes.  Each row is one pair solve of one
+    member over omega, so the solve holds one row's systems at a time: a row
+    is byte for byte that member's :func:`transmission_grid` between its
+    default ports.
     """
     kappas = _ascending_grid("kappa_grid", kappa_grid)
     omegas = _ascending_grid("omega_grid", omega_grid)
@@ -512,7 +506,7 @@ def _crossing_counts(members, kappas, threshold: float, omega_range) -> np.ndarr
     ``members`` is a family resolved by :func:`_members`.  A crossing is a
     real eigenvalue of the member's level-set matrix L_gamma, gamma =
     sqrt(threshold), inside ``omega_range``; one stacked ``eigvals`` call per
-    group of ``members(kappas)`` counts them all, with no pair solve.
+    batch of ``members(kappas)`` counts them all, with no pair solve.
     """
     gamma, w_lo, w_hi = math.sqrt(threshold), float(omega_range[0]), float(omega_range[1])
     counts = np.empty(len(kappas), dtype=int)
@@ -534,7 +528,7 @@ def optimize_kappa(
     between its default ``port_pair()``.  The family is resolved once per
     call, by :func:`_members` on the coarse grid, and every batch of members
     comes from that resolution: a :class:`ConverterFamily` is validated,
-    paired and grouped once and builds no network (but the one its default
+    paired and cut once and builds no network (but the one its default
     omega window comes from), each later batch only scaling its damping row;
     any other family is called once per kappa.  The coarse grid over
     ``kappa_range`` (default 201 points) is one batch: one eigen-solve stack

@@ -21,9 +21,9 @@ converter, and small networks with dark modes; :func:`_near_directions` sets
 the 2) solves M(omega) itself, in mode order.  A larger one is solved in port
 space, the exact form of the adiabatic elimination that
 :func:`modeconv.ensemble.effective_network` approximates.  Its undamped
-block is Hermitian: one ``eigh`` per network, A_UU = V diag(lam) V^H with
-W = A_PU V, leaves one bordered system per frequency, whose unknowns are the
-ports, carrying
+block is Hermitian: one ``eigh`` per batch (whose members share it),
+A_UU = V diag(lam) V^H with W = A_PU V, leaves one bordered system per
+frequency, whose unknowns are the ports, carrying
 
     K_PP + 2i (A_PP - omega) - 2i sum_far w_j w_j^H / (lam_j - omega),
 
@@ -48,7 +48,8 @@ through disguised as a plausible number.  The pair solve,
 :func:`_pair_transmission` with :func:`modeconv.linalg.solve_batched`, gives
 the transmissions of one port pair from a stack of :func:`_pair_stack`.
 Networks become such batches in one way, :func:`_stacks`: one batch per label
-tuple and coupling, whose pairs :func:`_pair_modes` resolves to mode indices.
+tuple, coupling and set of damped modes, so its members share A_UU and one
+port pair, which :func:`_pair_modes` resolves to mode indices once.
 :func:`transmission_grid` solves the batch of one network, :func:`transmission`
 its grid of one frequency, and :mod:`modeconv.analysis` whole batches.  The
 point solve, :func:`_solve_at` with :func:`modeconv.linalg.solve_with_condition`
@@ -60,7 +61,7 @@ given inputs.  A non-finite drive frequency or input amplitude is a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -87,7 +88,8 @@ class _PortSpace:
     """One network seen from its ports: A_UU = V diag(lam) V^H, W = A_PU V.
 
     ``lam`` ascends and is equal within a cluster, whose directions are
-    ordered brightest first; ``outer[j]`` holds w_j w_j^H, flattened.
+    ordered brightest first; ``outer[j]`` holds w_j w_j^H, flattened.  The
+    members of a batch share every field but ``h``, their own K + 2iA.
     """
 
     ports: np.ndarray
@@ -312,64 +314,65 @@ def _solve(system, omegas, b, rows, solve) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _stacks(nets, in_port, out_port):
-    """The networks ``nets`` as batches, one per label tuple and coupling, each member between its ``port_pair(in_port, out_port)``.
+    """The networks ``nets`` as batches, one per label tuple, coupling and set of damped modes, each between its ``port_pair(in_port, out_port)``.
 
-    Yields (rows, coupling, damping, modes): the members' indices in
+    Yields (rows, coupling, damping, pair): the members' indices in
     ``nets``, their one (n, n) coupling, their (m, n) damping stack and the
-    (m, 2) mode indices of each member's (in, out) pair from
-    :func:`_pair_modes`, the arguments of :func:`_pair_stack`.  Members share
-    a batch when their couplings are equal byte for byte, so networks built
-    one at a time from one coupling form one batch.
+    mode indices (in, out) of the one pair they share, from
+    :func:`_pair_modes`: the arguments of :func:`_pair_stack`.  Members share
+    a batch when their couplings are equal byte for byte and they damp the
+    same modes, so networks built one at a time from one coupling, whose
+    rates differ but not the modes they damp, form one batch.
     """
     batches: dict[tuple, list[int]] = {}
     for j, net in enumerate(nets):
-        batches.setdefault((net.labels, net.coupling.tobytes()), []).append(j)
-    for (labels, _), rows in batches.items():
+        batches.setdefault((net.labels, net.coupling.tobytes(), (net.damping > 0.0).tobytes()), []).append(j)
+    for (labels, *_), rows in batches.items():
         damping = np.array([nets[j].damping for j in rows])
         yield np.array(rows), nets[rows[0]].coupling, damping, _pair_modes(labels, damping, in_port, out_port)
 
 
 def _pair_modes(labels, damping, in_port, out_port) -> np.ndarray:
-    """The (m, 2) mode indices of each member's ``port_pair(in_port, out_port)``, for members sharing ``labels``.
+    """The mode indices (in, out) of ``port_pair(in_port, out_port)``, for members sharing ``labels`` and damped modes.
 
-    The only place a port pair becomes mode indices.  ``damping`` is the
-    (m, n) stack; the pair is resolved once for the batch when every member
-    damps the same modes.
+    The only place a port pair becomes mode indices, resolved once from the
+    (m, n) ``damping`` stack.  A ConverterFamily stack is the one batch
+    :func:`_stacks` does not build: its members damp the same modes but at
+    kappa = 0, where none is, so the first such member is the one resolved
+    and raises :class:`NoPortsError`.
     """
-    damped = damping > 0.0
-    rows = damping[:1] if (damped == damped[0]).all() else damping
-    modes = np.array([[labels.index(label) for label in _port_pair(labels, row, in_port, out_port)] for row in rows])
-    return modes.repeat(len(damping) // len(rows), axis=0)
+    row = damping[np.argmin((damping > 0.0).any(axis=1))]
+    return np.array([labels.index(label) for label in _port_pair(labels, row, in_port, out_port)])
 
 
 def _systems(coupling, damping):
-    """What :func:`_solve` works on: the stack 2iH = K + 2iA, or a list when a member needs its port space.
+    """What :func:`_solve` works on: the stack 2iH = K + 2iA, or one :class:`_PortSpace` per member.
 
     ``coupling`` is the (n, n) matrix every member of the (m, n) ``damping``
-    stack shares.  A member with more undamped modes than
-    :func:`_near_directions` keeps is its :class:`_PortSpace`.
+    stack shares, and the members damp the same modes, so the choice is made
+    once: members with more undamped modes than :func:`_near_directions`
+    keeps share one ``eigh`` of A_UU, and each holds only its own K + 2iA.
     """
     h = 2j * effective_hamiltonian(coupling, damping)
-    undamped = (damping == 0.0).sum(axis=1)
-    small = undamped <= _near_directions(damping.shape[1] - undamped)
-    if small.all():
+    undamped = int((damping[0] == 0.0).sum())
+    if undamped <= _near_directions(len(coupling) - undamped):
         return h
-    return [x if s else _port_space(coupling, d, x) for x, s, d in zip(h, small, damping)]
+    space = _port_space(coupling, damping[0], h[0])
+    return [replace(space, h=x) for x in h]
 
 
-def _pair_stack(coupling, damping, modes) -> tuple:
-    """The pair-solve arrays of a (coupling, damping, modes) batch of :func:`_stacks`.
+def _pair_stack(coupling, damping, pair) -> tuple:
+    """The pair-solve arrays of a (coupling, damping, pair) batch of :func:`_stacks`.
 
     Returns the :func:`_systems`, the drives sqrt(K_in) e_in as an (m, n, 1)
-    stack, the out modes, the readout factors 2 sqrt(K_out), and whether each
-    member's ports coincide.
+    stack, the out mode, the readout factors 2 sqrt(K_out), and whether the
+    ports coincide.
     """
-    m, n = damping.shape
-    member, in_modes, out_modes = np.arange(m), modes[:, 0], modes[:, 1]
-    roots = np.sqrt(damping[member[:, None], modes])
+    (m, n), (i, o) = damping.shape, pair
+    roots = np.sqrt(damping[:, pair])
     drive = np.zeros((m, n, 1), dtype=complex)
-    drive[member, in_modes, 0] = roots[:, 0]
-    return _systems(coupling, damping), drive, out_modes, 2.0 * roots[:, 1], in_modes == out_modes
+    drive[:, i, 0] = roots[:, 0]
+    return _systems(coupling, damping), drive, o, 2.0 * roots[:, 1], i == o
 
 
 def _pair_transmission(stack, member, omegas, on_singular: str = "raise") -> np.ndarray:
@@ -377,11 +380,11 @@ def _pair_transmission(stack, member, omegas, on_singular: str = "raise") -> np.
 
     ``member`` may also be one index for every pair (a frequency grid).
     Pairs of a stack of K + 2iA are one :func:`solve_batched` call; a list of
-    systems solves each member's pairs as one grid.  A pair flagged singular
+    port spaces solves each member's pairs as one grid.  A pair flagged singular
     raises :class:`SingularAtFrequencyError` at the first such omega
     (``on_singular="raise"``) or reads NaN (``"nan"``).
     """
-    systems, drive, out_modes, scale, same = stack
+    systems, drive, out_mode, scale, same = stack
     omegas = _frequencies(omegas)
     members = np.broadcast_to(member, (len(omegas),))
     x = np.empty((len(members), 1, 1), dtype=complex)
@@ -389,12 +392,12 @@ def _pair_transmission(stack, member, omegas, on_singular: str = "raise") -> np.
     if isinstance(systems, list):
         for k in np.unique(members).tolist():
             at = np.flatnonzero(members == k)
-            x[at], singular[at] = _solve(systems[k], omegas[at], drive[k], [[out_modes[k]]], solve_batched)
+            x[at], singular[at] = _solve(systems[k], omegas[at], drive[k], [[out_mode]], solve_batched)
     elif len(members):
         k = members[0] if (members == members[0]).all() else members
-        x, singular = _solve(systems[k], omegas, drive[k], out_modes[members, None], solve_batched)
+        x, singular = _solve(systems[k], omegas, drive[k], [[out_mode]], solve_batched)
     out = scale[members] * x[:, 0, 0]
-    out -= same[members]  # the feedthrough D = -1 where the ports coincide (x - 0 is x, bit for bit)
+    out -= same  # the feedthrough D = -1 where the ports coincide (x - 0 is x, bit for bit)
     if singular.any():
         if on_singular == "raise":
             raise SingularAtFrequencyError(float(omegas[np.argmax(singular)]))

@@ -427,6 +427,10 @@ def test_member_without_ports_raises_no_ports_error():
     with pytest.raises(NoPortsError):
         optimize_kappa(portless, 0.99, (0.5, 1.0))
 
+    # the last member alone damps no mode, so it is a batch of its own
+    with pytest.raises(NoPortsError):
+        efficiency_map(lambda k: resonant(0.0 if k == 2.0 else k), [0.5, 1.0, 2.0], [0.5])
+
 
 class TestOptimizeKappa:
     def test_resonant_optimum(self):
@@ -636,8 +640,9 @@ class TestBatchedReports:
                     batch = _bandwidth_reports(nets, *pair, threshold, (-3.0, 3.0))
                     assert batch == one_at_a_time(nets, *pair, threshold, (-3.0, 3.0))
                     assert pair[0] != pair[1] or any(report.intervals for report in batch)
-        # One batch, two default pairs: chain a-c-b damped at a and b, or chain
-        # x-y-z at x and z; the coupling graph gives each pair its own group.
+        # Two default pairs on one coupling: chain a-c-b damped at a and b, or
+        # chain x-y-z at x and z.  Members that damp other modes form their own
+        # batch, and the coupling graph cuts each down to its chain.
         coupling = np.zeros((6, 6))
         coupling[[0, 1, 3, 4], [1, 2, 4, 5]] = [1.0, 1.0, 1.5, 1.5]
         kappas = np.linspace(0.5, 6.0, 8)
@@ -645,7 +650,7 @@ class TestBatchedReports:
             new_network(tuple("acbxyz"), coupling + coupling.T, k * np.array([j % 2, 0, j % 2, 1 - j % 2, 0, 1 - j % 2]))
             for j, k in enumerate(kappas)
         ]
-        assert len(list(_stacks(nets, None, None))) == 1
+        assert [rows.tolist() for rows, *_ in _stacks(nets, None, None)] == [[0, 2, 4, 6], [1, 3, 5, 7]]
         groups = list(_groups(_stacks(nets, None, None)))
         assert sorted(rows.tolist() for rows, *_ in groups) == [[0, 2, 4, 6], [1, 3, 5, 7]]
         assert all(group[1].shape == (3, 3) for group in groups)

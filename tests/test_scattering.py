@@ -383,8 +383,9 @@ class TestChunkedPairSolve:
 
     def test_members_of_one_size_keep_their_own_solve_in_a_batch(self):
         # Six undamped modes behind two ports go to port space, four behind
-        # four ports solve M(omega) itself; side by side in one batch, each
-        # member keeps the bits of its own grid.
+        # four ports solve M(omega) itself; one coupling damped at different
+        # modes makes one batch per set of damped modes, and each member keeps
+        # the bits of its own grid.
         rng = np.random.default_rng(12)
         raw = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         coupling = (raw + raw.conj().T) / 2.0
@@ -392,15 +393,39 @@ class TestChunkedPairSolve:
             new_network(tuple("abcdefgh"), coupling, [1.0, 0.7] + [0.0] * 6),
             new_network(tuple("abcdefgh"), coupling, [1.0, 0.7, 0.4, 0.9] + [0.0] * 4),
         ]
-        # One coupling, two dampings: one batch, whose coupling is that one (n, n) matrix.
-        ((rows, coupling, *batch),) = _stacks(nets, "a", "b")
-        assert rows.tolist() == [0, 1] and coupling.shape == (8, 8)
-        stack = _pair_stack(coupling, *batch)
-        assert [type(system).__name__ for system in stack[0]] == ["_PortSpace", "ndarray"]
+        batches = list(_stacks(nets, "a", "b"))
+        assert [rows.tolist() for rows, *_ in batches] == [[0], [1]]
+        stacks = [_pair_stack(*batch) for _, *batch in batches]
+        assert isinstance(stacks[0][0], list) and type(stacks[0][0][0]).__name__ == "_PortSpace"
+        assert isinstance(stacks[1][0], np.ndarray) and stacks[1][0].shape == (1, 8, 8)
         omegas = np.linspace(-2.0, 2.0, 41)
-        both = _pair_transmission(stack, np.repeat([0, 1], 41), np.tile(omegas, 2))
-        for j, net in enumerate(nets):
-            assert both[41 * j : 41 * (j + 1)].tobytes() == transmission_grid(net, omegas, "a", "b").tobytes()
+        for stack, net in zip(stacks, nets):
+            alone = transmission_grid(net, omegas, "a", "b").tobytes()
+            assert _pair_transmission(stack, 0, omegas).tobytes() == alone
+
+    def test_one_eigh_per_port_space_batch(self, monkeypatch):
+        # kappa moves only the damping of a and b, so the members of an atom
+        # family share A_UU: the map's one batch makes one eigh of it.
+        ensemble = spread_ensemble(16, 1)
+
+        def family(kappa):
+            return microscopic_network(ensemble, kappa, kappa)
+
+        kappas, omegas = np.linspace(0.5, 6.0, 7), np.linspace(-3.0, 3.0, 60)  # even: off the pole at 0
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        rows = efficiency_map(family, kappas, omegas).etas
+        assert shapes == [(32, 32)]
+        monkeypatch.undo()
+        for kappa, row in zip(kappas, rows):
+            alone = np.abs(transmission_grid(family(kappa), omegas, "a", "b")) ** 2
+            assert row.tobytes() == alone.tobytes()
 
     def test_port_space_stacks_hold_ports_and_nearest_directions(self, monkeypatch):
         stacks = []
