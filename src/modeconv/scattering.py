@@ -34,10 +34,13 @@ those come first among equally near ones; a dark combination on omega then
 keeps its zero pivot, so the singular frequencies stay the real eigenvalues of
 H = A - iK/2.  The eigendecomposition is only normwise backward stable, so the
 port-space solution is refined once: a residual against M(omega) itself, then
-the same solve.  Every product over modes is taken one frequency at a time
-(stacked matrix-vector products, not one matrix product across frequencies,
-whose rounding depends on how many columns it has), so a single frequency and
-a grid round alike.
+a replay of the same elimination.  A grid's bordered stack is eliminated once,
+in place, and both passes substitute into that record, as iterative
+refinement reuses its factorization; a point solve, which also reports the
+pivot ratio, eliminates its stack of one for each pass.  Every product over
+modes is taken one frequency at a time (stacked matrix-vector products, not
+one matrix product across frequencies, whose rounding depends on how many
+columns it has), so a single frequency and a grid round alike.
 
 One function, :func:`_solve`, knows both kinds of system: it solves a K + 2iA
 as M(omega) itself and a :class:`_PortSpace` by the bordered pass and its
@@ -66,7 +69,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SingularAtFrequencyError, SingularMatrixError
-from .linalg import solve_batched, solve_with_condition
+from .linalg import _eliminate_stack, solve_batched, solve_with_condition
 from .network import CoupledModeNetwork, _port_pair, effective_hamiltonian
 
 # Eigenvalues of an undamped block closer than this times its largest
@@ -125,7 +128,7 @@ def _solve_at(net: CoupledModeNetwork, omega: float, rhs, rows) -> tuple[np.ndar
         return x[None], np.zeros(1, dtype=bool)
 
     try:
-        x = _solve(_systems(net.coupling, net.damping[None])[0], omegas, rhs[None], rows, solve)[0][0]
+        x = _solve(_systems(net.coupling, net.damping[None])[0], omegas, rhs[None], rows, solve, eliminate=False)[0][0]
     except SingularMatrixError as exc:
         raise SingularAtFrequencyError(omega) from exc
     return x, ratios[0]
@@ -240,27 +243,29 @@ def _near_directions(ports: int) -> int:
 def _port_system(space: _PortSpace, omegas) -> tuple:
     """The bordered matrices at ``omegas``, one per row, and what their unknowns mean.
 
-    Returns the (m, q, q) stack, the (m, r) indices of the eigen-directions
-    each row keeps as unknowns (the nearest, brightest first within a
-    cluster), and the (m, u) weights 1/(lam - omega) of the far ones (0 on
-    the near ones).
+    Returns the (m, q, q) stack, laid out batch-last as the kernel works, the
+    (m, r) indices of the eigen-directions each row keeps as unknowns (the
+    nearest, brightest first within a cluster), and the (m, u) weights
+    1/(lam - omega) of the far ones (0 on the near ones).
     """
     p, m = len(space.ports), len(omegas)
     r = _near_directions(p)
     d = space.lam - omegas[:, None]
     near = np.argsort(np.abs(d), axis=1, kind="stable")[:, :r]
+    at = np.arange(m)[:, None]
     far = np.ones(d.shape, dtype=bool)
-    np.put_along_axis(far, near, False, axis=1)
+    far[at, near] = False
     # A far level on omega belongs to a cluster wider than r > |P|, so with a
     # dark direction among the near ones: it is left out, and the pivot of
     # that direction flags omega.
     rf = np.divide(1.0, d, out=np.zeros(d.shape), where=far & (d != 0.0))
     w_near = space.w[:, near].transpose(1, 0, 2)
-    mats = np.zeros((m, p + r, p + r), dtype=complex)
+    work = np.zeros((p + r, p + r, m), dtype=complex)
+    mats = work.transpose(2, 0, 1)
     mats[:, :p, :p] = space.h[np.ix_(space.ports, space.ports)] - 2j * (rf[:, None, :] @ space.outer).reshape(m, p, p)
     mats[:, :p, p:], mats[:, p:, :p] = 2j * w_near, 2j * w_near.conj().transpose(0, 2, 1)
-    diagonal = np.concatenate((np.broadcast_to(-omegas[:, None], (m, p)), np.take_along_axis(d, near, axis=1)), axis=1)
-    mats.reshape(m, -1)[:, :: p + r + 1] += 2j * diagonal
+    diagonal = np.concatenate((np.broadcast_to(-omegas[:, None], (m, p)), d[at, near]), axis=1)
+    work.reshape(-1, m)[:: p + r + 1] += 2j * diagonal.T
     return mats, near, rf
 
 
@@ -272,33 +277,40 @@ def _port_pass(space: _PortSpace, system, b_p, c, solve, inner: bool):
     amplitudes on the ports, or on every mode when ``inner``, and that mask.
     """
     mats, near, rf = system
-    p = len(space.ports)
+    p, at = len(space.ports), np.arange(len(near))[:, None]
     cf = c * rf[:, None, :]  # far: c_j / (lam_j - omega)
-    top, bottom = b_p - (cf[..., None, :] @ space.w.T)[..., 0, :], np.take_along_axis(c, near[:, None, :], axis=2)
+    top, bottom = b_p - (cf[..., None, :] @ space.w.T)[..., 0, :], c[at, :, near].transpose(0, 2, 1)
     z, singular = solve(mats, np.concatenate((top, bottom), axis=2).transpose(0, 2, 1))
     # Contiguous, as every other operand: numpy multiplies strided vectors without BLAS.
     z = np.ascontiguousarray(z.transpose(0, 2, 1))
     if not inner:
         return z[..., :p], singular
     y = cf / 2j - (z[..., None, :p] @ space.w.conj())[..., 0, :] * rf[:, None, :]
-    np.put_along_axis(y, near[:, None, :], z[..., p:], axis=2)
+    y[at, :, near] = z[..., p:].transpose(0, 2, 1)
     x = np.empty(z.shape[:2] + (len(space.h),), dtype=complex)
     x[..., space.ports] = z[..., :p]
     x[..., space.inner] = (y[..., None, :] @ space.v.T)[..., 0, :]
     return x, singular
 
 
-def _solve(system, omegas, b, rows, solve) -> tuple[np.ndarray, np.ndarray]:
+def _solve(system, omegas, b, rows, solve, eliminate=True) -> tuple[np.ndarray, np.ndarray]:
     """The (m, r, k) stack x[j, rows[j]] of x = M(omega)^-1 b at each of ``omegas``, and the singular mask.
 
     ``system`` is one K + 2iA, a stack of one per frequency, or a
     :class:`_PortSpace`; ``b`` and ``rows`` (mode indices) are one (n, k)
     block and one row, or one per frequency; ``solve`` is the kernel.  A port
-    space's refinement step rebuilds the undamped modes only if ``rows`` reads one.
+    space's bordered stack is eliminated once and both passes hand ``solve``
+    that elimination, which :func:`modeconv.linalg.solve_batched` replays;
+    with ``eliminate`` false they hand it the stack itself, as a point solve
+    reporting its pivot ratio needs.  The refinement step rebuilds the
+    undamped modes only if ``rows`` reads one.
     """
     if isinstance(system, _PortSpace):
         space, system = system, _port_system(system, omegas)
-        inner = not np.isin(rows, space.ports).all()
+        if eliminate:
+            # Eliminated in place: the stack's memory becomes the record both passes replay.
+            system = (_eliminate_stack(system[0]),) + system[1:]
+        inner = not set(np.ravel(rows).tolist()) <= set(space.ports.tolist())
         b = np.broadcast_to(b, (len(omegas),) + b.shape[-2:]).transpose(0, 2, 1)  # (m, k, n)
         no_inner_drive = np.zeros(b.shape[:2] + space.inner.shape, dtype=complex)
         x, singular = _port_pass(space, system, b[..., space.ports], no_inner_drive, solve, True)

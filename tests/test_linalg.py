@@ -6,6 +6,8 @@ import pytest
 from modeconv.errors import NotHermitianError, SingularAtFrequencyError, SingularMatrixError
 from modeconv.linalg import (
     PIVOT_RTOL,
+    _eliminate_stack,
+    check_hermitian,
     eigenvalues_hermitian,
     solve_batched,
     solve_linear,
@@ -138,6 +140,17 @@ def test_non_hermitian_rejected():
         eigenvalues_hermitian(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
 
+@pytest.mark.parametrize("m", [[[0.0, 1.0], [2.0, np.nan]], [[np.nan]], [[np.inf]]])
+def test_non_finite_matrix_has_no_eigenvalues(m):
+    # A NaN fails every comparison, so a deviation of NaN must fail the
+    # Hermiticity test rather than slip past it.
+    with pytest.raises(ValueError, match="must be finite, got"):
+        eigenvalues_hermitian(m)
+    with pytest.raises(NotHermitianError):
+        with np.errstate(invalid="ignore"):
+            check_hermitian(np.array(m, dtype=complex))
+
+
 def test_kernel_matches_numpy_oracle_on_random_stacks():
     # numpy's LAPACK solve is an independent reference for the one elimination
     # kernel, reached both as a stack and as a stack of one.
@@ -264,3 +277,42 @@ def test_band_one_swaps_either_layout(swaps):
     assert np.abs(stack @ x - rhs).max() < 1e-10 * np.abs(stack).max() * np.abs(x).max()
     expected = np.linalg.solve(stack, rhs)
     assert np.abs(x - expected).max() < 1e-10 * np.abs(expected).max()
+
+
+def _record_bytes(e):
+    """Every array an elimination record holds, as bytes."""
+    arrays = [e.w, e.pivots, e.threshold, e.singular, *e.divisors]
+    for exchange, factors in e.steps:
+        arrays += [factors] if exchange is None else [exchange, factors]
+    return [a.tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 8])
+@pytest.mark.parametrize("form", ["hessenberg", "general"])
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("k", [1, 2])
+def test_replay_is_a_re_elimination_bit_for_bit(n, form, shared, k):
+    # Two right-hand sides replayed on one elimination, in either order, give
+    # the bytes and singular masks of two solves that eliminate the stack
+    # anew, and replaying leaves the record as it was.
+    rng = np.random.default_rng(100 * n + k)
+    m = 6
+    stack = rng.normal(size=(m, n, n)) + 1j * rng.normal(size=(m, n, n))
+    if form == "hessenberg":
+        stack = np.triu(stack, -1)
+    stack[2] = 0.0
+    # Member 4's pivot candidates in the first column tie in magnitude.
+    stack[4, :, 0] = np.exp(2j * np.pi * np.arange(n) / n) * (np.arange(n) < (2 if form == "hessenberg" else n))
+    shape = (n, k) if shared else (m, n, k)
+    rhs = [rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(2)]
+    saved = stack.tobytes()
+    e = _eliminate_stack(stack)
+    assert e.shape == stack.shape and stack.tobytes() == saved
+    before = _record_bytes(e)
+    fresh = [solve_batched(stack, b) for b in rhs]
+    for order in ((0, 1), (1, 0)):
+        for i in order:
+            x, singular = solve_batched(e, rhs[i])
+            assert x.tobytes() == fresh[i][0].tobytes()
+            assert singular.tolist() == fresh[i][1].tolist() == [False, False, True, False, False, False]
+    assert _record_bytes(e) == before

@@ -11,7 +11,7 @@ import re
 import numpy as np
 import pytest
 
-from modeconv import scattering
+from modeconv import linalg, scattering
 from modeconv.analysis import _bandwidth_reports, efficiency_map, high_efficiency_intervals
 from modeconv.converter import (
     DetunedParams,
@@ -442,3 +442,24 @@ class TestChunkedPairSolve:
         assert stacks and sum(m for m, _, _ in stacks) >= 2 * 300
         # two ports and the four eigen-directions nearest each frequency
         assert {(n, k) for _, n, k in stacks} == {(6, 6)}
+
+    def test_one_elimination_per_port_space_grid(self, monkeypatch):
+        # The refinement replays the bordered stack's elimination instead of
+        # eliminating it again, and a 3-mode grid is one elimination as before.
+        shapes = []
+        eliminate = linalg._eliminate_stack
+
+        def spy(mats, *args):
+            shapes.append(np.shape(mats))
+            return eliminate(mats, *args)
+
+        monkeypatch.setattr(linalg, "_eliminate_stack", spy)
+        monkeypatch.setattr(scattering, "_eliminate_stack", spy)
+        net = microscopic_network(default_validation_ensemble(), 2.6, 2.6)
+        grid = transmission_grid(net, np.linspace(-1.5, 1.5, 300), "a", "b")
+        assert shapes == [(300, 6, 6)]
+        shapes.clear()
+        transmission_grid(resonant_network(ResonantParams(1.0, 1.0, 2.0, 2.0)), np.linspace(-3.0, 3.0, 300), "a", "b")
+        assert shapes == [(300, 3, 3)]
+        monkeypatch.undo()
+        assert np.isfinite(grid).all()
