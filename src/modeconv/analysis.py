@@ -33,10 +33,10 @@ family becomes batches: a :class:`modeconv.converter.ConverterFamily` hands
 over its validated stack, with no network built, and any other family is
 called once per kappa and its networks go through ``_stacks``.  The kappa
 search resolves its family once, by :func:`_members`: a ConverterFamily is
-validated, its pair resolved and its kept modes found on the coarse grid
-alone, and every later batch is the same coupling and pair beside the
-damping kappa times the family's unit row, since kappa moves no link of the
-coupling graph; any other family goes through ``_batches`` and
+resolved from its member at kappa = 1, which is validated, its pair resolved
+and its kept modes found, and every batch is that coupling and pair beside
+the damping kappa times that member's damping row, since kappa moves no link
+of the coupling graph; any other family goes through ``_batches`` and
 :func:`_groups` for every batch, and ``_groups`` walks the coupling graph
 once per batch, from its pair.  Past that point everything works on
 stacks: batches, edges, crossing counts, pair solves and map rows.  Network
@@ -164,25 +164,23 @@ def _batches(family, kappas):
         yield from _stacks([family(float(k)) for k in kappas], None, None)
 
 
-def _members(family, kappas):
-    """``family`` resolved at ``kappas``: a function kappas -> the :func:`_groups` of its members there.
+def _members(family):
+    """``family`` resolved for the kappa search: a function kappas -> the :func:`_groups` of its members there.
 
     The one place a family is resolved for the kappa search.  A
-    :class:`ConverterFamily` is checked at ``kappas`` by :func:`_batches`,
-    with every message there, and its coupling, its pair and the modes
-    :func:`_groups` keeps are taken once, from those members: kappa
-    scales the damping row and changes no link of the coupling graph, so
-    each batch is that one coupling beside the damping
-    ``np.multiply.outer(kappas, unit)``, with ``unit`` the family's damping
-    row at kappa = 1.  kappa * 1.0 is kappa and kappa * 0.0 is +0.0, so that
-    is the damping ``ConverterFamily.stack`` writes.  Any other family is
+    :class:`ConverterFamily` is resolved from its member at kappa = 1, checked
+    by :func:`_batches` with every message there: its coupling, its pair and
+    the modes :func:`_groups` keeps serve every kappa, since kappa scales the
+    damping row and changes no link of the coupling graph, so each batch is
+    that one coupling beside the damping ``np.multiply.outer(kappas, unit)``,
+    with ``unit`` that member's damping row.  kappa * 1.0 is kappa and kappa
+    * 0.0 is +0.0, so that is the damping ``ConverterFamily.stack`` writes;
+    the kappas themselves are the caller's to check.  Any other family is
     called once per kappa of every batch and cut again.
     """
     if not isinstance(family, ConverterFamily):
         return lambda ks: _groups(_batches(family, ks))
-    ((_, coupling, damping, pair),) = _groups(_batches(family, kappas))
-    # Every member passed the checks, so kappa > 0 and kappa / kappa is exactly 1.0.
-    unit = damping[0] / kappas[0]
+    ((_, coupling, (unit,), pair),) = _groups(_batches(family, [1.0]))
     return lambda ks: [(np.arange(len(ks)), coupling, np.multiply.outer(ks, unit), pair)]
 
 
@@ -526,16 +524,17 @@ def optimize_kappa(
 
     ``family`` is any callable kappa -> network; each member converts
     between its default ``port_pair()``.  The family is resolved once per
-    call, by :func:`_members` on the coarse grid, and every batch of members
-    comes from that resolution: a :class:`ConverterFamily` is validated,
-    paired and cut once and builds no network (but the one its default
-    omega window comes from), each later batch only scaling its damping row;
-    any other family is called once per kappa.  The coarse grid over
-    ``kappa_range`` (default 201 points) is one batch: one eigen-solve stack
-    for all its members, which gives each member's widest width and its
-    crossing count.  The width is discontinuous where branches merge, which
-    is where the number of crossings (real eigenvalues of the level-set
-    matrix in the window) changes.  For each neighbor of the best grid point
+    call, by :func:`_members`, and every batch of members comes from that
+    resolution: a :class:`ConverterFamily` is resolved from its member at
+    kappa = 1, validated, paired and cut once, and builds no network (but
+    the one its default omega window comes from), each batch only scaling
+    that member's damping row; any other family is called once per kappa.
+    The coarse grid over ``kappa_range`` (default 201 points) is one
+    batch: one eigen-solve stack for all its members, which gives each
+    member's widest width and its crossing count.  The width is
+    discontinuous where branches merge, which is where the number of
+    crossings (real eigenvalues of the level-set matrix in the window)
+    changes.  For each neighbor of the best grid point
     whose crossing count differs from its own, the pair is bisected on the
     count to a bracket of 1e-12 times the range's width, or until its ends
     are adjacent floats.  Each eigen-solve batch counts the midpoint and both
@@ -567,7 +566,7 @@ def optimize_kappa(
     if omega_range is None:
         omega_range = default_omega_window(family((k_lo + k_hi) / 2.0))
     ks = np.linspace(k_lo, k_hi, int(coarse_points)) if k_lo < k_hi else np.array([k_lo])
-    members = _members(family, ks)
+    members = _members(family)
     seen = []  # (kappa, width) of every member measured, in evaluation order
 
     def widths_at(kappas) -> tuple[list[float], np.ndarray]:
@@ -592,7 +591,6 @@ def optimize_kappa(
 
     best_i = int(np.argmax(widths))
     near = sorted({max(best_i - 1, 0), best_i, min(best_i + 1, len(ks) - 1)})
-    counts = {i: crossings[i] for i in near}
     tol = 1e-12 * (k_hi - k_lo)
 
     def midpoint(a, b):
@@ -603,7 +601,7 @@ def optimize_kappa(
 
     brackets = []
     for i, j in zip(near, near[1:]):
-        if counts[i] == counts[j]:
+        if crossings[i] == crossings[j]:
             continue
         a, b = float(ks[i]), float(ks[j])
         mid = midpoint(a, b)
@@ -611,7 +609,7 @@ def optimize_kappa(
             batch = [k for k in (mid, midpoint(a, mid), midpoint(mid, b)) if k is not None]
             counted = dict(zip(batch, _crossing_counts(members, batch, threshold, omega_range)))
             while mid in counted:  # popped: a step that could not move the bracket asks for a new batch
-                if counted.pop(mid) == counts[i]:
+                if counted.pop(mid) == crossings[i]:
                     a = mid
                 else:
                     b = mid

@@ -149,7 +149,16 @@ def network_from_json(text: str) -> CoupledModeNetwork:
 
 
 def network_from_dict(doc: dict) -> CoupledModeNetwork:
-    """The network of a JSON document; ``labels`` must be a list of strings and the rest numbers."""
+    """The network of a JSON document; ``labels`` must be a list of strings and the rest numbers.
+
+    A document that is not an object, or that lacks one of the four fields,
+    is a ``ValueError`` saying so.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"a network must be an object, got {doc!r}")
+    for name in ("labels", "coupling_re", "coupling_im", "damping"):
+        if name not in doc:
+            raise ValueError(f"missing field {name!r}")
     labels = doc["labels"]
     if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
         raise ValueError(f"labels must be a list of strings, got {labels!r}")

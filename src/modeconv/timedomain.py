@@ -191,13 +191,16 @@ def steady_state_response(
     output * e^{+i omega t} over the last quarter of the run, divided by the
     drive amplitude; a zero amplitude returns ratio 0.  Raises
     :class:`NonConvergentError` when the demodulated ratio still drifts by more
-    than 1e-4 across the last tenth of the run.  A non-finite ``omega``, or a
-    port that :meth:`~modeconv.network.CoupledModeNetwork.port_pair` rejects,
-    is an error naming it, raised before any integration.
+    than 1e-4 across the last tenth of the run.  A non-finite ``omega`` or
+    ``amplitude``, or a port that
+    :meth:`~modeconv.network.CoupledModeNetwork.port_pair` rejects, is an
+    error naming it, raised before any integration.
     """
     omega = float(omega)
     if not math.isfinite(omega):
         raise ValueError(f"omega must be finite, got {omega}")
+    if not np.isfinite(amplitude):
+        raise ValueError(f"amplitude must be finite, got {amplitude}")
     in_port, out_port = net.port_pair(in_port, out_port)
     ports = net.ports()
     out_row = net.port_labels().index(out_port)

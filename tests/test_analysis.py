@@ -140,6 +140,23 @@ def test_efficiency_curve_values():
             efficiency_curve(net, "a", "b", [0.0, bad, -1.0])
 
 
+@pytest.mark.parametrize("grid", [[[0.0, 1.0]], [[0.0], [1.0]], []], ids=["row", "column", "empty"])
+def test_efficiency_curve_takes_a_non_empty_1d_grid(grid):
+    with pytest.raises(ValueError, match="^omega_grid must be a non-empty 1-D array$"):
+        efficiency_curve(resonant(2.6), "a", "b", grid)
+
+
+def test_efficiency_curve_drops_a_singular_point_with_a_warning():
+    # A dark mode on grid point 3 makes the network singular there and nowhere else.
+    grid = np.linspace(-1.0, 1.0, 5)
+    message = "network singular at 1 grid frequencies (first at omega=0.5); points omitted from the curve"
+    with pytest.warns(UserWarning, match=f"^{re.escape(message)}$"):
+        curve = efficiency_curve(with_dark_modes(resonant(2.6), [grid[3]]), "a", "b", grid)
+    assert curve.omegas.tolist() == np.delete(grid, 3).tolist()
+    assert np.abs(curve.etas - efficiency_curve(resonant(2.6), "a", "b", curve.omegas).etas).max() < 1e-14
+    assert not curve.omegas.flags.writeable and not curve.etas.flags.writeable
+
+
 class TestIntervals:
     def test_triple_branch_structure_at_matching(self):
         # kappa = 2g: three maxima at omega = 0, +/-g; threshold 0.99 cuts
@@ -728,7 +745,7 @@ class TestBatchedReports:
 
         batch = crossings(nets)
         single = [crossings([net])[0] for net in nets]
-        counts = _crossing_counts(_members(build, kappas), kappas, 0.99, (-3.0, 3.0))
+        counts = _crossing_counts(_members(build), kappas, 0.99, (-3.0, 3.0))
         assert counts.tolist() == [count for _, count in batch]
         for (values, count), (one_values, one_count) in zip(batch, single):
             assert count == one_count == np.count_nonzero(np.isfinite(values))
@@ -1070,7 +1087,7 @@ class TestCountBatches:
 
         def count(kappas):
             # one count batch of the callable family, resolved on its own
-            return crossing_counts(_members(family.build, kappas), kappas, 0.99, window)
+            return crossing_counts(_members(family.build), kappas, 0.99, window)
 
         steps = record_count_batches(monkeypatch)
         widths = record_widths(monkeypatch)
@@ -1114,11 +1131,11 @@ class TestCountBatches:
         monkeypatch.setattr(converter_module, "validated_stack", stack)
         family = ConverterFamily("detuned", delta_mu=3.0)
         optimize_kappa(family, 0.99, (0.1, 8.0), omega_range=(-4.0, 7.0))
-        assert singles == [] and stacks == [201]
-        # The default window's member is a stack of one, built before the grid.
+        assert singles == [] and stacks == [1]
+        # The default window's member is a stack of one, built before the kappa = 1 member.
         stacks.clear()
         optimize_kappa(family, 0.99, (0.1, 8.0))
-        assert singles == [] and stacks == [1, 201]
+        assert singles == [] and stacks == [1, 1]
         # The callable route builds each member on its own, and the members
         # still share one coupling: the coarse grid is one batch.
         batches, stacks_of = [], analysis._stacks

@@ -3,6 +3,7 @@
 import argparse
 import io
 import json
+import math
 import warnings
 
 import numpy as np
@@ -107,6 +108,105 @@ class TestConfigErrors:
 
     def test_no_command(self):
         assert main([]) == 1
+
+
+BANDWIDTH_CFG = {"setup": "resonant", "kappa": 2.6, "threshold": 0.999, "window": {"min": -3.0, "max": 3.0}}
+
+
+def without(doc, field):
+    return {key: value for key, value in doc.items() if key != field}
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        ("sweep", [SWEEP_CFG], "config must be a JSON object"),
+        ("sweep", {**SWEEP_CFG, "output": 5}, "field 'output' must be a path string"),
+        # json writes the NaN literal it also reads
+        ("sweep", {**SWEEP_CFG, "g": math.nan}, "field 'g' must be finite, got nan"),
+        ("sweep", {**SWEEP_CFG, "kappa": 0}, "field 'kappa' must be positive, got 0.0"),
+        ("sweep", without(SWEEP_CFG, "window"), "missing required field 'window' ({min, max, points})"),
+        ("sweep", {**SWEEP_CFG, "window": {"min": 1.0, "max": 1.0, "points": 5}},
+         "window requires min < max, got [1.0, 1.0]"),
+        ("optimize", {"setup": "resonant", "threshold": 0.99, "kappa_range": {"min": 0.0, "max": 8.0}},
+         "kappa_range requires 0 < min <= max, got [0.0, 8.0]"),
+        ("sweep", {**SWEEP_CFG, "window": {"min": -1.0, "max": 1.0}}, "missing required field 'window.points'"),
+        ("sweep", {**SWEEP_CFG, "window": {"min": -1.0, "max": 1.0, "points": 2.5}},
+         "field 'window.points' must be an integer, got 2.5"),
+        ("sweep", {**SWEEP_CFG, "window": {"min": -1.0, "max": 1.0, "points": 1}},
+         "field 'window.points' must be >= 2, got 1"),
+        ("bandwidth", {**BANDWIDTH_CFG, "threshold": 1.0}, "field 'threshold' must lie in (0, 1), got 1.0"),
+        ("sweep", without(SWEEP_CFG, "setup"), "missing required field 'setup'"),
+        ("sweep", {**SWEEP_CFG, "setup": "microscopic", "compensate_stark": "yes"},
+         "field 'compensate_stark' must be true or false"),
+        ("sweep", {**without(SWEEP_CFG, "kappa"), "setup": "custom"}, "setup 'custom' requires field 'network'"),
+        ("eliminate", {"setup": "resonant"}, "'eliminate' validates the microscopic setup only"),
+    ],
+    ids=[
+        "list", "output", "g_nan", "kappa_zero", "no_window", "window_order", "kappa_range_min", "no_points",
+        "fractional_points", "one_point", "threshold_one", "no_setup", "compensate_stark", "custom_no_network",
+        "eliminate_resonant",
+    ],
+)
+def test_config_error_names_its_field(tmp_path, capsys, command, doc, message):
+    assert main([command, write_cfg(tmp_path, "cfg.json", doc)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"config error: {message}\n")
+
+
+NETWORK_DOC = {
+    "labels": ["p", "q"],
+    "coupling_re": [[0.0, 0.3], [0.3, 0.0]],
+    "coupling_im": [[0.0, 0.0], [0.0, 0.0]],
+    "damping": [0.6, 0.6],
+}
+ENSEMBLE_DOC = {
+    "atoms": [
+        {"g_o": [2.5, 0.0], "g_mu": [0.25, 0.0], "omega_rabi": 5.0, "delta_o": 50.0, "delta_mu": 0.0},
+        {"g_o": [2.0, 0.5], "g_mu": [0.3, 0.0], "omega_rabi": 4.0, "delta_o": 45.0, "delta_mu": 0.1},
+    ]
+}
+DOCUMENT_CFGS = {
+    "network": {"setup": "custom", "network": NETWORK_DOC, "window": {"min": -1.0, "max": 1.0, "points": 4}},
+    "ensemble": {"setup": "microscopic", "kappa": 2.6, "ensemble": ENSEMBLE_DOC,
+                 "window": {"min": -1.0, "max": 1.0, "points": 4}},
+}
+
+
+@pytest.mark.parametrize("field", sorted(DOCUMENT_CFGS))
+def test_document_field_takes_a_path_to_a_json_file(tmp_path, capsys, field):
+    inline = DOCUMENT_CFGS[field]
+    assert main(["sweep", write_cfg(tmp_path, "inline.json", inline)]) == 0
+    expected = capsys.readouterr().out
+    path = write_cfg(tmp_path, f"{field}.json", inline[field])
+    assert main(["sweep", write_cfg(tmp_path, "path.json", {**inline, field: path})]) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("field", sorted(DOCUMENT_CFGS))
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("not json", "{field} file is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        ("[]", "field '{field}' must be {article} {field} object or a path to one"),
+    ],
+    ids=["not_json", "list"],
+)
+def test_document_file_that_holds_no_object_is_named(tmp_path, capsys, field, content, message):
+    path = tmp_path / f"{field}.json"
+    path.write_text(content)
+    doc = {**DOCUMENT_CFGS[field], field: str(path)}
+    assert main(["sweep", write_cfg(tmp_path, "cfg.json", doc)]) == 1
+    article = "an" if field == "ensemble" else "a"
+    assert capsys.readouterr().err == f"config error: {message.format(field=field, article=article)}\n"
+
+
+def test_bandwidth_reports_no_interval_where_no_point_reaches_the_threshold(tmp_path, capsys):
+    doc = {**BANDWIDTH_CFG, "window": {"min": 2.5, "max": 3.0}}
+    assert main(["bandwidth", write_cfg(tmp_path, "cfg.json", doc)]) == 0
+    assert capsys.readouterr().out == (
+        '{\n  "threshold": 9.990000000000e-1,\n  "intervals": [],\n  "max_width": 0.000000000000e0\n}\n'
+    )
 
 
 def test_singular_frequency_exits_2(tmp_path, capsys):
@@ -590,6 +690,9 @@ def test_custom_network_with_nan_is_malformed(tmp_path, capsys, field):
     assert "field 'network' is malformed" in capsys.readouterr().err
 
 
+MISSING = object()
+
+
 @pytest.mark.parametrize(
     "field, document, message",
     [
@@ -607,20 +710,20 @@ def test_custom_network_with_nan_is_malformed(tmp_path, capsys, field):
         ("ensemble", {"g_o": [2.5, 0, 1]},
          "atom 0 is malformed: g_o must be an [re, im] pair of numbers, got [2.5, 0, 1]"),
         ("network", {"coupling_im": [[0.0] * 3] * 3}, "coupling_re shape (2, 2) does not match coupling_im shape (3, 3)"),
+        ("network", {"damping": MISSING}, "missing field 'damping'"),
+        ("network", {"coupling_re": MISSING}, "missing field 'coupling_re'"),
+        ("ensemble", {"g_mu": MISSING}, "atom 0 is malformed: missing field 'g_mu'"),
     ],
 )
 def test_documents_take_numbers_only(tmp_path, capsys, field, document, message):
+    def written(base):
+        # MISSING: the field is left out
+        return {key: value for key, value in {**base, **document}.items() if value is not MISSING}
+
     if field == "ensemble":
-        atom = {"g_o": [2.5, 0.0], "g_mu": [0.25, 0.0], "omega_rabi": 5.0, "delta_o": 50.0, "delta_mu": 0.0}
-        doc = {"setup": "microscopic", "kappa": 2.6, "ensemble": {"atoms": [{**atom, **document}]}}
+        doc = {"setup": "microscopic", "kappa": 2.6, "ensemble": {"atoms": [written(ENSEMBLE_DOC["atoms"][0])]}}
     else:
-        net_doc = {
-            "labels": ["p", "q"],
-            "coupling_re": [[0.0, 0.3], [0.3, 0.0]],
-            "coupling_im": [[0.0, 0.0], [0.0, 0.0]],
-            "damping": [0.6, 0.6],
-        }
-        doc = {"setup": "custom", "network": {**net_doc, **document}}
+        doc = {"setup": "custom", "network": written(NETWORK_DOC)}
     doc["window"] = {"min": -1.0, "max": 1.0, "points": 4}
     assert main(["sweep", write_cfg(tmp_path, "cfg.json", doc)]) == 1
     assert capsys.readouterr().err == f"config error: field '{field}' is malformed: {message}\n"

@@ -233,6 +233,21 @@ def test_orthogonal_modes_warn():
         effective_network(ens, 1.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "atoms",
+    [
+        (AtomParams(0.0, 1.0, 1.0, 10.0, 0.0), AtomParams(0.0, 0.5, 2.0, -5.0, 0.1)),
+        (AtomParams(1.0, 0.0, 1.0, 10.0, 0.0), AtomParams(0.5, 0.0, 2.0, -5.0, 0.1)),
+    ],
+    ids=["optical", "microwave"],
+)
+def test_a_vanishing_pattern_has_no_mismatch(atoms):
+    # No excitation of one kind: s_o and mode_mismatch are 0, not 0/0.
+    cc = collective_couplings(AtomEnsemble(atoms))
+    assert (cc.s_o, cc.mode_mismatch) == (0.0, 0.0)
+    assert cc.s_mu == np.linalg.norm([atom.g_mu for atom in atoms])
+
+
 def test_elimination_error_small_for_far_detuned_ensemble():
     ens = default_validation_ensemble()
     grid = np.linspace(-1.5, 1.5, 300)
@@ -308,6 +323,22 @@ def test_document_takes_numbers_only(field, value, named):
     atom = {key: item for key, item in doc["atoms"][2].items() if key != field}
     doc["atoms"][2] = value if field is None else atom if value is MISSING else {**atom, field: value}
     with pytest.raises(ValueError, match=f"^atom 2 is malformed: {re.escape(named)}$"):
+        ensemble_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([], "ensemble document must be an object with an 'atoms' list"),
+        ("atoms", "ensemble document must be an object with an 'atoms' list"),
+        ({}, "ensemble document must be an object with an 'atoms' list"),
+        ({"atoms": {"g_o": [2.5, 0.0]}}, "'atoms' must be a list"),
+        ({"atoms": "a"}, "'atoms' must be a list"),
+    ],
+    ids=["list", "string", "no_atoms", "atoms_object", "atoms_string"],
+)
+def test_document_is_an_object_with_an_atoms_list(doc, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         ensemble_from_dict(doc)
 
 

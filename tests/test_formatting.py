@@ -98,6 +98,13 @@ def test_csv_text_matches_per_value_format(columns):
         assert csv_text(header, table[:rows]) == _per_value_csv(header, table[:rows])
 
 
+def test_json_text_empty_containers():
+    assert json_text({}) == "{}" and json_text([]) == "[]"
+    text = json_text({"intervals": [], "stats": {}, "max_width": 0.0})
+    assert text == '{\n  "intervals": [],\n  "stats": {},\n  "max_width": 0.000000000000e0\n}'
+    assert json.loads(text) == {"intervals": [], "stats": {}, "max_width": 0.0}
+
+
 def test_csv_text_empty_table():
     assert csv_text("h", []) == "h\n"
     assert csv_text("h", np.empty((0, 3))) == "h\n"

@@ -121,6 +121,24 @@ def test_from_dict_takes_numbers_and_label_lists_only(field, value, message):
         network_from_dict({**doc, field: value})
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[]", "a network must be an object, got []"),
+        ("5", "a network must be an object, got 5"),
+        ('"labels"', "a network must be an object, got 'labels'"),
+        ('{"labels": ["a"]}', "missing field 'coupling_re'"),
+        ('{"labels": ["a"], "coupling_re": [[0.0]], "coupling_im": [[0.0]]}', "missing field 'damping'"),
+        ('{"coupling_re": [[0.0]], "coupling_im": [[0.0]], "damping": [1.0]}', "missing field 'labels'"),
+    ],
+    ids=["list", "number", "string", "coupling_re", "damping", "labels"],
+)
+def test_from_json_names_a_missing_field_and_a_non_object(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as raised:
+        network_from_json(text)
+    assert type(raised.value) is ValueError
+
+
 def test_from_dict_accepts_integers():
     doc = {"labels": ["a", "b"], "coupling_re": [[0, 1], [1, 0]], "coupling_im": [[0, 0], [0, 0]], "damping": [1, 2]}
     net = network_from_dict(doc)

@@ -121,6 +121,14 @@ def test_non_finite_port_input_is_a_value_error(bad):
     assert np.isfinite(internal_amplitudes(net, 0.3, [1.0, 0.0])).all()
 
 
+@pytest.mark.parametrize("a_in", [[1.0], [1.0, 0.0, 0.0], [[1.0, 0.0]]], ids=["short", "long", "2d"])
+def test_port_inputs_of_the_wrong_shape_are_named(a_in):
+    net = resonant_network(ResonantParams(1.0, 1.0, 2.6, 2.6))
+    message = f"expected 2 port inputs, got shape {np.shape(a_in)}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        internal_amplitudes(net, 0.3, a_in)
+
+
 # ---------------------------------------------------------------- scattering matrix
 
 

@@ -1,5 +1,6 @@
 """Tests for the RK4 integrator and the time/frequency cross-check."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -224,6 +225,17 @@ def test_non_finite_omega_is_named(omega):
         steady_state_transmission(net, omega, "a", "b")
 
 
+@pytest.mark.parametrize("amplitude", [np.inf, np.nan, complex(1.0, np.inf)])
+def test_non_finite_amplitude_is_named_before_any_drive(monkeypatch, amplitude):
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrate was called")
+
+    monkeypatch.setattr(timedomain, "integrate", no_integration)
+    net = resonant_network(ResonantParams(1.0, 1.0, 2.6, 2.6))
+    with pytest.raises(ValueError, match=f"^{re.escape(f'amplitude must be finite, got {amplitude}')}$"):
+        steady_state_response(net, 0.3, "a", "b", amplitude=amplitude)
+
+
 @pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, -0.01])
 def test_bad_step_is_named(dt):
     net = one_mode(1.0)
@@ -241,6 +253,23 @@ def test_non_finite_t_max_is_named(t_max):
 def test_non_finite_initial_amplitude_is_named(value):
     with pytest.raises(ValueError, match="initial amplitudes must be finite"):
         integrate(one_mode(1.0), [], t_max=1.0, dt=0.01, initial_amplitudes=[value])
+
+
+@pytest.mark.parametrize(
+    "t_max, drive, initial, message",
+    [
+        (0.004, None, [1.0], "t_max=0.004 spans no steps at dt=0.01"),
+        (0.02, [0.0, 1.0, np.nan, 1.0, 0.0], None, "drive for port 'a' contains non-finite samples"),
+        (0.02, [0.0, 1.0, complex(0.0, np.inf), 1.0, 0.0], None, "drive for port 'a' contains non-finite samples"),
+        (0.02, None, [1.0, 0.0], "initial amplitudes must have shape (1,), got (2,)"),
+        (0.02, None, [[1.0]], "initial amplitudes must have shape (1,), got (1, 1)"),
+    ],
+    ids=["no_step", "nan_drive", "inf_drive", "long_initial", "2d_initial"],
+)
+def test_bad_integration_input_is_named(t_max, drive, initial, message):
+    drives = [] if drive is None else [DriveSignal(port="a", samples=drive)]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        integrate(one_mode(1.0), drives, t_max=t_max, dt=0.01, initial_amplitudes=initial)
 
 
 @pytest.mark.parametrize(
